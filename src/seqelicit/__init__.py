@@ -6,6 +6,8 @@ to run the highest-cost-first mechanism online, and to audit the resulting
 incentives, with brute-force oracles for cross-checking.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BadFunctionTable,
     CapExceeded,
@@ -31,6 +33,7 @@ from .mechanism import (
     audit_full_tree,
     deviation_profile,
     deviation_utility,
+    draw_secrets,
     hcf_next,
     run,
     sample_run,
@@ -64,78 +67,17 @@ from .oracle import (
     OracleVerdict,
     TreePolicy,
     brute_pivotal,
+    closed_form_pivotal,
     exhaustive_existence,
     hcf_tree_existence,
 )
-from .pivotal import NodeLabel, c_of, determine, node_label, pivotal_prob, threshold
+from .pivotal import NodeLabel, c_of, determine, pivotal_prob, threshold
 from .verify import Verdict, Witness, exists_appropriate
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ACTION_NAMES",
-    "ALL_ACTIONS",
-    "Action",
-    "AnonymousFunctionSpec",
-    "Approach",
-    "AuditRecord",
-    "AuditReport",
-    "BadFunctionTable",
-    "COMPUTE_NEGATED",
-    "COMPUTE_REPORT_ONE",
-    "COMPUTE_REPORT_ZERO",
-    "CapExceeded",
-    "CostOutOfRange",
-    "DecisionTree",
-    "ElicitError",
-    "Fail",
-    "FixedOrderPolicy",
-    "GUESS_ONE",
-    "GUESS_ZERO",
-    "Halt",
-    "HcfPolicy",
-    "InfoState",
-    "MalformedDocument",
-    "NodeLabel",
-    "OracleVerdict",
-    "PolicyFailed",
-    "ProblemInstance",
-    "QOutOfRange",
-    "Rational",
-    "Report",
-    "RunResult",
-    "StateExhausted",
-    "StateGraph",
-    "TRUTHFUL_COMPUTE",
-    "TargetNotInGraph",
-    "Transcript",
-    "TreePolicy",
-    "Verdict",
-    "Witness",
-    "audit_full_tree",
-    "brute_pivotal",
-    "build",
-    "c_of",
-    "consensus",
-    "determine",
-    "deviation_profile",
-    "deviation_utility",
-    "emit",
-    "exhaustive_existence",
-    "exists_appropriate",
-    "export_dot",
-    "from_ones_counts",
-    "hcf_next",
-    "hcf_tree_existence",
-    "ingest",
-    "majority",
-    "max_count_path",
-    "node_label",
-    "normalize_low_q",
-    "parity",
-    "pivotal_prob",
-    "run",
-    "sample_run",
-    "threshold",
-    "unanimity",
-]
+# Every public name imported above, and only those: the list cannot drift
+# from the imports.
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

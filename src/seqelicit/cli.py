@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from .errors import (
@@ -27,11 +26,12 @@ from .mechanism import (
     HcfPolicy,
     audit_full_tree,
     deviation_utility,
+    draw_secrets,
     run,
 )
 from .model import ACTION_NAMES, InfoState, ProblemInstance, ingest
 from .oracle import brute_pivotal, exhaustive_existence, hcf_tree_existence
-from .pivotal import pivotal_prob, threshold
+from .pivotal import NodeLabel, c_of, pivotal_prob, threshold
 from .verify import REASON_C_UNDEFINED, REASON_PIGEONHOLE, REASON_TRIVIAL, exists_appropriate
 
 EXIT_OK = 0
@@ -46,6 +46,15 @@ class _UsageError(Exception):
 
 def _state_json(state: InfoState) -> list[int]:
     return [state.approached, state.ones]
+
+
+def _label_json(label: NodeLabel) -> dict:
+    return {
+        "state": _state_json(label.state),
+        "pivotal": str(label.pivotal_prob),
+        "threshold": str(label.threshold),
+        "c": label.c_of_v,
+    }
 
 
 def _print_json(payload) -> None:
@@ -100,10 +109,9 @@ def _cmd_verify(args) -> int:
             f"{w.violating_rank} such agents exist"
         )
         if args.witness:
-            graph = build(instance)
             print(f"witness path (rank bound {w.violating_rank}):")
             for state in w.path:
-                c = graph.labels[state].c_of_v
+                c = c_of(state, instance)
                 c_text = "undefined" if c is None else str(c)
                 mark = " *" if c is not None and c <= w.violating_rank else ""
                 print(f"  {state} c={c_text}{mark}")
@@ -118,15 +126,7 @@ def _cmd_pivotal(args) -> int:
         _print_json(
             {
                 "instance": name,
-                "nodes": [
-                    {
-                        "state": _state_json(s),
-                        "pivotal": str(lab.pivotal_prob),
-                        "threshold": str(lab.threshold),
-                        "c": lab.c_of_v,
-                    }
-                    for s, lab in graph.labels.items()
-                ],
+                "nodes": [_label_json(lab) for lab in graph.labels.values()],
             }
         )
         return EXIT_OK
@@ -160,14 +160,7 @@ def _cmd_graph(args) -> int:
                     "instance": instance.fn_spec.name or "anonymous",
                     "root": None if graph.root is None else _state_json(graph.root),
                     "nodes": [
-                        {
-                            "state": _state_json(s),
-                            "pivotal": str(lab.pivotal_prob),
-                            "threshold": str(lab.threshold),
-                            "c": lab.c_of_v,
-                            "end": s in ends,
-                        }
-                        for s, lab in graph.labels.items()
+                        {**_label_json(lab), "end": s in ends} for s, lab in graph.labels.items()
                     ],
                     "edges": [[_state_json(a), _state_json(b)] for a, b in graph.edges],
                 },
@@ -197,11 +190,7 @@ def _cmd_hcf(args) -> int:
         # Input bits follow the instance file's agent order.
         by_rank = tuple(int(bits[instance.original_index[r - 1] - 1]) for r in instance.ranks)
     else:
-        rng = random.Random(args.seed)
-        q = instance.q
-        by_rank = tuple(
-            1 if rng.randrange(q.denominator) < q.numerator else 0 for _ in instance.ranks
-        )
+        by_rank = draw_secrets(instance, args.seed)
     result = run(instance, HcfPolicy(instance), by_rank)
 
     user_bits = ["?"] * instance.n

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import TargetNotInGraph
 from .model import InfoState, ProblemInstance
-from .pivotal import NodeLabel, determine, node_label
+from .pivotal import NodeLabel, StateLattice, c_of, pivotal_prob, threshold
 
 
 @dataclass
@@ -24,7 +24,6 @@ class StateGraph:
     edges: tuple[tuple[InfoState, InfoState], ...]
     end_nodes: tuple[InfoState, ...]
     root: InfoState | None
-    succ: dict[InfoState, tuple[InfoState, ...]]
 
     @property
     def nodes(self) -> tuple[InfoState, ...]:
@@ -37,56 +36,56 @@ def build(instance: ProblemInstance) -> StateGraph:
     A constant function determines (0, 0) already and yields the empty graph.
     """
     labels: dict[InfoState, NodeLabel] = {}
-    for i in range(instance.n):
-        for k in range(i + 1):
-            state = InfoState(i, k)
-            if determine(state, instance.fn_spec) is None:
-                labels[state] = node_label(state, instance)
-    succ: dict[InfoState, tuple[InfoState, ...]] = {}
-    edges: list[tuple[InfoState, InfoState]] = []
-    for state in labels:
-        outs = []
+    for i, row in enumerate(instance.lattice.num):
+        for k, num in enumerate(row):
+            if num:
+                state = InfoState(i, k)
+                labels[state] = NodeLabel(
+                    state, pivotal_prob(state, instance), threshold(state, instance), c_of(state, instance)
+                )
+    edges = tuple(
+        (state, child)
+        for state in labels
         for child in (
             InfoState(state.approached + 1, state.ones),
             InfoState(state.approached + 1, state.ones + 1),
-        ):
-            if child in labels:
-                outs.append(child)
-                edges.append((state, child))
-        succ[state] = tuple(outs)
-    end_nodes = tuple(state for state in labels if not succ[state])
+        )
+        if child in labels
+    )
+    end_nodes = tuple(state for state in labels if state.approached == instance.n - 1)
     root = InfoState(0, 0) if InfoState(0, 0) in labels else None
-    return StateGraph(instance, labels, tuple(edges), end_nodes, root, succ)
+    return StateGraph(instance, labels, edges, end_nodes, root)
 
 
-def _max_counts(graph: StateGraph, rank_bound: int):
-    """Layered DP: best[v] = max, over root-to-v paths, of the number of path
-    nodes whose willing rank is defined and at most `rank_bound`.
-
-    Ties break toward the lexicographically smaller predecessor so witness
-    extraction is deterministic.
+def _path_counts(lattice: StateLattice, rank_bound: int):
+    """Layered DP over the undetermined states: best[i][k] is the largest
+    number of states with willing rank in 1..rank_bound on a path from (0, 0)
+    to (i, k), -1 at determined states; pred[i][k] is the ones-count of the
+    chosen parent in layer i-1 (a virtual parent of value 0 sits above the
+    root). Ties break toward the lexicographically smaller parent (i-1, k-1)
+    so witness extraction is deterministic.
     """
-    best: dict[InfoState, int] = {}
-    pred: dict[InfoState, InfoState | None] = {}
-    for state, label in graph.labels.items():
-        weight = 1 if label.c_of_v is not None and label.c_of_v <= rank_bound else 0
-        i, k = state.approached, state.ones
-        parents = [
-            u
-            for u in (InfoState(i - 1, k - 1) if k > 0 else None, InfoState(i - 1, k) if k < i else None)
-            if u is not None and u in best
+    best, pred, prev = [], [], [0]
+    for num_row, rank_row in zip(lattice.num, lattice.rank):
+        padded = [-1, *prev, -1]  # padded[k] is parent (i-1, k-1), padded[k+1] is (i-1, k)
+        back = [k - 1 if padded[k] >= padded[k + 1] else k for k in range(len(num_row))]
+        prev = [
+            padded[parent + 1] + (0 < rank <= rank_bound) if num else -1
+            for parent, num, rank in zip(back, num_row, rank_row)
         ]
-        if not parents:
-            best[state] = weight
-            pred[state] = None
-            continue
-        chosen = parents[0]
-        for u in parents[1:]:
-            if best[u] > best[chosen]:
-                chosen = u
-        best[state] = weight + best[chosen]
-        pred[state] = chosen
+        best.append(prev)
+        pred.append(back)
     return best, pred
+
+
+def _walk(pred, target: InfoState) -> tuple[InfoState, ...]:
+    """The root-to-`target` path that `pred` from _path_counts records."""
+    i, k = target.approached, target.ones
+    path = [target]
+    while i:
+        i, k = i - 1, pred[i][k]
+        path.append(InfoState(i, k))
+    return tuple(reversed(path))
 
 
 def max_count_path(
@@ -98,12 +97,8 @@ def max_count_path(
         raise TargetNotInGraph(f"state {target} is not in the reduced graph")
     if not 1 <= rank_bound <= graph.instance.n:
         raise ValueError(f"rank bound must lie in 1..{graph.instance.n}")
-    best, pred = _max_counts(graph, rank_bound)
-    path = [target]
-    while pred[path[-1]] is not None:
-        path.append(pred[path[-1]])
-    path.reverse()
-    return best[target], tuple(path)
+    best, pred = _path_counts(graph.instance.lattice, rank_bound)
+    return best[target.approached][target.ones], _walk(pred, target)
 
 
 def export_dot(graph: StateGraph) -> str:

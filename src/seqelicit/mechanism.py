@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import CapExceeded, PolicyFailed
 from .model import ALL_ACTIONS, Action, InfoState, ProblemInstance, Transcript
-from .pivotal import determine, threshold
+from .pivotal import c_of, determine, threshold
 
 FAIL_NO_ELIGIBLE = "no_eligible_agent"
 FAIL_CHOSEN_INELIGIBLE = "chosen_ineligible"
@@ -38,13 +38,12 @@ class Fail:
 
 def hcf_next(instance: ProblemInstance, state: InfoState, remaining) -> Approach | Fail:
     """Pick the highest-cost remaining agent whose cost is at most the state's
-    threshold; equal costs break toward the higher rank. Fails when nobody
-    remaining is willing."""
-    tau = threshold(state, instance)
-    eligible = [r for r in remaining if instance.cost_of_rank(r) <= tau]
-    if not eligible:
-        return Fail(FAIL_NO_ELIGIBLE)
-    return Approach(max(eligible))
+    threshold: the largest remaining rank up to the willing rank, so equal
+    costs break toward the higher rank. Fails when nobody remaining is
+    willing."""
+    willing = c_of(state, instance) or 0
+    best = max((r for r in remaining if r <= willing), default=None)
+    return Fail(FAIL_NO_ELIGIBLE) if best is None else Approach(best)
 
 
 class HcfPolicy:
@@ -110,6 +109,28 @@ class AuditReport:
     failure: tuple[InfoState, str] | None
 
 
+def _play(policy, transcript: Transcript, remaining: frozenset, secrets, stop_at: int | None = None):
+    """Approach agents as `policy` directs, replying from `secrets` (rank order),
+    until it halts or is about to approach rank `stop_at`.
+
+    Returns the transcript, the ranks still unapproached, and the halting bit
+    (None when stopped at `stop_at`). Each step removes a rank, so a policy
+    that neither halts nor fails runs out of ranks and is rejected.
+    """
+    while True:
+        step = policy.next(transcript, remaining)
+        if isinstance(step, Halt):
+            return transcript, remaining, step.bit
+        if isinstance(step, Fail):
+            raise PolicyFailed(transcript.state, step.reason)
+        if step.rank == stop_at:
+            return transcript, remaining, None
+        if step.rank not in remaining:
+            raise ValueError(f"policy approached rank {step.rank} twice")
+        transcript = transcript.extended(step.rank, secrets[step.rank - 1])
+        remaining = remaining - {step.rank}
+
+
 def run(instance: ProblemInstance, policy, secrets) -> RunResult:
     """Execute one game with truthful replies drawn from `secrets` (rank order).
 
@@ -119,37 +140,28 @@ def run(instance: ProblemInstance, policy, secrets) -> RunResult:
     secrets = tuple(secrets)
     if len(secrets) != instance.n or any(s not in (0, 1) for s in secrets):
         raise ValueError(f"secrets must be {instance.n} bits")
-    transcript = Transcript()
-    remaining = frozenset(instance.ranks)
-    total_cost = Fraction(0)
-    for _ in range(instance.n + 1):
-        step = policy.next(transcript, remaining)
-        if isinstance(step, Halt):
-            return RunResult(
-                transcript=transcript,
-                output=step.bit,
-                halted_at=transcript.state,
-                approached_count=len(transcript.entries),
-                total_cost_incurred=total_cost,
-            )
-        if isinstance(step, Fail):
-            raise PolicyFailed(transcript.state, step.reason)
-        if step.rank not in remaining:
-            raise ValueError(f"policy approached rank {step.rank} twice")
-        total_cost += instance.cost_of_rank(step.rank)
-        transcript = transcript.extended(step.rank, secrets[step.rank - 1])
-        remaining = remaining - {step.rank}
-    raise RuntimeError("policy failed to halt after approaching every agent")
+    transcript, _, output = _play(policy, Transcript(), frozenset(instance.ranks), secrets)
+    return RunResult(
+        transcript=transcript,
+        output=output,
+        halted_at=transcript.state,
+        approached_count=len(transcript.entries),
+        total_cost_incurred=sum((instance.cost_of_rank(r) for r, _ in transcript.entries), Fraction(0)),
+    )
+
+
+def draw_secrets(instance: ProblemInstance, seed: int) -> tuple[int, ...]:
+    """Secrets in rank order, drawn iid from the prior via a seeded generator."""
+    rng = random.Random(seed)
+    q = instance.q
+    return tuple(
+        1 if rng.randrange(q.denominator) < q.numerator else 0 for _ in range(instance.n)
+    )
 
 
 def sample_run(instance: ProblemInstance, policy, seed: int) -> RunResult:
-    """Run on secrets drawn iid from the prior via a seeded generator."""
-    rng = random.Random(seed)
-    q = instance.q
-    secrets = tuple(
-        1 if rng.randrange(q.denominator) < q.numerator else 0 for _ in range(instance.n)
-    )
-    return run(instance, policy, secrets)
+    """Run on secrets drawn from the prior by `draw_secrets`."""
+    return run(instance, policy, draw_secrets(instance, seed))
 
 
 def audit_full_tree(instance: ProblemInstance, policy, cap: int = 20) -> AuditReport:
@@ -180,13 +192,15 @@ def audit_full_tree(instance: ProblemInstance, policy, cap: int = 20) -> AuditRe
             failure = (transcript.state, step.reason)
             return
         state = transcript.state
-        tau = threshold(state, instance)
-        cost = instance.cost_of_rank(step.rank)
-        eligible = cost <= tau
+        eligible = step.rank <= (c_of(state, instance) or 0)
         key = (state, step.rank)
         if key not in seen:
             seen.add(key)
-            records.append(AuditRecord(state, step.rank, cost, tau, eligible))
+            records.append(
+                AuditRecord(
+                    state, step.rank, instance.cost_of_rank(step.rank), threshold(state, instance), eligible
+                )
+            )
         if not eligible:
             failure = (state, FAIL_CHOSEN_INELIGIBLE)
             return
@@ -196,17 +210,6 @@ def audit_full_tree(instance: ProblemInstance, policy, cap: int = 20) -> AuditRe
 
     walk(Transcript(), frozenset(instance.ranks))
     return AuditReport(passed=failure is None, records=tuple(records), failure=failure)
-
-
-def _finish(instance, policy, transcript, remaining, secrets) -> int:
-    while True:
-        step = policy.next(transcript, remaining)
-        if isinstance(step, Halt):
-            return step.bit
-        if isinstance(step, Fail):
-            raise PolicyFailed(transcript.state, step.reason)
-        transcript = transcript.extended(step.rank, secrets[step.rank - 1])
-        remaining = remaining - {step.rank}
 
 
 def deviation_profile(
@@ -238,30 +241,14 @@ def deviation_profile(
         for s in secrets:
             weight *= q if s else 1 - q
         true_value = fn.value_at(sum(secrets))
-        transcript = Transcript()
-        remaining = all_ranks
-        prefix_output = None
-        while True:
-            step = policy.next(transcript, remaining)
-            if isinstance(step, Halt):
-                prefix_output = step.bit
-                break
-            if isinstance(step, Fail):
-                raise PolicyFailed(transcript.state, step.reason)
-            if step.rank == rank:
-                break
-            transcript = transcript.extended(step.rank, secrets[step.rank - 1])
-            remaining = remaining - {step.rank}
+        transcript, remaining, prefix_output = _play(policy, Transcript(), all_ranks, secrets, rank)
         if prefix_output is not None:
             if prefix_output == true_value:
                 correct_unapproached += weight
             continue
         weight_approached += weight
         rest = remaining - {rank}
-        outputs = tuple(
-            _finish(instance, policy, transcript.extended(rank, bit), rest, secrets)
-            for bit in (0, 1)
-        )
+        outputs = tuple(_play(policy, transcript.extended(rank, bit), rest, secrets)[2] for bit in (0, 1))
         own_secret = secrets[rank - 1]
         for action in ALL_ACTIONS:
             utility = Fraction(1 if outputs[action.reply(own_secret)] == true_value else 0)

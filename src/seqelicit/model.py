@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BadFunctionTable, CostOutOfRange, MalformedDocument, QOutOfRange
@@ -20,16 +21,19 @@ from .errors import BadFunctionTable, CostOutOfRange, MalformedDocument, QOutOfR
 Rational = Fraction
 
 _DOCUMENT_KEYS = {"n", "q", "costs", "values", "agent_ids", "function"}
-FUNCTION_SHORTCUTS = ("majority", "consensus", "parity", "unanimity")
 
 
 def _as_rational(value, where: str) -> Fraction:
-    # JSON floats are rejected: 0.4 the float is not 2/5.
+    # JSON floats are rejected: 0.4 the float is not 2/5. Exponent notation
+    # is rejected too: Fraction("1e-1000000") expands into a million-digit
+    # integer, so a few bytes of input could stall ingestion.
     if isinstance(value, bool):
         raise MalformedDocument(f"{where}: expected a rational, got a boolean")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise MalformedDocument(f"{where}: exponent notation is not accepted in {value!r}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -276,6 +280,15 @@ class ProblemInstance:
     @property
     def ranks(self) -> range:
         return range(1, self.n + 1)
+
+    @cached_property
+    def lattice(self):
+        """Pivotality and willing rank of every state, computed once on first
+        use (see ``pivotal.StateLattice``); not a field, so it takes no part
+        in equality or hashing."""
+        from .pivotal import StateLattice
+
+        return StateLattice(self)
 
     def cost_of_rank(self, rank: int) -> Fraction:
         return self.costs[rank - 1]

@@ -1,9 +1,10 @@
-"""Brute-force baselines for validating the analytic engine on small instances.
+"""Reference baselines for validating the analytic engine.
 
-Nothing here reuses the closed-form pivotality or the path criterion: the
-pivotal check enumerates secret completions one vector at a time, and the
-existence checks either enumerate every adaptive mechanism outright or expand
-the highest-cost-first policy's full reply tree.
+Nothing here reuses the state lattice's recurrence or the path criterion: the
+pivotal checks either sum the closed-form binomial weights or enumerate secret
+completions one vector at a time, and the existence checks either enumerate
+every adaptive mechanism outright or expand the highest-cost-first policy's
+full reply tree.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from .errors import CapExceeded, StateExhausted
+from .errors import CapExceeded
 from .mechanism import Approach, Halt, HcfPolicy, audit_full_tree
 from .model import InfoState, ProblemInstance, Transcript
-from .pivotal import determine, threshold
+from .pivotal import _check_approachable, c_of, determine
 
 
 @dataclass(frozen=True)
@@ -55,15 +57,28 @@ class TreePolicy:
         return Approach(node.rank)
 
 
+def closed_form_pivotal(state: InfoState, instance: ProblemInstance) -> Fraction:
+    """Pivotality as the closed-form sum: the binomial weight of each ones-count
+    m of the n-i-1 agents other than the one being approached for which the
+    table differs between totals k+m and k+m+1."""
+    _check_approachable(state, instance.n)
+    rest = instance.n - state.approached - 1
+    q = instance.q
+    table = instance.fn_spec.ones_to_one
+    k = state.ones
+    total = Fraction(0)
+    for m in range(rest + 1):
+        if table[k + m] != table[k + m + 1]:
+            total += comb(rest, m) * q**m * (1 - q) ** (rest - m)
+    return total
+
+
 def brute_pivotal(state: InfoState, instance: ProblemInstance, cap: int = 24) -> Fraction:
     """Pivotality by enumerating every completion of the other unapproached
     agents, summing the prior weight of those where flipping the approached
     agent's secret flips the output."""
     n = instance.n
-    if not 0 <= state.ones <= state.approached <= n:
-        raise ValueError(f"state {state} out of range for n={n}")
-    if state.approached >= n:
-        raise StateExhausted(f"no agent left to approach at {state}")
+    _check_approachable(state, n)
     rest = n - state.approached - 1
     if rest > cap:
         raise CapExceeded(f"completion enumeration capped at {cap} free agents, got {rest}")
@@ -95,7 +110,7 @@ def _trees(instance, state, remaining):
 def _tree_willing(instance, tree, state) -> bool:
     if tree is None:
         return True
-    if instance.cost_of_rank(tree.rank) > threshold(state, instance):
+    if tree.rank > (c_of(state, instance) or 0):
         return False
     child0 = InfoState(state.approached + 1, state.ones)
     child1 = InfoState(state.approached + 1, state.ones + 1)

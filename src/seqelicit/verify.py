@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import _max_counts, build
+from .graph import _path_counts, _walk
 from .model import InfoState, ProblemInstance
 
 REASON_TRIVIAL = "trivial"
@@ -38,25 +38,29 @@ def exists_appropriate(instance: ProblemInstance) -> Verdict:
     nodes whose willing rank is at most j; only j distinct agents that cheap
     exist, so one of those decision points would be left to an unwilling agent.
     """
-    graph = build(instance)
-    if graph.root is None:
+    lattice = instance.lattice
+    if not lattice.num[0][0]:
         return Verdict(True, REASON_TRIVIAL)
-    for state, label in graph.labels.items():
-        if label.c_of_v is None:
-            return Verdict(False, REASON_C_UNDEFINED, undefined_at=state)
-    n = instance.n
-    tables = {j: _max_counts(graph, j) for j in range(1, n + 1)}
-    for end in graph.end_nodes:
-        for j in range(1, n + 1):
-            best, pred = tables[j]
-            if best[end] > j:
-                path = [end]
-                while pred[path[-1]] is not None:
-                    path.append(pred[path[-1]])
-                path.reverse()
-                return Verdict(
-                    False,
-                    REASON_PIGEONHOLE,
-                    witness=Witness(tuple(path), j, best[end]),
-                )
-    return Verdict(True, None)
+    bounds: set[int] = set()
+    for i, (num_row, rank_row) in enumerate(zip(lattice.num, lattice.rank)):
+        for k, (num, rank) in enumerate(zip(num_row, rank_row)):
+            if num:
+                if not rank:
+                    return Verdict(False, REASON_C_UNDEFINED, undefined_at=InfoState(i, k))
+                bounds.add(rank)
+    # The counts only change where j crosses a willing rank, so the smallest
+    # violating j of any end node is one of those ranks. Per bound, keep the
+    # first violating end node that precedes the one found so far.
+    ends = [InfoState(instance.n - 1, k) for k, num in enumerate(lattice.num[-1]) if num]
+    witness = None
+    for j in sorted(bounds):
+        best, pred = _path_counts(lattice, j)
+        for end in ends:
+            if witness is not None and end >= witness.path[-1]:
+                break
+            if best[-1][end.ones] > j:
+                witness = Witness(_walk(pred, end), j, best[-1][end.ones])
+                break
+    if witness is None:
+        return Verdict(True, None)
+    return Verdict(False, REASON_PIGEONHOLE, witness=witness)

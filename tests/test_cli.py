@@ -220,6 +220,15 @@ def test_malformed_instance_is_usage_error(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_exponent_cost_is_usage_error(capsys, tmp_path):
+    bad = tmp_path / "exp.json"
+    bad.write_text('{"n": 2, "q": "1/2", "costs": ["0", "1e-10000000"], "function": "parity"}')
+    code, out, err = invoke(capsys, "verify", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: costs[1]: exponent notation")
+
+
 def test_normalize_flag(capsys, tmp_path):
     low_q = tmp_path / "low.json"
     low_q.write_text('{"n": 2, "q": "1/3", "costs": ["0", "0"], "function": "parity"}')

@@ -134,6 +134,20 @@ def test_malformed_documents_rejected(doc):
         ingest(doc)
 
 
+def test_decimal_strings_accepted():
+    inst = ingest({"n": 2, "q": "0.5", "costs": ["0.25", "1/8"], "function": "parity"})
+    assert inst.q == Fraction(1, 2)
+    assert inst.costs == (Fraction(1, 8), Fraction(1, 4))
+
+
+@pytest.mark.parametrize("text", ["1e-1000000", "1E-10000000", "2.5e-1", "1/1e3"])
+def test_exponent_notation_rejected(text):
+    with pytest.raises(MalformedDocument, match="exponent"):
+        ingest({"n": 1, "q": "1/2", "costs": [text], "function": "unanimity"})
+    with pytest.raises(MalformedDocument, match="exponent"):
+        ingest({"n": 1, "q": text, "costs": ["0"], "function": "unanimity"})
+
+
 def test_bad_function_table():
     with pytest.raises(BadFunctionTable):
         ingest({"n": 2, "q": "1/2", "costs": ["0", "0"], "function": {"ones_counts": [3]}})

@@ -17,7 +17,8 @@ from conftest import (
 from seqelicit.errors import StateExhausted
 from seqelicit.model import InfoState, consensus, majority, parity
 from seqelicit.oracle import brute_pivotal
-from seqelicit.pivotal import c_of, determine, node_label, pivotal_prob, threshold
+from seqelicit.graph import build
+from seqelicit.pivotal import c_of, determine, pivotal_prob, threshold
 
 
 def test_determine_consensus_mixed_replies():
@@ -96,8 +97,8 @@ def test_c_of_examples():
 
 def test_node_label_consistency():
     inst = example2_instance()
-    lab = node_label(InfoState(0, 0), inst)
-    assert lab.determined is None
+    lab = build(inst).labels[InfoState(0, 0)]
+    assert determine(lab.state, inst.fn_spec) is None
     assert lab.pivotal_prob == Fraction(1, 4)
     assert lab.threshold == Fraction(1, 8)
     assert lab.c_of_v == 3
