@@ -22,21 +22,15 @@ from .errors import (
 from .graph import StateGraph, build, export_dot, max_count_path
 from .mechanism import (
     ALL_ACTIONS,
-    Approach,
     AuditRecord,
     AuditReport,
-    Fail,
     FixedOrderPolicy,
-    Halt,
     HcfPolicy,
     RunResult,
     audit_full_tree,
     deviation_profile,
-    deviation_utility,
     draw_secrets,
-    hcf_next,
     run,
-    sample_run,
 )
 from .model import (
     ACTION_NAMES,
@@ -65,7 +59,6 @@ from .model import (
 from .oracle import (
     DecisionTree,
     OracleVerdict,
-    TreePolicy,
     brute_pivotal,
     closed_form_pivotal,
     exhaustive_existence,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from .errors import (
     BadFunctionTable,
@@ -25,7 +26,7 @@ from .mechanism import (
     FixedOrderPolicy,
     HcfPolicy,
     audit_full_tree,
-    deviation_utility,
+    deviation_profile,
     draw_secrets,
     run,
 )
@@ -38,6 +39,15 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_NEGATIVE = 3
+
+
+# A mirrored instance flips every bit, so the actions that name a bit swap.
+_MIRRORED_ACTIONS = {
+    "guess-0": "guess-1",
+    "guess-1": "guess-0",
+    "compute-0": "compute-1",
+    "compute-1": "compute-0",
+}
 
 
 class _UsageError(Exception):
@@ -67,7 +77,12 @@ def _load_instance(args) -> ProblemInstance:
             text = handle.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {args.instance}: {exc}") from exc
-    return ingest(text, normalize=args.normalize)
+    instance = ingest(text, normalize=args.normalize)
+    # With --normalize, ingest mirrors a file whose q is below 1/2 (every bit
+    # flipped). Commands that read or print bits translate them to the file's
+    # terms; states and thresholds stay those of the mirrored game.
+    args.mirrored = args.normalize and Fraction(json.loads(text)["q"]) < Fraction(1, 2)
+    return instance
 
 
 def _policy_for(name: str, instance: ProblemInstance):
@@ -183,23 +198,24 @@ def _cmd_graph(args) -> int:
 
 def _cmd_hcf(args) -> int:
     instance = _load_instance(args)
+    flip = int(args.mirrored)
     if args.secrets is not None:
         bits = args.secrets
         if len(bits) != instance.n or any(b not in "01" for b in bits):
             raise _UsageError(f"--secrets must be {instance.n} characters of 0/1")
         # Input bits follow the instance file's agent order.
-        by_rank = tuple(int(bits[instance.original_index[r - 1] - 1]) for r in instance.ranks)
+        by_rank = tuple(int(bits[instance.original_index[r - 1] - 1]) ^ flip for r in instance.ranks)
     else:
         by_rank = draw_secrets(instance, args.seed)
     result = run(instance, HcfPolicy(instance), by_rank)
 
     user_bits = ["?"] * instance.n
     for rank in instance.ranks:
-        user_bits[instance.original_index[rank - 1] - 1] = str(by_rank[rank - 1])
+        user_bits[instance.original_index[rank - 1] - 1] = str(by_rank[rank - 1] ^ flip)
     steps = []
     state = InfoState(0, 0)
     for rank, reply in result.transcript.entries:
-        steps.append((state, rank, threshold(state, instance), reply))
+        steps.append((state, rank, threshold(state, instance), reply ^ flip))
         state = InfoState(state.approached + 1, state.ones + reply)
 
     if args.json:
@@ -281,9 +297,9 @@ def _cmd_deviate(args) -> int:
         rank = instance.rank_of_agent_id(args.agent)
     except KeyError:
         raise _UsageError(f"unknown agent id {args.agent!r}") from None
-    action = ACTION_NAMES[args.action]
+    name = _MIRRORED_ACTIONS.get(args.action, args.action) if args.mirrored else args.action
     policy = _policy_for(args.policy, instance)
-    utility = deviation_utility(instance, policy, rank, action, cap=args.cap)
+    utility = deviation_profile(instance, policy, rank, cap=args.cap)[ACTION_NAMES[name]]
     if args.json:
         _print_json(
             {

@@ -1,9 +1,12 @@
 """Sequential elicitation policies, game execution, and equilibrium audits.
 
-A policy decides, from the public transcript, whether to halt with a value or
-which remaining agent to approach next. The highest-cost-first policy asks the
-most expensive agent that is still willing to compute; its full-reply-tree
-audit certifies that everybody computing truthfully is an equilibrium.
+A policy maps an undetermined information state and the agents not yet
+approached to the rank to approach next, or raises PolicyFailed. The
+executors (`run`, `deviation_profile` and the audit) stop as soon as the
+output is determined, so no policy decides when to halt. The highest-cost-first
+policy asks the most expensive agent that is still willing to compute; its
+full-reply-tree audit certifies that everybody computing truthfully is an
+equilibrium.
 """
 
 from __future__ import annotations
@@ -21,51 +24,29 @@ FAIL_NO_ELIGIBLE = "no_eligible_agent"
 FAIL_CHOSEN_INELIGIBLE = "chosen_ineligible"
 
 
-@dataclass(frozen=True)
-class Approach:
-    rank: int
-
-
-@dataclass(frozen=True)
-class Halt:
-    bit: int
-
-
-@dataclass(frozen=True)
-class Fail:
-    reason: str
-
-
-def hcf_next(instance: ProblemInstance, state: InfoState, remaining) -> Approach | Fail:
-    """Pick the highest-cost remaining agent whose cost is at most the state's
-    threshold: the largest remaining rank up to the willing rank, so equal
-    costs break toward the higher rank. Fails when nobody remaining is
-    willing."""
-    willing = c_of(state, instance) or 0
-    best = max((r for r in remaining if r <= willing), default=None)
-    return Fail(FAIL_NO_ELIGIBLE) if best is None else Approach(best)
-
-
 class HcfPolicy:
-    """Approach the dearest willing agent; halt as soon as the value is forced."""
+    """Approach the dearest agent still willing to compute."""
 
     def __init__(self, instance: ProblemInstance):
         self.instance = instance
 
-    def next(self, transcript: Transcript, remaining) -> Approach | Halt | Fail:
-        state = transcript.state
-        forced = determine(state, self.instance.fn_spec)
-        if forced is not None:
-            return Halt(forced)
-        return hcf_next(self.instance, state, remaining)
+    def next(self, state: InfoState, remaining: frozenset) -> int:
+        """The largest remaining rank up to the state's willing rank, so equal
+        costs break toward the higher rank. Raises PolicyFailed when nobody
+        remaining is willing."""
+        willing = c_of(state, self.instance) or 0
+        best = max((r for r in remaining if r <= willing), default=None)
+        if best is None:
+            raise PolicyFailed(state, FAIL_NO_ELIGIBLE)
+        return best
 
 
 class FixedOrderPolicy:
     """Approach agents in a fixed order regardless of incentives.
 
-    The baseline that motivates sequencing by willingness: it still halts as
-    soon as the output is forced, but never checks whether the approached
-    agent has any reason to compute.
+    The baseline that motivates sequencing by willingness: a game under it
+    still stops as soon as the output is forced, but it never checks whether
+    the approached agent has any reason to compute.
     """
 
     def __init__(self, instance: ProblemInstance, order=None):
@@ -74,14 +55,10 @@ class FixedOrderPolicy:
         if sorted(self.order) != list(instance.ranks):
             raise ValueError("order must be a permutation of the ranks")
 
-    def next(self, transcript: Transcript, remaining) -> Approach | Halt | Fail:
-        forced = determine(transcript.state, self.instance.fn_spec)
-        if forced is not None:
-            return Halt(forced)
-        for rank in self.order:
-            if rank in remaining:
-                return Approach(rank)
-        return Fail("no_agent_remaining")
+    def next(self, state: InfoState, remaining: frozenset) -> int:
+        # An undetermined state always has an agent left: every state after
+        # the last approach is determined.
+        return next(rank for rank in self.order if rank in remaining)
 
 
 @dataclass(frozen=True)
@@ -109,44 +86,54 @@ class AuditReport:
     failure: tuple[InfoState, str] | None
 
 
-def _play(policy, transcript: Transcript, remaining: frozenset, secrets, stop_at: int | None = None):
-    """Approach agents as `policy` directs, replying from `secrets` (rank order),
-    until it halts or is about to approach rank `stop_at`.
+def _next_rank(policy, state: InfoState, remaining: frozenset) -> int:
+    rank = policy.next(state, remaining)
+    if rank not in remaining:
+        raise ValueError(f"policy chose rank {rank!r} at {state}, which is not a remaining rank")
+    return rank
 
-    Returns the transcript, the ranks still unapproached, and the halting bit
-    (None when stopped at `stop_at`). Each step removes a rank, so a policy
-    that neither halts nor fails runs out of ranks and is rejected.
+
+def _play(instance, policy, state: InfoState, remaining: frozenset, secrets, entries=None, stop_at=None):
+    """Approach agents as `policy` directs, replying from `secrets` (rank order),
+    until the output is determined or the policy is about to approach rank
+    `stop_at`. Appends each (rank, reply) to `entries` when given.
+
+    Returns the state reached, the ranks still unapproached, and the
+    determined output (None when stopped at `stop_at`). Every state after the
+    last approach is determined, so the loop always ends.
     """
+    fn = instance.fn_spec
     while True:
-        step = policy.next(transcript, remaining)
-        if isinstance(step, Halt):
-            return transcript, remaining, step.bit
-        if isinstance(step, Fail):
-            raise PolicyFailed(transcript.state, step.reason)
-        if step.rank == stop_at:
-            return transcript, remaining, None
-        if step.rank not in remaining:
-            raise ValueError(f"policy approached rank {step.rank} twice")
-        transcript = transcript.extended(step.rank, secrets[step.rank - 1])
-        remaining = remaining - {step.rank}
+        forced = determine(state, fn)
+        if forced is not None:
+            return state, remaining, forced
+        rank = _next_rank(policy, state, remaining)
+        if rank == stop_at:
+            return state, remaining, None
+        reply = secrets[rank - 1]
+        if entries is not None:
+            entries.append((rank, reply))
+        state = InfoState(state.approached + 1, state.ones + reply)
+        remaining = remaining - {rank}
 
 
 def run(instance: ProblemInstance, policy, secrets) -> RunResult:
     """Execute one game with truthful replies drawn from `secrets` (rank order).
 
-    The output always equals the function's value on the true secrets, since a
-    policy halts only once every completion agrees.
+    The output always equals the function's value on the true secrets, since
+    the game stops only once every completion agrees.
     """
     secrets = tuple(secrets)
     if len(secrets) != instance.n or any(s not in (0, 1) for s in secrets):
         raise ValueError(f"secrets must be {instance.n} bits")
-    transcript, _, output = _play(policy, Transcript(), frozenset(instance.ranks), secrets)
+    entries: list[tuple[int, int]] = []
+    halted_at, _, output = _play(instance, policy, InfoState(0, 0), frozenset(instance.ranks), secrets, entries)
     return RunResult(
-        transcript=transcript,
+        transcript=Transcript(tuple(entries)),
         output=output,
-        halted_at=transcript.state,
-        approached_count=len(transcript.entries),
-        total_cost_incurred=sum((instance.cost_of_rank(r) for r, _ in transcript.entries), Fraction(0)),
+        halted_at=halted_at,
+        approached_count=len(entries),
+        total_cost_incurred=sum((instance.cost_of_rank(r) for r, _ in entries), Fraction(0)),
     )
 
 
@@ -157,11 +144,6 @@ def draw_secrets(instance: ProblemInstance, seed: int) -> tuple[int, ...]:
     return tuple(
         1 if rng.randrange(q.denominator) < q.numerator else 0 for _ in range(instance.n)
     )
-
-
-def sample_run(instance: ProblemInstance, policy, seed: int) -> RunResult:
-    """Run on secrets drawn from the prior by `draw_secrets`."""
-    return run(instance, policy, draw_secrets(instance, seed))
 
 
 def audit_full_tree(instance: ProblemInstance, policy, cap: int = 20) -> AuditReport:
@@ -175,41 +157,32 @@ def audit_full_tree(instance: ProblemInstance, policy, cap: int = 20) -> AuditRe
     """
     if instance.n > cap:
         raise CapExceeded(f"full tree audit capped at n={cap}, instance has n={instance.n}")
+    fn = instance.fn_spec
     records: list[AuditRecord] = []
     seen: set[tuple[InfoState, int]] = set()
-    failure: tuple[InfoState, str] | None = None
 
-    def walk(transcript: Transcript, remaining: frozenset) -> None:
-        nonlocal failure
-        if failure is not None:
+    def walk(state: InfoState, remaining: frozenset) -> None:
+        if determine(state, fn) is not None:
             return
-        step = policy.next(transcript, remaining)
-        if isinstance(step, Halt):
-            if step.bit != determine(transcript.state, instance.fn_spec):
-                raise ValueError(f"policy halted with the wrong value at {transcript.state}")
-            return
-        if isinstance(step, Fail):
-            failure = (transcript.state, step.reason)
-            return
-        state = transcript.state
-        eligible = step.rank <= (c_of(state, instance) or 0)
-        key = (state, step.rank)
+        rank = _next_rank(policy, state, remaining)
+        eligible = rank <= (c_of(state, instance) or 0)
+        key = (state, rank)
         if key not in seen:
             seen.add(key)
             records.append(
-                AuditRecord(
-                    state, step.rank, instance.cost_of_rank(step.rank), threshold(state, instance), eligible
-                )
+                AuditRecord(state, rank, instance.cost_of_rank(rank), threshold(state, instance), eligible)
             )
         if not eligible:
-            failure = (state, FAIL_CHOSEN_INELIGIBLE)
-            return
-        rest = remaining - {step.rank}
-        walk(transcript.extended(step.rank, 0), rest)
-        walk(transcript.extended(step.rank, 1), rest)
+            raise PolicyFailed(state, FAIL_CHOSEN_INELIGIBLE)
+        rest = remaining - {rank}
+        walk(InfoState(state.approached + 1, state.ones), rest)
+        walk(InfoState(state.approached + 1, state.ones + 1), rest)
 
-    walk(Transcript(), frozenset(instance.ranks))
-    return AuditReport(passed=failure is None, records=tuple(records), failure=failure)
+    try:
+        walk(InfoState(0, 0), frozenset(instance.ranks))
+    except PolicyFailed as exc:
+        return AuditReport(passed=False, records=tuple(records), failure=(exc.state, exc.reason))
+    return AuditReport(passed=True, records=tuple(records), failure=None)
 
 
 def deviation_profile(
@@ -235,20 +208,23 @@ def deviation_profile(
     acc = {action: Fraction(0) for action in ALL_ACTIONS}
     weight_approached = Fraction(0)
     correct_unapproached = Fraction(0)
-    all_ranks = frozenset(instance.ranks)
+    root, all_ranks = InfoState(0, 0), frozenset(instance.ranks)
     for secrets in itertools.product((0, 1), repeat=n):
         weight = Fraction(1)
         for s in secrets:
             weight *= q if s else 1 - q
         true_value = fn.value_at(sum(secrets))
-        transcript, remaining, prefix_output = _play(policy, Transcript(), all_ranks, secrets, rank)
+        state, remaining, prefix_output = _play(instance, policy, root, all_ranks, secrets, stop_at=rank)
         if prefix_output is not None:
             if prefix_output == true_value:
                 correct_unapproached += weight
             continue
         weight_approached += weight
         rest = remaining - {rank}
-        outputs = tuple(_play(policy, transcript.extended(rank, bit), rest, secrets)[2] for bit in (0, 1))
+        outputs = tuple(
+            _play(instance, policy, InfoState(state.approached + 1, state.ones + bit), rest, secrets)[2]
+            for bit in (0, 1)
+        )
         own_secret = secrets[rank - 1]
         for action in ALL_ACTIONS:
             utility = Fraction(1 if outputs[action.reply(own_secret)] == true_value else 0)
@@ -259,10 +235,3 @@ def deviation_profile(
         return {action: acc[action] / weight_approached for action in ALL_ACTIONS}
     return {action: correct_unapproached for action in ALL_ACTIONS}
 
-
-def deviation_utility(
-    instance: ProblemInstance, policy, rank: int, action: Action, cap: int = 12
-) -> Fraction:
-    """Expected utility of one action for the agent at `rank`; see
-    deviation_profile for the conditioning convention."""
-    return deviation_profile(instance, policy, rank, cap=cap)[action]

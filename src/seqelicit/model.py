@@ -211,9 +211,6 @@ class Transcript:
     def state(self) -> InfoState:
         return InfoState(len(self.entries), sum(b for _, b in self.entries))
 
-    def extended(self, rank: int, bit: int) -> "Transcript":
-        return Transcript(self.entries + ((rank, bit),))
-
 
 @dataclass(frozen=True)
 class ProblemInstance:

@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import comb
 
 from .errors import CapExceeded
-from .mechanism import Approach, Halt, HcfPolicy, audit_full_tree
-from .model import InfoState, ProblemInstance, Transcript
+from .mechanism import HcfPolicy, audit_full_tree
+from .model import InfoState, ProblemInstance
 from .pivotal import _check_approachable, c_of, determine
 
 
@@ -38,23 +38,6 @@ class OracleVerdict:
     exists: bool
     certificate: DecisionTree | None
     mechanisms_checked: int
-
-
-class TreePolicy:
-    """Replay a fixed decision tree; halts the moment the value is forced."""
-
-    def __init__(self, instance: ProblemInstance, tree: DecisionTree | None):
-        self.instance = instance
-        self.tree = tree
-
-    def next(self, transcript: Transcript, remaining):
-        forced = determine(transcript.state, self.instance.fn_spec)
-        if forced is not None:
-            return Halt(forced)
-        node = self.tree
-        for _, bit in transcript.entries:
-            node = node.on_one if bit else node.on_zero
-        return Approach(node.rank)
 
 
 def closed_form_pivotal(state: InfoState, instance: ProblemInstance) -> Fraction:

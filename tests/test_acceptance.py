@@ -20,7 +20,6 @@ from seqelicit.mechanism import (
     HcfPolicy,
     audit_full_tree,
     deviation_profile,
-    deviation_utility,
     run,
 )
 from seqelicit.model import ALL_ACTIONS, GUESS_ONE, InfoState, TRUTHFUL_COMPUTE
@@ -56,7 +55,7 @@ def test_criterion_1_majority_example():
     with budget(1.0) as timer:
         inst = example1_instance()
         assert pivotal_prob(InfoState(0, 0), inst) == Fraction(63, 256)
-        utility = deviation_utility(inst, FixedOrderPolicy(inst), 1, GUESS_ONE)
+        utility = deviation_profile(inst, FixedOrderPolicy(inst), 1)[GUESS_ONE]
         assert utility == Fraction(449, 512)
         assert abs(float(utility) - 0.875) <= 0.005
         verdict = exists_appropriate(inst)
@@ -78,8 +77,9 @@ def test_criterion_2_consensus_example():
                 assert ranks.index(4) == 3
             assert all(rank in (1, 2, 3) for rank in ranks[:3])
         assert threshold(InfoState(3, 0), inst) == Fraction(1, 2)
-        assert deviation_utility(inst, policy, 4, GUESS_ONE) == Fraction(1, 2)
-        assert deviation_utility(inst, policy, 4, TRUTHFUL_COMPUTE) == Fraction(3, 5)
+        profile = deviation_profile(inst, policy, 4)
+        assert profile[GUESS_ONE] == Fraction(1, 2)
+        assert profile[TRUTHFUL_COMPUTE] == Fraction(3, 5)
         assert audit_full_tree(inst, policy).passed
     _report(2, "consensus n=4", timer)
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
 
 from conftest import INSTANCES_DIR
 from seqelicit.cli import main
+from seqelicit.mechanism import HcfPolicy, deviation_profile
+from seqelicit.model import ACTION_NAMES, ingest, unanimity
 
 EX1 = str(INSTANCES_DIR / "example1.json")
 EX2 = str(INSTANCES_DIR / "example2.json")
@@ -237,6 +240,54 @@ def test_normalize_flag(capsys, tmp_path):
     code, out, _ = invoke(capsys, "verify", str(low_q), "--normalize")
     assert code == 0
     assert out == "appropriate mechanism EXISTS\n"
+
+
+# Mirrored by --normalize onto q = 3/4 and "all zeros".
+UNANIMITY_LOW_Q = {"n": 3, "q": "1/4", "costs": ["0", "1/20", "1/10"], "function": "unanimity"}
+
+
+def test_hcf_normalize_speaks_the_files_bits(capsys, tmp_path):
+    path = tmp_path / "low.json"
+    path.write_text(json.dumps(UNANIMITY_LOW_Q))
+    table = unanimity(3).ones_to_one
+    for bits in itertools.product("01", repeat=3):
+        secrets = "".join(bits)
+        code, out, _ = invoke(capsys, "hcf", str(path), "--normalize", "--secrets", secrets, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["output"] == int(table[secrets.count("1")])
+        assert payload["secrets"] == secrets
+        for step in payload["transcript"]:
+            assert step["reply"] == int(secrets[int(step["agent"]) - 1])
+
+
+def test_deviate_normalize_names_the_files_bits(capsys, tmp_path):
+    path = tmp_path / "low.json"
+    path.write_text(json.dumps(UNANIMITY_LOW_Q))
+    mirrored = ingest(UNANIMITY_LOW_Q, normalize=True)
+    profile = deviation_profile(mirrored, HcfPolicy(mirrored), mirrored.rank_of_agent_id("2"))
+    in_mirror_of = {
+        "guess-0": "guess-1",
+        "guess-1": "guess-0",
+        "compute-0": "compute-1",
+        "compute-1": "compute-0",
+        "truthful": "truthful",
+        "lie": "lie",
+    }
+    for action, in_mirror in in_mirror_of.items():
+        code, out, _ = invoke(
+            capsys, "deviate", str(path), "--normalize", "--agent", "2", "--action", action, "--json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["action"] == action
+        assert payload["utility"] == str(profile[ACTION_NAMES[in_mirror]])
+
+
+def test_normalize_leaves_high_q_output_unchanged(capsys):
+    for argv in (("hcf", EX2, "--secrets", "0001"), ("deviate", EX2, "--agent", "4", "--action", "guess-0")):
+        plain = invoke(capsys, *argv)
+        assert invoke(capsys, *argv, "--normalize") == plain
 
 
 def test_hcf_requires_secrets_or_seed(capsys):

@@ -15,17 +15,12 @@ from conftest import (
 )
 from seqelicit.errors import CapExceeded, PolicyFailed
 from seqelicit.mechanism import (
-    Approach,
-    Fail,
     FixedOrderPolicy,
-    Halt,
     HcfPolicy,
     audit_full_tree,
     deviation_profile,
-    deviation_utility,
-    hcf_next,
+    draw_secrets,
     run,
-    sample_run,
 )
 from seqelicit.model import (
     ALL_ACTIONS,
@@ -33,36 +28,39 @@ from seqelicit.model import (
     GUESS_ZERO,
     InfoState,
     TRUTHFUL_COMPUTE,
-    Transcript,
     parity,
 )
+from seqelicit.pivotal import determine
 
 
 def test_hcf_next_prefers_highest_rank_among_ties():
     inst = example2_instance()
-    step = hcf_next(inst, InfoState(0, 0), frozenset({1, 2, 3, 4}))
-    assert step == Approach(3)
+    rank = HcfPolicy(inst).next(InfoState(0, 0), frozenset({1, 2, 3, 4}))
+    assert rank == 3
 
 
 def test_hcf_next_last_agent():
     inst = example2_instance()
-    assert hcf_next(inst, InfoState(3, 0), frozenset({4})) == Approach(4)
+    assert HcfPolicy(inst).next(InfoState(3, 0), frozenset({4})) == 4
 
 
 def test_hcf_next_fails_when_nobody_willing():
     inst = example1_instance()
-    step = hcf_next(inst, InfoState(0, 0), frozenset(range(1, 12)))
-    assert isinstance(step, Fail)
-    assert step.reason == "no_eligible_agent"
+    with pytest.raises(PolicyFailed) as excinfo:
+        HcfPolicy(inst).next(InfoState(0, 0), frozenset(range(1, 12)))
+    assert excinfo.value.reason == "no_eligible_agent"
 
 
 def test_hcf_policy_halts_exactly_when_determined():
+    # The executor stops at the determined state (2,1) with output 0 and asks
+    # the policy again at the undetermined (1,0).
     inst = example2_instance()
-    policy = HcfPolicy(inst)
-    halted = policy.next(Transcript(((3, 0), (2, 1))), frozenset({1, 4}))
-    assert halted == Halt(0)
-    going = policy.next(Transcript(((3, 0),)), frozenset({1, 2, 4}))
-    assert isinstance(going, Approach)
+    assert determine(InfoState(2, 1), inst.fn_spec) == 0
+    assert determine(InfoState(1, 0), inst.fn_spec) is None
+    result = run(inst, HcfPolicy(inst), (0, 1, 0, 1))
+    assert result.halted_at == InfoState(2, 1)
+    assert result.output == 0
+    assert HcfPolicy(inst).next(InfoState(1, 0), frozenset({1, 2, 4})) in (1, 2, 4)
 
 
 def test_run_consensus_trace():
@@ -157,16 +155,17 @@ def test_audit_cap():
 
 def test_deviation_fixed_order_guess_one():
     inst = example1_instance()
-    utility = deviation_utility(inst, FixedOrderPolicy(inst), 1, GUESS_ONE)
+    utility = deviation_profile(inst, FixedOrderPolicy(inst), 1)[GUESS_ONE]
     assert utility == Fraction(449, 512)
 
 
 def test_deviation_hcf_last_agent_payoffs():
     inst = example2_instance()
     policy = HcfPolicy(inst)
-    assert deviation_utility(inst, policy, 4, TRUTHFUL_COMPUTE) == Fraction(3, 5)
-    assert deviation_utility(inst, policy, 4, GUESS_ONE) == Fraction(1, 2)
-    assert deviation_utility(inst, policy, 4, GUESS_ZERO) == Fraction(1, 2)
+    profile = deviation_profile(inst, policy, 4)
+    assert profile[TRUTHFUL_COMPUTE] == Fraction(3, 5)
+    assert profile[GUESS_ONE] == Fraction(1, 2)
+    assert profile[GUESS_ZERO] == Fraction(1, 2)
 
 
 def test_deviation_profile_consistent_with_utility():
@@ -188,7 +187,7 @@ def test_deviation_never_approached_agent():
 def test_deviation_cap():
     inst = example1_instance()
     with pytest.raises(CapExceeded):
-        deviation_utility(inst, HcfPolicy(inst), 1, GUESS_ONE, cap=10)
+        deviation_profile(inst, HcfPolicy(inst), 1, cap=10)
 
 
 def test_best_response_on_examples():
@@ -206,17 +205,17 @@ def test_best_response_on_examples():
 
 def test_sample_run_deterministic():
     inst = example3_instance()
-    a = sample_run(inst, HcfPolicy(inst), 1234)
-    b = sample_run(inst, HcfPolicy(inst), 1234)
+    a = run(inst, HcfPolicy(inst), draw_secrets(inst, 1234))
+    b = run(inst, HcfPolicy(inst), draw_secrets(inst, 1234))
     assert a == b
-    c = sample_run(inst, HcfPolicy(inst), 1235)
+    c = run(inst, HcfPolicy(inst), draw_secrets(inst, 1235))
     assert isinstance(c.output, int)
 
 
 def test_sample_run_single_agent():
     inst = make_instance("1/2", ["1/4"], [False, True])
     for seed in range(8):
-        result = sample_run(inst, HcfPolicy(inst), seed)
+        result = run(inst, HcfPolicy(inst), draw_secrets(inst, seed))
         assert result.approached_count == 1
         assert result.output == result.transcript.entries[0][1]
 
@@ -225,7 +224,7 @@ def test_sample_run_frequency_matches_prior():
     inst = example2_instance()
     policy = HcfPolicy(inst)
     runs = 10_000
-    ones = sum(sample_run(inst, policy, seed).output for seed in range(runs))
+    ones = sum(run(inst, policy, draw_secrets(inst, seed)).output for seed in range(runs))
     p = Fraction(1, 8)
     stderr = (float(p) * (1 - float(p)) / runs) ** 0.5
     assert abs(ones / runs - float(p)) <= 3 * stderr
@@ -241,13 +240,13 @@ def test_run_stays_on_one_path():
             self.inner = inner
             self.calls = 0
 
-        def next(self, transcript, remaining):
+        def next(self, state, remaining):
             self.calls += 1
-            return self.inner.next(transcript, remaining)
+            return self.inner.next(state, remaining)
 
     policy = CountingPolicy(HcfPolicy(inst))
     run(inst, policy, (1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1))
-    assert policy.calls <= inst.n + 1
+    assert policy.calls <= inst.n
 
 
 def test_fixed_order_policy_validates_order():
@@ -255,5 +254,28 @@ def test_fixed_order_policy_validates_order():
     with pytest.raises(ValueError):
         FixedOrderPolicy(inst, order=(1, 2, 3))
     custom = FixedOrderPolicy(inst, order=(4, 3, 2, 1))
-    step = custom.next(Transcript(), frozenset(inst.ranks))
-    assert step == Approach(4)
+    assert custom.next(InfoState(0, 0), frozenset(inst.ranks)) == 4
+
+
+class _RepeatingPolicy:
+    """Names the same rank at every state, whether or not it is still remaining."""
+
+    def __init__(self, rank):
+        self.rank = rank
+
+    def next(self, state, remaining):
+        return self.rank
+
+
+@pytest.mark.parametrize("rank", [1, 0, 4])
+def test_executors_reject_a_rank_that_is_not_remaining(rank):
+    # Rank 1 is approached again one step after the first; 0 and 4 lie
+    # outside 1..3. Parity is undetermined until the last reply.
+    inst = make_instance("1/2", ["1/10"] * 3, parity(3).ones_to_one)
+    policy = _RepeatingPolicy(rank)
+    with pytest.raises(ValueError):
+        run(inst, policy, (0, 1, 1))
+    with pytest.raises(ValueError):
+        audit_full_tree(inst, policy)
+    with pytest.raises(ValueError):
+        deviation_profile(inst, policy, 1)

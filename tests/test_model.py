@@ -271,10 +271,10 @@ def test_action_replies():
 
 
 def test_transcript_state_and_no_duplicates():
-    t = Transcript().extended(3, 1).extended(1, 0)
+    t = Transcript(((3, 1), (1, 0)))
     assert t.state == InfoState(2, 1)
     with pytest.raises(ValueError):
-        t.extended(3, 0)
+        Transcript(t.entries + ((3, 0),))
     with pytest.raises(ValueError):
         Transcript(((1, 2),))
 

@@ -8,15 +8,33 @@ import pytest
 
 from conftest import example1_instance, example2_instance, example3_instance, make_instance
 from seqelicit.errors import CapExceeded
-from seqelicit.mechanism import audit_full_tree
 from seqelicit.model import InfoState, consensus
 from seqelicit.oracle import (
-    TreePolicy,
     brute_pivotal,
     exhaustive_existence,
     hcf_tree_existence,
 )
+from seqelicit.pivotal import c_of, determine
 from seqelicit.verify import exists_appropriate
+
+
+def assert_certificate_appropriate(inst, tree):
+    """Replay a decision tree over every reply path: the subtree is None exactly
+    where the value is forced, and elsewhere the chosen rank is not yet used
+    and is willing to compute at the reached state."""
+
+    def walk(node, state, used):
+        if determine(state, inst.fn_spec) is not None:
+            assert node is None
+            return
+        assert node is not None
+        assert node.rank in inst.ranks and node.rank not in used
+        assert node.rank <= (c_of(state, inst) or 0)
+        used = used | {node.rank}
+        walk(node.on_zero, InfoState(state.approached + 1, state.ones), used)
+        walk(node.on_one, InfoState(state.approached + 1, state.ones + 1), used)
+
+    walk(tree, InfoState(0, 0), frozenset())
 
 
 def test_brute_pivotal_majority_root():
@@ -44,8 +62,7 @@ def test_exhaustive_consensus_example():
     verdict = exhaustive_existence(example2_instance())
     assert verdict.exists
     assert verdict.certificate is not None
-    policy = TreePolicy(example2_instance(), verdict.certificate)
-    assert audit_full_tree(example2_instance(), policy).passed
+    assert_certificate_appropriate(example2_instance(), verdict.certificate)
 
 
 def test_exhaustive_counts_everything_when_none_pass():
@@ -91,8 +108,7 @@ def test_certificates_pass_audit_on_small_corpus(corpus_small):
         verdict = exhaustive_existence(inst)
         if verdict.certificate is None:
             continue
-        policy = TreePolicy(inst, verdict.certificate)
-        assert audit_full_tree(inst, policy).passed
+        assert_certificate_appropriate(inst, verdict.certificate)
         checked += 1
     assert checked >= 10
 
