@@ -17,60 +17,18 @@ from .errors import (
     PolicyFailed,
     QOutOfRange,
     StateExhausted,
-    TargetNotInGraph,
 )
-from .graph import StateGraph, build, export_dot, max_count_path
-from .mechanism import (
-    ALL_ACTIONS,
-    AuditRecord,
-    AuditReport,
-    FixedOrderPolicy,
-    HcfPolicy,
-    RunResult,
-    audit_full_tree,
-    deviation_profile,
-    draw_secrets,
-    run,
-)
-from .model import (
-    ACTION_NAMES,
-    Action,
-    AnonymousFunctionSpec,
-    COMPUTE_NEGATED,
-    COMPUTE_REPORT_ONE,
-    COMPUTE_REPORT_ZERO,
-    GUESS_ONE,
-    GUESS_ZERO,
-    InfoState,
-    ProblemInstance,
-    Rational,
-    Report,
-    TRUTHFUL_COMPUTE,
-    Transcript,
-    consensus,
-    emit,
-    from_ones_counts,
-    ingest,
-    majority,
-    normalize_low_q,
-    parity,
-    unanimity,
-)
-from .oracle import (
-    DecisionTree,
-    OracleVerdict,
-    brute_pivotal,
-    closed_form_pivotal,
-    exhaustive_existence,
-    hcf_tree_existence,
-)
-from .pivotal import NodeLabel, c_of, determine, pivotal_prob, threshold
-from .verify import Verdict, Witness, exists_appropriate
+from .mechanism import FixedOrderPolicy, HcfPolicy, audit_full_tree, deviation_profile, draw_secrets, run
+from .model import TRUTHFUL_COMPUTE, InfoState, ingest
+from .oracle import DecisionTree, exhaustive_existence
+from .pivotal import determine
+from .verify import exists_appropriate
 
 __version__ = "0.1.0"
 
-# Every public name imported above, and only those: the list cannot drift
-# from the imports.
+# The names the README's "Library" section uses, plus the error types; the
+# rest of the API lives in the submodules. Derived from the imports above, so
+# the list cannot drift from them.
 __all__ = sorted(
     name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
 )

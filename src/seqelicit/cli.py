@@ -21,7 +21,7 @@ from .errors import (
     PolicyFailed,
     QOutOfRange,
 )
-from .graph import build, export_dot
+from .graph import edges, export_dot, nodes
 from .mechanism import (
     FixedOrderPolicy,
     HcfPolicy,
@@ -32,7 +32,7 @@ from .mechanism import (
 )
 from .model import ACTION_NAMES, InfoState, ProblemInstance, ingest
 from .oracle import brute_pivotal, exhaustive_existence, hcf_tree_existence
-from .pivotal import NodeLabel, c_of, pivotal_prob, threshold
+from .pivotal import c_of, pivotal_prob, threshold
 from .verify import REASON_C_UNDEFINED, REASON_PIGEONHOLE, REASON_TRIVIAL, exists_appropriate
 
 EXIT_OK = 0
@@ -58,12 +58,12 @@ def _state_json(state: InfoState) -> list[int]:
     return [state.approached, state.ones]
 
 
-def _label_json(label: NodeLabel) -> dict:
+def _label_json(state: InfoState, instance: ProblemInstance) -> dict:
     return {
-        "state": _state_json(label.state),
-        "pivotal": str(label.pivotal_prob),
-        "threshold": str(label.threshold),
-        "c": label.c_of_v,
+        "state": _state_json(state),
+        "pivotal": str(pivotal_prob(state, instance)),
+        "threshold": str(threshold(state, instance)),
+        "c": c_of(state, instance),
     }
 
 
@@ -135,27 +135,23 @@ def _cmd_verify(args) -> int:
 
 def _cmd_pivotal(args) -> int:
     instance = _load_instance(args)
-    graph = build(instance)
+    states = nodes(instance)
     name = instance.fn_spec.name or "anonymous"
     if args.json:
-        _print_json(
-            {
-                "instance": name,
-                "nodes": [_label_json(lab) for lab in graph.labels.values()],
-            }
-        )
+        _print_json({"instance": name, "nodes": [_label_json(s, instance) for s in states]})
         return EXIT_OK
-    if not graph.labels:
+    if not states:
         print("(empty state graph: the function is constant)")
         return EXIT_OK
     rows = [("state", "pivotal", "threshold", "c")]
-    for state, lab in graph.labels.items():
+    for state in states:
+        c = c_of(state, instance)
         rows.append(
             (
                 str(state),
-                str(lab.pivotal_prob),
-                str(lab.threshold),
-                "-" if lab.c_of_v is None else str(lab.c_of_v),
+                str(pivotal_prob(state, instance)),
+                str(threshold(state, instance)),
+                "-" if c is None else str(c),
             )
         )
     widths = [max(len(row[col]) for row in rows) for col in range(4)]
@@ -166,25 +162,24 @@ def _cmd_pivotal(args) -> int:
 
 def _cmd_graph(args) -> int:
     instance = _load_instance(args)
-    graph = build(instance)
     if args.json:
-        ends = set(graph.end_nodes)
+        states = nodes(instance)
         text = (
             json.dumps(
                 {
                     "instance": instance.fn_spec.name or "anonymous",
-                    "root": None if graph.root is None else _state_json(graph.root),
+                    "root": _state_json(states[0]) if states else None,
                     "nodes": [
-                        {**_label_json(lab), "end": s in ends} for s, lab in graph.labels.items()
+                        {**_label_json(s, instance), "end": s.approached == instance.n - 1} for s in states
                     ],
-                    "edges": [[_state_json(a), _state_json(b)] for a, b in graph.edges],
+                    "edges": [[_state_json(a), _state_json(b)] for a, b in edges(instance)],
                 },
                 indent=2,
             )
             + "\n"
         )
     else:
-        text = export_dot(graph)
+        text = export_dot(instance)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
@@ -253,7 +248,7 @@ def _cmd_hcf(args) -> int:
 def _cmd_audit(args) -> int:
     instance = _load_instance(args)
     policy = _policy_for(args.policy, instance)
-    report = audit_full_tree(instance, policy, cap=args.cap)
+    report = audit_full_tree(instance, policy)
     if args.json:
         _print_json(
             {
@@ -299,7 +294,7 @@ def _cmd_deviate(args) -> int:
         raise _UsageError(f"unknown agent id {args.agent!r}") from None
     name = _MIRRORED_ACTIONS.get(args.action, args.action) if args.mirrored else args.action
     policy = _policy_for(args.policy, instance)
-    utility = deviation_profile(instance, policy, rank, cap=args.cap)[ACTION_NAMES[name]]
+    utility = deviation_profile(instance, policy, rank)[ACTION_NAMES[name]]
     if args.json:
         _print_json(
             {
@@ -321,9 +316,9 @@ def _cmd_deviate(args) -> int:
 def _cmd_oracle(args) -> int:
     instance = _load_instance(args)
     if args.mode == "pivotal":
-        graph = build(instance)
+        states = nodes(instance)
         mismatches = []
-        for state in graph.labels:
+        for state in states:
             analytic = pivotal_prob(state, instance)
             brute = brute_pivotal(state, instance)
             if analytic != brute:
@@ -333,7 +328,7 @@ def _cmd_oracle(args) -> int:
             _print_json(
                 {
                     "mode": "pivotal",
-                    "checked": len(graph.labels),
+                    "checked": len(states),
                     "agree": agree,
                     "mismatches": [
                         {"state": _state_json(s), "analytic": str(a), "brute": str(b)}
@@ -343,7 +338,7 @@ def _cmd_oracle(args) -> int:
             )
         else:
             status = "OK" if agree else "MISMATCH"
-            print(f"pivotal cross-check: {len(graph.labels)} states compared: {status}")
+            print(f"pivotal cross-check: {len(states)} states compared: {status}")
             for s, a, b in mismatches:
                 print(f"  state {s}: analytic {a} vs brute-force {b}")
         return EXIT_OK if agree else EXIT_NEGATIVE
@@ -421,7 +416,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="check the computing-equilibrium condition on every reply path")
     common(p)
     p.add_argument("--policy", choices=("hcf", "fixed"), default="hcf")
-    p.add_argument("--cap", type=int, default=20, help="largest n the full tree expansion accepts")
     p.set_defaults(handler=_cmd_audit)
 
     p = sub.add_parser("deviate", help="expected utility of a unilateral deviation")
@@ -429,7 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agent", required=True, help="agent id as given in the instance file")
     p.add_argument("--action", required=True, choices=sorted(ACTION_NAMES))
     p.add_argument("--policy", choices=("hcf", "fixed"), default="hcf")
-    p.add_argument("--cap", type=int, default=12, help="largest n the enumeration accepts")
     p.set_defaults(handler=_cmd_deviate)
 
     p = sub.add_parser("oracle", help="cross-check the analytic engine against brute force")

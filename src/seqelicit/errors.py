@@ -25,10 +25,6 @@ class StateExhausted(ElicitError):
     """No agent is left to approach at this state."""
 
 
-class TargetNotInGraph(ElicitError):
-    """Requested node is not part of the state graph."""
-
-
 class CapExceeded(ElicitError):
     """Instance too large for a brute-force operation."""
 

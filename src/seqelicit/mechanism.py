@@ -23,6 +23,10 @@ from .pivotal import c_of, determine, threshold
 FAIL_NO_ELIGIBLE = "no_eligible_agent"
 FAIL_CHOSEN_INELIGIBLE = "chosen_ineligible"
 
+# Largest n the 2^n reply-tree audit and the 2^n deviation enumeration accept.
+AUDIT_CAP = 20
+DEVIATION_CAP = 12
+
 
 class HcfPolicy:
     """Approach the dearest agent still willing to compute."""
@@ -146,7 +150,7 @@ def draw_secrets(instance: ProblemInstance, seed: int) -> tuple[int, ...]:
     )
 
 
-def audit_full_tree(instance: ProblemInstance, policy, cap: int = 20) -> AuditReport:
+def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
     """Expand every reply path of the policy and check each decision point.
 
     At each reached undetermined state the chosen agent's cost is compared to
@@ -155,8 +159,8 @@ def audit_full_tree(instance: ProblemInstance, policy, cap: int = 20) -> AuditRe
     the recorded inequality. Stops at the first failure; records are deduped
     by (state, rank) in first-reached order.
     """
-    if instance.n > cap:
-        raise CapExceeded(f"full tree audit capped at n={cap}, instance has n={instance.n}")
+    if instance.n > AUDIT_CAP:
+        raise CapExceeded(f"full tree audit capped at n={AUDIT_CAP}, instance has n={instance.n}")
     fn = instance.fn_spec
     records: list[AuditRecord] = []
     seen: set[tuple[InfoState, int]] = set()
@@ -185,9 +189,7 @@ def audit_full_tree(instance: ProblemInstance, policy, cap: int = 20) -> AuditRe
     return AuditReport(passed=True, records=tuple(records), failure=None)
 
 
-def deviation_profile(
-    instance: ProblemInstance, policy, rank: int, cap: int = 12
-) -> dict[Action, Fraction]:
+def deviation_profile(instance: ProblemInstance, policy, rank: int) -> dict[Action, Fraction]:
     """Expected utility of all six actions for the agent at `rank`, with every
     other agent computing and reporting truthfully.
 
@@ -198,8 +200,8 @@ def deviation_profile(
     secret vectors with their prior weights.
     """
     n = instance.n
-    if n > cap:
-        raise CapExceeded(f"deviation enumeration capped at n={cap}, instance has n={n}")
+    if n > DEVIATION_CAP:
+        raise CapExceeded(f"deviation enumeration capped at n={DEVIATION_CAP}, instance has n={n}")
     if rank not in instance.ranks:
         raise ValueError(f"rank {rank} outside 1..{n}")
     q = instance.q

@@ -19,6 +19,12 @@ from .mechanism import HcfPolicy, audit_full_tree
 from .model import InfoState, ProblemInstance
 from .pivotal import _check_approachable, c_of, determine
 
+# Largest number of free agents completion enumeration accepts, and largest n
+# mechanism enumeration accepts (the count of mechanisms grows doubly
+# exponentially in n).
+BRUTE_PIVOTAL_CAP = 24
+EXHAUSTIVE_CAP = 4
+
 
 @dataclass(frozen=True)
 class DecisionTree:
@@ -56,15 +62,15 @@ def closed_form_pivotal(state: InfoState, instance: ProblemInstance) -> Fraction
     return total
 
 
-def brute_pivotal(state: InfoState, instance: ProblemInstance, cap: int = 24) -> Fraction:
+def brute_pivotal(state: InfoState, instance: ProblemInstance) -> Fraction:
     """Pivotality by enumerating every completion of the other unapproached
     agents, summing the prior weight of those where flipping the approached
     agent's secret flips the output."""
     n = instance.n
     _check_approachable(state, n)
     rest = n - state.approached - 1
-    if rest > cap:
-        raise CapExceeded(f"completion enumeration capped at {cap} free agents, got {rest}")
+    if rest > BRUTE_PIVOTAL_CAP:
+        raise CapExceeded(f"completion enumeration capped at {BRUTE_PIVOTAL_CAP} free agents, got {rest}")
     q = instance.q
     weight_of = [q**m * (1 - q) ** (rest - m) for m in range(rest + 1)]
     fn = instance.fn_spec
@@ -102,15 +108,15 @@ def _tree_willing(instance, tree, state) -> bool:
     )
 
 
-def exhaustive_existence(instance: ProblemInstance, cap: int = 4) -> OracleVerdict:
+def exhaustive_existence(instance: ProblemInstance) -> OracleVerdict:
     """Enumerate every earliest-halting adaptive mechanism and accept the first
     whose chosen agent is willing to compute at every reachable state.
 
     A constant function needs no approaches; the empty mechanism counts as the
     single one checked.
     """
-    if instance.n > cap:
-        raise CapExceeded(f"mechanism enumeration capped at n={cap}, instance has n={instance.n}")
+    if instance.n > EXHAUSTIVE_CAP:
+        raise CapExceeded(f"mechanism enumeration capped at n={EXHAUSTIVE_CAP}, instance has n={instance.n}")
     root = InfoState(0, 0)
     if determine(root, instance.fn_spec) is not None:
         return OracleVerdict(True, None, 1)
@@ -122,8 +128,9 @@ def exhaustive_existence(instance: ProblemInstance, cap: int = 4) -> OracleVerdi
     return OracleVerdict(False, None, checked)
 
 
-def hcf_tree_existence(instance: ProblemInstance, cap: int = 20) -> OracleVerdict:
+def hcf_tree_existence(instance: ProblemInstance) -> OracleVerdict:
     """Existence via the constructive route: the highest-cost-first policy's
-    full-tree audit passes iff some appropriate mechanism exists."""
-    report = audit_full_tree(instance, HcfPolicy(instance), cap=cap)
+    full-tree audit passes iff some appropriate mechanism exists (capped at
+    the audit's AUDIT_CAP)."""
+    report = audit_full_tree(instance, HcfPolicy(instance))
     return OracleVerdict(report.passed, None, 1)

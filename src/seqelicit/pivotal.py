@@ -10,21 +10,10 @@ the willing rank of every state; the lookups below read it.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import StateExhausted
 from .model import AnonymousFunctionSpec, InfoState, ProblemInstance
-
-
-@dataclass(frozen=True)
-class NodeLabel:
-    """Per-state summary of an undetermined state: pivotality, threshold, willing rank."""
-
-    state: InfoState
-    pivotal_prob: Fraction
-    threshold: Fraction
-    c_of_v: int | None
 
 
 class StateLattice:

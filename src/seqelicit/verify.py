@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import _path_counts, _walk
 from .model import InfoState, ProblemInstance
+from .pivotal import StateLattice
 
 REASON_TRIVIAL = "trivial"
 REASON_C_UNDEFINED = "c_undefined_at"
@@ -27,6 +27,37 @@ class Verdict:
     reason: str | None
     undefined_at: InfoState | None = None
     witness: Witness | None = None
+
+
+def _path_counts(lattice: StateLattice, rank_bound: int):
+    """Layered DP over the undetermined states: best[i][k] is the largest
+    number of states with willing rank in 1..rank_bound on a path from (0, 0)
+    to (i, k), -1 at determined states; pred[i][k] is the ones-count of the
+    chosen parent in layer i-1 (a virtual parent of value 0 sits above the
+    root). Ties break toward the lexicographically smaller parent (i-1, k-1)
+    so witness extraction is deterministic.
+    """
+    best, pred, prev = [], [], [0]
+    for num_row, rank_row in zip(lattice.num, lattice.rank):
+        padded = [-1, *prev, -1]  # padded[k] is parent (i-1, k-1), padded[k+1] is (i-1, k)
+        back = [k - 1 if padded[k] >= padded[k + 1] else k for k in range(len(num_row))]
+        prev = [
+            padded[parent + 1] + (0 < rank <= rank_bound) if num else -1
+            for parent, num, rank in zip(back, num_row, rank_row)
+        ]
+        best.append(prev)
+        pred.append(back)
+    return best, pred
+
+
+def _walk(pred, target: InfoState) -> tuple[InfoState, ...]:
+    """The root-to-`target` path that `pred` from _path_counts records."""
+    i, k = target.approached, target.ones
+    path = [target]
+    while i:
+        i, k = i - 1, pred[i][k]
+        path.append(InfoState(i, k))
+    return tuple(reversed(path))
 
 
 def exists_appropriate(instance: ProblemInstance) -> Verdict:

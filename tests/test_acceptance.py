@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 
 from conftest import INSTANCES_DIR, example1_instance, example2_instance, example3_instance
-from seqelicit.graph import build
+from seqelicit.graph import edges, nodes
 from seqelicit.mechanism import (
     FixedOrderPolicy,
     HcfPolicy,
@@ -87,9 +87,9 @@ def test_criterion_2_consensus_example():
 def test_criterion_3_parity_example():
     with budget(10.0) as timer:
         inst = example3_instance()
-        graph = build(inst)
-        assert graph.labels
-        assert all(label.pivotal_prob == 1 for label in graph.labels.values())
+        states = nodes(inst)
+        assert states
+        assert all(pivotal_prob(state, inst) == 1 for state in states)
         assert exists_appropriate(inst).exists
         assert audit_full_tree(inst, HcfPolicy(inst)).passed
     _report(3, "parity n=11", timer)
@@ -134,15 +134,17 @@ def test_criterion_6_pivotal_formula_matches_enumeration(corpus_pivotal):
 def test_criterion_7_structural_lemmas(corpus_main):
     with budget(60.0) as timer:
         for inst in corpus_main:
-            graph = build(inst)
-            for end in graph.end_nodes:
+            states = set(nodes(inst))
+            parents = {a for a, _ in edges(inst)}
+            # Every node with no outgoing edge sits at layer n-1.
+            for end in states - parents:
                 assert end.approached == inst.n - 1
-            for state in graph.nodes:
+            for state in states:
                 i, k = state.approached, state.ones
                 if k > 0:
-                    assert InfoState(i - 1, k - 1) in graph.labels
+                    assert InfoState(i - 1, k - 1) in states
                 if k < i:
-                    assert InfoState(i - 1, k) in graph.labels
+                    assert InfoState(i - 1, k) in states
     _report(7, f"structural lemmas on {len(corpus_main)} graphs", timer)
 
 

@@ -10,7 +10,7 @@ from bisect import bisect_right
 import pytest
 
 from conftest import Q_CHOICES, corpus, random_instance
-from seqelicit.graph import build
+from seqelicit.graph import export_dot, nodes
 from seqelicit.mechanism import HcfPolicy, audit_full_tree
 from seqelicit.model import InfoState
 from seqelicit.oracle import closed_form_pivotal
@@ -86,10 +86,8 @@ def test_lattice_matches_closed_form(n):
 
 def test_graph_labels_match_closed_form(corpus_pivotal):
     for inst in corpus_pivotal:
-        labels = build(inst).labels
-        assert {s: (lab.pivotal_prob, lab.threshold, lab.c_of_v) for s, lab in labels.items()} == (
-            reference_labels(inst)
-        )
+        labels = {s: (pivotal_prob(s, inst), threshold(s, inst), c_of(s, inst)) for s in nodes(inst)}
+        assert labels == reference_labels(inst)
 
 
 def test_verdict_matches_per_j_reference(corpus_main, corpus_small, corpus_br):
@@ -115,7 +113,7 @@ def test_no_process_wide_state():
     refs = []
     for _ in range(50):
         inst = random_instance(rng, rng.randrange(2, 9), max_cost_k=16)
-        build(inst)
+        export_dot(inst)
         if exists_appropriate(inst).exists:
             audit_full_tree(inst, HcfPolicy(inst))
         refs.append(weakref.ref(inst))

@@ -15,6 +15,8 @@ from conftest import (
 )
 from seqelicit.errors import CapExceeded, PolicyFailed
 from seqelicit.mechanism import (
+    AUDIT_CAP,
+    DEVIATION_CAP,
     FixedOrderPolicy,
     HcfPolicy,
     audit_full_tree,
@@ -148,9 +150,11 @@ def test_audit_flags_ineligible_choice():
 
 
 def test_audit_cap():
-    inst = example1_instance()
+    # The cap is checked before any work, so an instance just over it fails at once.
+    n = AUDIT_CAP + 1
+    inst = make_instance("1/2", ["0"] * n, parity(n).ones_to_one)
     with pytest.raises(CapExceeded):
-        audit_full_tree(inst, HcfPolicy(inst), cap=10)
+        audit_full_tree(inst, HcfPolicy(inst))
 
 
 def test_deviation_fixed_order_guess_one():
@@ -185,9 +189,10 @@ def test_deviation_never_approached_agent():
 
 
 def test_deviation_cap():
-    inst = example1_instance()
+    n = DEVIATION_CAP + 1
+    inst = make_instance("1/2", ["0"] * n, parity(n).ones_to_one)
     with pytest.raises(CapExceeded):
-        deviation_profile(inst, HcfPolicy(inst), 1, cap=10)
+        deviation_profile(inst, HcfPolicy(inst), 1)
 
 
 def test_best_response_on_examples():

@@ -15,7 +15,7 @@ from seqelicit.errors import (
     MalformedDocument,
     QOutOfRange,
 )
-from seqelicit.graph import build
+from seqelicit.graph import nodes
 from seqelicit.model import (
     ACTION_NAMES,
     ALL_ACTIONS,
@@ -36,6 +36,7 @@ from seqelicit.model import (
     unanimity,
 )
 from seqelicit.oracle import brute_pivotal
+from seqelicit.pivotal import c_of, pivotal_prob, threshold
 from seqelicit.verify import exists_appropriate
 
 
@@ -204,9 +205,12 @@ def test_permutation_of_agents_only_moves_original_index():
     assert a.costs == b.costs
     assert a.original_index != b.original_index
     assert exists_appropriate(a) == exists_appropriate(b)
-    ga, gb = build(a), build(b)
-    assert ga.nodes == gb.nodes
-    assert [ga.labels[s] for s in ga.nodes] == [gb.labels[s] for s in gb.nodes]
+    assert nodes(a) == nodes(b)
+
+    def labels(inst):
+        return [(pivotal_prob(s, inst), threshold(s, inst), c_of(s, inst)) for s in nodes(inst)]
+
+    assert labels(a) == labels(b)
 
 
 def test_equal_cost_agents_are_interchangeable():

@@ -10,6 +10,7 @@ from conftest import example1_instance, example2_instance, example3_instance, ma
 from seqelicit.errors import CapExceeded
 from seqelicit.model import InfoState, consensus
 from seqelicit.oracle import (
+    BRUTE_PIVOTAL_CAP,
     brute_pivotal,
     exhaustive_existence,
     hcf_tree_existence,
@@ -53,9 +54,11 @@ def test_brute_pivotal_constant_zero():
 
 
 def test_brute_pivotal_cap():
-    inst = make_instance("1/2", ["0"] * 4, consensus(4).ones_to_one)
+    # At the root every agent but the approached one is free.
+    n = BRUTE_PIVOTAL_CAP + 2
+    inst = make_instance("1/2", ["0"] * n, consensus(n).ones_to_one)
     with pytest.raises(CapExceeded):
-        brute_pivotal(InfoState(0, 0), inst, cap=2)
+        brute_pivotal(InfoState(0, 0), inst)
 
 
 def test_exhaustive_consensus_example():

@@ -17,7 +17,7 @@ from conftest import (
 from seqelicit.errors import StateExhausted
 from seqelicit.model import InfoState, consensus, majority, parity
 from seqelicit.oracle import brute_pivotal
-from seqelicit.graph import build
+from seqelicit.graph import nodes
 from seqelicit.pivotal import c_of, determine, pivotal_prob, threshold
 
 
@@ -97,11 +97,12 @@ def test_c_of_examples():
 
 def test_node_label_consistency():
     inst = example2_instance()
-    lab = build(inst).labels[InfoState(0, 0)]
-    assert determine(lab.state, inst.fn_spec) is None
-    assert lab.pivotal_prob == Fraction(1, 4)
-    assert lab.threshold == Fraction(1, 8)
-    assert lab.c_of_v == 3
+    root = InfoState(0, 0)
+    assert root in nodes(inst)
+    assert determine(root, inst.fn_spec) is None
+    assert pivotal_prob(root, inst) == Fraction(1, 4)
+    assert threshold(root, inst) == Fraction(1, 8)
+    assert c_of(root, inst) == 3
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,8 +11,9 @@ from conftest import (
     example3_instance,
     make_instance,
 )
-from seqelicit.graph import build
+from seqelicit.graph import nodes
 from seqelicit.model import InfoState, ProblemInstance, consensus
+from seqelicit.pivotal import c_of
 from seqelicit.verify import (
     REASON_C_UNDEFINED,
     REASON_PIGEONHOLE,
@@ -62,12 +63,13 @@ def test_pigeonhole_witness_well_formed():
     w = verdict.witness
     assert w is not None
     assert w.count > w.violating_rank
-    graph = build(inst)
-    labelled = [graph.labels[s].c_of_v for s in w.path]
+    states = nodes(inst)
+    assert set(w.path) <= set(states)
+    labelled = [c_of(s, inst) for s in w.path]
     counted = sum(1 for c in labelled if c is not None and c <= w.violating_rank)
     assert counted == w.count
     assert w.path[0] == InfoState(0, 0)
-    assert w.path[-1] in graph.end_nodes
+    assert w.path[-1] in [s for s in states if s.approached == inst.n - 1]
     # Deterministic scan order: first end node by ones, then lowest rank bound.
     assert w.path == (InfoState(0, 0), InfoState(1, 0), InfoState(2, 0), InfoState(3, 0))
     assert w.violating_rank == 1
@@ -83,8 +85,8 @@ def test_verdict_reason_partition(corpus_main):
         else:
             assert verdict.reason in (REASON_C_UNDEFINED, REASON_PIGEONHOLE)
             if verdict.reason == REASON_C_UNDEFINED:
-                graph = build(inst)
-                assert graph.labels[verdict.undefined_at].c_of_v is None
+                assert verdict.undefined_at in nodes(inst)
+                assert c_of(verdict.undefined_at, inst) is None
             else:
                 assert verdict.witness.count > verdict.witness.violating_rank
 
