@@ -7,14 +7,20 @@ output is determined, so no policy decides when to halt. The highest-cost-first
 policy asks the most expensive agent that is still willing to compute; its
 full-reply-tree audit certifies that everybody computing truthfully is an
 equilibrium.
+
+Since a policy sees only (state, remaining), the incentive checks visit each
+such pair once: the audit skips a pair it has already walked, and the
+deviation profile is a forward reach over the pairs with a closed-form
+utility where the deviating agent is approached. The 2^n tree walk and
+secret-vector enumeration they replace are kept in `oracle`.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .errors import CapExceeded, PolicyFailed
 from .model import ALL_ACTIONS, Action, InfoState, ProblemInstance, Transcript
@@ -23,7 +29,9 @@ from .pivotal import c_of, determine, threshold
 FAIL_NO_ELIGIBLE = "no_eligible_agent"
 FAIL_CHOSEN_INELIGIBLE = "chosen_ineligible"
 
-# Largest n the 2^n reply-tree audit and the 2^n deviation enumeration accept.
+# Largest n the audit and the deviation profile accept. Both are polynomial in
+# the (state, remaining) pairs the policy reaches; the caps are fixed n limits
+# shared with the 2^n oracles in `oracle`, not work budgets.
 AUDIT_CAP = 20
 DEVIATION_CAP = 12
 
@@ -38,11 +46,10 @@ class HcfPolicy:
         """The largest remaining rank up to the state's willing rank, so equal
         costs break toward the higher rank. Raises PolicyFailed when nobody
         remaining is willing."""
-        willing = c_of(state, self.instance) or 0
-        best = max((r for r in remaining if r <= willing), default=None)
-        if best is None:
-            raise PolicyFailed(state, FAIL_NO_ELIGIBLE)
-        return best
+        for rank in range(c_of(state, self.instance) or 0, 0, -1):
+            if rank in remaining:
+                return rank
+        raise PolicyFailed(state, FAIL_NO_ELIGIBLE)
 
 
 class FixedOrderPolicy:
@@ -150,40 +157,56 @@ def draw_secrets(instance: ProblemInstance, seed: int) -> tuple[int, ...]:
     )
 
 
+def _decisions(instance, policy, state: InfoState, remaining: frozenset, walked: set):
+    """Yield (state, rank) at every undetermined (state, remaining) pair
+    reachable from the given one and not yet in `walked`, depth first with
+    reply 0 before reply 1, adding each pair met to `walked`.
+
+    The policy sees only the pair, so everything below a pair met again has
+    been walked already.
+    """
+    fn = instance.fn_spec
+    stack = [(state, remaining)]
+    while stack:
+        key = stack.pop()
+        if key in walked:
+            continue
+        walked.add(key)
+        state, remaining = key
+        if determine(state, fn) is not None:
+            continue
+        rank = _next_rank(policy, state, remaining)
+        yield state, rank
+        rest = remaining - {rank}
+        stack.append((InfoState(state.approached + 1, state.ones + 1), rest))
+        stack.append((InfoState(state.approached + 1, state.ones), rest))
+
+
 def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
-    """Expand every reply path of the policy and check each decision point.
+    """Follow every reply path of the policy and check each decision point.
 
     At each reached undetermined state the chosen agent's cost is compared to
     the threshold there. A pass certifies that everybody computing truthfully
     is an equilibrium: any unilateral deviation at a reached state reduces to
     the recorded inequality. Stops at the first failure; records are deduped
-    by (state, rank) in first-reached order.
+    by (state, rank) in first-reached order. Each (state, remaining) pair is
+    walked once, which leaves the records those of the full tree
+    (`oracle.brute_audit`).
     """
     if instance.n > AUDIT_CAP:
         raise CapExceeded(f"full tree audit capped at n={AUDIT_CAP}, instance has n={instance.n}")
-    fn = instance.fn_spec
     records: list[AuditRecord] = []
     seen: set[tuple[InfoState, int]] = set()
-
-    def walk(state: InfoState, remaining: frozenset) -> None:
-        if determine(state, fn) is not None:
-            return
-        rank = _next_rank(policy, state, remaining)
-        eligible = rank <= (c_of(state, instance) or 0)
-        key = (state, rank)
-        if key not in seen:
-            seen.add(key)
-            records.append(
-                AuditRecord(state, rank, instance.cost_of_rank(rank), threshold(state, instance), eligible)
-            )
-        if not eligible:
-            raise PolicyFailed(state, FAIL_CHOSEN_INELIGIBLE)
-        rest = remaining - {rank}
-        walk(InfoState(state.approached + 1, state.ones), rest)
-        walk(InfoState(state.approached + 1, state.ones + 1), rest)
-
     try:
-        walk(InfoState(0, 0), frozenset(instance.ranks))
+        for state, rank in _decisions(instance, policy, InfoState(0, 0), frozenset(instance.ranks), set()):
+            eligible = rank <= (c_of(state, instance) or 0)
+            if (state, rank) not in seen:
+                seen.add((state, rank))
+                records.append(
+                    AuditRecord(state, rank, instance.cost_of_rank(rank), threshold(state, instance), eligible)
+                )
+            if not eligible:
+                raise PolicyFailed(state, FAIL_CHOSEN_INELIGIBLE)
     except PolicyFailed as exc:
         return AuditReport(passed=False, records=tuple(records), failure=(exc.state, exc.reason))
     return AuditReport(passed=True, records=tuple(records), failure=None)
@@ -196,44 +219,69 @@ def deviation_profile(instance: ProblemInstance, policy, rank: int) -> dict[Acti
     Utilities are conditional on the policy actually approaching the agent
     (the deviation only ever takes effect at that moment); a never-approached
     agent pays nothing and all six actions collapse to the unconditional
-    probability that the output is correct. Exact enumeration over all 2^n
-    secret vectors with their prior weights.
+    probability that the output is correct, which is 1.
+
+    A forward reach over (state, remaining) sums the prior weight of every
+    state (i, k) where the policy picks `rank`. The agent's secret s and the
+    ones-count m of the n-i-1 other unapproached agents are independent of
+    the path there, and the game stops only once the output is forced, so
+    reply r yields fn(k+r+m) against the true fn(k+s+m) whatever the policy
+    does next. The pairs below are still walked, so a policy failure there
+    raises as it would in play. `oracle.brute_deviation_profile` enumerates
+    all 2^n secret vectors instead.
     """
     n = instance.n
     if n > DEVIATION_CAP:
-        raise CapExceeded(f"deviation enumeration capped at n={DEVIATION_CAP}, instance has n={n}")
+        raise CapExceeded(f"deviation profile capped at n={DEVIATION_CAP}, instance has n={n}")
     if rank not in instance.ranks:
         raise ValueError(f"rank {rank} outside 1..{n}")
-    q = instance.q
-    cost = instance.cost_of_rank(rank)
     fn = instance.fn_spec
-    acc = {action: Fraction(0) for action in ALL_ACTIONS}
-    weight_approached = Fraction(0)
-    correct_unapproached = Fraction(0)
-    root, all_ranks = InfoState(0, 0), frozenset(instance.ranks)
-    for secrets in itertools.product((0, 1), repeat=n):
-        weight = Fraction(1)
-        for s in secrets:
-            weight *= q if s else 1 - q
-        true_value = fn.value_at(sum(secrets))
-        state, remaining, prefix_output = _play(instance, policy, root, all_ranks, secrets, stop_at=rank)
-        if prefix_output is not None:
-            if prefix_output == true_value:
-                correct_unapproached += weight
-            continue
-        weight_approached += weight
-        rest = remaining - {rank}
-        outputs = tuple(
-            _play(instance, policy, InfoState(state.approached + 1, state.ones + bit), rest, secrets)[2]
-            for bit in (0, 1)
-        )
-        own_secret = secrets[rank - 1]
+    table = fn.ones_to_one
+    a, b = instance.q.numerator, instance.q.denominator
+    prior = (b - a, a)  # weight of a 0 and of a 1, scaled by b
+    # (ones, remaining) -> weight of the paths reaching it at this depth,
+    # scaled by b^depth; the reach stops where the policy picks `rank`.
+    layer = {(0, frozenset(instance.ranks)): 1}
+    approached: dict[tuple[int, int], int] = {}
+    walked: set = set()
+    for i in range(n):
+        reached: dict = {}
+        for (k, remaining), weight in layer.items():
+            state = InfoState(i, k)
+            if determine(state, fn) is not None:
+                continue
+            chosen = _next_rank(policy, state, remaining)
+            rest = remaining - {chosen}
+            if chosen == rank:
+                approached[i, k] = approached.get((i, k), 0) + weight
+                for bit in (0, 1):
+                    for _ in _decisions(instance, policy, InfoState(i + 1, k + bit), rest, walked):
+                        pass
+                continue
+            for bit in (0, 1):
+                key = (k + bit, rest)
+                reached[key] = reached.get(key, 0) + weight * prior[bit]
+        layer = reached
+    if not approached:
+        # Every path ends where the output is forced, which is the true value.
+        return {action: Fraction(1) for action in ALL_ACTIONS}
+    # Everything below is scaled by b^n: path weight, own secret, then the
+    # binomial weight of the other unapproached agents' ones-count.
+    total = 0
+    correct = dict.fromkeys(ALL_ACTIONS, 0)
+    for (i, k), weight in approached.items():
+        others = n - i - 1
+        binomial = [comb(others, m) * a**m * (b - a) ** (others - m) for m in range(others + 1)]
+        total += weight * b ** (n - i)
+        agree = {
+            (secret, reply): sum(w for m, w in enumerate(binomial) if table[k + reply + m] == table[k + secret + m])
+            for secret in (0, 1)
+            for reply in (0, 1)
+        }
         for action in ALL_ACTIONS:
-            utility = Fraction(1 if outputs[action.reply(own_secret)] == true_value else 0)
-            if action.compute:
-                utility -= cost
-            acc[action] += weight * utility
-    if weight_approached:
-        return {action: acc[action] / weight_approached for action in ALL_ACTIONS}
-    return {action: correct_unapproached for action in ALL_ACTIONS}
-
+            correct[action] += weight * sum(prior[s] * agree[s, action.reply(s)] for s in (0, 1))
+    cost = instance.cost_of_rank(rank)
+    return {
+        action: Fraction(correct[action], total) - (cost if action.compute else 0)
+        for action in ALL_ACTIONS
+    }

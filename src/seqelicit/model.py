@@ -339,9 +339,12 @@ def ingest(document, *, normalize: bool = False) -> ProblemInstance:
     (q -> 1-q, ones-count w -> n-w), which preserves every verdict.
     """
     if isinstance(document, (bytes, str)):
+        # Besides JSONDecodeError (a ValueError), hostile text can raise
+        # ValueError for an integer literal over the int-string digit limit
+        # and RecursionError for deeply nested arrays.
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise MalformedDocument(f"not valid JSON: {exc}") from exc
     if not isinstance(document, Mapping):
         raise MalformedDocument("instance document must be a JSON object")

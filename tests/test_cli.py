@@ -232,6 +232,25 @@ def test_exponent_cost_is_usage_error(capsys, tmp_path):
     assert err.startswith("error: costs[1]: exponent notation")
 
 
+def test_oversized_integer_literal_is_usage_error(capsys, tmp_path):
+    # 5000 digits exceed the interpreter's int-string conversion limit.
+    bad = tmp_path / "digits.json"
+    bad.write_text('{"n": ' + "9" * 5000 + ', "q": "1/2", "costs": [], "function": "parity"}')
+    code, out, err = invoke(capsys, "verify", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "internal" not in err
+
+
+def test_deeply_nested_document_is_usage_error(capsys, tmp_path):
+    bad = tmp_path / "nested.json"
+    bad.write_text("[" * 100_000)
+    code, out, err = invoke(capsys, "verify", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "internal" not in err
+
+
 def test_normalize_flag(capsys, tmp_path):
     low_q = tmp_path / "low.json"
     low_q.write_text('{"n": 2, "q": "1/3", "costs": ["0", "0"], "function": "parity"}')

@@ -24,6 +24,7 @@ from seqelicit.mechanism import (
     draw_secrets,
     run,
 )
+from seqelicit.oracle import brute_audit, brute_deviation_profile
 from seqelicit.model import (
     ALL_ACTIONS,
     GUESS_ONE,
@@ -235,20 +236,22 @@ def test_sample_run_frequency_matches_prior():
     assert abs(ones / runs - float(p)) <= 3 * stderr
 
 
+class CountingPolicy:
+    """Counts the calls to the wrapped policy's `next`."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def next(self, state, remaining):
+        self.calls += 1
+        return self.inner.next(state, remaining)
+
+
 def test_run_stays_on_one_path():
     # A single run consults the policy once per step along the realized path,
     # never expanding the reply tree.
     inst = example3_instance()
-
-    class CountingPolicy:
-        def __init__(self, inner):
-            self.inner = inner
-            self.calls = 0
-
-        def next(self, state, remaining):
-            self.calls += 1
-            return self.inner.next(state, remaining)
-
     policy = CountingPolicy(HcfPolicy(inst))
     run(inst, policy, (1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1))
     assert policy.calls <= inst.n
@@ -284,3 +287,53 @@ def test_executors_reject_a_rank_that_is_not_remaining(rank):
         audit_full_tree(inst, policy)
     with pytest.raises(ValueError):
         deviation_profile(inst, policy, 1)
+
+
+def _outcome(check, *args):
+    """The check's answer, or the type of the exception it raised."""
+    try:
+        return check(*args)
+    except Exception as exc:  # noqa: BLE001 - compared by type below
+        return type(exc)
+
+
+@pytest.mark.parametrize("corpus_name", ["corpus_main", "corpus_br"])
+@pytest.mark.parametrize("policy_type", [HcfPolicy, FixedOrderPolicy])
+def test_incentive_checks_match_the_oracles(corpus_name, policy_type, request):
+    # The memoized audit and the deviation reach against the full reply tree
+    # and the 2^n enumeration: equal reports and profiles for every rank, or
+    # the same exception type.
+    failures = 0
+    for inst in request.getfixturevalue(corpus_name):
+        policy = policy_type(inst)
+        assert _outcome(audit_full_tree, inst, policy) == _outcome(brute_audit, inst, policy)
+        for rank in inst.ranks:
+            profile = _outcome(deviation_profile, inst, policy, rank)
+            assert profile == _outcome(brute_deviation_profile, inst, policy, rank)
+            failures += isinstance(profile, type)
+    if policy_type is FixedOrderPolicy:
+        assert failures == 0
+    else:
+        assert failures > 0
+
+
+def test_audit_visits_each_state_once_under_a_fixed_order():
+    # Under a fixed order the remaining ranks follow from the depth, so the
+    # audit meets each of the n(n+1)/2 undetermined parity states once; the
+    # full reply tree would call the policy 2^n - 1 times.
+    n = AUDIT_CAP
+    inst = make_instance("1/2", ["0"] * n, parity(n).ones_to_one)
+    policy = CountingPolicy(FixedOrderPolicy(inst))
+    report = audit_full_tree(inst, policy)
+    assert report.passed
+    assert len(report.records) == n * (n + 1) // 2
+    assert policy.calls <= n * (n + 1) // 2
+
+
+def test_deviation_profile_at_the_cap_matches_the_enumeration():
+    n = DEVIATION_CAP
+    inst = make_instance("1/2", ["1/8"] * n, parity(n).ones_to_one)
+    for rank in (1, n):
+        profile = deviation_profile(inst, HcfPolicy(inst), rank)
+        assert profile == brute_deviation_profile(inst, HcfPolicy(inst), rank)
+        assert profile[TRUTHFUL_COMPUTE] == Fraction(7, 8)
