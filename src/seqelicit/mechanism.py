@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import CapExceeded, PolicyFailed
 from .model import ALL_ACTIONS, Action, InfoState, ProblemInstance, Transcript
@@ -104,23 +104,20 @@ def _next_rank(policy, state: InfoState, remaining: frozenset) -> int:
     return rank
 
 
-def _play(instance, policy, state: InfoState, remaining: frozenset, secrets, entries=None, stop_at=None):
-    """Approach agents as `policy` directs, replying from `secrets` (rank order),
-    until the output is determined or the policy is about to approach rank
-    `stop_at`. Appends each (rank, reply) to `entries` when given.
+def _play(instance, policy, state: InfoState, remaining: frozenset, secrets, entries=None):
+    """Approach agents as `policy` directs, from `state` with the ranks in
+    `remaining` not yet approached, replying from `secrets` (rank order), until
+    the output is determined. Appends each (rank, reply) to `entries` when given.
 
-    Returns the state reached, the ranks still unapproached, and the
-    determined output (None when stopped at `stop_at`). Every state after the
+    Returns the state reached and the determined output. Every state after the
     last approach is determined, so the loop always ends.
     """
     fn = instance.fn_spec
     while True:
         forced = determine(state, fn)
         if forced is not None:
-            return state, remaining, forced
+            return state, forced
         rank = _next_rank(policy, state, remaining)
-        if rank == stop_at:
-            return state, remaining, None
         reply = secrets[rank - 1]
         if entries is not None:
             entries.append((rank, reply))
@@ -138,13 +135,16 @@ def run(instance: ProblemInstance, policy, secrets) -> RunResult:
     if len(secrets) != instance.n or any(s not in (0, 1) for s in secrets):
         raise ValueError(f"secrets must be {instance.n} bits")
     entries: list[tuple[int, int]] = []
-    halted_at, _, output = _play(instance, policy, InfoState(0, 0), frozenset(instance.ranks), secrets, entries)
+    halted_at, output = _play(instance, policy, InfoState(0, 0), frozenset(instance.ranks), secrets, entries)
+    # One Fraction for the sum: integer numerators over the common denominator.
+    costs = [instance.cost_of_rank(r) for r, _ in entries]
+    den = lcm(*(c.denominator for c in costs))
     return RunResult(
         transcript=Transcript(tuple(entries)),
         output=output,
         halted_at=halted_at,
         approached_count=len(entries),
-        total_cost_incurred=sum((instance.cost_of_rank(r) for r, _ in entries), Fraction(0)),
+        total_cost_incurred=Fraction(sum(c.numerator * (den // c.denominator) for c in costs), den),
     )
 
 

@@ -23,6 +23,16 @@ Rational = Fraction
 _DOCUMENT_KEYS = {"n", "q", "costs", "values", "agent_ids", "function"}
 
 
+def _clip(value) -> str:
+    """`value` as text for an error message, cut to its first 32 characters:
+    one value of a hostile document can run to megabytes."""
+    try:
+        text = str(value)
+    except ValueError:  # an integer past the interpreter's int-to-str digit limit
+        return f"<{type(value).__name__} too long to print>"
+    return text if len(text) <= 32 else f"{text[:32]}...({len(text)} chars)"
+
+
 def _as_rational(value, where: str) -> Fraction:
     # JSON floats are rejected: 0.4 the float is not 2/5. Exponent notation
     # is rejected too: Fraction("1e-1000000") expands into a million-digit
@@ -33,11 +43,11 @@ def _as_rational(value, where: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         if "e" in value or "E" in value:
-            raise MalformedDocument(f"{where}: exponent notation is not accepted in {value!r}")
+            raise MalformedDocument(f"{where}: exponent notation is not accepted in {_clip(repr(value))}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedDocument(f"{where}: cannot parse rational {value!r}") from exc
+            raise MalformedDocument(f"{where}: cannot parse rational {_clip(repr(value))}") from exc
     raise MalformedDocument(
         f"{where}: expected an integer or a 'num/den' string, got {type(value).__name__}"
     )
@@ -111,9 +121,9 @@ def from_ones_counts(n: int, counts: Iterable[int], name: str | None = None) -> 
     seen = set()
     for w in counts:
         if isinstance(w, bool) or not isinstance(w, int):
-            raise MalformedDocument(f"ones_counts entries must be integers, got {w!r}")
+            raise MalformedDocument(f"ones_counts entries must be integers, got {_clip(repr(w))}")
         if not 0 <= w <= n:
-            raise BadFunctionTable(f"ones-count {w} outside 0..{n}")
+            raise BadFunctionTable(f"ones-count {_clip(w)} outside 0..{n}")
         if w in seen:
             raise BadFunctionTable(f"duplicate ones-count {w}")
         seen.add(w)
@@ -232,12 +242,12 @@ class ProblemInstance:
         if self.n < 1:
             raise MalformedDocument(f"agent count must be at least 1, got {self.n}")
         if not isinstance(self.q, Fraction) or not 0 < self.q < 1:
-            raise QOutOfRange(f"prior must lie strictly between 0 and 1, got {self.q}")
+            raise QOutOfRange(f"prior must lie strictly between 0 and 1, got {_clip(self.q)}")
         if len(self.costs) != self.n:
             raise MalformedDocument(f"{len(self.costs)} costs for {self.n} agents")
         for c in self.costs:
             if not isinstance(c, Fraction) or not 0 <= c < 1:
-                raise CostOutOfRange(f"normalized cost {c} outside [0, 1)")
+                raise CostOutOfRange(f"normalized cost {_clip(c)} outside [0, 1)")
         if any(a > b for a, b in zip(self.costs, self.costs[1:])):
             raise MalformedDocument("costs must be sorted ascending")
         if sorted(self.original_index) != list(range(1, self.n + 1)):
@@ -311,7 +321,7 @@ def _parse_function(value, n: int) -> AnonymousFunctionSpec:
     if isinstance(value, str):
         builder = _SHORTCUT_BUILDERS.get(value)
         if builder is None:
-            raise MalformedDocument(f"unknown function shortcut {value!r}")
+            raise MalformedDocument(f"unknown function shortcut {_clip(repr(value))}")
         return builder(n)
     if isinstance(value, Mapping):
         if set(value) != {"ones_counts"}:
@@ -350,7 +360,7 @@ def ingest(document, *, normalize: bool = False) -> ProblemInstance:
         raise MalformedDocument("instance document must be a JSON object")
     unknown = set(document) - _DOCUMENT_KEYS
     if unknown:
-        raise MalformedDocument(f"unknown fields: {', '.join(sorted(unknown))}")
+        raise MalformedDocument(f"unknown fields: {_clip(', '.join(sorted(unknown)))}")
     for key in ("n", "q", "costs", "function"):
         if key not in document:
             raise MalformedDocument(f"missing required field {key!r}")
@@ -361,9 +371,9 @@ def ingest(document, *, normalize: bool = False) -> ProblemInstance:
 
     q = _as_rational(document["q"], "q")
     if not 0 < q < 1:
-        raise QOutOfRange(f"q must lie strictly between 0 and 1, got {q}")
+        raise QOutOfRange(f"q must lie strictly between 0 and 1, got {_clip(q)}")
     if q < Fraction(1, 2) and not normalize:
-        raise QOutOfRange(f"q = {q} is below 1/2; rerun with normalization enabled")
+        raise QOutOfRange(f"q = {_clip(q)} is below 1/2; rerun with normalization enabled")
 
     raw_costs = document["costs"]
     if not isinstance(raw_costs, list) or len(raw_costs) != n:
@@ -381,7 +391,7 @@ def ingest(document, *, normalize: bool = False) -> ProblemInstance:
 
     for c in costs:
         if not 0 <= c < 1:
-            raise CostOutOfRange(f"normalized cost {c} outside [0, 1)")
+            raise CostOutOfRange(f"normalized cost {_clip(c)} outside [0, 1)")
 
     agent_ids = None
     if "agent_ids" in document:

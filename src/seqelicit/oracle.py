@@ -1,11 +1,16 @@
 """Reference baselines for validating the analytic engine.
 
-Nothing here reuses the state lattice's recurrence or the path criterion: the
-pivotal checks either sum the closed-form binomial weights or enumerate secret
-completions one vector at a time, and the existence checks either enumerate
-every adaptive mechanism outright or expand the highest-cost-first policy's
-full reply tree. The incentive checks walk every reply path, and play every
-secret vector, without the (state, remaining) sharing of `mechanism`.
+The pivotal checks either sum the closed-form binomial weights or enumerate
+secret completions one vector at a time, and the existence checks either
+enumerate every adaptive mechanism outright or expand the highest-cost-first
+policy's full reply tree; none of them reuses the state lattice's recurrence
+or the path criterion. The incentive checks walk every reply path, and play
+every secret vector, without the (state, remaining) sharing of `mechanism`.
+
+One reference does run the path criterion on the lattice: `per_bound_verdict`,
+one list DP per rank bound with one Python step per state. It checks only the
+packed-lane arithmetic of `verify`, not the lattice's ranks or the criterion
+itself, which the closed-form and enumeration routes cover.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from .mechanism import (
     audit_full_tree,
 )
 from .model import ALL_ACTIONS, Action, InfoState, ProblemInstance
-from .pivotal import _check_approachable, c_of, determine, threshold
+from .pivotal import StateLattice, _check_approachable, c_of, determine, threshold
+from .verify import REASON_C_UNDEFINED, REASON_PIGEONHOLE, REASON_TRIVIAL, Verdict, Witness
 
 # Largest number of free agents completion enumeration accepts, and largest n
 # mechanism enumeration accepts (the count of mechanisms grows doubly
@@ -200,7 +206,16 @@ def brute_deviation_profile(instance: ProblemInstance, policy, rank: int) -> dic
     for secrets in itertools.product((0, 1), repeat=n):
         weight = weight_of[sum(secrets)]
         true_value = fn.value_at(sum(secrets))
-        state, remaining, prefix_output = _play(instance, policy, root, all_ranks, secrets, stop_at=rank)
+        # Play up to the approach of `rank`, or to the end if it never comes.
+        state, remaining = root, all_ranks
+        prefix_output = determine(state, fn)
+        while prefix_output is None:
+            chosen = _next_rank(policy, state, remaining)
+            if chosen == rank:
+                break
+            state = InfoState(state.approached + 1, state.ones + secrets[chosen - 1])
+            remaining = remaining - {chosen}
+            prefix_output = determine(state, fn)
         if prefix_output is not None:
             if prefix_output == true_value:
                 correct_unapproached += weight
@@ -208,7 +223,7 @@ def brute_deviation_profile(instance: ProblemInstance, policy, rank: int) -> dic
         weight_approached += weight
         rest = remaining - {rank}
         outputs = tuple(
-            _play(instance, policy, InfoState(state.approached + 1, state.ones + bit), rest, secrets)[2]
+            _play(instance, policy, InfoState(state.approached + 1, state.ones + bit), rest, secrets)[1]
             for bit in (0, 1)
         )
         own_secret = secrets[rank - 1]
@@ -222,3 +237,69 @@ def brute_deviation_profile(instance: ProblemInstance, policy, rank: int) -> dic
         action: Fraction(correct[action], weight_approached) - (cost if action.compute else 0)
         for action in ALL_ACTIONS
     }
+
+
+def _path_counts(lattice: StateLattice, rank_bound: int):
+    """Layered DP over the undetermined states: best[i][k] is the largest
+    number of states with willing rank in 1..rank_bound on a path from (0, 0)
+    to (i, k), -1 at determined states; pred[i][k] is the ones-count of the
+    chosen parent in layer i-1 (a virtual parent of value 0 sits above the
+    root). Ties break toward the lexicographically smaller parent (i-1, k-1)
+    so witness extraction is deterministic.
+    """
+    best, pred, prev = [], [], [0]
+    for num_row, rank_row in zip(lattice.num, lattice.rank):
+        padded = [-1, *prev, -1]  # padded[k] is parent (i-1, k-1), padded[k+1] is (i-1, k)
+        back = [k - 1 if padded[k] >= padded[k + 1] else k for k in range(len(num_row))]
+        prev = [
+            padded[parent + 1] + (0 < rank <= rank_bound) if num else -1
+            for parent, num, rank in zip(back, num_row, rank_row)
+        ]
+        best.append(prev)
+        pred.append(back)
+    return best, pred
+
+
+def _walk(pred, target: InfoState) -> tuple[InfoState, ...]:
+    """The root-to-`target` path that `pred` from _path_counts records."""
+    i, k = target.approached, target.ones
+    path = [target]
+    while i:
+        i, k = i - 1, pred[i][k]
+        path.append(InfoState(i, k))
+    return tuple(reversed(path))
+
+
+def per_bound_verdict(instance: ProblemInstance) -> Verdict:
+    """`verify.exists_appropriate` with one list DP per distinct willing rank,
+    one Python step per state: the reference for the packed-lane DP. The first
+    state in (i, k) order with no willing agent names a c-undefined verdict;
+    otherwise the witness is the smallest violating end node at its smallest
+    rank bound.
+    """
+    lattice = instance.lattice
+    if not lattice.num[0][0]:
+        return Verdict(True, REASON_TRIVIAL)
+    bounds: set[int] = set()
+    for i, (num_row, rank_row) in enumerate(zip(lattice.num, lattice.rank)):
+        for k, (num, rank) in enumerate(zip(num_row, rank_row)):
+            if num:
+                if not rank:
+                    return Verdict(False, REASON_C_UNDEFINED, undefined_at=InfoState(i, k))
+                bounds.add(rank)
+    # The counts only change where j crosses a willing rank, so the smallest
+    # violating j of any end node is one of those ranks. Per bound, keep the
+    # first violating end node that precedes the one found so far.
+    ends = [InfoState(instance.n - 1, k) for k, num in enumerate(lattice.num[-1]) if num]
+    witness = None
+    for j in sorted(bounds):
+        best, pred = _path_counts(lattice, j)
+        for end in ends:
+            if witness is not None and end >= witness.path[-1]:
+                break
+            if best[-1][end.ones] > j:
+                witness = Witness(_walk(pred, end), j, best[-1][end.ones])
+                break
+    if witness is None:
+        return Verdict(True, None)
+    return Verdict(False, REASON_PIGEONHOLE, witness=witness)

@@ -10,7 +10,9 @@ the willing rank of every state; the lookups below read it.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import StateExhausted
 from .model import AnonymousFunctionSpec, InfoState, ProblemInstance
@@ -27,7 +29,7 @@ class StateLattice:
 
     The threshold is (b-a) num / b^(n-i), so the agent at rank r is willing iff
     num >= ceil(cost_r.num b^(n-i) / (cost_r.den (b-a))); rank[i][k] counts
-    those ranks (0 when nobody is willing).
+    those ranks (0 when nobody is willing). Equal costs share one bound.
     """
 
     def __init__(self, instance: ProblemInstance):
@@ -39,12 +41,16 @@ class StateLattice:
             row = [a * row[k + 1] + (b - a) * row[k] for k in range(width)]
             num.append(row)
         num.reverse()
-        costs = [(c.numerator, c.denominator * (b - a)) for c in instance.costs]
+        # Bounds only for the distinct costs, ascending since the costs are
+        # sorted; `below[d]` counts the ranks among the d cheapest of them.
+        counts = Counter((c.numerator, c.denominator) for c in instance.costs)
+        below = [0, *accumulate(counts.values())]
+        costs = [(top, den * (b - a)) for top, den in counts]
         self.rank = []
         for i, row in enumerate(num):
             scale = b ** (n - i)
             bounds = [-(-top * scale // bottom) for top, bottom in costs]
-            self.rank.append([bisect_right(bounds, v) for v in row])
+            self.rank.append([below[bisect_right(bounds, v)] for v in row])
         self.num = num
         self.n, self.a, self.b = n, a, b
 

@@ -53,6 +53,28 @@ def random_instance(
     return ProblemInstance.create(q, costs, AnonymousFunctionSpec(n, table, None))
 
 
+def threshold_cost_instance(fn: AnonymousFunctionSpec, zeros: int, rng: random.Random) -> ProblemInstance:
+    """The function at q = 1/2 with `zeros` agents at cost 0 and the others at
+    costs drawn by `rng.choice` from the sorted distinct thresholds of the
+    all-zero-cost instance, so that willing ranks spread over 0..n.
+
+    At q = 1/2 the threshold at (i, k) is num[i][k] / 2^(n-i), so the
+    thresholds sort as the integers num[i][k] * 2^i over 2^n.
+    """
+    n = fn.n
+    zero = ProblemInstance.create(Fraction(1, 2), (Fraction(0),) * n, fn)
+    scaled = sorted({num << i for i, row in enumerate(zero.lattice.num) for num in row if num})
+    costs = [Fraction(0)] * zeros + [Fraction(rng.choice(scaled), 2**n) for _ in range(n - zeros)]
+    return ProblemInstance.create(Fraction(1, 2), costs, fn)
+
+
+def adversarial_majority(n: int) -> ProblemInstance:
+    """Strict majority with n // 8 zero costs and thresholds drawn by
+    random.Random(0): nearly every willing rank is distinct, the worst case
+    for one path DP per rank bound."""
+    return threshold_cost_instance(majority(n), n // 8, random.Random(0))
+
+
 def corpus(
     seed: int, sizes: tuple[int, ...], count: int, max_cost_k: int = 64
 ) -> tuple[ProblemInstance, ...]:

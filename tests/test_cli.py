@@ -242,6 +242,33 @@ def test_oversized_integer_literal_is_usage_error(capsys, tmp_path):
     assert err.startswith("error:") and "internal" not in err
 
 
+_DIGITS = "9" * 4000
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        # Past the interpreter's int-string limit: echoed by _as_rational.
+        {"costs": ["0", "1" * 5000]},
+        # Parses, but lies outside [0, 1): echoed by CostOutOfRange.
+        {"costs": ["0", _DIGITS + "/1"]},
+        # cost / value has 8000-digit terms, too long for str() on 3.11.
+        {"costs": ["0", _DIGITS + "/1"], "values": ["1", "1/" + _DIGITS]},
+        {"q": _DIGITS + "/1"},
+        {"function": "x" * 5000},
+    ],
+    ids=["cost-digits", "cost-over-one", "cost-over-value", "q", "function-name"],
+)
+def test_hostile_value_is_usage_error_with_a_short_message(capsys, tmp_path, fields):
+    bad = tmp_path / "hostile.json"
+    bad.write_text(json.dumps({"n": 2, "q": "1/2", "costs": ["0", "0"], "function": "parity", **fields}))
+    code, out, err = invoke(capsys, "verify", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "internal" not in err
+    assert len(err.encode()) < 300
+
+
 def test_deeply_nested_document_is_usage_error(capsys, tmp_path):
     bad = tmp_path / "nested.json"
     bad.write_text("[" * 100_000)

@@ -5,19 +5,26 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from conftest import (
+    adversarial_majority,
     example1_instance,
     example2_instance,
     example3_instance,
     make_instance,
+    threshold_cost_instance,
 )
 from seqelicit.graph import nodes
-from seqelicit.model import InfoState, ProblemInstance, consensus
+from seqelicit.model import AnonymousFunctionSpec, InfoState, ProblemInstance, consensus
+from seqelicit.oracle import per_bound_verdict
 from seqelicit.pivotal import c_of
 from seqelicit.verify import (
     REASON_C_UNDEFINED,
     REASON_PIGEONHOLE,
     REASON_TRIVIAL,
+    Verdict,
+    Witness,
     exists_appropriate,
 )
 
@@ -109,3 +116,45 @@ def test_lowering_a_cost_never_destroys_existence(corpus_main, corpus_br):
         assert exists_appropriate(lowered).exists
         checked += 1
     assert checked >= 30
+
+
+def test_lanes_match_the_per_bound_dp_on_the_corpora(corpus_main, corpus_br):
+    kinds = set()
+    for inst in corpus_main + corpus_br:
+        verdict = exists_appropriate(inst)
+        assert verdict == per_bound_verdict(inst)
+        kinds.add(verdict.reason)
+    assert kinds == {None, REASON_TRIVIAL, REASON_C_UNDEFINED, REASON_PIGEONHOLE}
+
+
+@pytest.mark.parametrize("n", [125, 126, 200])
+def test_lanes_match_the_per_bound_dp_across_lane_widths(n):
+    # n = 125 is the largest n with 8-bit lanes and n = 126 the smallest with
+    # 16-bit ones; with every cost 0 the end lanes reach n + 1, next to the top
+    # bit.
+    rng = random.Random(9100 + n)
+    kinds = set()
+    for zeros in (n, n - 2, 0, rng.randrange(1, n)):
+        fn = AnonymousFunctionSpec(n, tuple(rng.random() < 0.5 for _ in range(n + 1)))
+        inst = threshold_cost_instance(fn, zeros, rng)
+        verdict = exists_appropriate(inst)
+        assert verdict == per_bound_verdict(inst)
+        kinds.add(verdict.reason)
+    assert {None, REASON_C_UNDEFINED, REASON_PIGEONHOLE} <= kinds
+
+
+def test_lanes_match_the_per_bound_dp_on_adversarial_majority():
+    inst = adversarial_majority(200)
+    verdict = exists_appropriate(inst)
+    assert verdict == per_bound_verdict(inst)
+    assert verdict.reason == REASON_PIGEONHOLE
+
+
+def test_smallest_end_node_wins_over_smallest_rank_bound():
+    # The lowest violating end node is (4, 2) at rank bound 1, (4, 1) at bound 2
+    # and (4, 2) again at bound 3; end node (4, 0) never violates. The witness
+    # is the smallest end node, at the smallest bound that reaches it.
+    inst = make_instance("3/4", ["1/64", "1/16", "1/8", "13/64", "15/64"], [False, True, False, True, True, True])
+    path = (InfoState(0, 0), InfoState(1, 1), InfoState(2, 1), InfoState(3, 1), InfoState(4, 1))
+    expected = Verdict(False, REASON_PIGEONHOLE, witness=Witness(path, 2, 3))
+    assert exists_appropriate(inst) == expected == per_bound_verdict(inst)
