@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .errors import (
     BadFunctionTable,
@@ -81,7 +80,7 @@ def _load_instance(args) -> ProblemInstance:
     # With --normalize, ingest mirrors a file whose q is below 1/2 (every bit
     # flipped). Commands that read or print bits translate them to the file's
     # terms; states and thresholds stay those of the mirrored game.
-    args.mirrored = args.normalize and Fraction(json.loads(text)["q"]) < Fraction(1, 2)
+    args.mirrored = instance.mirrored
     return instance
 
 

@@ -1,9 +1,12 @@
 """Sequential elicitation policies, game execution, and equilibrium audits.
 
 A policy maps an undetermined information state and the agents not yet
-approached to the rank to approach next, or raises PolicyFailed. The
-executors (`run`, `deviation_profile` and the audit) stop as soon as the
-output is determined, so no policy decides when to halt. The highest-cost-first
+approached to the rank to approach next, or raises PolicyFailed. The agents
+not yet approached are an int bitmask, `remaining`: bit r is set while rank r
+has not been approached, and bit 0 is always clear, so a step of a game
+removes a rank with one xor and tests one with one shift. The executors
+(`run`, `deviation_profile` and the audit) stop as soon as the output is
+determined, so no policy decides when to halt. The highest-cost-first
 policy asks the most expensive agent that is still willing to compute; its
 full-reply-tree audit certifies that everybody computing truthfully is an
 equilibrium.
@@ -42,14 +45,16 @@ class HcfPolicy:
     def __init__(self, instance: ProblemInstance):
         self.instance = instance
 
-    def next(self, state: InfoState, remaining: frozenset) -> int:
-        """The largest remaining rank up to the state's willing rank, so equal
-        costs break toward the higher rank. Raises PolicyFailed when nobody
+    def next(self, state: InfoState, remaining: int) -> int:
+        """The largest remaining rank up to the state's willing rank c, so
+        equal costs break toward the higher rank: the top set bit of
+        `remaining` at or below bit c. Raises PolicyFailed when nobody
         remaining is willing."""
-        for rank in range(c_of(state, self.instance) or 0, 0, -1):
-            if rank in remaining:
-                return rank
-        raise PolicyFailed(state, FAIL_NO_ELIGIBLE)
+        willing = c_of(state, self.instance) or 0
+        rank = (remaining & ((2 << willing) - 1)).bit_length() - 1
+        if rank <= 0:
+            raise PolicyFailed(state, FAIL_NO_ELIGIBLE)
+        return rank
 
 
 class FixedOrderPolicy:
@@ -66,10 +71,10 @@ class FixedOrderPolicy:
         if sorted(self.order) != list(instance.ranks):
             raise ValueError("order must be a permutation of the ranks")
 
-    def next(self, state: InfoState, remaining: frozenset) -> int:
+    def next(self, state: InfoState, remaining: int) -> int:
         # An undetermined state always has an agent left: every state after
         # the last approach is determined.
-        return next(rank for rank in self.order if rank in remaining)
+        return next(rank for rank in self.order if remaining >> rank & 1)
 
 
 @dataclass(frozen=True)
@@ -97,17 +102,24 @@ class AuditReport:
     failure: tuple[InfoState, str] | None
 
 
-def _next_rank(policy, state: InfoState, remaining: frozenset) -> int:
+def _all_remaining(instance: ProblemInstance) -> int:
+    """The mask with every rank 1..n remaining."""
+    return (2 << instance.n) - 2
+
+
+def _next_rank(policy, state: InfoState, remaining: int) -> int:
     rank = policy.next(state, remaining)
-    if rank not in remaining:
+    if not (isinstance(rank, int) and rank > 0 and remaining >> rank & 1):
         raise ValueError(f"policy chose rank {rank!r} at {state}, which is not a remaining rank")
     return rank
 
 
-def _play(instance, policy, state: InfoState, remaining: frozenset, secrets, entries=None):
-    """Approach agents as `policy` directs, from `state` with the ranks in
-    `remaining` not yet approached, replying from `secrets` (rank order), until
-    the output is determined. Appends each (rank, reply) to `entries` when given.
+def _play(instance, policy, state: InfoState, remaining: int, secrets, entries=None):
+    """Approach agents as `policy` directs, from `state` with the ranks whose
+    bits are set in `remaining` not yet approached, replying from `secrets`
+    (rank order), until the output is determined. Appends each (rank, reply)
+    to `entries` when given. Each step is a constant number of operations:
+    one prefix-count lookup, one policy call and one xor.
 
     Returns the state reached and the determined output. Every state after the
     last approach is determined, so the loop always ends.
@@ -122,7 +134,7 @@ def _play(instance, policy, state: InfoState, remaining: frozenset, secrets, ent
         if entries is not None:
             entries.append((rank, reply))
         state = InfoState(state.approached + 1, state.ones + reply)
-        remaining = remaining - {rank}
+        remaining ^= 1 << rank
 
 
 def run(instance: ProblemInstance, policy, secrets) -> RunResult:
@@ -135,7 +147,7 @@ def run(instance: ProblemInstance, policy, secrets) -> RunResult:
     if len(secrets) != instance.n or any(s not in (0, 1) for s in secrets):
         raise ValueError(f"secrets must be {instance.n} bits")
     entries: list[tuple[int, int]] = []
-    halted_at, output = _play(instance, policy, InfoState(0, 0), frozenset(instance.ranks), secrets, entries)
+    halted_at, output = _play(instance, policy, InfoState(0, 0), _all_remaining(instance), secrets, entries)
     # One Fraction for the sum: integer numerators over the common denominator.
     costs = [instance.cost_of_rank(r) for r, _ in entries]
     den = lcm(*(c.denominator for c in costs))
@@ -157,7 +169,7 @@ def draw_secrets(instance: ProblemInstance, seed: int) -> tuple[int, ...]:
     )
 
 
-def _decisions(instance, policy, state: InfoState, remaining: frozenset, walked: set):
+def _decisions(instance, policy, state: InfoState, remaining: int, walked: set):
     """Yield (state, rank) at every undetermined (state, remaining) pair
     reachable from the given one and not yet in `walked`, depth first with
     reply 0 before reply 1, adding each pair met to `walked`.
@@ -177,7 +189,7 @@ def _decisions(instance, policy, state: InfoState, remaining: frozenset, walked:
             continue
         rank = _next_rank(policy, state, remaining)
         yield state, rank
-        rest = remaining - {rank}
+        rest = remaining ^ (1 << rank)
         stack.append((InfoState(state.approached + 1, state.ones + 1), rest))
         stack.append((InfoState(state.approached + 1, state.ones), rest))
 
@@ -198,7 +210,7 @@ def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
     records: list[AuditRecord] = []
     seen: set[tuple[InfoState, int]] = set()
     try:
-        for state, rank in _decisions(instance, policy, InfoState(0, 0), frozenset(instance.ranks), set()):
+        for state, rank in _decisions(instance, policy, InfoState(0, 0), _all_remaining(instance), set()):
             eligible = rank <= (c_of(state, instance) or 0)
             if (state, rank) not in seen:
                 seen.add((state, rank))
@@ -241,7 +253,7 @@ def deviation_profile(instance: ProblemInstance, policy, rank: int) -> dict[Acti
     prior = (b - a, a)  # weight of a 0 and of a 1, scaled by b
     # (ones, remaining) -> weight of the paths reaching it at this depth,
     # scaled by b^depth; the reach stops where the policy picks `rank`.
-    layer = {(0, frozenset(instance.ranks)): 1}
+    layer = {(0, _all_remaining(instance)): 1}
     approached: dict[tuple[int, int], int] = {}
     walked: set = set()
     for i in range(n):
@@ -251,7 +263,7 @@ def deviation_profile(instance: ProblemInstance, policy, rank: int) -> dict[Acti
             if determine(state, fn) is not None:
                 continue
             chosen = _next_rank(policy, state, remaining)
-            rest = remaining - {chosen}
+            rest = remaining ^ (1 << chosen)
             if chosen == rank:
                 approached[i, k] = approached.get((i, k), 0) + weight
                 for bit in (0, 1):

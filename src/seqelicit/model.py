@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BadFunctionTable, CostOutOfRange, MalformedDocument, QOutOfRange
@@ -73,6 +74,14 @@ class AnonymousFunctionSpec:
             )
         if not all(isinstance(b, bool) for b in self.ones_to_one):
             raise BadFunctionTable("table entries must be booleans")
+
+    @cached_property
+    def ones_before(self) -> tuple[int, ...]:
+        """Entry w counts the ones-counts below w that map to 1, so the table
+        window [lo, hi) holds ``ones_before[hi] - ones_before[lo]`` of them.
+        Computed once on first use; not a field, so it takes no part in
+        equality or hashing."""
+        return (0, *accumulate(self.ones_to_one))
 
     @property
     def is_constant(self) -> bool:
@@ -228,7 +237,9 @@ class ProblemInstance:
 
     Costs are stored ascending; ``original_index[r-1]`` is the 1-based input
     position of the agent holding sorted rank r. Display names live in
-    ``agent_ids`` (input order).
+    ``agent_ids`` (input order). ``mirrored`` records that
+    ``normalize_low_q`` flipped every bit of the input; it takes no part in
+    equality or hashing.
     """
 
     n: int
@@ -237,6 +248,7 @@ class ProblemInstance:
     original_index: tuple[int, ...]
     fn_spec: AnonymousFunctionSpec
     agent_ids: tuple[str, ...]
+    mirrored: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -245,10 +257,14 @@ class ProblemInstance:
             raise QOutOfRange(f"prior must lie strictly between 0 and 1, got {_clip(self.q)}")
         if len(self.costs) != self.n:
             raise MalformedDocument(f"{len(self.costs)} costs for {self.n} agents")
+        # Integer comparisons: a Fraction's denominator is positive.
         for c in self.costs:
-            if not isinstance(c, Fraction) or not 0 <= c < 1:
+            if not isinstance(c, Fraction) or not 0 <= c.numerator < c.denominator:
                 raise CostOutOfRange(f"normalized cost {_clip(c)} outside [0, 1)")
-        if any(a > b for a, b in zip(self.costs, self.costs[1:])):
+        if any(
+            a.numerator * b.denominator > b.numerator * a.denominator
+            for a, b in zip(self.costs, self.costs[1:])
+        ):
             raise MalformedDocument("costs must be sorted ascending")
         if sorted(self.original_index) != list(range(1, self.n + 1)):
             raise MalformedDocument("original_index must be a permutation of 1..n")
@@ -270,11 +286,17 @@ class ProblemInstance:
         """Build an instance from costs in input order, sorting them stably."""
         if any(isinstance(c, float) for c in costs):
             raise CostOutOfRange("costs must be exact rationals, not floats")
-        costs = tuple(Fraction(c) for c in costs)
+        costs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in costs)
         n = len(costs)
         if agent_ids is None:
             agent_ids = tuple(str(p) for p in range(1, n + 1))
-        order = sorted(range(n), key=lambda p: costs[p])
+        # Only the distinct values are sorted as Fractions; equal Fractions
+        # share (numerator, denominator), so each cost's position among them
+        # is an integer sort key, and the stable sort keeps ties in input order.
+        distinct = {(c.numerator, c.denominator): c for c in costs}
+        position = {(c.numerator, c.denominator): p for p, c in enumerate(sorted(distinct.values()))}
+        key = [position[c.numerator, c.denominator] for c in costs]
+        order = sorted(range(n), key=key.__getitem__)
         return cls(
             n=n,
             q=Fraction(q),
@@ -375,22 +397,33 @@ def ingest(document, *, normalize: bool = False) -> ProblemInstance:
     if q < Fraction(1, 2) and not normalize:
         raise QOutOfRange(f"q = {_clip(q)} is below 1/2; rerun with normalization enabled")
 
+    # Each distinct string is parsed once per document. Only strings are
+    # memoized, so JSON true never shares an entry with 1.
+    parsed: dict[str, Fraction] = {}
+
+    def rational(value, where: str) -> Fraction:
+        if not isinstance(value, str):
+            return _as_rational(value, where)
+        if value not in parsed:
+            parsed[value] = _as_rational(value, where)
+        return parsed[value]
+
     raw_costs = document["costs"]
     if not isinstance(raw_costs, list) or len(raw_costs) != n:
         raise MalformedDocument(f"costs must be a list of {n} rationals")
-    costs = [_as_rational(c, f"costs[{idx}]") for idx, c in enumerate(raw_costs)]
+    costs = [rational(c, f"costs[{idx}]") for idx, c in enumerate(raw_costs)]
 
     if "values" in document:
         raw_values = document["values"]
         if not isinstance(raw_values, list) or len(raw_values) != n:
             raise MalformedDocument(f"values must be a list of {n} rationals")
-        values = [_as_rational(v, f"values[{idx}]") for idx, v in enumerate(raw_values)]
-        if any(v <= 0 for v in values):
+        values = [rational(v, f"values[{idx}]") for idx, v in enumerate(raw_values)]
+        if any(v.numerator <= 0 for v in values):
             raise MalformedDocument("values must be positive")
         costs = [c / v for c, v in zip(costs, values)]
 
     for c in costs:
-        if not 0 <= c < 1:
+        if not 0 <= c.numerator < c.denominator:
             raise CostOutOfRange(f"normalized cost {_clip(c)} outside [0, 1)")
 
     agent_ids = None
@@ -440,4 +473,4 @@ def normalize_low_q(instance: ProblemInstance) -> ProblemInstance:
     mirrored = tuple(reversed(instance.fn_spec.ones_to_one))
     name = instance.fn_spec.name if mirrored == instance.fn_spec.ones_to_one else None
     fn = AnonymousFunctionSpec(instance.n, mirrored, name)
-    return replace(instance, q=1 - instance.q, fn_spec=fn)
+    return replace(instance, q=1 - instance.q, fn_spec=fn, mirrored=True)

@@ -11,6 +11,9 @@ One reference does run the path criterion on the lattice: `per_bound_verdict`,
 one list DP per rank bound with one Python step per state. It checks only the
 packed-lane arithmetic of `verify`, not the lattice's ranks or the criterion
 itself, which the closed-form and enumeration routes cover.
+
+`window_determine` scans the table window that `pivotal.determine` reads off
+a prefix count.
 """
 
 from __future__ import annotations
@@ -28,12 +31,13 @@ from .mechanism import (
     AuditRecord,
     AuditReport,
     HcfPolicy,
+    _all_remaining,
     _next_rank,
     _play,
     audit_full_tree,
 )
-from .model import ALL_ACTIONS, Action, InfoState, ProblemInstance
-from .pivotal import StateLattice, _check_approachable, c_of, determine, threshold
+from .model import ALL_ACTIONS, Action, AnonymousFunctionSpec, InfoState, ProblemInstance
+from .pivotal import StateLattice, _check_approachable, _check_state, c_of, determine, threshold
 from .verify import REASON_C_UNDEFINED, REASON_PIGEONHOLE, REASON_TRIVIAL, Verdict, Witness
 
 # Largest number of free agents completion enumeration accepts, and largest n
@@ -61,6 +65,18 @@ class OracleVerdict:
     exists: bool
     certificate: DecisionTree | None
     mechanisms_checked: int
+
+
+def window_determine(state: InfoState, fn: AnonymousFunctionSpec) -> int | None:
+    """`pivotal.determine` by slicing the table's window of reachable
+    ones-counts, k..k+(n-i), and scanning it."""
+    _check_state(state, fn.n)
+    window = fn.ones_to_one[state.ones : state.ones + (fn.n - state.approached) + 1]
+    if all(window):
+        return 1
+    if not any(window):
+        return 0
+    return None
 
 
 def closed_form_pivotal(state: InfoState, instance: ProblemInstance) -> Fraction:
@@ -162,7 +178,7 @@ def brute_audit(instance: ProblemInstance, policy) -> AuditReport:
     records: list[AuditRecord] = []
     seen: set[tuple[InfoState, int]] = set()
 
-    def walk(state: InfoState, remaining: frozenset) -> None:
+    def walk(state: InfoState, remaining: int) -> None:
         if determine(state, fn) is not None:
             return
         rank = _next_rank(policy, state, remaining)
@@ -175,12 +191,12 @@ def brute_audit(instance: ProblemInstance, policy) -> AuditReport:
             )
         if not eligible:
             raise PolicyFailed(state, FAIL_CHOSEN_INELIGIBLE)
-        rest = remaining - {rank}
+        rest = remaining ^ (1 << rank)
         walk(InfoState(state.approached + 1, state.ones), rest)
         walk(InfoState(state.approached + 1, state.ones + 1), rest)
 
     try:
-        walk(InfoState(0, 0), frozenset(instance.ranks))
+        walk(InfoState(0, 0), _all_remaining(instance))
     except PolicyFailed as exc:
         return AuditReport(passed=False, records=tuple(records), failure=(exc.state, exc.reason))
     return AuditReport(passed=True, records=tuple(records), failure=None)
@@ -202,7 +218,7 @@ def brute_deviation_profile(instance: ProblemInstance, policy, rank: int) -> dic
     correct = dict.fromkeys(ALL_ACTIONS, 0)
     weight_approached = 0
     correct_unapproached = 0
-    root, all_ranks = InfoState(0, 0), frozenset(instance.ranks)
+    root, all_ranks = InfoState(0, 0), _all_remaining(instance)
     for secrets in itertools.product((0, 1), repeat=n):
         weight = weight_of[sum(secrets)]
         true_value = fn.value_at(sum(secrets))
@@ -214,14 +230,14 @@ def brute_deviation_profile(instance: ProblemInstance, policy, rank: int) -> dic
             if chosen == rank:
                 break
             state = InfoState(state.approached + 1, state.ones + secrets[chosen - 1])
-            remaining = remaining - {chosen}
+            remaining ^= 1 << chosen
             prefix_output = determine(state, fn)
         if prefix_output is not None:
             if prefix_output == true_value:
                 correct_unapproached += weight
             continue
         weight_approached += weight
-        rest = remaining - {rank}
+        rest = remaining ^ (1 << rank)
         outputs = tuple(
             _play(instance, policy, InfoState(state.approached + 1, state.ones + bit), rest, secrets)[1]
             for bit in (0, 1)

@@ -64,13 +64,17 @@ def determine(state: InfoState, fn: AnonymousFunctionSpec) -> int | None:
     """The output forced at `state`, or None while both outcomes are reachable.
 
     The reachable ones-counts from (i, k) are k..k+(n-i); the output is forced
-    exactly when the table is constant on that window.
+    exactly when the table is constant on that window, which the function's
+    prefix count of ones answers in O(1): 1 when every entry of the window is
+    1, 0 when none is. `oracle.window_determine` scans the window instead.
     """
     _check_state(state, fn.n)
-    window = fn.ones_to_one[state.ones : state.ones + (fn.n - state.approached) + 1]
-    if all(window):
+    width = fn.n - state.approached + 1
+    before = fn.ones_before
+    ones = before[state.ones + width] - before[state.ones]
+    if ones == width:
         return 1
-    if not any(window):
+    if not ones:
         return 0
     return None
 

@@ -1,0 +1,114 @@
+"""Hostile input: arbitrary JSON and mutated instance documents.
+
+Ingestion may reject a document only with an `ElicitError` subclass, and
+`seqelicit verify` must map every document to exit 0, 2 or 3, with nothing on
+standard output when it refuses the input (exit 2).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from seqelicit.cli import main
+from seqelicit.errors import ElicitError
+from seqelicit.model import ingest
+
+RATIONAL_TEXT = ("0", "1", "1/2", "2/4", "3/5", "1/3", "-1/4", "1/0", "0.5", "1e3", " 1/2", "x", "")
+
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.sampled_from(RATIONAL_TEXT)
+    | st.text(max_size=12)
+)
+json_values = st.recursive(
+    scalars,
+    lambda children: st.lists(children, max_size=6) | st.dictionaries(st.text(max_size=8), children, max_size=6),
+    max_leaves=24,
+)
+
+
+@st.composite
+def valid_documents(draw):
+    n = draw(st.integers(1, 7))
+    cost = st.sampled_from(("0", "1/2", "2/4", "1/8", "3/64", 0))
+    doc = {
+        "n": n,
+        "q": draw(st.sampled_from(("1/2", "3/5", "3/4", "1/3"))),
+        "costs": draw(st.lists(cost, min_size=n, max_size=n)),
+        "function": draw(
+            st.sampled_from(("majority", "consensus", "parity", "unanimity"))
+            | st.builds(lambda ws: {"ones_counts": ws}, st.lists(st.integers(0, n), unique=True, max_size=n + 1))
+        ),
+    }
+    if draw(st.booleans()):
+        doc["values"] = draw(st.lists(st.sampled_from(("1", "2", "3/2", 4)), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        doc["agent_ids"] = [f"a{p}" for p in range(n)]
+    return doc
+
+
+def _replace_somewhere(draw, node):
+    """`node` with one value inside it, or itself, replaced by arbitrary JSON."""
+    if isinstance(node, (list, dict)) and node and draw(st.integers(0, 2)):
+        key = draw(st.sampled_from(range(len(node)) if isinstance(node, list) else sorted(node)))
+        node = list(node) if isinstance(node, list) else dict(node)
+        node[key] = _replace_somewhere(draw, node[key])
+        return node
+    return draw(json_values)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one to three edits: a field dropped or added, or
+    a value at any depth of a field replaced, by arbitrary JSON."""
+    doc = draw(valid_documents())
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(sorted(doc) + ["extra"]))
+        if key in doc and draw(st.integers(0, 3)) == 0:
+            del doc[key]
+        else:
+            doc[key] = _replace_somewhere(draw, doc.get(key))
+    return doc
+
+
+# Mostly mutated documents: arbitrary JSON almost never gets past the key check.
+documents = st.one_of(json_values, valid_documents(), mutated_documents(), mutated_documents())
+
+
+def _ingest_or_reject(document):
+    try:
+        ingest(document, normalize=True)
+    except ElicitError:
+        pass
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(documents)
+def test_only_elicit_errors_escape_ingest(document):
+    _ingest_or_reject(document)
+    _ingest_or_reject(json.dumps(document))
+
+
+@pytest.fixture(scope="module")
+def instance_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "instance.json"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(documents, st.booleans())
+def test_verify_exits_0_2_or_3(instance_path, document, normalize):
+    instance_path.write_text(json.dumps(document), encoding="utf-8")
+    argv = ["verify", str(instance_path)] + (["--normalize"] if normalize else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,24 +34,24 @@ from seqelicit.model import (
     TRUTHFUL_COMPUTE,
     parity,
 )
-from seqelicit.pivotal import determine
+from seqelicit.pivotal import c_of, determine
 
 
 def test_hcf_next_prefers_highest_rank_among_ties():
     inst = example2_instance()
-    rank = HcfPolicy(inst).next(InfoState(0, 0), frozenset({1, 2, 3, 4}))
+    rank = HcfPolicy(inst).next(InfoState(0, 0), 0b11110)
     assert rank == 3
 
 
 def test_hcf_next_last_agent():
     inst = example2_instance()
-    assert HcfPolicy(inst).next(InfoState(3, 0), frozenset({4})) == 4
+    assert HcfPolicy(inst).next(InfoState(3, 0), 0b10000) == 4
 
 
 def test_hcf_next_fails_when_nobody_willing():
     inst = example1_instance()
     with pytest.raises(PolicyFailed) as excinfo:
-        HcfPolicy(inst).next(InfoState(0, 0), frozenset(range(1, 12)))
+        HcfPolicy(inst).next(InfoState(0, 0), (1 << 12) - 2)
     assert excinfo.value.reason == "no_eligible_agent"
 
 
@@ -63,7 +64,51 @@ def test_hcf_policy_halts_exactly_when_determined():
     result = run(inst, HcfPolicy(inst), (0, 1, 0, 1))
     assert result.halted_at == InfoState(2, 1)
     assert result.output == 0
-    assert HcfPolicy(inst).next(InfoState(1, 0), frozenset({1, 2, 4})) in (1, 2, 4)
+    assert HcfPolicy(inst).next(InfoState(1, 0), 0b10110) in (1, 2, 4)
+
+
+def _random_remaining(rng, n):
+    """A random set of ranks from 1..n, and the same set as a mask."""
+    ranks = {r for r in range(1, n + 1) if rng.random() < 0.5}
+    return ranks, sum(1 << r for r in ranks)
+
+
+def test_hcf_next_matches_the_set_reference(corpus_main):
+    # The largest r in R with r <= c, or PolicyFailed at the same state with
+    # the same reason, for random R at every state of the corpus.
+    rng = random.Random(20261018)
+    for inst in corpus_main:
+        policy = HcfPolicy(inst)
+        for i in range(inst.n):
+            for k in range(i + 1):
+                state = InfoState(i, k)
+                willing = c_of(state, inst) or 0
+                for _ in range(4):
+                    ranks, mask = _random_remaining(rng, inst.n)
+                    expected = max((r for r in ranks if r <= willing), default=None)
+                    if expected is None:
+                        with pytest.raises(PolicyFailed) as excinfo:
+                            policy.next(state, mask)
+                        assert (excinfo.value.state, excinfo.value.reason) == (state, "no_eligible_agent")
+                    else:
+                        assert policy.next(state, mask) == expected
+
+
+def test_fixed_order_next_matches_the_set_reference(corpus_main):
+    # The first rank of the order that is in R, for random nonempty R at every
+    # state of the corpus, under the default order and a shuffled one.
+    rng = random.Random(20261019)
+    for inst in corpus_main:
+        order = list(inst.ranks)
+        rng.shuffle(order)
+        for policy in (FixedOrderPolicy(inst), FixedOrderPolicy(inst, order)):
+            for i in range(inst.n):
+                for k in range(i + 1):
+                    for _ in range(4):
+                        ranks, mask = _random_remaining(rng, inst.n)
+                        if ranks:
+                            expected = next(r for r in policy.order if r in ranks)
+                            assert policy.next(InfoState(i, k), mask) == expected
 
 
 def test_run_consensus_trace():
@@ -262,7 +307,7 @@ def test_fixed_order_policy_validates_order():
     with pytest.raises(ValueError):
         FixedOrderPolicy(inst, order=(1, 2, 3))
     custom = FixedOrderPolicy(inst, order=(4, 3, 2, 1))
-    assert custom.next(InfoState(0, 0), frozenset(inst.ranks)) == 4
+    assert custom.next(InfoState(0, 0), 0b11110) == 4
 
 
 class _RepeatingPolicy:
@@ -279,6 +324,19 @@ class _RepeatingPolicy:
 def test_executors_reject_a_rank_that_is_not_remaining(rank):
     # Rank 1 is approached again one step after the first; 0 and 4 lie
     # outside 1..3. Parity is undetermined until the last reply.
+    inst = make_instance("1/2", ["1/10"] * 3, parity(3).ones_to_one)
+    policy = _RepeatingPolicy(rank)
+    with pytest.raises(ValueError):
+        run(inst, policy, (0, 1, 1))
+    with pytest.raises(ValueError):
+        audit_full_tree(inst, policy)
+    with pytest.raises(ValueError):
+        deviation_profile(inst, policy, 1)
+
+
+@pytest.mark.parametrize("rank", [1.0, "2", None, -1, 2**70])
+def test_executors_reject_a_rank_that_is_not_an_int_in_range(rank):
+    # A mask answers only int ranks 1..n; anything else is not remaining.
     inst = make_instance("1/2", ["1/10"] * 3, parity(3).ones_to_one)
     policy = _RepeatingPolicy(rank)
     with pytest.raises(ValueError):

@@ -198,6 +198,59 @@ def test_sorting_and_original_index():
     assert inst.user_costs() == (Fraction(2, 5), Fraction(0), Fraction(1, 4))
 
 
+@st.composite
+def spelled_costs(draw):
+    """Costs from a few values in [0, 1), so ties are common, each spelled as
+    a reduced or unreduced string, a Fraction, or (for 0) an int."""
+    value = draw(st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(3, 8), Fraction(5, 6))))
+    scale = draw(st.integers(1, 4))
+    spellings = [str(value), f"{value.numerator * scale}/{value.denominator * scale}", value]
+    return draw(st.sampled_from(spellings + [0] * (value == 0)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(spelled_costs(), min_size=1, max_size=30))
+def test_create_sorts_like_a_stable_fraction_sort(costs):
+    order = sorted(range(len(costs)), key=lambda p: Fraction(costs[p]))
+    inst = ProblemInstance.create(Fraction(1, 2), costs, parity(len(costs)))
+    assert inst.costs == tuple(Fraction(costs[p]) for p in order)
+    assert inst.original_index == tuple(p + 1 for p in order)
+
+
+def test_direct_construction_checks_sortedness_exactly():
+    fn = parity(2)
+    equal = ProblemInstance(2, Fraction(1, 2), (Fraction(1, 2), Fraction(2, 4)), (1, 2), fn, ("a", "b"))
+    assert equal.costs == (Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(MalformedDocument, match="costs must be sorted ascending"):
+        ProblemInstance(2, Fraction(1, 2), (Fraction(1, 2), Fraction(1, 3)), (1, 2), fn, ("a", "b"))
+    with pytest.raises(CostOutOfRange, match=r"normalized cost 1 outside \[0, 1\)"):
+        ProblemInstance(2, Fraction(1, 2), (Fraction(0), Fraction(1)), (1, 2), fn, ("a", "b"))
+
+
+def test_ingest_reports_the_first_bad_cost():
+    doc = {"n": 4, "q": "1/2", "costs": ["1/2", "x", "1/2", "x"], "function": "parity"}
+    with pytest.raises(MalformedDocument, match=r"^costs\[1\]: cannot parse rational 'x'$"):
+        ingest(doc)
+    doc["costs"] = ["1/2", "1", "1/2", "3/2"]
+    with pytest.raises(CostOutOfRange, match=r"^normalized cost 1 outside"):
+        ingest(doc)
+    # A boolean is never read from the memo of an equal-looking string or int.
+    doc["costs"] = ["1", 0, True, 0]
+    with pytest.raises(MalformedDocument, match=r"^costs\[2\]: expected a rational, got a boolean$"):
+        ingest(doc)
+
+
+def test_ingest_records_mirroring_outside_equality():
+    doc = {"n": 2, "q": "1/3", "costs": ["0", "1/4"], "function": "consensus"}
+    mirrored = ingest(doc, normalize=True)
+    assert mirrored.mirrored
+    assert mirrored.q == Fraction(2, 3)
+    doc["q"] = "2/3"
+    plain = ingest(doc)
+    assert not plain.mirrored
+    assert plain == mirrored and hash(plain) == hash(mirrored)
+
+
 def test_permutation_of_agents_only_moves_original_index():
     table = [True, False, True, False]
     a = make_instance("3/5", ["1/8", "1/2", "0"], table)

@@ -15,8 +15,8 @@ from conftest import (
     random_instance,
 )
 from seqelicit.errors import StateExhausted
-from seqelicit.model import InfoState, consensus, majority, parity
-from seqelicit.oracle import brute_pivotal
+from seqelicit.model import AnonymousFunctionSpec, InfoState, consensus, majority, parity, unanimity
+from seqelicit.oracle import brute_pivotal, window_determine
 from seqelicit.graph import nodes
 from seqelicit.pivotal import c_of, determine, pivotal_prob, threshold
 
@@ -36,6 +36,34 @@ def test_determine_majority_straddle():
     assert determine(InfoState(10, 5), majority(11)) is None
     assert determine(InfoState(10, 6), majority(11)) == 1
     assert determine(InfoState(10, 4), majority(11)) == 0
+
+
+def _determine_everywhere(fn):
+    states = [InfoState(i, k) for i in range(fn.n + 1) for k in range(i + 1)]
+    return [determine(s, fn) for s in states], [window_determine(s, fn) for s in states]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 40), st.sampled_from((0.03, 0.5, 0.97)), st.randoms(use_true_random=False))
+def test_determine_matches_the_window_scan(n, bias, rng):
+    # The prefix count against the scan of every window, at every state with
+    # i <= n; a biased coin makes long constant windows of either value common.
+    fn = AnonymousFunctionSpec(n, tuple(rng.random() < bias for _ in range(n + 1)))
+    fast, scan = _determine_everywhere(fn)
+    assert fast == scan
+
+
+@pytest.mark.parametrize("shortcut", [majority, consensus, parity, unanimity])
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_determine_matches_the_window_scan_on_shortcuts(shortcut, n):
+    fast, scan = _determine_everywhere(shortcut(n))
+    assert fast == scan
+
+
+def test_determine_rejects_states_past_n():
+    for check in (determine, window_determine):
+        with pytest.raises(ValueError):
+            check(InfoState(5, 0), parity(4))
 
 
 def test_pivotal_majority_root():
