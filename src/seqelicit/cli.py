@@ -1,8 +1,13 @@
 """Command-line interface: verify, hcf, audit, pivotal, graph, deviate, oracle.
 
-All machine output renders rationals as "num/den" strings, never decimals.
-Exit codes: 0 success or positive verdict, 3 negative verdict or oracle
-mismatch, 2 usage or input-format error, 1 internal error.
+Each command is a function `_cmd_*(args, instance) -> (ok, text)`: it
+returns its whole standard output as one string, JSON or text, and writes
+nothing. `main` alone loads the instance, writes the text (to `-o` for
+`graph`, else to stdout) and picks the exit code: 0 when `ok` (success or a
+positive verdict), 3 when not (a negative verdict, a failed audit or an
+oracle mismatch) or when HCF fails, 2 on a usage or input-format error,
+1 on an internal error. All machine output renders rationals as "num/den"
+strings, never decimals.
 """
 
 from __future__ import annotations
@@ -11,28 +16,13 @@ import argparse
 import json
 import sys
 
-from .errors import (
-    BadFunctionTable,
-    CapExceeded,
-    CostOutOfRange,
-    ElicitError,
-    MalformedDocument,
-    PolicyFailed,
-    QOutOfRange,
-)
+from .errors import BadFunctionTable, CapExceeded, CostOutOfRange, MalformedDocument, PolicyFailed, QOutOfRange
 from .graph import edges, export_dot, nodes
-from .mechanism import (
-    FixedOrderPolicy,
-    HcfPolicy,
-    audit_full_tree,
-    deviation_profile,
-    draw_secrets,
-    run,
-)
+from .mechanism import FixedOrderPolicy, HcfPolicy, audit_full_tree, deviation_profile, draw_secrets, run
 from .model import ACTION_NAMES, InfoState, ProblemInstance, ingest
 from .oracle import brute_pivotal, exhaustive_existence, hcf_tree_existence
 from .pivotal import c_of, pivotal_prob, threshold
-from .verify import REASON_C_UNDEFINED, REASON_PIGEONHOLE, REASON_TRIVIAL, exists_appropriate
+from .verify import REASON_C_UNDEFINED, REASON_TRIVIAL, exists_appropriate
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -66,32 +56,27 @@ def _label_json(state: InfoState, instance: ProblemInstance) -> dict:
     }
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def _load_instance(args) -> ProblemInstance:
+def _text(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _load_instance(path: str, normalize: bool) -> ProblemInstance:
     try:
-        with open(args.instance, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise _UsageError(f"cannot read {args.instance}: {exc}") from exc
-    instance = ingest(text, normalize=args.normalize)
-    # With --normalize, ingest mirrors a file whose q is below 1/2 (every bit
-    # flipped). Commands that read or print bits translate them to the file's
-    # terms; states and thresholds stay those of the mirrored game.
-    args.mirrored = instance.mirrored
-    return instance
+        raise _UsageError(f"cannot read {path}: {exc}") from exc
+    return ingest(text, normalize=normalize)
 
 
-def _policy_for(name: str, instance: ProblemInstance):
-    if name == "fixed":
-        return FixedOrderPolicy(instance)
-    return HcfPolicy(instance)
+_POLICIES = {"hcf": HcfPolicy, "fixed": FixedOrderPolicy}
 
 
-def _cmd_verify(args) -> int:
-    instance = _load_instance(args)
+def _cmd_verify(args, instance: ProblemInstance) -> tuple[bool, str]:
     verdict = exists_appropriate(instance)
     if args.json:
         payload: dict = {"exists": verdict.exists}
@@ -105,43 +90,39 @@ def _cmd_verify(args) -> int:
                 "violating_rank": verdict.witness.violating_rank,
                 "count": verdict.witness.count,
             }
-        _print_json(payload)
-        return EXIT_OK if verdict.exists else EXIT_NEGATIVE
+        return verdict.exists, _json(payload)
     if verdict.exists:
-        print("appropriate mechanism EXISTS")
+        lines = ["appropriate mechanism EXISTS"]
         if verdict.reason == REASON_TRIVIAL:
-            print("(constant function: the empty mechanism already outputs the value)")
-        return EXIT_OK
-    print("NO appropriate mechanism exists")
+            lines.append("(constant function: the empty mechanism already outputs the value)")
+        return True, _text(lines)
+    lines = ["NO appropriate mechanism exists"]
     if verdict.reason == REASON_C_UNDEFINED:
-        print(f"reason: no agent is willing to compute at state {verdict.undefined_at}")
+        lines.append(f"reason: no agent is willing to compute at state {verdict.undefined_at}")
     else:
         w = verdict.witness
-        print(
+        lines.append(
             f"reason: a path to end node {w.path[-1]} carries {w.count} states "
             f"with willing rank <= {w.violating_rank}, but only "
             f"{w.violating_rank} such agents exist"
         )
         if args.witness:
-            print(f"witness path (rank bound {w.violating_rank}):")
+            lines.append(f"witness path (rank bound {w.violating_rank}):")
             for state in w.path:
                 c = c_of(state, instance)
                 c_text = "undefined" if c is None else str(c)
                 mark = " *" if c is not None and c <= w.violating_rank else ""
-                print(f"  {state} c={c_text}{mark}")
-    return EXIT_NEGATIVE
+                lines.append(f"  {state} c={c_text}{mark}")
+    return False, _text(lines)
 
 
-def _cmd_pivotal(args) -> int:
-    instance = _load_instance(args)
+def _cmd_pivotal(args, instance: ProblemInstance) -> tuple[bool, str]:
     states = nodes(instance)
     name = instance.fn_spec.name or "anonymous"
     if args.json:
-        _print_json({"instance": name, "nodes": [_label_json(s, instance) for s in states]})
-        return EXIT_OK
+        return True, _json({"instance": name, "nodes": [_label_json(s, instance) for s in states]})
     if not states:
-        print("(empty state graph: the function is constant)")
-        return EXIT_OK
+        return True, _text(["(empty state graph: the function is constant)"])
     rows = [("state", "pivotal", "threshold", "c")]
     for state in states:
         c = c_of(state, instance)
@@ -154,45 +135,30 @@ def _cmd_pivotal(args) -> int:
             )
         )
     widths = [max(len(row[col]) for row in rows) for col in range(4)]
-    for row in rows:
-        print("  ".join(cell.ljust(widths[col]) for col, cell in enumerate(row)).rstrip())
-    return EXIT_OK
+    return True, _text(
+        ["  ".join(cell.ljust(widths[col]) for col, cell in enumerate(row)).rstrip() for row in rows]
+    )
 
 
-def _cmd_graph(args) -> int:
-    instance = _load_instance(args)
-    if args.json:
-        states = nodes(instance)
-        text = (
-            json.dumps(
-                {
-                    "instance": instance.fn_spec.name or "anonymous",
-                    "root": _state_json(states[0]) if states else None,
-                    "nodes": [
-                        {**_label_json(s, instance), "end": s.approached == instance.n - 1} for s in states
-                    ],
-                    "edges": [[_state_json(a), _state_json(b)] for a, b in edges(instance)],
-                },
-                indent=2,
-            )
-            + "\n"
-        )
-    else:
-        text = export_dot(instance)
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise _UsageError(f"cannot write {args.output}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+def _cmd_graph(args, instance: ProblemInstance) -> tuple[bool, str]:
+    if not args.json:
+        return True, export_dot(instance)
+    states = nodes(instance)
+    return True, _json(
+        {
+            "instance": instance.fn_spec.name or "anonymous",
+            "root": _state_json(states[0]) if states else None,
+            "nodes": [{**_label_json(s, instance), "end": s.approached == instance.n - 1} for s in states],
+            "edges": [[_state_json(a), _state_json(b)] for a, b in edges(instance)],
+        }
+    )
 
 
-def _cmd_hcf(args) -> int:
-    instance = _load_instance(args)
-    flip = int(args.mirrored)
+def _cmd_hcf(args, instance: ProblemInstance) -> tuple[bool, str]:
+    # With --normalize, ingest mirrors a file whose q is below 1/2 (every bit
+    # flipped). Bits read and printed here stay in the file's terms; states
+    # and thresholds stay those of the mirrored game.
+    flip = int(instance.mirrored)
     if args.secrets is not None:
         bits = args.secrets
         if len(bits) != instance.n or any(b not in "01" for b in bits):
@@ -213,7 +179,7 @@ def _cmd_hcf(args) -> int:
         state = InfoState(state.approached + 1, state.ones + reply)
 
     if args.json:
-        _print_json(
+        return True, _json(
             {
                 "secrets": "".join(user_bits),
                 "transcript": [
@@ -232,24 +198,23 @@ def _cmd_hcf(args) -> int:
                 "total_cost": str(result.total_cost_incurred),
             }
         )
-        return EXIT_OK
-    for st, rank, tau, reply in steps:
-        agent = instance.agent_id_of_rank(rank)
-        print(f"approach agent {agent} (rank {rank}) at state {st}: threshold {tau}, reply {reply}")
-    print(
+    lines = [
+        f"approach agent {instance.agent_id_of_rank(rank)} (rank {rank}) at state {st}: "
+        f"threshold {tau}, reply {reply}"
+        for st, rank, tau, reply in steps
+    ]
+    lines.append(
         f"output: {result.output} (halted at {result.halted_at}; approached "
         f"{result.approached_count} of {instance.n} agents; total cost "
         f"{result.total_cost_incurred})"
     )
-    return EXIT_OK
+    return True, _text(lines)
 
 
-def _cmd_audit(args) -> int:
-    instance = _load_instance(args)
-    policy = _policy_for(args.policy, instance)
-    report = audit_full_tree(instance, policy)
+def _cmd_audit(args, instance: ProblemInstance) -> tuple[bool, str]:
+    report = audit_full_tree(instance, _POLICIES[args.policy](instance))
     if args.json:
-        _print_json(
+        return report.passed, _json(
             {
                 "policy": args.policy,
                 "passed": report.passed,
@@ -269,33 +234,31 @@ def _cmd_audit(args) -> int:
                 else {"state": _state_json(report.failure[0]), "reason": report.failure[1]},
             }
         )
-        return EXIT_OK if report.passed else EXIT_NEGATIVE
     if report.passed:
-        print(f"audit PASSED: {len(report.records)} decision points, every chosen agent willing")
+        lines = [f"audit PASSED: {len(report.records)} decision points, every chosen agent willing"]
     else:
         state, reason = report.failure
-        print(f"audit FAILED at state {state}: {reason}")
+        lines = [f"audit FAILED at state {state}: {reason}"]
     for rec in report.records:
         verdict = "eligible" if rec.eligible else "INELIGIBLE"
-        print(
+        lines.append(
             f"  state {rec.state}: rank {rec.rank} "
             f"(agent {instance.agent_id_of_rank(rec.rank)}), cost {rec.cost}, "
             f"threshold {rec.threshold}, {verdict}"
         )
-    return EXIT_OK if report.passed else EXIT_NEGATIVE
+    return report.passed, _text(lines)
 
 
-def _cmd_deviate(args) -> int:
-    instance = _load_instance(args)
+def _cmd_deviate(args, instance: ProblemInstance) -> tuple[bool, str]:
     try:
         rank = instance.rank_of_agent_id(args.agent)
     except KeyError:
         raise _UsageError(f"unknown agent id {args.agent!r}") from None
-    name = _MIRRORED_ACTIONS.get(args.action, args.action) if args.mirrored else args.action
-    policy = _policy_for(args.policy, instance)
+    name = _MIRRORED_ACTIONS.get(args.action, args.action) if instance.mirrored else args.action
+    policy = _POLICIES[args.policy](instance)
     utility = deviation_profile(instance, policy, rank)[ACTION_NAMES[name]]
     if args.json:
-        _print_json(
+        return True, _json(
             {
                 "agent": args.agent,
                 "rank": rank,
@@ -304,16 +267,15 @@ def _cmd_deviate(args) -> int:
                 "utility": str(utility),
             }
         )
-        return EXIT_OK
-    print(
-        f"agent {args.agent} (rank {rank}), action {args.action} under {args.policy}: "
-        f"expected utility {utility} (conditional on being approached)"
+    return True, _text(
+        [
+            f"agent {args.agent} (rank {rank}), action {args.action} under {args.policy}: "
+            f"expected utility {utility} (conditional on being approached)"
+        ]
     )
-    return EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
-    instance = _load_instance(args)
+def _cmd_oracle(args, instance: ProblemInstance) -> tuple[bool, str]:
     if args.mode == "pivotal":
         states = nodes(instance)
         mismatches = []
@@ -324,7 +286,7 @@ def _cmd_oracle(args) -> int:
                 mismatches.append((state, analytic, brute))
         agree = not mismatches
         if args.json:
-            _print_json(
+            return agree, _json(
                 {
                     "mode": "pivotal",
                     "checked": len(states),
@@ -335,12 +297,10 @@ def _cmd_oracle(args) -> int:
                     ],
                 }
             )
-        else:
-            status = "OK" if agree else "MISMATCH"
-            print(f"pivotal cross-check: {len(states)} states compared: {status}")
-            for s, a, b in mismatches:
-                print(f"  state {s}: analytic {a} vs brute-force {b}")
-        return EXIT_OK if agree else EXIT_NEGATIVE
+        status = "OK" if agree else "MISMATCH"
+        lines = [f"pivotal cross-check: {len(states)} states compared: {status}"]
+        lines += [f"  state {s}: analytic {a} vs brute-force {b}" for s, a, b in mismatches]
+        return agree, _text(lines)
 
     verdict = exists_appropriate(instance)
     if args.mode == "mechanisms":
@@ -349,7 +309,7 @@ def _cmd_oracle(args) -> int:
         oracle_verdict = hcf_tree_existence(instance)
     agree = verdict.exists == oracle_verdict.exists
     if args.json:
-        _print_json(
+        return agree, _json(
             {
                 "mode": args.mode,
                 "verify_exists": verdict.exists,
@@ -358,17 +318,15 @@ def _cmd_oracle(args) -> int:
                 "agree": agree,
             }
         )
-    else:
-        def word(flag: bool) -> str:
-            return "EXISTS" if flag else "NOT-EXISTS"
-
-        status = "OK" if agree else "MISMATCH"
-        print(
-            f"{args.mode} cross-check: verify={word(verdict.exists)}, "
-            f"oracle={word(oracle_verdict.exists)} "
+    word = {True: "EXISTS", False: "NOT-EXISTS"}
+    status = "OK" if agree else "MISMATCH"
+    return agree, _text(
+        [
+            f"{args.mode} cross-check: verify={word[verdict.exists]}, "
+            f"oracle={word[oracle_verdict.exists]} "
             f"({oracle_verdict.mechanisms_checked} mechanisms checked): {status}"
-        )
-    return EXIT_OK if agree else EXIT_NEGATIVE
+        ]
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -414,14 +372,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="check the computing-equilibrium condition on every reply path")
     common(p)
-    p.add_argument("--policy", choices=("hcf", "fixed"), default="hcf")
+    p.add_argument("--policy", choices=_POLICIES, default="hcf")
     p.set_defaults(handler=_cmd_audit)
 
     p = sub.add_parser("deviate", help="expected utility of a unilateral deviation")
     common(p)
     p.add_argument("--agent", required=True, help="agent id as given in the instance file")
     p.add_argument("--action", required=True, choices=sorted(ACTION_NAMES))
-    p.add_argument("--policy", choices=("hcf", "fixed"), default="hcf")
+    p.add_argument("--policy", choices=_POLICIES, default="hcf")
     p.set_defaults(handler=_cmd_deviate)
 
     p = sub.add_parser("oracle", help="cross-check the analytic engine against brute force")
@@ -439,7 +397,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.handler(args)
+        ok, text = args.handler(args, _load_instance(args.instance, args.normalize))
+        output = getattr(args, "output", None)
+        if output:
+            try:
+                with open(output, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                raise _UsageError(f"cannot write {output}: {exc}") from exc
+        else:
+            sys.stdout.write(text)
     except (
         MalformedDocument,
         QOutOfRange,
@@ -453,12 +420,10 @@ def main(argv=None) -> int:
     except PolicyFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except ElicitError as exc:
-        print(f"error: internal: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:  # noqa: BLE001 - last-resort barrier for exit code 1
         print(f"error: internal: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    return EXIT_OK if ok else EXIT_NEGATIVE
 
 
 if __name__ == "__main__":

@@ -58,23 +58,20 @@ class HcfPolicy:
 
 
 class FixedOrderPolicy:
-    """Approach agents in a fixed order regardless of incentives.
+    """Approach agents in ascending cost rank regardless of incentives.
 
     The baseline that motivates sequencing by willingness: a game under it
     still stops as soon as the output is forced, but it never checks whether
     the approached agent has any reason to compute.
     """
 
-    def __init__(self, instance: ProblemInstance, order=None):
+    def __init__(self, instance: ProblemInstance):
         self.instance = instance
-        self.order = tuple(order) if order is not None else tuple(instance.ranks)
-        if sorted(self.order) != list(instance.ranks):
-            raise ValueError("order must be a permutation of the ranks")
 
     def next(self, state: InfoState, remaining: int) -> int:
-        # An undetermined state always has an agent left: every state after
-        # the last approach is determined.
-        return next(rank for rank in self.order if remaining >> rank & 1)
+        # The lowest remaining rank. An undetermined state always has an agent
+        # left: every state after the last approach is determined.
+        return (remaining & -remaining).bit_length() - 1
 
 
 @dataclass(frozen=True)

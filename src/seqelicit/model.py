@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -139,63 +138,36 @@ def from_ones_counts(n: int, counts: Iterable[int], name: str | None = None) -> 
     return AnonymousFunctionSpec(n, tuple(w in seen for w in range(n + 1)), name)
 
 
-class Report(Enum):
-    """What an agent tells the center when approached."""
-
-    ZERO = "0"
-    ONE = "1"
-    TRUTHFUL = "truthful"
-    NEGATED = "negated"
-
-
 @dataclass(frozen=True)
 class Action:
-    """One of the six legal per-approach choices.
+    """One of the six legal per-approach choices: its name, whether the agent
+    computes, and the reply it gives for secret 0 and for secret 1.
 
-    Reporting the computed value, or its negation, requires having computed.
+    Only computing reveals the secret, so an action that does not compute
+    gives the same reply for both.
     """
 
+    name: str
     compute: bool
-    report: Report
+    replies: tuple[int, int]
 
     def __post_init__(self):
-        if self.report in (Report.TRUTHFUL, Report.NEGATED) and not self.compute:
-            raise ValueError(f"report {self.report.value} requires computing first")
+        if not self.compute and self.replies[0] != self.replies[1]:
+            raise ValueError(f"action {self.name} replies by the secret without computing it")
 
     def reply(self, secret: int) -> int:
-        if self.report is Report.ZERO:
-            return 0
-        if self.report is Report.ONE:
-            return 1
-        if self.report is Report.TRUTHFUL:
-            return secret
-        return 1 - secret
+        return self.replies[secret]
 
 
-GUESS_ZERO = Action(False, Report.ZERO)
-GUESS_ONE = Action(False, Report.ONE)
-COMPUTE_REPORT_ZERO = Action(True, Report.ZERO)
-COMPUTE_REPORT_ONE = Action(True, Report.ONE)
-TRUTHFUL_COMPUTE = Action(True, Report.TRUTHFUL)
-COMPUTE_NEGATED = Action(True, Report.NEGATED)
+GUESS_ZERO = Action("guess-0", False, (0, 0))
+GUESS_ONE = Action("guess-1", False, (1, 1))
+COMPUTE_REPORT_ZERO = Action("compute-0", True, (0, 0))
+COMPUTE_REPORT_ONE = Action("compute-1", True, (1, 1))
+TRUTHFUL_COMPUTE = Action("truthful", True, (0, 1))
+COMPUTE_NEGATED = Action("lie", True, (1, 0))
 
-ALL_ACTIONS = (
-    GUESS_ZERO,
-    GUESS_ONE,
-    COMPUTE_REPORT_ZERO,
-    COMPUTE_REPORT_ONE,
-    TRUTHFUL_COMPUTE,
-    COMPUTE_NEGATED,
-)
-
-ACTION_NAMES = {
-    "guess-0": GUESS_ZERO,
-    "guess-1": GUESS_ONE,
-    "compute-0": COMPUTE_REPORT_ZERO,
-    "compute-1": COMPUTE_REPORT_ONE,
-    "truthful": TRUTHFUL_COMPUTE,
-    "lie": COMPUTE_NEGATED,
-}
+ALL_ACTIONS = (GUESS_ZERO, GUESS_ONE, COMPUTE_REPORT_ZERO, COMPUTE_REPORT_ONE, TRUTHFUL_COMPUTE, COMPUTE_NEGATED)
+ACTION_NAMES = {action.name: action for action in ALL_ACTIONS}
 
 
 @dataclass(frozen=True, order=True)

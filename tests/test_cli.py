@@ -82,14 +82,16 @@ def test_hcf_seed_runs(capsys):
 
 
 def test_hcf_failure_exit_code(capsys):
-    code, _, err = invoke(capsys, "hcf", EX1, "--secrets", "0" * 11)
+    code, out, err = invoke(capsys, "hcf", EX1, "--secrets", "0" * 11)
     assert code == 3
+    assert out == ""
     assert err.startswith("error:")
 
 
 def test_hcf_bad_secrets(capsys):
-    code, _, err = invoke(capsys, "hcf", EX2, "--secrets", "01")
+    code, out, err = invoke(capsys, "hcf", EX2, "--secrets", "01")
     assert code == 2
+    assert out == ""
     assert err.startswith("error:")
 
 
@@ -148,6 +150,13 @@ def test_graph_dot_and_file_output(capsys, tmp_path):
     assert target.read_text() == out
 
 
+def test_graph_output_to_a_missing_directory_is_usage_error(capsys, tmp_path):
+    code, out, err = invoke(capsys, "graph", EX2, "-o", str(tmp_path / "missing" / "g.dot"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write")
+
+
 def test_graph_json(capsys):
     code, out, _ = invoke(capsys, "graph", EX2, "--json")
     assert code == 0
@@ -179,8 +188,9 @@ def test_deviate_text_and_json(capsys):
 
 
 def test_deviate_unknown_agent(capsys):
-    code, _, err = invoke(capsys, "deviate", EX2, "--agent", "nope", "--action", "guess-1")
+    code, out, err = invoke(capsys, "deviate", EX2, "--agent", "nope", "--action", "guess-1")
     assert code == 2
+    assert out == ""
     assert err.startswith("error:")
 
 
@@ -198,8 +208,9 @@ def test_oracle_modes(capsys):
 
 
 def test_oracle_mechanisms_cap_is_usage_error(capsys):
-    code, _, err = invoke(capsys, "oracle", EX1, "--mode", "mechanisms")
+    code, out, err = invoke(capsys, "oracle", EX1, "--mode", "mechanisms")
     assert code == 2
+    assert out == ""
     assert err.startswith("error:")
 
 
@@ -209,10 +220,24 @@ def test_unknown_flag_is_usage_error(capsys):
     assert code == 2
 
 
-def test_missing_file_is_usage_error(capsys):
-    code, _, err = invoke(capsys, "verify", "does-not-exist.json")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify",),
+        ("pivotal",),
+        ("graph",),
+        ("hcf", "--seed", "1"),
+        ("audit",),
+        ("deviate", "--agent", "1", "--action", "truthful"),
+        ("oracle", "--mode", "pivotal"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_missing_file_is_usage_error(capsys, argv):
+    code, out, err = invoke(capsys, argv[0], "does-not-exist.json", *argv[1:])
     assert code == 2
-    assert err.startswith("error:")
+    assert out == ""
+    assert err.startswith("error: cannot read")
 
 
 def test_malformed_instance_is_usage_error(capsys, tmp_path):

@@ -95,20 +95,16 @@ def test_hcf_next_matches_the_set_reference(corpus_main):
 
 
 def test_fixed_order_next_matches_the_set_reference(corpus_main):
-    # The first rank of the order that is in R, for random nonempty R at every
-    # state of the corpus, under the default order and a shuffled one.
+    # The lowest rank in R, for random nonempty R at every state of the corpus.
     rng = random.Random(20261019)
     for inst in corpus_main:
-        order = list(inst.ranks)
-        rng.shuffle(order)
-        for policy in (FixedOrderPolicy(inst), FixedOrderPolicy(inst, order)):
-            for i in range(inst.n):
-                for k in range(i + 1):
-                    for _ in range(4):
-                        ranks, mask = _random_remaining(rng, inst.n)
-                        if ranks:
-                            expected = next(r for r in policy.order if r in ranks)
-                            assert policy.next(InfoState(i, k), mask) == expected
+        policy = FixedOrderPolicy(inst)
+        for i in range(inst.n):
+            for k in range(i + 1):
+                for _ in range(4):
+                    ranks, mask = _random_remaining(rng, inst.n)
+                    if ranks:
+                        assert policy.next(InfoState(i, k), mask) == min(ranks)
 
 
 def test_run_consensus_trace():
@@ -300,14 +296,6 @@ def test_run_stays_on_one_path():
     policy = CountingPolicy(HcfPolicy(inst))
     run(inst, policy, (1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1))
     assert policy.calls <= inst.n
-
-
-def test_fixed_order_policy_validates_order():
-    inst = example2_instance()
-    with pytest.raises(ValueError):
-        FixedOrderPolicy(inst, order=(1, 2, 3))
-    custom = FixedOrderPolicy(inst, order=(4, 3, 2, 1))
-    assert custom.next(InfoState(0, 0), 0b11110) == 4
 
 
 class _RepeatingPolicy:

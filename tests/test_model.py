@@ -21,10 +21,12 @@ from seqelicit.model import (
     ALL_ACTIONS,
     Action,
     AnonymousFunctionSpec,
+    COMPUTE_NEGATED,
+    COMPUTE_REPORT_ZERO,
     GUESS_ONE,
     InfoState,
     ProblemInstance,
-    Report,
+    TRUTHFUL_COMPUTE,
     Transcript,
     consensus,
     emit,
@@ -314,17 +316,21 @@ def test_normalize_low_q_preserves_pivotalness_at_mirrored_states():
 def test_exactly_six_actions():
     assert len(ALL_ACTIONS) == len(set(ALL_ACTIONS)) == 6
     assert len(ACTION_NAMES) == 6
+    assert list(ACTION_NAMES) == ["guess-0", "guess-1", "compute-0", "compute-1", "truthful", "lie"]
+    assert list(ACTION_NAMES.values()) == list(ALL_ACTIONS)
     with pytest.raises(ValueError):
-        Action(False, Report.TRUTHFUL)
+        Action("truthful-guess", False, (0, 1))
     with pytest.raises(ValueError):
-        Action(False, Report.NEGATED)
+        Action("negated-guess", False, (1, 0))
 
 
 def test_action_replies():
     assert GUESS_ONE.reply(0) == 1
-    assert Action(True, Report.TRUTHFUL).reply(0) == 0
-    assert Action(True, Report.NEGATED).reply(0) == 1
-    assert Action(True, Report.ZERO).reply(1) == 0
+    assert TRUTHFUL_COMPUTE.reply(0) == 0
+    assert COMPUTE_NEGATED.reply(0) == 1
+    assert COMPUTE_REPORT_ZERO.reply(1) == 0
+    assert Action("truthful", True, (0, 1)) == TRUTHFUL_COMPUTE
+    assert [a.replies for a in ALL_ACTIONS] == [(0, 0), (1, 1), (0, 0), (1, 1), (0, 1), (1, 0)]
 
 
 def test_transcript_state_and_no_duplicates():
