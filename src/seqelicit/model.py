@@ -10,6 +10,7 @@ ingestion touches floating point on a verdict-relevant path.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -17,8 +18,6 @@ from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BadFunctionTable, CostOutOfRange, MalformedDocument, QOutOfRange
-
-Rational = Fraction
 
 _DOCUMENT_KEYS = {"n", "q", "costs", "values", "agent_ids", "function"}
 
@@ -33,10 +32,25 @@ def _clip(value) -> str:
     return text if len(text) <= 32 else f"{text[:32]}...({len(text)} chars)"
 
 
+# Most digits one integer of a document may have: the default int-string
+# conversion limit of Python 3.11+, applied on every version, since without it
+# a megabyte-long integer parses in quadratic time.
+_MAX_DIGITS = 4300
+
+
+def _parse_int(text: str) -> int:
+    """`json.loads` hook for integer literals, which are -?[0-9]+."""
+    if len(text) - text.startswith("-") > _MAX_DIGITS:
+        raise MalformedDocument(f"integer literal {_clip(text)} has more than {_MAX_DIGITS} digits")
+    return int(text)
+
+
 def _as_rational(value, where: str) -> Fraction:
     # JSON floats are rejected: 0.4 the float is not 2/5. Exponent notation
     # is rejected too: Fraction("1e-1000000") expands into a million-digit
-    # integer, so a few bytes of input could stall ingestion.
+    # integer, so a few bytes of input could stall ingestion. Each run of
+    # digits (numerator, denominator, or either side of a decimal point) is
+    # bounded as 3.11+ bounds the int() call that parses it.
     if isinstance(value, bool):
         raise MalformedDocument(f"{where}: expected a rational, got a boolean")
     if isinstance(value, int):
@@ -44,6 +58,8 @@ def _as_rational(value, where: str) -> Fraction:
     if isinstance(value, str):
         if "e" in value or "E" in value:
             raise MalformedDocument(f"{where}: exponent notation is not accepted in {_clip(repr(value))}")
+        if len(value) > _MAX_DIGITS and max(map(len, re.findall(r"\d+", value)), default=0) > _MAX_DIGITS:
+            raise MalformedDocument(f"{where}: more than {_MAX_DIGITS} digits in {_clip(repr(value))}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -344,10 +360,10 @@ def ingest(document, *, normalize: bool = False) -> ProblemInstance:
     """
     if isinstance(document, (bytes, str)):
         # Besides JSONDecodeError (a ValueError), hostile text can raise
-        # ValueError for an integer literal over the int-string digit limit
-        # and RecursionError for deeply nested arrays.
+        # RecursionError for deeply nested arrays; `_parse_int` rejects an
+        # integer literal with too many digits.
         try:
-            document = json.loads(document)
+            document = json.loads(document, parse_int=_parse_int)
         except (ValueError, RecursionError) as exc:
             raise MalformedDocument(f"not valid JSON: {exc}") from exc
     if not isinstance(document, Mapping):

@@ -202,57 +202,95 @@ def brute_audit(instance: ProblemInstance, policy) -> AuditReport:
     return AuditReport(passed=True, records=tuple(records), failure=None)
 
 
-def brute_deviation_profile(instance: ProblemInstance, policy, rank: int) -> dict[Action, Fraction]:
-    """`mechanism.deviation_profile` by playing all 2^n secret vectors: the
-    prefix up to the approach of `rank`, then both continuations. Each vector
-    weighs a^ones (b-a)^(n-ones), its prior probability scaled by b^n for
-    q = a/b."""
+def _result(instance, policy, state: InfoState, remaining: int, secrets, entries=None):
+    """The output `mechanism._play` determines, or the exception it raises."""
+    try:
+        return _play(instance, policy, state, remaining, secrets, entries)[1]
+    except Exception as exc:  # noqa: BLE001 - stands in for the output
+        return exc
+
+
+def brute_deviation_profiles(instance: ProblemInstance, policy) -> dict[int, dict[Action, Fraction] | Exception]:
+    """`mechanism.deviation_profile` of every rank by playing all 2^n secret
+    vectors. Per vector the truthful game is played once; at each approach on
+    it, only the continuation with the approached agent's reply flipped is
+    replayed, and the ranks never approached are credited from the truthful
+    output. Each vector weighs a^ones (b-a)^(n-ones), its prior probability
+    scaled by b^n for q = a/b.
+
+    A rank whose games raise maps to the first exception that enumerating the
+    vectors for that rank alone would meet, reply 0 before reply 1: a failure
+    on the truthful path reaches every rank, and one in a flipped continuation
+    only that continuation's rank.
+    """
     n = instance.n
     if n > DEVIATION_CAP:
         raise CapExceeded(f"deviation enumeration capped at n={DEVIATION_CAP}, instance has n={n}")
-    if rank not in instance.ranks:
-        raise ValueError(f"rank {rank} outside 1..{n}")
     a, b = instance.q.numerator, instance.q.denominator
     weight_of = [a**ones * (b - a) ** (n - ones) for ones in range(n + 1)]
     fn = instance.fn_spec
-    correct = dict.fromkeys(ALL_ACTIONS, 0)
-    weight_approached = 0
-    correct_unapproached = 0
+    # Per rank, the weight of the vectors where each action, in ALL_ACTIONS
+    # order, gives the true output.
+    correct = {rank: [0] * len(ALL_ACTIONS) for rank in instance.ranks}
+    approached = dict.fromkeys(instance.ranks, 0)
+    unapproached = dict.fromkeys(instance.ranks, 0)
+    failed: dict[int, Exception] = {}
     root, all_ranks = InfoState(0, 0), _all_remaining(instance)
     for secrets in itertools.product((0, 1), repeat=n):
+        if len(failed) == n:
+            break
         weight = weight_of[sum(secrets)]
         true_value = fn.value_at(sum(secrets))
-        # Play up to the approach of `rank`, or to the end if it never comes.
+        entries: list[tuple[int, int]] = []
+        truthful = _result(instance, policy, root, all_ranks, secrets, entries)
+        # Each rank's outputs indexed by its reply where it is approached, and
+        # the truthful output alone where it is not.
+        outputs = {rank: (truthful,) for rank in instance.ranks}
         state, remaining = root, all_ranks
-        prefix_output = determine(state, fn)
-        while prefix_output is None:
-            chosen = _next_rank(policy, state, remaining)
-            if chosen == rank:
-                break
-            state = InfoState(state.approached + 1, state.ones + secrets[chosen - 1])
-            remaining ^= 1 << chosen
-            prefix_output = determine(state, fn)
-        if prefix_output is not None:
-            if prefix_output == true_value:
-                correct_unapproached += weight
-            continue
-        weight_approached += weight
-        rest = remaining ^ (1 << rank)
-        outputs = tuple(
-            _play(instance, policy, InfoState(state.approached + 1, state.ones + bit), rest, secrets)[1]
-            for bit in (0, 1)
-        )
-        own_secret = secrets[rank - 1]
-        for action in ALL_ACTIONS:
-            if outputs[action.reply(own_secret)] == true_value:
-                correct[action] += weight
-    if not weight_approached:
-        return {action: Fraction(correct_unapproached, b**n) for action in ALL_ACTIONS}
-    cost = instance.cost_of_rank(rank)
-    return {
-        action: Fraction(correct[action], weight_approached) - (cost if action.compute else 0)
-        for action in ALL_ACTIONS
-    }
+        for rank, reply in entries:
+            remaining ^= 1 << rank
+            if rank not in failed:
+                flipped = InfoState(state.approached + 1, state.ones + 1 - reply)
+                outputs[rank] = [truthful, truthful]
+                outputs[rank][1 - reply] = _result(instance, policy, flipped, remaining, secrets)
+            state = InfoState(state.approached + 1, state.ones + reply)
+        for rank, results in outputs.items():
+            if rank in failed:
+                continue
+            error = next((r for r in results if isinstance(r, Exception)), None)
+            if error is not None:
+                failed[rank] = error
+            elif len(results) == 1:
+                unapproached[rank] += weight * (truthful == true_value)
+            else:
+                approached[rank] += weight
+                own = secrets[rank - 1]
+                for slot, action in enumerate(ALL_ACTIONS):
+                    correct[rank][slot] += weight * (results[action.reply(own)] == true_value)
+    profiles: dict[int, dict[Action, Fraction] | Exception] = {}
+    for rank in instance.ranks:
+        if rank in failed:
+            profiles[rank] = failed[rank]
+        elif not approached[rank]:
+            profiles[rank] = dict.fromkeys(ALL_ACTIONS, Fraction(unapproached[rank], b**n))
+        else:
+            cost = instance.cost_of_rank(rank)
+            profiles[rank] = {
+                action: Fraction(right, approached[rank]) - (cost if action.compute else 0)
+                for action, right in zip(ALL_ACTIONS, correct[rank])
+            }
+    return profiles
+
+
+def brute_deviation_profile(instance: ProblemInstance, policy, rank: int) -> dict[Action, Fraction]:
+    """The entry of `rank` in `brute_deviation_profiles`, raising its exception."""
+    profiles = brute_deviation_profiles(instance, policy)
+    if rank not in instance.ranks:
+        raise ValueError(f"rank {rank} outside 1..{instance.n}")
+    profile = profiles[rank]
+    if isinstance(profile, Exception):
+        raise profile
+    return profile
 
 
 def _path_counts(lattice: StateLattice, rank_bound: int):

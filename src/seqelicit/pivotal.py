@@ -4,15 +4,18 @@ For an anonymous function, the pair (agents approached, ones reported) is a
 sufficient statistic for everything the remaining agents can infer, so all
 quantities here are functions of that pair. Each instance owns one
 `StateLattice`, built on first use, that holds the pivotality numerator and
-the willing rank of every state; the lookups below read it.
+the willing rank of every state; the lookups below read it. The lattice also
+owns the packed lane format that `verify` runs its path DP on.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 
 from .errors import StateExhausted
 from .model import AnonymousFunctionSpec, InfoState, ProblemInstance
@@ -30,28 +33,40 @@ class StateLattice:
     The threshold is (b-a) num / b^(n-i), so the agent at rank r is willing iff
     num >= ceil(cost_r.num b^(n-i) / (cost_r.den (b-a))); rank[i][k] counts
     those ranks (0 when nobody is willing). Equal costs share one bound.
+
+    Each layer is packed in lanes of `width` bits, lane k for state (i, k):
+    rank[i] is an `array` of the narrowest typecode with n + 2 below its top
+    bit, so no lane value `verify` forms carries into the next lane. live[i]
+    is all ones in the lanes of the undetermined states, which above layer
+    n-1 are the parents of undetermined states by the recurrence; `bounds`
+    holds the willing ranks there.
     """
 
     def __init__(self, instance: ProblemInstance):
         n, a, b = instance.n, instance.q.numerator, instance.q.denominator
+        code = next(code for code in "BHIQ" if n + 2 < 1 << (8 * array(code).itemsize - 1))
+        self.width = width = 8 * array(code).itemsize
         table = instance.fn_spec.ones_to_one
         row = [int(table[k] != table[k + 1]) for k in range(n)]
-        num = [row]
-        for width in range(n - 1, 0, -1):
-            row = [a * row[k + 1] + (b - a) * row[k] for k in range(width)]
+        flags = int.from_bytes(array(code, row), sys.byteorder) * ((1 << width) - 1)
+        num, live = [row], [flags]
+        for size in range(n - 1, 0, -1):
+            row = [a * row[k + 1] + (b - a) * row[k] for k in range(size)]
+            flags = (flags | flags >> width) & ((1 << size * width) - 1)
             num.append(row)
-        num.reverse()
+            live.append(flags)
+        self.num, self.live = num[::-1], live[::-1]
         # Bounds only for the distinct costs, ascending since the costs are
         # sorted; `below[d]` counts the ranks among the d cheapest of them.
         counts = Counter((c.numerator, c.denominator) for c in instance.costs)
         below = [0, *accumulate(counts.values())]
         costs = [(top, den * (b - a)) for top, den in counts]
-        self.rank = []
-        for i, row in enumerate(num):
+        self.rank, self.bounds = [], set()
+        for i, row in enumerate(self.num):
             scale = b ** (n - i)
             bounds = [-(-top * scale // bottom) for top, bottom in costs]
-            self.rank.append([below[bisect_right(bounds, v)] for v in row])
-        self.num = num
+            self.rank.append(array(code, [below[bisect_right(bounds, v)] for v in row]))
+            self.bounds.update(compress(self.rank[-1], row))
         self.n, self.a, self.b = n, a, b
 
 

@@ -1,22 +1,19 @@
 """Polynomial-time existence decision for an appropriate sequential mechanism.
 
-The path criterion runs on packed lanes: each layer of the state lattice is one
-Python int with a W-bit lane per ones-count, so the max over a state's two
-parents, the per-bound indicator and the end-layer test are a few big-int
-operations per layer instead of one Python step per state (the SWAR technique
-of Lamport, "Multiple byte processing with full-word instructions", CACM 1975).
+The path criterion runs on the state lattice's packed lanes: each layer is one
+Python int with a lane per ones-count, so the max over a state's two parents,
+the per-bound indicator and the end-layer test are a few big-int operations
+per layer instead of one Python step per state (the SWAR technique of Lamport,
+"Multiple byte processing with full-word instructions", CACM 1975).
 `oracle.per_bound_verdict` keeps the per-state list DP as the reference.
 """
 
 from __future__ import annotations
 
 import sys
-from array import array
 from dataclasses import dataclass
-from itertools import chain, compress
 
 from .model import InfoState, ProblemInstance
-from .pivotal import StateLattice
 
 REASON_TRIVIAL = "trivial"
 REASON_C_UNDEFINED = "c_undefined_at"
@@ -40,62 +37,6 @@ class Verdict:
     witness: Witness | None = None
 
 
-class _Lanes:
-    """The lattice packed once: per layer, `ranks` holds the willing rank of
-    state (i, k) in lane k and `live` is all ones in the lanes of the
-    undetermined states. Lanes are the narrowest `array` item with n + 2 below
-    its top bit, so no lane value used below ever carries into the next lane.
-    """
-
-    def __init__(self, lattice: StateLattice):
-        n = lattice.n
-        code = next(code for code in "BHIQ" if n + 2 < 1 << (8 * array(code).itemsize - 1))
-        size = array(code).itemsize
-        self.width = width = 8 * size
-        self.mask = (1 << width) - 1
-
-        def layers(values) -> list[int]:
-            # Layer i holds i + 1 states and starts after the i(i+1)/2 before it.
-            data = array(code, values).tobytes()
-            return [
-                int.from_bytes(data[i * (i + 1) // 2 * size : (i + 1) * (i + 2) // 2 * size], sys.byteorder)
-                for i in range(n)
-            ]
-
-        self.ones = int.from_bytes(array(code, [1]).tobytes() * n, sys.byteorder)
-        self.high = self.ones << (width - 1)
-        self.ranks = layers(chain.from_iterable(lattice.rank))
-        self.live = [flags * self.mask for flags in layers(map(bool, chain.from_iterable(lattice.num)))]
-
-    def lane(self, packed: int, k: int) -> int:
-        return (packed >> (k * self.width)) & self.mask
-
-    def lowest(self, packed: int) -> int:
-        """Index of the lowest nonzero lane."""
-        return ((packed & -packed).bit_length() - 1) // self.width
-
-    def rows(self, rank_bound: int) -> list[int]:
-        """The path DP at one rank bound: lane k of layer i is one more than the
-        largest number of states with willing rank at most `rank_bound` on a
-        path from (0, 0) to (i, k), and 0 at a determined state.
-
-        Each layer takes the lane-wise max of its two parents, (i-1, k-1) in
-        the previous row shifted up one lane and (i-1, k) in place: a
-        subtraction with the top bit of every lane set leaves that bit set
-        exactly where the shifted parent is at least the other.
-        """
-        width, high, rows = self.width, self.high, []
-        at_most = (rank_bound * self.ones) | high
-        row = 1  # a virtual parent of count 0 above the root
-        for ranks, live in zip(self.ranks, self.live):
-            shifted = row << width
-            pick = (((shifted | high) - row) & high) >> (width - 1)
-            cheap = ((at_most - ranks) & high) >> (width - 1)
-            row = ((row ^ ((shifted ^ row) & ((pick << width) - pick))) + cheap) & live
-            rows.append(row)
-        return rows
-
-
 def exists_appropriate(instance: ProblemInstance) -> Verdict:
     """Decide whether some sequential mechanism computes the function in equilibrium.
 
@@ -108,42 +49,73 @@ def exists_appropriate(instance: ProblemInstance) -> Verdict:
     node at its smallest j, on the path that breaks ties toward the parent
     (i-1, k-1).
 
-    Each rank bound is one pass of `_Lanes.rows`, O(n) big-int operations on
-    n-lane integers, and the scan stops once the first end node violates.
+    Each rank bound is one pass of `rows`, O(n) big-int operations on n-lane
+    integers, and the scan stops once the first end node violates.
     """
     lattice = instance.lattice
-    if not lattice.num[0][0]:
+    if not lattice.live[0]:
         return Verdict(True, REASON_TRIVIAL)
-    lanes = _Lanes(lattice)
-    high = lanes.high
-    bounds = set(compress(chain.from_iterable(lattice.rank), chain.from_iterable(lattice.num)))
-    if 0 in bounds:
-        for i, (ranks, live) in enumerate(zip(lanes.ranks, lanes.live)):
-            unwilling = (high - ranks) & high & live
+    width, live = lattice.width, lattice.live
+    ranks = [int.from_bytes(row, sys.byteorder) for row in lattice.rank]
+    mask = (1 << width) - 1
+    ones = ((1 << (instance.n * width)) - 1) // mask  # 1 in every lane
+    high = ones << (width - 1)
+
+    def lane(packed: int, k: int) -> int:
+        return (packed >> (k * width)) & mask
+
+    def lowest(packed: int) -> int:
+        """Index of the lowest nonzero lane."""
+        return ((packed & -packed).bit_length() - 1) // width
+
+    def rows(rank_bound: int) -> list[int]:
+        """The path DP at one rank bound: lane k of layer i is one more than
+        the largest number of states with willing rank at most `rank_bound`
+        on a path from (0, 0) to (i, k), and 0 at a determined state.
+
+        Each layer takes the lane-wise max of its two parents, (i-1, k-1) in
+        the previous row shifted up one lane and (i-1, k) in place: a
+        subtraction with the top bit of every lane set leaves that bit set
+        exactly where the shifted parent is at least the other.
+        """
+        out = []
+        at_most = (rank_bound * ones) | high
+        row = 1  # a virtual parent of count 0 above the root
+        for packed, alive in zip(ranks, live):
+            shifted = row << width
+            pick = (((shifted | high) - row) & high) >> (width - 1)
+            cheap = ((at_most - packed) & high) >> (width - 1)
+            row = ((row ^ ((shifted ^ row) & ((pick << width) - pick))) + cheap) & alive
+            out.append(row)
+        return out
+
+    if 0 in lattice.bounds:
+        for i, (packed, alive) in enumerate(zip(ranks, live)):
+            unwilling = (high - packed) & high & alive
             if unwilling:
-                return Verdict(False, REASON_C_UNDEFINED, undefined_at=InfoState(i, lanes.lowest(unwilling)))
+                return Verdict(False, REASON_C_UNDEFINED, undefined_at=InfoState(i, lowest(unwilling)))
     # The counts only change where j crosses a willing rank, so the smallest
     # violating j of any end node is one of those ranks. Per bound, keep the
     # lowest violating end lane below the one found so far.
-    ends = lanes.live[-1]
-    first_end = lanes.lowest(ends)
+    ends = live[-1]
+    first_end = lowest(ends)
     found = None
-    for j in sorted(bounds):
-        over = ((lanes.rows(j)[-1] | high) - (j + 2) * lanes.ones) & high & ends
+    for j in sorted(lattice.bounds):
+        over = ((rows(j)[-1] | high) - (j + 2) * ones) & high & ends
         if found is not None:
-            over &= (1 << (found[0] * lanes.width)) - 1
+            over &= (1 << (found[0] * width)) - 1
         if over:
-            found = lanes.lowest(over), j
+            found = lowest(over), j
             if found[0] == first_end:
                 break
     if found is None:
         return Verdict(True, None)
     k, j = found
-    rows = lanes.rows(j)
-    count = lanes.lane(rows[-1], k) - 1
+    layers = rows(j)
+    count = lane(layers[-1], k) - 1
     path = [InfoState(instance.n - 1, k)]
     for i in range(instance.n - 2, -1, -1):
-        if k and lanes.lane(rows[i], k - 1) >= lanes.lane(rows[i], k):
+        if k and lane(layers[i], k - 1) >= lane(layers[i], k):
             k -= 1
         path.append(InfoState(i, k))
     return Verdict(False, REASON_PIGEONHOLE, witness=Witness(tuple(reversed(path)), j, count))

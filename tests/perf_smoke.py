@@ -1,9 +1,12 @@
-"""Performance smoke check: verify the adversarial majority instance at n = 800.
+"""Performance smoke check: build the state lattice and verify two large instances.
 
-Nearly every willing rank of this instance is distinct, so a decision that
-runs one O(n^2) per-state DP per rank bound needs about a minute here; the
-packed-lane DP needs about a second, lattice included. Run it under a time
-limit, from the repository root, with the package installed or on the path:
+The adversarial majority instance at n = 800 has nearly every willing rank
+distinct, so a decision that runs one O(n^2) per-state DP per rank bound needs
+about a minute there; the packed-lane DP needs about a second, lattice
+included. Parity at q = 3/5 with n = 1000 and every cost 0 has about half a
+million undetermined states, so it times the lattice build itself: about half
+a second for lattice and verify together. Run it under a time limit, from the
+repository root, with the package installed or on the path:
 
     PYTHONPATH=src timeout 60 python tests/perf_smoke.py
 
@@ -13,19 +16,28 @@ It is not named test_*, so pytest does not collect it.
 from __future__ import annotations
 
 import time
+from fractions import Fraction
 
 from conftest import adversarial_majority
+from seqelicit.model import ProblemInstance, parity
 from seqelicit.verify import REASON_PIGEONHOLE, exists_appropriate
 
 N = 800
+PARITY_N = 1000
+
+
+def _timed(label: str, instance: ProblemInstance, reason: str | None) -> None:
+    start = time.perf_counter()
+    verdict = exists_appropriate(instance)
+    elapsed = time.perf_counter() - start
+    assert verdict.reason == reason, verdict.reason
+    print(f"{label}: {verdict.reason} in {elapsed:.2f} s")
 
 
 def main() -> None:
-    start = time.perf_counter()
-    verdict = exists_appropriate(adversarial_majority(N))
-    elapsed = time.perf_counter() - start
-    assert verdict.reason == REASON_PIGEONHOLE, verdict.reason
-    print(f"adversarial majority n={N}: {verdict.reason} in {elapsed:.2f} s")
+    _timed(f"adversarial majority n={N}", adversarial_majority(N), REASON_PIGEONHOLE)
+    zero_costs = ProblemInstance.create(Fraction(3, 5), [Fraction(0)] * PARITY_N, parity(PARITY_N))
+    _timed(f"parity q=3/5 n={PARITY_N}, zero costs", zero_costs, None)
 
 
 if __name__ == "__main__":

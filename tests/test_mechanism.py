@@ -25,7 +25,7 @@ from seqelicit.mechanism import (
     draw_secrets,
     run,
 )
-from seqelicit.oracle import brute_audit, brute_deviation_profile
+from seqelicit.oracle import brute_audit, brute_deviation_profile, brute_deviation_profiles
 from seqelicit.model import (
     ALL_ACTIONS,
     GUESS_ONE,
@@ -348,19 +348,45 @@ def _outcome(check, *args):
 def test_incentive_checks_match_the_oracles(corpus_name, policy_type, request):
     # The memoized audit and the deviation reach against the full reply tree
     # and the 2^n enumeration: equal reports and profiles for every rank, or
-    # the same exception type.
+    # the same exception type. One enumeration serves every rank.
     failures = 0
     for inst in request.getfixturevalue(corpus_name):
         policy = policy_type(inst)
         assert _outcome(audit_full_tree, inst, policy) == _outcome(brute_audit, inst, policy)
+        brute = brute_deviation_profiles(inst, policy)
         for rank in inst.ranks:
             profile = _outcome(deviation_profile, inst, policy, rank)
-            assert profile == _outcome(brute_deviation_profile, inst, policy, rank)
+            expected = brute[rank]
+            assert profile == (type(expected) if isinstance(expected, Exception) else expected)
             failures += isinstance(profile, type)
     if policy_type is FixedOrderPolicy:
         assert failures == 0
     else:
         assert failures > 0
+
+
+class _FailingPolicy:
+    """The lowest remaining rank, but raises KeyError at (1, 1) and IndexError at (2, 1)."""
+
+    def next(self, state, remaining):
+        if state == InfoState(1, 1):
+            raise KeyError(state)
+        if state == InfoState(2, 1):
+            raise IndexError(state)
+        return (remaining & -remaining).bit_length() - 1
+
+
+def test_deviation_enumeration_raises_each_ranks_first_failure():
+    # Parity n = 3 asks ranks 1, 2, 3 at layers 0, 1, 2. On the first vector,
+    # 000, the truthful path meets neither failing state, but flipping rank 1
+    # reaches (1, 1) and flipping rank 2 reaches (2, 1): each fails alone.
+    # Rank 3 first fails on vector 010, whose truthful path passes (2, 1).
+    inst = make_instance("1/2", ["1/10"] * 3, parity(3).ones_to_one)
+    profiles = brute_deviation_profiles(inst, _FailingPolicy())
+    assert {rank: type(profile) for rank, profile in profiles.items()} == {1: KeyError, 2: IndexError, 3: IndexError}
+    for rank, error in ((1, KeyError), (2, IndexError), (3, IndexError)):
+        with pytest.raises(error):
+            brute_deviation_profile(inst, _FailingPolicy(), rank)
 
 
 def test_audit_visits_each_state_once_under_a_fixed_order():
@@ -379,7 +405,8 @@ def test_audit_visits_each_state_once_under_a_fixed_order():
 def test_deviation_profile_at_the_cap_matches_the_enumeration():
     n = DEVIATION_CAP
     inst = make_instance("1/2", ["1/8"] * n, parity(n).ones_to_one)
+    brute = brute_deviation_profiles(inst, HcfPolicy(inst))
     for rank in (1, n):
         profile = deviation_profile(inst, HcfPolicy(inst), rank)
-        assert profile == brute_deviation_profile(inst, HcfPolicy(inst), rank)
+        assert profile == brute[rank]
         assert profile[TRUTHFUL_COMPUTE] == Fraction(7, 8)

@@ -151,6 +151,31 @@ def test_exponent_notation_rejected(text):
         ingest({"n": 1, "q": text, "costs": ["0"], "function": "unanimity"})
 
 
+@pytest.mark.parametrize("digits", [4300, 4301])
+def test_rational_strings_are_bounded_at_4300_digits(digits):
+    # The bound of Python 3.11+'s int(), on every version: numerator and
+    # denominator are each checked.
+    numerator = "0" * (digits - 1) + "1"
+    denominator = "9" * digits
+    for cost, value in ((f"{numerator}/2", Fraction(1, 2)), (f"1/{denominator}", Fraction(1, 10**digits - 1))):
+        doc = {"n": 1, "q": "1/2", "costs": [cost], "function": "unanimity"}
+        if digits > 4300:
+            with pytest.raises(MalformedDocument, match=r"^costs\[0\]: more than 4300 digits in "):
+                ingest(doc)
+        else:
+            assert ingest(doc).costs == (value,)
+
+
+@pytest.mark.parametrize("digits", [4300, 4301])
+def test_json_integer_literals_are_bounded_at_4300_digits(digits):
+    text = '{"n": 1, "q": "1/2", "costs": ["1/2"], "values": [' + "9" * digits + '], "function": "unanimity"}'
+    if digits > 4300:
+        with pytest.raises(MalformedDocument, match=r"^integer literal 9{32}\.\.\.\(4301 chars\) has more than 4300"):
+            ingest(text)
+    else:
+        assert ingest(text).costs == (Fraction(1, 2 * (10**digits - 1)),)
+
+
 def test_bad_function_table():
     with pytest.raises(BadFunctionTable):
         ingest({"n": 2, "q": "1/2", "costs": ["0", "0"], "function": {"ones_counts": [3]}})

@@ -13,12 +13,14 @@ from conftest import (
     example2_instance,
     example3_instance,
     make_instance,
+    random_instance,
     threshold_cost_instance,
 )
 from seqelicit.graph import nodes
-from seqelicit.model import AnonymousFunctionSpec, InfoState, ProblemInstance, consensus
+from seqelicit.mechanism import AUDIT_CAP, HcfPolicy, audit_full_tree
+from seqelicit.model import AnonymousFunctionSpec, InfoState, ProblemInstance, consensus, majority, parity
 from seqelicit.oracle import per_bound_verdict
-from seqelicit.pivotal import c_of
+from seqelicit.pivotal import c_of, determine
 from seqelicit.verify import (
     REASON_C_UNDEFINED,
     REASON_PIGEONHOLE,
@@ -131,7 +133,8 @@ def test_lanes_match_the_per_bound_dp_on_the_corpora(corpus_main, corpus_br):
 def test_lanes_match_the_per_bound_dp_across_lane_widths(n):
     # n = 125 is the largest n with 8-bit lanes and n = 126 the smallest with
     # 16-bit ones; with every cost 0 the end lanes reach n + 1, next to the top
-    # bit.
+    # bit. The lattice's live lanes are the undetermined states, and its
+    # bounds the willing ranks there.
     rng = random.Random(9100 + n)
     kinds = set()
     for zeros in (n, n - 2, 0, rng.randrange(1, n)):
@@ -140,7 +143,22 @@ def test_lanes_match_the_per_bound_dp_across_lane_widths(n):
         verdict = exists_appropriate(inst)
         assert verdict == per_bound_verdict(inst)
         kinds.add(verdict.reason)
+        lattice = inst.lattice
+        assert lattice.width == {125: 8, 126: 16, 200: 16}[n]
+        full = (1 << lattice.width) - 1
+        undetermined = set()
+        for i, live in enumerate(lattice.live):
+            assert live >> ((i + 1) * lattice.width) == 0
+            for k in range(i + 1):
+                open_state = determine(InfoState(i, k), fn) is None
+                assert (live >> (k * lattice.width)) & full == (full if open_state else 0)
+                if open_state:
+                    undetermined.add(InfoState(i, k))
+        assert lattice.bounds == {c_of(state, inst) or 0 for state in undetermined}
     assert {None, REASON_C_UNDEFINED, REASON_PIGEONHOLE} <= kinds
+    # Every cost below every threshold: the determined states' rank 0 is no bound.
+    tiny = ProblemInstance.create(Fraction(1, 2), [Fraction(1, 2 ** (n + 1))] * n, fn)
+    assert tiny.lattice.bounds == {n}
 
 
 def test_lanes_match_the_per_bound_dp_on_adversarial_majority():
@@ -158,3 +176,21 @@ def test_smallest_end_node_wins_over_smallest_rank_bound():
     path = (InfoState(0, 0), InfoState(1, 1), InfoState(2, 1), InfoState(3, 1), InfoState(4, 1))
     expected = Verdict(False, REASON_PIGEONHOLE, witness=Witness(path, 2, 3))
     assert exists_appropriate(inst) == expected == per_bound_verdict(inst)
+
+
+def test_verdict_matches_the_hcf_audit_beyond_n_10():
+    # The paper's constructive theorem: an appropriate mechanism exists iff
+    # the highest-cost-first policy's full-tree audit passes. Random tables
+    # with cheap to dear costs, and threshold-cost majority, parity and
+    # consensus, at every n from 11 up to the audit's cap.
+    rng = random.Random(9300)
+    verdicts = []
+    for n in range(11, AUDIT_CAP + 1):
+        instances = [random_instance(rng, n, max_cost_k=k) for k in (4, 16, 32) for _ in range(2)]
+        for fn in (majority(n), parity(n), consensus(n)):
+            instances += [threshold_cost_instance(fn, zeros, rng) for zeros in (n - 2, n // 2, rng.randrange(n))]
+        for inst in instances:
+            exists = exists_appropriate(inst).exists
+            assert exists == audit_full_tree(inst, HcfPolicy(inst)).passed
+            verdicts.append(exists)
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
