@@ -12,10 +12,12 @@ full-reply-tree audit certifies that everybody computing truthfully is an
 equilibrium.
 
 Since a policy sees only (state, remaining), the incentive checks visit each
-such pair once: the audit skips a pair it has already walked, and the
-deviation profile is a forward reach over the pairs with a closed-form
-utility where the deviating agent is approached. The 2^n tree walk and
-secret-vector enumeration they replace are kept in `oracle`.
+reachable such pair once, in two separate walks: the audit goes depth first
+and skips a pair it has already walked, and the deviation profile is a
+forward reach, layer by layer, that carries path weights through every pair
+and adds a closed-form utility where the deviating agent is approached. The
+2^n tree walk and secret-vector enumeration they replace are kept in
+`oracle`.
 """
 
 from __future__ import annotations
@@ -166,31 +168,6 @@ def draw_secrets(instance: ProblemInstance, seed: int) -> tuple[int, ...]:
     )
 
 
-def _decisions(instance, policy, state: InfoState, remaining: int, walked: set):
-    """Yield (state, rank) at every undetermined (state, remaining) pair
-    reachable from the given one and not yet in `walked`, depth first with
-    reply 0 before reply 1, adding each pair met to `walked`.
-
-    The policy sees only the pair, so everything below a pair met again has
-    been walked already.
-    """
-    fn = instance.fn_spec
-    stack = [(state, remaining)]
-    while stack:
-        key = stack.pop()
-        if key in walked:
-            continue
-        walked.add(key)
-        state, remaining = key
-        if determine(state, fn) is not None:
-            continue
-        rank = _next_rank(policy, state, remaining)
-        yield state, rank
-        rest = remaining ^ (1 << rank)
-        stack.append((InfoState(state.approached + 1, state.ones + 1), rest))
-        stack.append((InfoState(state.approached + 1, state.ones), rest))
-
-
 def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
     """Follow every reply path of the policy and check each decision point.
 
@@ -198,27 +175,40 @@ def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
     the threshold there. A pass certifies that everybody computing truthfully
     is an equilibrium: any unilateral deviation at a reached state reduces to
     the recorded inequality. Stops at the first failure; records are deduped
-    by (state, rank) in first-reached order. Each (state, remaining) pair is
-    walked once, which leaves the records those of the full tree
-    (`oracle.brute_audit`).
+    by (state, rank) in first-reached order. The walk is depth first, reply 0
+    first, and meets each (state, remaining) pair once: the policy sees only
+    the pair, so all below a pair met again has been walked, and the records
+    are those of the full tree (`oracle.brute_audit`).
     """
     if instance.n > AUDIT_CAP:
         raise CapExceeded(f"full tree audit capped at n={AUDIT_CAP}, instance has n={instance.n}")
-    records: list[AuditRecord] = []
-    seen: set[tuple[InfoState, int]] = set()
+    fn = instance.fn_spec
+    records: dict[tuple[InfoState, int], AuditRecord] = {}
+    walked: set[tuple[InfoState, int]] = set()
+    stack = [(InfoState(0, 0), _all_remaining(instance))]
     try:
-        for state, rank in _decisions(instance, policy, InfoState(0, 0), _all_remaining(instance), set()):
+        while stack:
+            key = stack.pop()
+            if key in walked:
+                continue
+            walked.add(key)
+            state, remaining = key
+            if determine(state, fn) is not None:
+                continue
+            rank = _next_rank(policy, state, remaining)
             eligible = rank <= (c_of(state, instance) or 0)
-            if (state, rank) not in seen:
-                seen.add((state, rank))
-                records.append(
-                    AuditRecord(state, rank, instance.cost_of_rank(rank), threshold(state, instance), eligible)
+            if (state, rank) not in records:
+                records[state, rank] = AuditRecord(
+                    state, rank, instance.cost_of_rank(rank), threshold(state, instance), eligible
                 )
             if not eligible:
                 raise PolicyFailed(state, FAIL_CHOSEN_INELIGIBLE)
+            rest = remaining ^ (1 << rank)
+            stack.append((InfoState(state.approached + 1, state.ones + 1), rest))
+            stack.append((InfoState(state.approached + 1, state.ones), rest))
     except PolicyFailed as exc:
-        return AuditReport(passed=False, records=tuple(records), failure=(exc.state, exc.reason))
-    return AuditReport(passed=True, records=tuple(records), failure=None)
+        return AuditReport(passed=False, records=tuple(records.values()), failure=(exc.state, exc.reason))
+    return AuditReport(passed=True, records=tuple(records.values()), failure=None)
 
 
 def deviation_profile(instance: ProblemInstance, policy, rank: int) -> dict[Action, Fraction]:
@@ -235,9 +225,10 @@ def deviation_profile(instance: ProblemInstance, policy, rank: int) -> dict[Acti
     ones-count m of the n-i-1 other unapproached agents are independent of
     the path there, and the game stops only once the output is forced, so
     reply r yields fn(k+r+m) against the true fn(k+s+m) whatever the policy
-    does next. The pairs below are still walked, so a policy failure there
-    raises as it would in play. `oracle.brute_deviation_profile` enumerates
-    all 2^n secret vectors instead.
+    does next. The reach runs on below the picks of `rank`, so it meets
+    every reachable pair once and a policy failure anywhere raises as it
+    would in play. `oracle.brute_deviation_profile` enumerates all 2^n secret
+    vectors instead.
     """
     n = instance.n
     if n > DEVIATION_CAP:
@@ -249,10 +240,10 @@ def deviation_profile(instance: ProblemInstance, policy, rank: int) -> dict[Acti
     a, b = instance.q.numerator, instance.q.denominator
     prior = (b - a, a)  # weight of a 0 and of a 1, scaled by b
     # (ones, remaining) -> weight of the paths reaching it at this depth,
-    # scaled by b^depth; the reach stops where the policy picks `rank`.
+    # scaled by b^depth. Once `rank` is picked it leaves `remaining`, so each
+    # path adds its weight to `approached` at most once.
     layer = {(0, _all_remaining(instance)): 1}
     approached: dict[tuple[int, int], int] = {}
-    walked: set = set()
     for i in range(n):
         reached: dict = {}
         for (k, remaining), weight in layer.items():
@@ -260,13 +251,9 @@ def deviation_profile(instance: ProblemInstance, policy, rank: int) -> dict[Acti
             if determine(state, fn) is not None:
                 continue
             chosen = _next_rank(policy, state, remaining)
-            rest = remaining ^ (1 << chosen)
             if chosen == rank:
                 approached[i, k] = approached.get((i, k), 0) + weight
-                for bit in (0, 1):
-                    for _ in _decisions(instance, policy, InfoState(i + 1, k + bit), rest, walked):
-                        pass
-                continue
+            rest = remaining ^ (1 << chosen)
             for bit in (0, 1):
                 key = (k + bit, rest)
                 reached[key] = reached.get(key, 0) + weight * prior[bit]

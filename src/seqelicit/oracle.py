@@ -42,8 +42,9 @@ from .verify import REASON_C_UNDEFINED, REASON_PIGEONHOLE, REASON_TRIVIAL, Verdi
 
 # Largest number of free agents completion enumeration accepts, and largest n
 # mechanism enumeration accepts (the count of mechanisms grows doubly
-# exponentially in n).
-BRUTE_PIVOTAL_CAP = 24
+# exponentially in n). `oracle --mode pivotal` enumerates at every node, root
+# first, so the cap at the root bounds the whole command to about 4x its work.
+BRUTE_PIVOTAL_CAP = 16
 EXHAUSTIVE_CAP = 4
 
 

@@ -11,6 +11,7 @@ from conftest import INSTANCES_DIR
 from seqelicit.cli import main
 from seqelicit.mechanism import HcfPolicy, deviation_profile
 from seqelicit.model import ACTION_NAMES, ingest, unanimity
+from seqelicit.oracle import BRUTE_PIVOTAL_CAP
 
 EX1 = str(INSTANCES_DIR / "example1.json")
 EX2 = str(INSTANCES_DIR / "example2.json")
@@ -209,6 +210,19 @@ def test_oracle_modes(capsys):
 
 def test_oracle_mechanisms_cap_is_usage_error(capsys):
     code, out, err = invoke(capsys, "oracle", EX1, "--mode", "mechanisms")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_oracle_pivotal_cap_is_usage_error(capsys, tmp_path):
+    # One past the largest accepted file: its root has CAP + 1 free agents,
+    # so the command refuses at once instead of enumerating 2^(CAP + 1)
+    # completions per node.
+    n = BRUTE_PIVOTAL_CAP + 2
+    big = tmp_path / "parity.json"
+    big.write_text(json.dumps({"n": n, "q": "1/2", "costs": ["0"] * n, "function": "parity"}))
+    code, out, err = invoke(capsys, "oracle", str(big), "--mode", "pivotal")
     assert code == 2
     assert out == ""
     assert err.startswith("error:")

@@ -400,6 +400,15 @@ def test_audit_visits_each_state_once_under_a_fixed_order():
     assert report.passed
     assert len(report.records) == n * (n + 1) // 2
     assert policy.calls <= n * (n + 1) // 2
+    # The deviation reach runs on below the deviating agent's approach and
+    # still meets each of those pairs exactly once, under either policy.
+    n = DEVIATION_CAP
+    inst = make_instance("1/2", ["0"] * n, parity(n).ones_to_one)
+    for policy_class in (FixedOrderPolicy, HcfPolicy):
+        for rank in inst.ranks:
+            policy = CountingPolicy(policy_class(inst))
+            deviation_profile(inst, policy, rank)
+            assert policy.calls == n * (n + 1) // 2
 
 
 def test_deviation_profile_at_the_cap_matches_the_enumeration():

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     adversarial_majority,
@@ -194,3 +195,17 @@ def test_verdict_matches_the_hcf_audit_beyond_n_10():
             assert exists == audit_full_tree(inst, HcfPolicy(inst)).passed
             verdicts.append(exists)
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, AUDIT_CAP), st.sampled_from((4, 16, 64, None)), st.randoms(use_true_random=False))
+def test_verdict_matches_the_hcf_audit_at_every_n_up_to_the_cap(n, max_cost_k, rng):
+    # The same theorem as a property over any n the audit accepts: a random
+    # table with costs k/64 below `max_cost_k`, or (None) a threshold-cost
+    # majority, parity or consensus with a random number of zero costs.
+    if max_cost_k is None:
+        fn = rng.choice((majority, parity, consensus))(n)
+        inst = threshold_cost_instance(fn, rng.randrange(n + 1), rng)
+    else:
+        inst = random_instance(rng, n, max_cost_k=max_cost_k)
+    assert exists_appropriate(inst).exists == audit_full_tree(inst, HcfPolicy(inst)).passed
