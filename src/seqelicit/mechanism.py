@@ -15,9 +15,9 @@ Since a policy sees only (state, remaining), the incentive checks visit each
 reachable such pair once, in two separate walks: the audit goes depth first
 and skips a pair it has already walked, and the deviation profile is a
 forward reach, layer by layer, that carries path weights through every pair
-and adds a closed-form utility where the deviating agent is approached. The
-2^n tree walk and secret-vector enumeration they replace are kept in
-`oracle`.
+and averages the lattice's pivotality over the deviating agent's approaches,
+from which every deviation's utility follows. The 2^n tree walk and
+secret-vector enumeration they replace are kept in `oracle`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 
 from .errors import CapExceeded, PolicyFailed
 from .model import ALL_ACTIONS, Action, InfoState, ProblemInstance, Transcript
@@ -220,30 +220,34 @@ def deviation_profile(instance: ProblemInstance, policy, rank: int) -> dict[Acti
     agent pays nothing and all six actions collapse to the unconditional
     probability that the output is correct, which is 1.
 
-    A forward reach over (state, remaining) sums the prior weight of every
-    state (i, k) where the policy picks `rank`. The agent's secret s and the
+    Say the policy approaches the agent at state (i, k). Its secret s and the
     ones-count m of the n-i-1 other unapproached agents are independent of
     the path there, and the game stops only once the output is forced, so
-    reply r yields fn(k+r+m) against the true fn(k+s+m) whatever the policy
-    does next. The reach runs on below the picks of `rank`, so it meets
-    every reachable pair once and a policy failure anywhere raises as it
-    would in play. `oracle.brute_deviation_profile` enumerates all 2^n secret
-    vectors instead.
+    reply r yields fn(k+r+m) against the true fn(k+s+m). These differ exactly
+    when r != s and fn flips between k+m and k+m+1, which has the lattice's
+    probability P(i, k). So with Pbar the mean of P over the agent's approach
+    states, weighted by the chance of reaching each, an action is correct
+    with probability 1 - Pbar Pr[reply(s) != s]: 1 for truthful, 1 - Pbar for
+    lie, 1 - q Pbar for the two replying 0 and 1 - (1-q) Pbar for the two
+    replying 1. A forward reach over (state, remaining) carries the weights;
+    it runs on below the picks of `rank`, so it meets every reachable pair
+    once and a policy failure anywhere raises as it would in play.
+    `oracle.brute_deviation_profile` enumerates all 2^n secret vectors.
     """
     n = instance.n
     if n > DEVIATION_CAP:
         raise CapExceeded(f"deviation profile capped at n={DEVIATION_CAP}, instance has n={n}")
     if rank not in instance.ranks:
         raise ValueError(f"rank {rank} outside 1..{n}")
-    fn = instance.fn_spec
-    table = fn.ones_to_one
+    fn, num = instance.fn_spec, instance.lattice.num
     a, b = instance.q.numerator, instance.q.denominator
     prior = (b - a, a)  # weight of a 0 and of a 1, scaled by b
     # (ones, remaining) -> weight of the paths reaching it at this depth,
     # scaled by b^depth. Once `rank` is picked it leaves `remaining`, so each
-    # path adds its weight to `approached` at most once.
+    # path meets a pick of `rank` at most once. At each pick, `total` adds the
+    # path weight and `pivotal` its weight times P(i, k), both scaled by b^n.
     layer = {(0, _all_remaining(instance)): 1}
-    approached: dict[tuple[int, int], int] = {}
+    total = pivotal = 0
     for i in range(n):
         reached: dict = {}
         for (k, remaining), weight in layer.items():
@@ -252,32 +256,20 @@ def deviation_profile(instance: ProblemInstance, policy, rank: int) -> dict[Acti
                 continue
             chosen = _next_rank(policy, state, remaining)
             if chosen == rank:
-                approached[i, k] = approached.get((i, k), 0) + weight
+                total += weight * b ** (n - i)
+                pivotal += weight * num[i][k] * b
             rest = remaining ^ (1 << chosen)
             for bit in (0, 1):
                 key = (k + bit, rest)
                 reached[key] = reached.get(key, 0) + weight * prior[bit]
         layer = reached
-    if not approached:
+    if not total:
         # Every path ends where the output is forced, which is the true value.
         return {action: Fraction(1) for action in ALL_ACTIONS}
-    # Everything below is scaled by b^n: path weight, own secret, then the
-    # binomial weight of the other unapproached agents' ones-count.
-    total = 0
-    correct = dict.fromkeys(ALL_ACTIONS, 0)
-    for (i, k), weight in approached.items():
-        others = n - i - 1
-        binomial = [comb(others, m) * a**m * (b - a) ** (others - m) for m in range(others + 1)]
-        total += weight * b ** (n - i)
-        agree = {
-            (secret, reply): sum(w for m, w in enumerate(binomial) if table[k + reply + m] == table[k + secret + m])
-            for secret in (0, 1)
-            for reply in (0, 1)
-        }
-        for action in ALL_ACTIONS:
-            correct[action] += weight * sum(prior[s] * agree[s, action.reply(s)] for s in (0, 1))
     cost = instance.cost_of_rank(rank)
-    return {
-        action: Fraction(correct[action], total) - (cost if action.compute else 0)
-        for action in ALL_ACTIONS
-    }
+    profile = {}
+    for action in ALL_ACTIONS:
+        # Prior weight, scaled by b, of the secrets the action misreports.
+        miss = sum(prior[s] for s in (0, 1) if action.reply(s) != s)
+        profile[action] = 1 - Fraction(pivotal * miss, total * b) - (cost if action.compute else 0)
+    return profile

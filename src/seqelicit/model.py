@@ -410,10 +410,6 @@ def ingest(document, *, normalize: bool = False) -> ProblemInstance:
             raise MalformedDocument("values must be positive")
         costs = [c / v for c, v in zip(costs, values)]
 
-    for c in costs:
-        if not 0 <= c.numerator < c.denominator:
-            raise CostOutOfRange(f"normalized cost {_clip(c)} outside [0, 1)")
-
     agent_ids = None
     if "agent_ids" in document:
         raw_ids = document["agent_ids"]

@@ -285,10 +285,9 @@ def brute_deviation_profiles(instance: ProblemInstance, policy) -> dict[int, dic
 
 def brute_deviation_profile(instance: ProblemInstance, policy, rank: int) -> dict[Action, Fraction]:
     """The entry of `rank` in `brute_deviation_profiles`, raising its exception."""
-    profiles = brute_deviation_profiles(instance, policy)
     if rank not in instance.ranks:
         raise ValueError(f"rank {rank} outside 1..{instance.n}")
-    profile = profiles[rank]
+    profile = brute_deviation_profiles(instance, policy)[rank]
     if isinstance(profile, Exception):
         raise profile
     return profile

@@ -7,12 +7,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     example1_instance,
     example2_instance,
     example3_instance,
     make_instance,
+    random_instance,
 )
 from seqelicit.errors import CapExceeded, PolicyFailed
 from seqelicit.mechanism import (
@@ -363,6 +365,43 @@ def test_incentive_checks_match_the_oracles(corpus_name, policy_type, request):
         assert failures == 0
     else:
         assert failures > 0
+
+
+class _HashedPolicy:
+    """An arbitrary function of (state, remaining): the remaining rank that a
+    hash of the pair and a seed picks. Hashes of int tuples do not depend on
+    PYTHONHASHSEED."""
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def next(self, state, remaining):
+        ranks = [r for r in range(1, remaining.bit_length()) if remaining >> r & 1]
+        return ranks[hash((self.seed, state.approached, state.ones, remaining)) % len(ranks)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 8), st.sampled_from((4, 16, 64)), st.integers(0, 2**32), st.randoms(use_true_random=False))
+def test_incentive_checks_match_the_oracles_under_an_arbitrary_policy(n, max_cost_k, seed, rng):
+    # Both built-in policies are structured; the audit's one visit per pair
+    # and the deviation utilities' pivotality identity must hold for any
+    # policy of (state, remaining).
+    inst = random_instance(rng, n, max_cost_k=max_cost_k)
+    policy = _HashedPolicy(seed)
+    assert audit_full_tree(inst, policy) == brute_audit(inst, policy)
+    brute = brute_deviation_profiles(inst, policy)
+    for rank in inst.ranks:
+        assert deviation_profile(inst, policy, rank) == brute[rank]
+
+
+@pytest.mark.parametrize("check", [deviation_profile, brute_deviation_profile])
+def test_deviation_checks_reject_a_rank_outside_1_to_n_before_any_policy_call(check):
+    inst = make_instance("1/2", ["1/10"] * 3, parity(3).ones_to_one)
+    for rank in (0, inst.n + 1):
+        policy = CountingPolicy(HcfPolicy(inst))
+        with pytest.raises(ValueError):
+            check(inst, policy, rank)
+        assert policy.calls == 0
 
 
 class _FailingPolicy:

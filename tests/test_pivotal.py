@@ -133,7 +133,7 @@ def test_node_label_consistency():
     assert c_of(root, inst) == 3
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(2, 7), st.randoms(use_true_random=False))
 def test_pivotal_matches_brute_force(n, rng):
     inst = random_instance(rng, n)
@@ -153,7 +153,7 @@ def test_binomial_weights_sum_to_one(q):
             assert pivotal_prob(InfoState(i, k), inst) == 1
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(1, 7), st.randoms(use_true_random=False))
 def test_determine_monotone_along_edges(n, rng):
     inst = random_instance(rng, n)
@@ -166,7 +166,7 @@ def test_determine_monotone_along_edges(n, rng):
                 assert determine(InfoState(i + 1, k + 1), fn) == forced
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(1, 7), st.randoms(use_true_random=False))
 def test_pivotal_last_layer_is_zero_or_one(n, rng):
     inst = random_instance(rng, n)
@@ -174,7 +174,7 @@ def test_pivotal_last_layer_is_zero_or_one(n, rng):
         assert pivotal_prob(InfoState(n - 1, k), inst) in (Fraction(0), Fraction(1))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(1, 7), st.randoms(use_true_random=False))
 def test_c_of_monotone_in_threshold(n, rng):
     inst = random_instance(rng, n)
