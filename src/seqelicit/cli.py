@@ -5,9 +5,9 @@ returns its whole standard output as one string, JSON or text, and writes
 nothing. `main` alone loads the instance, writes the text (to `-o` for
 `graph`, else to stdout) and picks the exit code: 0 when `ok` (success or a
 positive verdict), 3 when not (a negative verdict, a failed audit or an
-oracle mismatch) or when HCF fails, 2 on a usage or input-format error,
-1 on an internal error. All machine output renders rationals as "num/den"
-strings, never decimals.
+oracle mismatch) or when a policy fails, 2 on a usage error or any other
+`ElicitError` (input format, caps), 1 on an internal error. All machine
+output renders rationals as "num/den" strings, never decimals.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .errors import BadFunctionTable, CapExceeded, CostOutOfRange, MalformedDocument, PolicyFailed, QOutOfRange
+from .errors import ElicitError, PolicyFailed
 from .graph import edges, export_dot, nodes
 from .mechanism import FixedOrderPolicy, HcfPolicy, audit_full_tree, deviation_profile, draw_secrets, run
 from .model import ACTION_NAMES, InfoState, ProblemInstance, ingest
@@ -407,19 +407,12 @@ def main(argv=None) -> int:
                 raise _UsageError(f"cannot write {output}: {exc}") from exc
         else:
             sys.stdout.write(text)
-    except (
-        MalformedDocument,
-        QOutOfRange,
-        CostOutOfRange,
-        BadFunctionTable,
-        CapExceeded,
-        _UsageError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except PolicyFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
+    except (ElicitError, _UsageError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - last-resort barrier for exit code 1
         print(f"error: internal: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

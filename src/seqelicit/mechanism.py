@@ -231,8 +231,9 @@ def deviation_profile(instance: ProblemInstance, policy, rank: int) -> dict[Acti
     lie, 1 - q Pbar for the two replying 0 and 1 - (1-q) Pbar for the two
     replying 1. A forward reach over (state, remaining) carries the weights;
     it runs on below the picks of `rank`, so it meets every reachable pair
-    once and a policy failure anywhere raises as it would in play.
-    `oracle.brute_deviation_profile` enumerates all 2^n secret vectors.
+    once. The reach does not depend on `rank`, so a policy failure at any
+    reachable pair fails every rank, with the first exception met in layer
+    order. `oracle.brute_deviation_profile` enumerates all 2^n secret vectors.
     """
     n = instance.n
     if n > DEVIATION_CAP:

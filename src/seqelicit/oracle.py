@@ -5,7 +5,8 @@ secret completions one vector at a time, and the existence checks either
 enumerate every adaptive mechanism outright or expand the highest-cost-first
 policy's full reply tree; none of them reuses the state lattice's recurrence
 or the path criterion. The incentive checks walk every reply path, and play
-every secret vector, without the (state, remaining) sharing of `mechanism`.
+every secret vector, without the (state, remaining) sharing of `mechanism`;
+as there, a policy failure in the deviation check fails every rank at once.
 
 One reference does run the path criterion on the lattice: `per_bound_verdict`,
 one list DP per rank bound with one Python step per state. It checks only the
@@ -203,26 +204,17 @@ def brute_audit(instance: ProblemInstance, policy) -> AuditReport:
     return AuditReport(passed=True, records=tuple(records), failure=None)
 
 
-def _result(instance, policy, state: InfoState, remaining: int, secrets, entries=None):
-    """The output `mechanism._play` determines, or the exception it raises."""
-    try:
-        return _play(instance, policy, state, remaining, secrets, entries)[1]
-    except Exception as exc:  # noqa: BLE001 - stands in for the output
-        return exc
-
-
 def brute_deviation_profiles(instance: ProblemInstance, policy) -> dict[int, dict[Action, Fraction] | Exception]:
     """`mechanism.deviation_profile` of every rank by playing all 2^n secret
-    vectors. Per vector the truthful game is played once; at each approach on
-    it, only the continuation with the approached agent's reply flipped is
-    replayed, and the ranks never approached are credited from the truthful
-    output. Each vector weighs a^ones (b-a)^(n-ones), its prior probability
-    scaled by b^n for q = a/b.
+    vectors: per vector, the truthful game once and, at each approach on it,
+    the continuation with the approached agent's reply flipped. A rank never
+    approached is credited from the truthful outputs. Each vector weighs
+    a^ones (b-a)^(n-ones), its prior probability scaled by b^n for q = a/b.
 
-    A rank whose games raise maps to the first exception that enumerating the
-    vectors for that rank alone would meet, reply 0 before reply 1: a failure
-    on the truthful path reaches every rank, and one in a flipped continuation
-    only that continuation's rank.
+    As in `deviation_profile`, a policy failure fails every rank, here with
+    the first exception met, each truthful game before its flips: the replies
+    are the secrets, so the truthful games follow every reply path of the
+    policy, and every rank's own enumeration would meet a failure.
     """
     n = instance.n
     if n > DEVIATION_CAP:
@@ -234,46 +226,31 @@ def brute_deviation_profiles(instance: ProblemInstance, policy) -> dict[int, dic
     # order, gives the true output.
     correct = {rank: [0] * len(ALL_ACTIONS) for rank in instance.ranks}
     approached = dict.fromkeys(instance.ranks, 0)
-    unapproached = dict.fromkeys(instance.ranks, 0)
-    failed: dict[int, Exception] = {}
+    truthful_right = 0
     root, all_ranks = InfoState(0, 0), _all_remaining(instance)
-    for secrets in itertools.product((0, 1), repeat=n):
-        if len(failed) == n:
-            break
-        weight = weight_of[sum(secrets)]
-        true_value = fn.value_at(sum(secrets))
-        entries: list[tuple[int, int]] = []
-        truthful = _result(instance, policy, root, all_ranks, secrets, entries)
-        # Each rank's outputs indexed by its reply where it is approached, and
-        # the truthful output alone where it is not.
-        outputs = {rank: (truthful,) for rank in instance.ranks}
-        state, remaining = root, all_ranks
-        for rank, reply in entries:
-            remaining ^= 1 << rank
-            if rank not in failed:
+    try:
+        for secrets in itertools.product((0, 1), repeat=n):
+            weight = weight_of[sum(secrets)]
+            true_value = fn.value_at(sum(secrets))
+            entries: list[tuple[int, int]] = []
+            truthful = _play(instance, policy, root, all_ranks, secrets, entries)[1]
+            truthful_right += weight * (truthful == true_value)
+            state, remaining = root, all_ranks
+            for rank, reply in entries:
+                remaining ^= 1 << rank
+                outputs = [truthful, truthful]  # indexed by the agent's reply
                 flipped = InfoState(state.approached + 1, state.ones + 1 - reply)
-                outputs[rank] = [truthful, truthful]
-                outputs[rank][1 - reply] = _result(instance, policy, flipped, remaining, secrets)
-            state = InfoState(state.approached + 1, state.ones + reply)
-        for rank, results in outputs.items():
-            if rank in failed:
-                continue
-            error = next((r for r in results if isinstance(r, Exception)), None)
-            if error is not None:
-                failed[rank] = error
-            elif len(results) == 1:
-                unapproached[rank] += weight * (truthful == true_value)
-            else:
+                outputs[1 - reply] = _play(instance, policy, flipped, remaining, secrets)[1]
                 approached[rank] += weight
-                own = secrets[rank - 1]
                 for slot, action in enumerate(ALL_ACTIONS):
-                    correct[rank][slot] += weight * (results[action.reply(own)] == true_value)
+                    correct[rank][slot] += weight * (outputs[action.reply(secrets[rank - 1])] == true_value)
+                state = InfoState(state.approached + 1, state.ones + reply)
+    except Exception as exc:  # noqa: BLE001 - stands in for every rank's profile
+        return dict.fromkeys(instance.ranks, exc)
     profiles: dict[int, dict[Action, Fraction] | Exception] = {}
     for rank in instance.ranks:
-        if rank in failed:
-            profiles[rank] = failed[rank]
-        elif not approached[rank]:
-            profiles[rank] = dict.fromkeys(ALL_ACTIONS, Fraction(unapproached[rank], b**n))
+        if not approached[rank]:
+            profiles[rank] = dict.fromkeys(ALL_ACTIONS, Fraction(truthful_right, b**n))
         else:
             cost = instance.cost_of_rank(rank)
             profiles[rank] = {

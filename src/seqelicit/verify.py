@@ -96,17 +96,14 @@ def exists_appropriate(instance: ProblemInstance) -> Verdict:
                 return Verdict(False, REASON_C_UNDEFINED, undefined_at=InfoState(i, lowest(unwilling)))
     # The counts only change where j crosses a willing rank, so the smallest
     # violating j of any end node is one of those ranks. Per bound, keep the
-    # lowest violating end lane below the one found so far.
-    ends = live[-1]
-    first_end = lowest(ends)
-    found = None
+    # lowest violating end lane in `below`, the end lanes under the last found.
+    below, found = live[-1], None
     for j in sorted(lattice.bounds):
-        over = ((rows(j)[-1] | high) - (j + 2) * ones) & high & ends
-        if found is not None:
-            over &= (1 << (found[0] * width)) - 1
+        over = ((rows(j)[-1] | high) - (j + 2) * ones) & high & below
         if over:
             found = lowest(over), j
-            if found[0] == first_end:
+            below &= (1 << (found[0] * width)) - 1
+            if not below:
                 break
     if found is None:
         return Verdict(True, None)

@@ -59,11 +59,12 @@ def threshold_cost_instance(fn: AnonymousFunctionSpec, zeros: int, rng: random.R
     all-zero-cost instance, so that willing ranks spread over 0..n.
 
     At q = 1/2 the threshold at (i, k) is num[i][k] / 2^(n-i), so the
-    thresholds sort as the integers num[i][k] * 2^i over 2^n.
+    thresholds sort as the integers num[i][k] * 2^i over 2^n. A constant
+    function has no undetermined state and so no threshold; its costs are 0.
     """
     n = fn.n
     zero = ProblemInstance.create(Fraction(1, 2), (Fraction(0),) * n, fn)
-    scaled = sorted({num << i for i, row in enumerate(zero.lattice.num) for num in row if num})
+    scaled = sorted({num << i for i, row in enumerate(zero.lattice.num) for num in row if num}) or [0]
     costs = [Fraction(0)] * zeros + [Fraction(rng.choice(scaled), 2**n) for _ in range(n - zeros)]
     return ProblemInstance.create(Fraction(1, 2), costs, fn)
 

@@ -132,6 +132,9 @@ def test_run_parity_three():
     result = run(inst, HcfPolicy(inst), (1, 1, 0))
     assert result.approached_count == 3
     assert result.output == 0
+    for secrets in ((1, 1), (1, 1, 0, 0), (1, 2, 0), (1, "1", 0)):
+        with pytest.raises(ValueError, match="secrets must be 3 bits"):
+            run(inst, HcfPolicy(inst), secrets)
 
 
 def test_run_constant_function_no_approaches():
@@ -415,17 +418,19 @@ class _FailingPolicy:
         return (remaining & -remaining).bit_length() - 1
 
 
-def test_deviation_enumeration_raises_each_ranks_first_failure():
-    # Parity n = 3 asks ranks 1, 2, 3 at layers 0, 1, 2. On the first vector,
-    # 000, the truthful path meets neither failing state, but flipping rank 1
-    # reaches (1, 1) and flipping rank 2 reaches (2, 1): each fails alone.
-    # Rank 3 first fails on vector 010, whose truthful path passes (2, 1).
+def test_deviation_checks_fail_every_rank_with_one_exception():
+    # Parity n = 3 asks ranks 1, 2, 3 at layers 0, 1, 2, so the reach meets
+    # (1, 1) before (2, 1), and the enumeration's first vector, 000, meets
+    # (1, 1) first, in the continuation with rank 1's reply flipped. Both
+    # checks fail every rank with that KeyError, though rank 3's own games
+    # would first meet the IndexError.
     inst = make_instance("1/2", ["1/10"] * 3, parity(3).ones_to_one)
     profiles = brute_deviation_profiles(inst, _FailingPolicy())
-    assert {rank: type(profile) for rank, profile in profiles.items()} == {1: KeyError, 2: IndexError, 3: IndexError}
-    for rank, error in ((1, KeyError), (2, IndexError), (3, IndexError)):
-        with pytest.raises(error):
-            brute_deviation_profile(inst, _FailingPolicy(), rank)
+    assert {rank: type(profile) for rank, profile in profiles.items()} == dict.fromkeys(inst.ranks, KeyError)
+    for rank in inst.ranks:
+        for check in (deviation_profile, brute_deviation_profile):
+            with pytest.raises(KeyError):
+                check(inst, _FailingPolicy(), rank)
 
 
 def test_audit_visits_each_state_once_under_a_fixed_order():

@@ -130,6 +130,9 @@ def test_cost_range_rejected(cost):
         {"n": 2, "q": "1/2", "costs": ["0", "0"], "function": {"ones_counts": [1], "x": 2}},
         {"n": 2, "q": "1/2", "costs": ["0", "0"], "function": "parity", "agent_ids": ["a", "a"]},
         {"n": "2", "q": "1/2", "costs": ["0", "0"], "function": "parity"},
+        {"n": 2, "q": "1/2", "costs": ["0", "0"], "values": ["1"], "function": "parity"},
+        # A zero value is rejected before a cost is divided by it.
+        {"n": 2, "q": "1/2", "costs": ["0", "0"], "values": ["1", "0"], "function": "parity"},
     ],
 )
 def test_malformed_documents_rejected(doc):

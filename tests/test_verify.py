@@ -65,6 +65,14 @@ def test_constant_function_trivially_appropriate():
     assert verdict.reason == REASON_TRIVIAL
 
 
+def test_threshold_costs_of_a_constant_function_are_trivially_appropriate():
+    # No state is undetermined, so there is no threshold to draw costs from.
+    rng = random.Random(0)
+    for fn, zeros in ((consensus(1), 0), (AnonymousFunctionSpec(5, (True,) * 6), 2)):
+        inst = threshold_cost_instance(fn, zeros, rng)
+        assert exists_appropriate(inst) == Verdict(True, REASON_TRIVIAL)
+
+
 def test_pigeonhole_witness_well_formed():
     inst = make_instance("1/2", ["0", "3/8", "2/5", "2/5"], consensus(4).ones_to_one)
     verdict = exists_appropriate(inst)
