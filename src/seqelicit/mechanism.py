@@ -5,11 +5,12 @@ approached to the rank to approach next, or raises PolicyFailed. The agents
 not yet approached are an int bitmask, `remaining`: bit r is set while rank r
 has not been approached, and bit 0 is always clear, so a step of a game
 removes a rank with one xor and tests one with one shift. The executors
-(`run`, `deviation_profile` and the audit) stop as soon as the output is
-determined, so no policy decides when to halt. The highest-cost-first
-policy asks the most expensive agent that is still willing to compute; its
-full-reply-tree audit certifies that everybody computing truthfully is an
-equilibrium.
+(`run`, `deviation_profile` and the audit) step on the ints (i, k) of the
+state, read the forced test off the function's prefix count, and build an
+`InfoState` only to hand to the policy. They stop as soon as the output is determined, so no policy decides
+when to halt. The highest-cost-first policy asks the most expensive agent
+that is still willing to compute; its full-reply-tree audit certifies that
+everybody computing truthfully is an equilibrium.
 
 Since a policy sees only (state, remaining), the incentive checks visit each
 reachable such pair once, in two separate walks: the audit goes depth first
@@ -25,11 +26,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import repeat
+from operator import itemgetter
 
 from .errors import CapExceeded, PolicyFailed
 from .model import ALL_ACTIONS, Action, InfoState, ProblemInstance, Transcript
-from .pivotal import c_of, determine, threshold
+from .pivotal import c_of, threshold
 
 FAIL_NO_ELIGIBLE = "no_eligible_agent"
 FAIL_CHOSEN_INELIGIBLE = "chosen_ineligible"
@@ -52,7 +54,10 @@ class HcfPolicy:
         equal costs break toward the higher rank: the top set bit of
         `remaining` at or below bit c. Raises PolicyFailed when nobody
         remaining is willing."""
-        willing = c_of(state, self.instance) or 0
+        try:
+            willing = self.instance.lattice.rank[state.approached][state.ones]
+        except IndexError:  # layer n or beyond, where c_of raises
+            willing = c_of(state, self.instance) or 0
         rank = (remaining & ((2 << willing) - 1)).bit_length() - 1
         if rank <= 0:
             raise PolicyFailed(state, FAIL_NO_ELIGIBLE)
@@ -123,39 +128,46 @@ def _play(instance, policy, state: InfoState, remaining: int, secrets, entries=N
     Returns the state reached and the determined output. Every state after the
     last approach is determined, so the loop always ends.
     """
-    fn = instance.fn_spec
+    n, before = instance.n, instance.fn_spec.ones_before
+    i, k = state.approached, state.ones
     while True:
-        forced = determine(state, fn)
-        if forced is not None:
-            return state, forced
+        # `pivotal.determine`: the ones among the n-i+1 reachable counts.
+        ones = before[k + n - i + 1] - before[k]
+        if not ones or ones == n - i + 1:
+            return state, 1 if ones else 0
         rank = _next_rank(policy, state, remaining)
         reply = secrets[rank - 1]
         if entries is not None:
             entries.append((rank, reply))
-        state = InfoState(state.approached + 1, state.ones + reply)
+        i += 1
+        k += reply
+        state = InfoState(i, k)
         remaining ^= 1 << rank
 
 
 def run(instance: ProblemInstance, policy, secrets) -> RunResult:
-    """Execute one game with truthful replies drawn from `secrets` (rank order).
+    """Execute one game with truthful replies drawn from `secrets` (rank order):
+    n ints, each 0 or 1 (bools included), or ValueError.
 
     The output always equals the function's value on the true secrets, since
     the game stops only once every completion agrees.
     """
     secrets = tuple(secrets)
-    if len(secrets) != instance.n or any(s not in (0, 1) for s in secrets):
+    if (
+        len(secrets) != instance.n
+        or not all(map(isinstance, secrets, repeat(int)))
+        or not {0, 1}.issuperset(secrets)
+    ):
         raise ValueError(f"secrets must be {instance.n} bits")
     entries: list[tuple[int, int]] = []
     halted_at, output = _play(instance, policy, InfoState(0, 0), _all_remaining(instance), secrets, entries)
-    # One Fraction for the sum: integer numerators over the common denominator.
-    costs = [instance.cost_of_rank(r) for r, _ in entries]
-    den = lcm(*(c.denominator for c in costs))
+    den, scaled = instance.scaled_costs
     return RunResult(
         transcript=Transcript(tuple(entries)),
         output=output,
         halted_at=halted_at,
         approached_count=len(entries),
-        total_cost_incurred=Fraction(sum(c.numerator * (den // c.denominator) for c in costs), den),
+        total_cost_incurred=Fraction(sum(map(scaled.__getitem__, map(itemgetter(0), entries))), den),
     )
 
 
@@ -182,30 +194,33 @@ def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
     """
     if instance.n > AUDIT_CAP:
         raise CapExceeded(f"full tree audit capped at n={AUDIT_CAP}, instance has n={instance.n}")
-    fn = instance.fn_spec
-    records: dict[tuple[InfoState, int], AuditRecord] = {}
-    walked: set[tuple[InfoState, int]] = set()
-    stack = [(InfoState(0, 0), _all_remaining(instance))]
+    n, before, willing = instance.n, instance.fn_spec.ones_before, instance.lattice.rank
+    # Keyed by ints: (i, k, rank) for the records, (i, k, remaining) for the walk.
+    records: dict[tuple[int, int, int], AuditRecord] = {}
+    walked: set[tuple[int, int, int]] = set()
+    stack = [(0, 0, _all_remaining(instance))]
     try:
         while stack:
             key = stack.pop()
             if key in walked:
                 continue
             walked.add(key)
-            state, remaining = key
-            if determine(state, fn) is not None:
+            i, k, remaining = key
+            ones = before[k + n - i + 1] - before[k]
+            if not ones or ones == n - i + 1:
                 continue
+            state = InfoState(i, k)
             rank = _next_rank(policy, state, remaining)
-            eligible = rank <= (c_of(state, instance) or 0)
-            if (state, rank) not in records:
-                records[state, rank] = AuditRecord(
+            eligible = rank <= willing[i][k]
+            if (i, k, rank) not in records:
+                records[i, k, rank] = AuditRecord(
                     state, rank, instance.cost_of_rank(rank), threshold(state, instance), eligible
                 )
             if not eligible:
                 raise PolicyFailed(state, FAIL_CHOSEN_INELIGIBLE)
             rest = remaining ^ (1 << rank)
-            stack.append((InfoState(state.approached + 1, state.ones + 1), rest))
-            stack.append((InfoState(state.approached + 1, state.ones), rest))
+            stack.append((i + 1, k + 1, rest))
+            stack.append((i + 1, k, rest))
     except PolicyFailed as exc:
         return AuditReport(passed=False, records=tuple(records.values()), failure=(exc.state, exc.reason))
     return AuditReport(passed=True, records=tuple(records.values()), failure=None)
@@ -238,9 +253,9 @@ def deviation_profile(instance: ProblemInstance, policy, rank: int) -> dict[Acti
     n = instance.n
     if n > DEVIATION_CAP:
         raise CapExceeded(f"deviation profile capped at n={DEVIATION_CAP}, instance has n={n}")
-    if rank not in instance.ranks:
-        raise ValueError(f"rank {rank} outside 1..{n}")
-    fn, num = instance.fn_spec, instance.lattice.num
+    if not isinstance(rank, int) or rank not in instance.ranks:
+        raise ValueError(f"rank {rank!r} is not an int in 1..{n}")
+    before, num = instance.fn_spec.ones_before, instance.lattice.num
     a, b = instance.q.numerator, instance.q.denominator
     prior = (b - a, a)  # weight of a 0 and of a 1, scaled by b
     # (ones, remaining) -> weight of the paths reaching it at this depth,
@@ -252,10 +267,10 @@ def deviation_profile(instance: ProblemInstance, policy, rank: int) -> dict[Acti
     for i in range(n):
         reached: dict = {}
         for (k, remaining), weight in layer.items():
-            state = InfoState(i, k)
-            if determine(state, fn) is not None:
+            ones = before[k + n - i + 1] - before[k]
+            if not ones or ones == n - i + 1:
                 continue
-            chosen = _next_rank(policy, state, remaining)
+            chosen = _next_rank(policy, InfoState(i, k), remaining)
             if chosen == rank:
                 total += weight * b ** (n - i)
                 pivotal += weight * num[i][k] * b
@@ -268,9 +283,13 @@ def deviation_profile(instance: ProblemInstance, policy, rank: int) -> dict[Acti
         # Every path ends where the output is forced, which is the true value.
         return {action: Fraction(1) for action in ALL_ACTIONS}
     cost = instance.cost_of_rank(rank)
+    # 1 - pivotal miss / (total b) - cost, over the denominator total b d for
+    # cost = c/d.
+    c, d = cost.numerator, cost.denominator
     profile = {}
     for action in ALL_ACTIONS:
         # Prior weight, scaled by b, of the secrets the action misreports.
         miss = sum(prior[s] for s in (0, 1) if action.reply(s) != s)
-        profile[action] = 1 - Fraction(pivotal * miss, total * b) - (cost if action.compute else 0)
+        top = (total * b - pivotal * miss) * d - (c * total * b if action.compute else 0)
+        profile[action] = Fraction(top, total * b * d)
     return profile

@@ -14,7 +14,9 @@ import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
+from math import lcm
+from operator import contains, lt
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BadFunctionTable, CostOutOfRange, MalformedDocument, QOutOfRange
@@ -208,10 +210,12 @@ class Transcript:
     entries: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        ranks = [r for r, _ in self.entries]
-        if len(set(ranks)) != len(ranks):
+        # `dict` unpacks every pair and keeps one per distinct rank; the maps
+        # test `rank < 1` and `bit in (0, 1)` entry by entry, in C.
+        replies = dict(self.entries)
+        if len(replies) != len(self.entries):
             raise ValueError("an agent may be approached at most once")
-        if any(r < 1 for r in ranks) or any(b not in (0, 1) for _, b in self.entries):
+        if any(map(lt, replies, repeat(1))) or not all(map(contains, repeat((0, 1)), replies.values())):
             raise ValueError("transcript entries are (positive rank, bit)")
 
     @property
@@ -306,6 +310,15 @@ class ProblemInstance:
         from .pivotal import StateLattice
 
         return StateLattice(self)
+
+    @cached_property
+    def scaled_costs(self) -> tuple[int, tuple[int, ...]]:
+        """The costs' common denominator `den`, and the cost of each rank r
+        times `den` at entry r (entry 0 is 0), so that costs add up as
+        integers into one ``Fraction(total, den)``. Computed once on first
+        use; not a field, so it takes no part in equality or hashing."""
+        den = lcm(*(c.denominator for c in self.costs))
+        return den, (0, *(c.numerator * (den // c.denominator) for c in self.costs))
 
     def cost_of_rank(self, rank: int) -> Fraction:
         return self.costs[rank - 1]

@@ -262,8 +262,8 @@ def brute_deviation_profiles(instance: ProblemInstance, policy) -> dict[int, dic
 
 def brute_deviation_profile(instance: ProblemInstance, policy, rank: int) -> dict[Action, Fraction]:
     """The entry of `rank` in `brute_deviation_profiles`, raising its exception."""
-    if rank not in instance.ranks:
-        raise ValueError(f"rank {rank} outside 1..{instance.n}")
+    if not isinstance(rank, int) or rank not in instance.ranks:
+        raise ValueError(f"rank {rank!r} is not an int in 1..{instance.n}")
     profile = brute_deviation_profiles(instance, policy)[rank]
     if isinstance(profile, Exception):
         raise profile

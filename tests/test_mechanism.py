@@ -15,8 +15,9 @@ from conftest import (
     example3_instance,
     make_instance,
     random_instance,
+    threshold_cost_instance,
 )
-from seqelicit.errors import CapExceeded, PolicyFailed
+from seqelicit.errors import CapExceeded, PolicyFailed, StateExhausted
 from seqelicit.mechanism import (
     AUDIT_CAP,
     DEVIATION_CAP,
@@ -34,6 +35,8 @@ from seqelicit.model import (
     GUESS_ZERO,
     InfoState,
     TRUTHFUL_COMPUTE,
+    consensus,
+    majority,
     parity,
 )
 from seqelicit.pivotal import c_of, determine
@@ -132,9 +135,72 @@ def test_run_parity_three():
     result = run(inst, HcfPolicy(inst), (1, 1, 0))
     assert result.approached_count == 3
     assert result.output == 0
-    for secrets in ((1, 1), (1, 1, 0, 0), (1, 2, 0), (1, "1", 0)):
+    for secrets in ((1, 1), (1, 1, 0, 0), (1, 2, 0), (1, "1", 0), (1.0, 0, 1), (Fraction(1), 0, 0)):
         with pytest.raises(ValueError, match="secrets must be 3 bits"):
             run(inst, HcfPolicy(inst), secrets)
+
+
+def _reference_run(inst, policy_type, secrets):
+    """`run` stepped by the public lookups: `determine` for the stop, and
+    `c_of` (HCF) or the lowest rank (fixed order) over a set of remaining ranks."""
+    state, remaining, entries = InfoState(0, 0), set(inst.ranks), []
+    while (output := determine(state, inst.fn_spec)) is None:
+        if policy_type is HcfPolicy:
+            rank = max((r for r in remaining if r <= (c_of(state, inst) or 0)), default=None)
+            if rank is None:
+                raise PolicyFailed(state, "no_eligible_agent")
+        else:
+            rank = min(remaining)
+        remaining.remove(rank)
+        entries.append((rank, secrets[rank - 1]))
+        state = InfoState(state.approached + 1, state.ones + secrets[rank - 1])
+    return tuple(entries), output, state
+
+
+def _threshold_cost_corpus():
+    rng = random.Random(20261020)
+    return [
+        threshold_cost_instance(family(n), zeros, rng)
+        for family in (parity, majority, consensus)
+        for n, zeros in ((1, 0), (7, 2), (20, 5), (41, 10), (60, 0), (60, 45))
+    ]
+
+
+@pytest.mark.parametrize("policy_type", [HcfPolicy, FixedOrderPolicy])
+def test_run_matches_the_reference_loop(corpus_main, policy_type):
+    # The integer-stepping executor against a loop over the public lookups,
+    # with seeded secrets: the same transcript, output, halting state and
+    # total cost, or PolicyFailed at the same state.
+    rng = random.Random(20261021)
+    ran = failed = 0
+    for inst in (*corpus_main, *_threshold_cost_corpus()):
+        policy = policy_type(inst)
+        for _ in range(3):
+            secrets = tuple(rng.randrange(2) for _ in range(inst.n))
+            try:
+                entries, output, state = _reference_run(inst, policy_type, secrets)
+            except PolicyFailed as exc:
+                with pytest.raises(PolicyFailed) as excinfo:
+                    run(inst, policy, secrets)
+                assert (excinfo.value.state, excinfo.value.reason) == (exc.state, exc.reason)
+                failed += 1
+                continue
+            result = run(inst, policy, secrets)
+            assert (result.transcript.entries, result.output, result.halted_at) == (entries, output, state)
+            assert result.approached_count == len(entries)
+            assert result.total_cost_incurred == sum((inst.cost_of_rank(r) for r, _ in entries), Fraction(0))
+            ran += 1
+    assert ran and (failed > 0) == (policy_type is HcfPolicy)
+
+
+def test_hcf_next_past_the_last_layer_raises_as_c_of_does():
+    # Layers n and beyond are not in the lattice; the policy falls back to
+    # `c_of`, which tells an exhausted state from one out of range.
+    inst = example2_instance()
+    with pytest.raises(StateExhausted):
+        HcfPolicy(inst).next(InfoState(inst.n, 0), 0b10000)
+    with pytest.raises(ValueError):
+        HcfPolicy(inst).next(InfoState(inst.n + 1, 0), 0b10000)
 
 
 def test_run_constant_function_no_approaches():
@@ -400,7 +466,7 @@ def test_incentive_checks_match_the_oracles_under_an_arbitrary_policy(n, max_cos
 @pytest.mark.parametrize("check", [deviation_profile, brute_deviation_profile])
 def test_deviation_checks_reject_a_rank_outside_1_to_n_before_any_policy_call(check):
     inst = make_instance("1/2", ["1/10"] * 3, parity(3).ones_to_one)
-    for rank in (0, inst.n + 1):
+    for rank in (0, inst.n + 1, 1.0, Fraction(2)):
         policy = CountingPolicy(HcfPolicy(inst))
         with pytest.raises(ValueError):
             check(inst, policy, rank)
