@@ -30,15 +30,6 @@ EXIT_USAGE = 2
 EXIT_NEGATIVE = 3
 
 
-# A mirrored instance flips every bit, so the actions that name a bit swap.
-_MIRRORED_ACTIONS = {
-    "guess-0": "guess-1",
-    "guess-1": "guess-0",
-    "compute-0": "compute-1",
-    "compute-1": "compute-0",
-}
-
-
 class _UsageError(Exception):
     pass
 
@@ -64,13 +55,13 @@ def _text(lines: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_instance(path: str, normalize: bool) -> ProblemInstance:
+def _load_instance(path: str) -> ProblemInstance:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
-    return ingest(text, normalize=normalize)
+    return ingest(text)
 
 
 _POLICIES = {"hcf": HcfPolicy, "fixed": FixedOrderPolicy}
@@ -155,27 +146,23 @@ def _cmd_graph(args, instance: ProblemInstance) -> tuple[bool, str]:
 
 
 def _cmd_hcf(args, instance: ProblemInstance) -> tuple[bool, str]:
-    # With --normalize, ingest mirrors a file whose q is below 1/2 (every bit
-    # flipped). Bits read and printed here stay in the file's terms; states
-    # and thresholds stay those of the mirrored game.
-    flip = int(instance.mirrored)
     if args.secrets is not None:
         bits = args.secrets
         if len(bits) != instance.n or any(b not in "01" for b in bits):
             raise _UsageError(f"--secrets must be {instance.n} characters of 0/1")
         # Input bits follow the instance file's agent order.
-        by_rank = tuple(int(bits[instance.original_index[r - 1] - 1]) ^ flip for r in instance.ranks)
+        by_rank = tuple(int(bits[instance.original_index[r - 1] - 1]) for r in instance.ranks)
     else:
         by_rank = draw_secrets(instance, args.seed)
     result = run(instance, HcfPolicy(instance), by_rank)
 
     user_bits = ["?"] * instance.n
     for rank in instance.ranks:
-        user_bits[instance.original_index[rank - 1] - 1] = str(by_rank[rank - 1] ^ flip)
+        user_bits[instance.original_index[rank - 1] - 1] = str(by_rank[rank - 1])
     steps = []
     state = InfoState(0, 0)
     for rank, reply in result.transcript.entries:
-        steps.append((state, rank, threshold(state, instance), reply ^ flip))
+        steps.append((state, rank, threshold(state, instance), reply))
         state = InfoState(state.approached + 1, state.ones + reply)
 
     if args.json:
@@ -254,9 +241,8 @@ def _cmd_deviate(args, instance: ProblemInstance) -> tuple[bool, str]:
         rank = instance.rank_of_agent_id(args.agent)
     except KeyError:
         raise _UsageError(f"unknown agent id {args.agent!r}") from None
-    name = _MIRRORED_ACTIONS.get(args.action, args.action) if instance.mirrored else args.action
     policy = _POLICIES[args.policy](instance)
-    utility = deviation_profile(instance, policy, rank)[ACTION_NAMES[name]]
+    utility = deviation_profile(instance, policy, rank)[ACTION_NAMES[args.action]]
     if args.json:
         return True, _json(
             {
@@ -342,11 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p) -> None:
         p.add_argument("instance", help="path to an instance JSON file")
-        p.add_argument(
-            "--normalize",
-            action="store_true",
-            help="accept q < 1/2 by mirroring the instance onto 1-q",
-        )
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("verify", help="decide whether an appropriate mechanism exists")
@@ -397,7 +378,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        ok, text = args.handler(args, _load_instance(args.instance, args.normalize))
+        ok, text = args.handler(args, _load_instance(args.instance))
         output = getattr(args, "output", None)
         if output:
             try:

@@ -26,7 +26,9 @@ class StateExhausted(ElicitError):
 
 
 class CapExceeded(ElicitError):
-    """Instance too large for a brute-force operation."""
+    """Instance past a documented size limit: a brute-force oracle's n cap,
+    the audit's or the deviation profile's n cap, or the state lattice's
+    budget of numerator bits (`pivotal.LATTICE_BUDGET_BITS`)."""
 
 
 class PolicyFailed(ElicitError):

@@ -248,7 +248,8 @@ def deviation_profile(instance: ProblemInstance, policy, rank: int) -> dict[Acti
     it runs on below the picks of `rank`, so it meets every reachable pair
     once. The reach does not depend on `rank`, so a policy failure at any
     reachable pair fails every rank, with the first exception met in layer
-    order. `oracle.brute_deviation_profile` enumerates all 2^n secret vectors.
+    order. `oracle.brute_deviation_profiles(instance, policy)[rank]` is the
+    same profile from all 2^n secret vectors.
     """
     n = instance.n
     if n > DEVIATION_CAP:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
@@ -229,9 +229,7 @@ class ProblemInstance:
 
     Costs are stored ascending; ``original_index[r-1]`` is the 1-based input
     position of the agent holding sorted rank r. Display names live in
-    ``agent_ids`` (input order). ``mirrored`` records that
-    ``normalize_low_q`` flipped every bit of the input; it takes no part in
-    equality or hashing.
+    ``agent_ids`` (input order). The prior q is any rational in (0, 1).
     """
 
     n: int
@@ -240,7 +238,6 @@ class ProblemInstance:
     original_index: tuple[int, ...]
     fn_spec: AnonymousFunctionSpec
     agent_ids: tuple[str, ...]
-    mirrored: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -356,7 +353,7 @@ def _parse_function(value, n: int) -> AnonymousFunctionSpec:
     raise MalformedDocument("function must be a shortcut name or {'ones_counts': [...]}")
 
 
-def ingest(document, *, normalize: bool = False) -> ProblemInstance:
+def ingest(document) -> ProblemInstance:
     """Parse an instance document (JSON text or a parsed mapping).
 
     Format::
@@ -367,9 +364,8 @@ def ingest(document, *, normalize: bool = False) -> ProblemInstance:
                       | {"ones_counts": [<int>...]} }
 
     Integer strings without "/" are accepted as integers. When ``values`` is
-    present each cost is folded to cost/value. Priors below 1/2 are rejected
-    unless ``normalize`` is set, in which case the instance is mirrored
-    (q -> 1-q, ones-count w -> n-w), which preserves every verdict.
+    present each cost is folded to cost/value. Any q in (0, 1) is accepted
+    as given, below 1/2 too.
     """
     if isinstance(document, (bytes, str)):
         # Besides JSONDecodeError (a ValueError), hostile text can raise
@@ -395,8 +391,6 @@ def ingest(document, *, normalize: bool = False) -> ProblemInstance:
     q = _as_rational(document["q"], "q")
     if not 0 < q < 1:
         raise QOutOfRange(f"q must lie strictly between 0 and 1, got {_clip(q)}")
-    if q < Fraction(1, 2) and not normalize:
-        raise QOutOfRange(f"q = {_clip(q)} is below 1/2; rerun with normalization enabled")
 
     # Each distinct string is parsed once per document. Only strings are
     # memoized, so JSON true never shares an entry with 1.
@@ -435,11 +429,7 @@ def ingest(document, *, normalize: bool = False) -> ProblemInstance:
             raise MalformedDocument("agent_ids must be n distinct nonempty strings")
         agent_ids = raw_ids
 
-    fn_spec = _parse_function(document["function"], n)
-    instance = ProblemInstance.create(q, costs, fn_spec, agent_ids)
-    if instance.q < Fraction(1, 2):
-        instance = normalize_low_q(instance)
-    return instance
+    return ProblemInstance.create(q, costs, _parse_function(document["function"], n), agent_ids)
 
 
 def emit(instance: ProblemInstance) -> dict:
@@ -456,18 +446,3 @@ def emit(instance: ProblemInstance) -> dict:
         "agent_ids": list(instance.agent_ids),
         "function": function,
     }
-
-
-def normalize_low_q(instance: ProblemInstance) -> ProblemInstance:
-    """Mirror an instance with q < 1/2 onto the equivalent one with q > 1/2.
-
-    Relabeling every secret 0 <-> 1 swaps q for 1-q and ones-count w for n-w;
-    verdicts, pivotal probabilities, and willing-rank labels are unchanged.
-    Returns the instance untouched when q >= 1/2 already.
-    """
-    if instance.q >= Fraction(1, 2):
-        return instance
-    mirrored = tuple(reversed(instance.fn_spec.ones_to_one))
-    name = instance.fn_spec.name if mirrored == instance.fn_spec.ones_to_one else None
-    fn = AnonymousFunctionSpec(instance.n, mirrored, name)
-    return replace(instance, q=1 - instance.q, fn_spec=fn, mirrored=True)

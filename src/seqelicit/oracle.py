@@ -14,13 +14,15 @@ packed-lane arithmetic of `verify`, not the lattice's ranks or the criterion
 itself, which the closed-form and enumeration routes cover.
 
 `window_determine` scans the table window that `pivotal.determine` reads off
-a prefix count.
+a prefix count. `mirror` relabels every secret 0 <-> 1, the same game seen
+from q -> 1-q: the lattice answers any q in (0, 1) natively, so the mirror is
+the reference its low-prior answers are checked against.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
@@ -67,6 +69,16 @@ class OracleVerdict:
     exists: bool
     certificate: DecisionTree | None
     mechanisms_checked: int
+
+
+def mirror(instance: ProblemInstance) -> ProblemInstance:
+    """The instance with every secret relabeled 0 <-> 1: q becomes 1-q and
+    ones-count w becomes n-w, so the table reverses. State (i, k) becomes
+    (i, i-k) with the same pivotality, threshold and willing rank, and the
+    actions that name a bit swap. A symmetric table keeps its name."""
+    table = tuple(reversed(instance.fn_spec.ones_to_one))
+    name = instance.fn_spec.name if table == instance.fn_spec.ones_to_one else None
+    return replace(instance, q=1 - instance.q, fn_spec=AnonymousFunctionSpec(instance.n, table, name))
 
 
 def window_determine(state: InfoState, fn: AnonymousFunctionSpec) -> int | None:
@@ -258,16 +270,6 @@ def brute_deviation_profiles(instance: ProblemInstance, policy) -> dict[int, dic
                 for action, right in zip(ALL_ACTIONS, correct[rank])
             }
     return profiles
-
-
-def brute_deviation_profile(instance: ProblemInstance, policy, rank: int) -> dict[Action, Fraction]:
-    """The entry of `rank` in `brute_deviation_profiles`, raising its exception."""
-    if not isinstance(rank, int) or rank not in instance.ranks:
-        raise ValueError(f"rank {rank!r} is not an int in 1..{instance.n}")
-    profile = brute_deviation_profiles(instance, policy)[rank]
-    if isinstance(profile, Exception):
-        raise profile
-    return profile
 
 
 def _path_counts(lattice: StateLattice, rank_bound: int):

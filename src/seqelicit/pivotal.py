@@ -17,8 +17,16 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, compress
 
-from .errors import StateExhausted
+from .errors import CapExceeded, StateExhausted
 from .model import AnonymousFunctionSpec, InfoState, ProblemInstance
+
+# Most bits the lattice's numerators may take, checked from n and q = a/b
+# before any row is built. A numerator at layer i is at most b^(n-1-i), about
+# beta (n-1-i) bits for beta = (b-1).bit_length(), so the n-i states of each
+# layer sum to beta (n-1) n (n+1) / 3 bits in all. 2^34 bits (2 GiB) admits
+# parity at q=1/2 and n=3000 (about 9.0e9 bits) and turns n=20000 (about
+# 2.7e12) away at once.
+LATTICE_BUDGET_BITS = 2**34
 
 
 class StateLattice:
@@ -30,8 +38,10 @@ class StateLattice:
     num[n-1][k] = [t(k) != t(k+1)]. Every binomial weight is positive, so
     num[i][k] is 0 exactly at the determined states.
 
-    The threshold is (b-a) num / b^(n-i), so the agent at rank r is willing iff
-    num >= ceil(cost_r.num b^(n-i) / (cost_r.den (b-a))); rank[i][k] counts
+    An agent who does not compute replies with the likelier bit, wrong with
+    probability min(q, 1-q) = m/b for m = min(a, b-a), so the threshold is
+    m num / b^(n-i), and the agent at rank r is willing iff
+    num >= ceil(cost_r.num b^(n-i) / (cost_r.den m)); rank[i][k] counts
     those ranks (0 when nobody is willing). Equal costs share one bound.
 
     Each layer is packed in lanes of `width` bits, lane k for state (i, k):
@@ -44,6 +54,9 @@ class StateLattice:
 
     def __init__(self, instance: ProblemInstance):
         n, a, b = instance.n, instance.q.numerator, instance.q.denominator
+        bits = (b - 1).bit_length() * (n - 1) * n * (n + 1) // 3
+        if bits > LATTICE_BUDGET_BITS:
+            raise CapExceeded(f"state lattice capped at {LATTICE_BUDGET_BITS} numerator bits, n={n} may need {bits}")
         code = next(code for code in "BHIQ" if n + 2 < 1 << (8 * array(code).itemsize - 1))
         self.width = width = 8 * array(code).itemsize
         table = instance.fn_spec.ones_to_one
@@ -60,7 +73,7 @@ class StateLattice:
         # sorted; `below[d]` counts the ranks among the d cheapest of them.
         counts = Counter((c.numerator, c.denominator) for c in instance.costs)
         below = [0, *accumulate(counts.values())]
-        costs = [(top, den * (b - a)) for top, den in counts]
+        costs = [(top, den * min(a, b - a)) for top, den in counts]
         self.rank, self.bounds = [], set()
         for i, row in enumerate(self.num):
             scale = b ** (n - i)
@@ -116,14 +129,17 @@ def pivotal_prob(state: InfoState, instance: ProblemInstance) -> Fraction:
 
 
 def threshold(state: InfoState, instance: ProblemInstance) -> Fraction:
-    """Largest cost an agent will pay to compute at `state`: (1-q) * P(pivotal).
+    """Largest cost an agent will pay to compute at `state`:
+    min(q, 1-q) * P(pivotal), as not computing means replying with the
+    likelier bit.
 
     An agent is eligible at the state iff its cost is at most this value
     (weak inequality).
     """
     lattice = _lattice(state, instance)
     i, k = state.approached, state.ones
-    return Fraction((lattice.b - lattice.a) * lattice.num[i][k], lattice.b ** (lattice.n - i))
+    a, b = lattice.a, lattice.b
+    return Fraction(min(a, b - a) * lattice.num[i][k], b ** (lattice.n - i))
 
 
 def c_of(state: InfoState, instance: ProblemInstance) -> int | None:

@@ -8,15 +8,17 @@ import json
 import pytest
 
 from conftest import INSTANCES_DIR
+from seqelicit import pivotal
 from seqelicit.cli import main
 from seqelicit.mechanism import HcfPolicy, deviation_profile
 from seqelicit.model import ACTION_NAMES, ingest, unanimity
-from seqelicit.oracle import BRUTE_PIVOTAL_CAP
+from seqelicit.oracle import BRUTE_PIVOTAL_CAP, mirror
 
 EX1 = str(INSTANCES_DIR / "example1.json")
 EX2 = str(INSTANCES_DIR / "example2.json")
 EX3 = str(INSTANCES_DIR / "example3.json")
 OVERPACKED = str(INSTANCES_DIR / "overpacked_path.json")
+LOW_Q = INSTANCES_DIR / "low_q.json"  # unanimity of 3 at q = 1/4
 
 
 def invoke(capsys, *argv):
@@ -318,38 +320,36 @@ def test_deeply_nested_document_is_usage_error(capsys, tmp_path):
 
 
 def test_normalize_flag(capsys, tmp_path):
+    # A prior below 1/2 needs no flag, and the flag that mirrored it is gone.
     low_q = tmp_path / "low.json"
     low_q.write_text('{"n": 2, "q": "1/3", "costs": ["0", "0"], "function": "parity"}')
-    code, _, _ = invoke(capsys, "verify", str(low_q))
-    assert code == 2
-    code, out, _ = invoke(capsys, "verify", str(low_q), "--normalize")
+    code, out, _ = invoke(capsys, "verify", str(low_q))
     assert code == 0
     assert out == "appropriate mechanism EXISTS\n"
+    code, out, _ = invoke(capsys, "verify", str(low_q), "--normalize")
+    assert code == 2
+    assert out == ""
 
 
-# Mirrored by --normalize onto q = 3/4 and "all zeros".
-UNANIMITY_LOW_Q = {"n": 3, "q": "1/4", "costs": ["0", "1/20", "1/10"], "function": "unanimity"}
-
-
-def test_hcf_normalize_speaks_the_files_bits(capsys, tmp_path):
-    path = tmp_path / "low.json"
-    path.write_text(json.dumps(UNANIMITY_LOW_Q))
+def test_hcf_low_q_speaks_the_files_bits(capsys):
     table = unanimity(3).ones_to_one
     for bits in itertools.product("01", repeat=3):
         secrets = "".join(bits)
-        code, out, _ = invoke(capsys, "hcf", str(path), "--normalize", "--secrets", secrets, "--json")
+        code, out, _ = invoke(capsys, "hcf", str(LOW_Q), "--secrets", secrets, "--json")
         assert code == 0
         payload = json.loads(out)
         assert payload["output"] == int(table[secrets.count("1")])
         assert payload["secrets"] == secrets
+        state = [0, 0]
         for step in payload["transcript"]:
+            assert step["state"] == state
             assert step["reply"] == int(secrets[int(step["agent"]) - 1])
+            state = [state[0] + 1, state[1] + step["reply"]]
+        assert payload["halted_at"] == state
 
 
-def test_deviate_normalize_names_the_files_bits(capsys, tmp_path):
-    path = tmp_path / "low.json"
-    path.write_text(json.dumps(UNANIMITY_LOW_Q))
-    mirrored = ingest(UNANIMITY_LOW_Q, normalize=True)
+def test_deviate_low_q_matches_the_mirror_with_the_bits_swapped(capsys):
+    mirrored = mirror(ingest(LOW_Q.read_text()))
     profile = deviation_profile(mirrored, HcfPolicy(mirrored), mirrored.rank_of_agent_id("2"))
     in_mirror_of = {
         "guess-0": "guess-1",
@@ -360,19 +360,21 @@ def test_deviate_normalize_names_the_files_bits(capsys, tmp_path):
         "lie": "lie",
     }
     for action, in_mirror in in_mirror_of.items():
-        code, out, _ = invoke(
-            capsys, "deviate", str(path), "--normalize", "--agent", "2", "--action", action, "--json"
-        )
+        code, out, _ = invoke(capsys, "deviate", str(LOW_Q), "--agent", "2", "--action", action, "--json")
         assert code == 0
         payload = json.loads(out)
         assert payload["action"] == action
         assert payload["utility"] == str(profile[ACTION_NAMES[in_mirror]])
 
 
-def test_normalize_leaves_high_q_output_unchanged(capsys):
-    for argv in (("hcf", EX2, "--secrets", "0001"), ("deviate", EX2, "--agent", "4", "--action", "guess-0")):
-        plain = invoke(capsys, *argv)
-        assert invoke(capsys, *argv, "--normalize") == plain
+def test_verify_past_the_lattice_budget_is_usage_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(pivotal, "LATTICE_BUDGET_BITS", 100)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 12, "q": "1/2", "costs": ["0"] * 12, "function": "parity"}))
+    code, out, err = invoke(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: state lattice capped at 100 numerator bits")
 
 
 def test_hcf_requires_secrets_or_seed(capsys):

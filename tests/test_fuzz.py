@@ -84,7 +84,7 @@ documents = st.one_of(json_values, valid_documents(), mutated_documents(), mutat
 
 def _ingest_or_reject(document):
     try:
-        ingest(document, normalize=True)
+        ingest(document)
     except ElicitError:
         pass
 
@@ -102,10 +102,10 @@ def instance_path(tmp_path_factory):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(documents, st.booleans())
-def test_verify_exits_0_2_or_3(instance_path, document, normalize):
+@given(documents)
+def test_verify_exits_0_2_or_3(instance_path, document):
     instance_path.write_text(json.dumps(document), encoding="utf-8")
-    argv = ["verify", str(instance_path)] + (["--normalize"] if normalize else [])
+    argv = ["verify", str(instance_path)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

@@ -6,13 +6,16 @@ import gc
 import random
 import weakref
 from bisect import bisect_right
+from fractions import Fraction
 
 import pytest
 
 from conftest import Q_CHOICES, corpus, random_instance
+from seqelicit import pivotal
+from seqelicit.errors import CapExceeded
 from seqelicit.graph import export_dot, nodes
 from seqelicit.mechanism import HcfPolicy, audit_full_tree
-from seqelicit.model import InfoState
+from seqelicit.model import InfoState, ProblemInstance, parity
 from seqelicit.oracle import closed_form_pivotal
 from seqelicit.pivotal import c_of, determine, pivotal_prob, threshold
 from seqelicit.verify import REASON_PIGEONHOLE, Verdict, Witness, exists_appropriate
@@ -27,7 +30,7 @@ def reference_labels(instance):
             state = InfoState(i, k)
             if determine(state, instance.fn_spec) is None:
                 prob = closed_form_pivotal(state, instance)
-                tau = (1 - instance.q) * prob
+                tau = min(instance.q, 1 - instance.q) * prob
                 labels[state] = (prob, tau, bisect_right(instance.costs, tau) or None)
     return labels
 
@@ -120,3 +123,23 @@ def test_no_process_wide_state():
         del inst
     gc.collect()
     assert [ref() for ref in refs] == [None] * 50
+
+
+def _zero_cost_parity(n):
+    return ProblemInstance.create(Fraction(1, 2), [Fraction(0)] * n, parity(n))
+
+
+def test_lattice_budget_turns_an_instance_away_before_building(monkeypatch):
+    # At q = 1/2 the numerators of n agents take (n-1) n (n+1) / 3 bits.
+    monkeypatch.setattr(pivotal, "LATTICE_BUDGET_BITS", 10 * 11 * 12 // 3)
+    assert exists_appropriate(_zero_cost_parity(11)).exists
+    big = _zero_cost_parity(12)
+    with pytest.raises(CapExceeded, match="numerator bits"):
+        exists_appropriate(big)
+    assert "lattice" not in vars(big)
+
+
+def test_a_20000_agent_instance_is_turned_away_at_once():
+    # About 2.7e12 bits; the check reads only n and q, so this takes no time.
+    with pytest.raises(CapExceeded):
+        exists_appropriate(_zero_cost_parity(20000))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -28,18 +29,25 @@ from seqelicit.mechanism import (
     draw_secrets,
     run,
 )
-from seqelicit.oracle import brute_audit, brute_deviation_profile, brute_deviation_profiles
+from seqelicit.oracle import brute_audit, brute_deviation_profiles, mirror
 from seqelicit.model import (
     ALL_ACTIONS,
+    COMPUTE_REPORT_ONE,
+    COMPUTE_REPORT_ZERO,
     GUESS_ONE,
     GUESS_ZERO,
+    AnonymousFunctionSpec,
     InfoState,
+    ProblemInstance,
     TRUTHFUL_COMPUTE,
     consensus,
+    emit,
+    ingest,
     majority,
     parity,
 )
-from seqelicit.pivotal import c_of, determine
+from seqelicit.pivotal import c_of, determine, pivotal_prob, threshold
+from seqelicit.verify import REASON_C_UNDEFINED, exists_appropriate
 
 
 def test_hcf_next_prefers_highest_rank_among_ties():
@@ -463,13 +471,12 @@ def test_incentive_checks_match_the_oracles_under_an_arbitrary_policy(n, max_cos
         assert deviation_profile(inst, policy, rank) == brute[rank]
 
 
-@pytest.mark.parametrize("check", [deviation_profile, brute_deviation_profile])
-def test_deviation_checks_reject_a_rank_outside_1_to_n_before_any_policy_call(check):
+def test_deviation_profile_rejects_a_rank_outside_1_to_n_before_any_policy_call():
     inst = make_instance("1/2", ["1/10"] * 3, parity(3).ones_to_one)
     for rank in (0, inst.n + 1, 1.0, Fraction(2)):
         policy = CountingPolicy(HcfPolicy(inst))
         with pytest.raises(ValueError):
-            check(inst, policy, rank)
+            deviation_profile(inst, policy, rank)
         assert policy.calls == 0
 
 
@@ -494,9 +501,8 @@ def test_deviation_checks_fail_every_rank_with_one_exception():
     profiles = brute_deviation_profiles(inst, _FailingPolicy())
     assert {rank: type(profile) for rank, profile in profiles.items()} == dict.fromkeys(inst.ranks, KeyError)
     for rank in inst.ranks:
-        for check in (deviation_profile, brute_deviation_profile):
-            with pytest.raises(KeyError):
-                check(inst, _FailingPolicy(), rank)
+        with pytest.raises(KeyError):
+            deviation_profile(inst, _FailingPolicy(), rank)
 
 
 def test_audit_visits_each_state_once_under_a_fixed_order():
@@ -529,3 +535,104 @@ def test_deviation_profile_at_the_cap_matches_the_enumeration():
         profile = deviation_profile(inst, HcfPolicy(inst), rank)
         assert profile == brute[rank]
         assert profile[TRUTHFUL_COMPUTE] == Fraction(7, 8)
+
+
+def test_a_low_prior_thresholds_the_unlikelier_bit():
+    # At q = 1/3 an agent who does not compute replies 0 and is wrong with
+    # probability 1/3, so no agent pays 1/8 to be pivotal with probability
+    # 1/3 at the root: the threshold there is 1/9. A threshold of (1-q) P
+    # = 2/9 would let HCF approach rank 2, whose guess-0 (8/9) beats
+    # truthful (7/8).
+    x = ProblemInstance.create(Fraction(1, 3), [Fraction(1, 8)] * 2, majority(2))
+    assert threshold(InfoState(0, 0), x) == Fraction(1, 9)
+    verdict = exists_appropriate(x)
+    assert not verdict.exists
+    assert (verdict.reason, verdict.undefined_at) == (REASON_C_UNDEFINED, InfoState(0, 0))
+    report = audit_full_tree(x, HcfPolicy(x))
+    assert not report.passed
+    assert report.failure == (InfoState(0, 0), "no_eligible_agent")
+    assert ingest(emit(x)) == x
+
+
+_BIT_SWAP = {
+    GUESS_ZERO: GUESS_ONE,
+    GUESS_ONE: GUESS_ZERO,
+    COMPUTE_REPORT_ZERO: COMPUTE_REPORT_ONE,
+    COMPUTE_REPORT_ONE: COMPUTE_REPORT_ZERO,
+}
+
+
+def _low_prior_corpus():
+    """Priors on both sides of 1/2, n = 1..8: two random tables plus parity,
+    majority and consensus each, with costs up to min(q, 1-q), the largest
+    threshold, so that audits pass and fail."""
+    rng = random.Random(1600)
+    for q in (Fraction(1, 10), Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(3, 5)):
+        top = min(q, 1 - q)
+        for n in range(1, 9):
+            tables = [AnonymousFunctionSpec(n, tuple(rng.random() < 0.5 for _ in range(n + 1))) for _ in range(2)]
+            for fn in (*tables, parity(n), majority(n), consensus(n)):
+                costs = [top * Fraction(rng.randrange(9), 8) ** 2 for _ in range(n)]
+                yield ProblemInstance.create(q, costs, fn)
+
+
+def _mirrored(state):
+    return InfoState(state.approached, state.approached - state.ones)
+
+
+def test_every_prior_agrees_with_its_mirror():
+    # Relabeling every secret 0 <-> 1 (`oracle.mirror`) is the same game, so
+    # the native answers at q must equal the mirror's at 1-q state by state.
+    passed = set()
+    for x in _low_prior_corpus():
+        m, n = mirror(x), x.n
+        assert exists_appropriate(x).exists == exists_appropriate(m).exists
+        assert exists_appropriate(x).reason == exists_appropriate(m).reason
+        for i in range(n):
+            for k in range(i + 1):
+                here, there = InfoState(i, k), _mirrored(InfoState(i, k))
+                assert pivotal_prob(here, x) == pivotal_prob(there, m)
+                assert threshold(here, x) == threshold(there, m)
+                assert c_of(here, x) == c_of(there, m)
+        for policy_type in (HcfPolicy, FixedOrderPolicy):
+            report, twin = audit_full_tree(x, policy_type(x)), audit_full_tree(m, policy_type(m))
+            assert report.passed == twin.passed
+            if report.passed:
+                passed.add(policy_type)
+                assert {replace(rec, state=_mirrored(rec.state)) for rec in report.records} == set(twin.records)
+        for secrets in itertools.product((0, 1), repeat=n):
+            ran = _outcome(run, x, HcfPolicy(x), secrets)
+            flipped = _outcome(run, m, HcfPolicy(m), [1 - s for s in secrets])
+            if isinstance(ran, type):
+                assert ran is flipped
+                continue
+            assert ran.transcript.entries == tuple((r, 1 - b) for r, b in flipped.transcript.entries)
+            assert flipped.halted_at == _mirrored(ran.halted_at)
+            assert (ran.output, ran.total_cost_incurred) == (flipped.output, flipped.total_cost_incurred)
+        if n <= 7:
+            for rank in x.ranks:
+                profile = _outcome(deviation_profile, x, HcfPolicy(x), rank)
+                twin = _outcome(deviation_profile, m, HcfPolicy(m), rank)
+                if isinstance(profile, type):
+                    assert profile is twin
+                else:
+                    assert profile == {_BIT_SWAP.get(a, a): u for a, u in twin.items()}
+    assert passed == {HcfPolicy, FixedOrderPolicy}
+
+
+def test_truthful_is_a_best_response_wherever_the_hcf_audit_passes():
+    # The enumeration plays every secret vector and never reads a threshold,
+    # so it checks the thresholds independently: every rank a passing HCF
+    # audit approaches must do no better by any other action.
+    checked = 0
+    for x in _low_prior_corpus():
+        policy = HcfPolicy(x)
+        report = audit_full_tree(x, policy)
+        if not report.passed:
+            continue
+        profiles = brute_deviation_profiles(x, policy)
+        for rank in {rec.rank for rec in report.records}:
+            profile = profiles[rank]
+            assert all(profile[action] <= profile[TRUTHFUL_COMPUTE] for action in ALL_ACTIONS)
+            checked += 1
+    assert checked

@@ -1,4 +1,4 @@
-"""Ingestion, validation, normalization, and the domain-type invariants."""
+"""Ingestion, validation, cost normalization, the mirror, and the domain-type invariants."""
 
 from __future__ import annotations
 
@@ -33,11 +33,10 @@ from seqelicit.model import (
     from_ones_counts,
     ingest,
     majority,
-    normalize_low_q,
     parity,
     unanimity,
 )
-from seqelicit.oracle import brute_pivotal
+from seqelicit.oracle import brute_pivotal, mirror
 from seqelicit.pivotal import c_of, pivotal_prob, threshold
 from seqelicit.verify import exists_appropriate
 
@@ -96,7 +95,7 @@ def test_shortcut_expansions():
 
 @pytest.mark.parametrize(
     "q,exc",
-    [("1", QOutOfRange), ("0", QOutOfRange), ("1/3", QOutOfRange), ("5/4", QOutOfRange)],
+    [("1", QOutOfRange), ("0", QOutOfRange), ("5/4", QOutOfRange)],
 )
 def test_q_range_rejected(q, exc):
     doc = {"n": 2, "q": q, "costs": ["0", "0"], "function": "parity"}
@@ -104,10 +103,12 @@ def test_q_range_rejected(q, exc):
         ingest(doc)
 
 
-def test_low_q_accepted_with_normalize():
-    doc = {"n": 2, "q": "1/3", "costs": ["0", "0"], "function": "parity"}
-    inst = ingest(doc, normalize=True)
-    assert inst.q == Fraction(2, 3)
+def test_low_q_accepted_natively():
+    doc = {"n": 3, "q": "1/3", "costs": ["0", "0", "0"], "function": "majority"}
+    inst = ingest(doc)
+    assert inst.q == Fraction(1, 3)
+    assert inst.fn_spec == majority(3)
+    assert ingest(emit(inst)) == inst
 
 
 @pytest.mark.parametrize("cost", ["1", "3/2", "-1/4"])
@@ -270,14 +271,12 @@ def test_ingest_reports_the_first_bad_cost():
         ingest(doc)
 
 
-def test_ingest_records_mirroring_outside_equality():
+def test_mirror_of_a_low_q_document_equals_its_high_q_twin():
     doc = {"n": 2, "q": "1/3", "costs": ["0", "1/4"], "function": "consensus"}
-    mirrored = ingest(doc, normalize=True)
-    assert mirrored.mirrored
+    mirrored = mirror(ingest(doc))
     assert mirrored.q == Fraction(2, 3)
     doc["q"] = "2/3"
     plain = ingest(doc)
-    assert not plain.mirrored
     assert plain == mirrored and hash(plain) == hash(mirrored)
 
 
@@ -306,7 +305,7 @@ def test_equal_cost_agents_are_interchangeable():
 def test_normalize_low_q_consensus_symmetric():
     inst = make_instance("1/3", ["0", "0", "0", "0"], [True, False, False, False, True],
                          name="consensus")
-    mirrored = normalize_low_q(inst)
+    mirrored = mirror(inst)
     assert mirrored.q == Fraction(2, 3)
     assert mirrored.fn_spec.ones_counts == (0, 4)
     assert mirrored.fn_spec.name == "consensus"
@@ -314,14 +313,17 @@ def test_normalize_low_q_consensus_symmetric():
 
 def test_normalize_low_q_complements_indices():
     inst = make_instance("1/4", ["0"] * 5, [False, False, False, True, True, True])
-    mirrored = normalize_low_q(inst)
+    mirrored = mirror(inst)
     assert mirrored.q == Fraction(3, 4)
     assert mirrored.fn_spec.ones_counts == (0, 1, 2)
 
 
-def test_normalize_identity_when_q_high():
-    inst = make_instance("3/5", ["0", "0"], [True, False, True])
-    assert normalize_low_q(inst) is inst
+def test_mirror_is_an_involution_at_any_q():
+    inst = make_instance("3/5", ["0", "1/8"], [True, True, False], name="x")
+    mirrored = mirror(inst)
+    assert mirrored.q == Fraction(2, 5)
+    assert mirrored.fn_spec.ones_counts == (1, 2) and mirrored.fn_spec.name is None
+    assert mirror(mirrored) == inst
 
 
 def test_normalize_low_q_preserves_pivotalness_at_mirrored_states():
@@ -333,7 +335,7 @@ def test_normalize_low_q_preserves_pivotalness_at_mirrored_states():
     for n in range(2, 7):
         table = tuple(rng.random() < 0.5 for _ in range(n + 1))
         low = make_instance(Fraction(1, 5), [Fraction(rng.randrange(64), 64) for _ in range(n)], table)
-        high = normalize_low_q(low)
+        high = mirror(low)
         for i in range(n):
             for k in range(i + 1):
                 assert brute_pivotal(InfoState(i, k), low) == brute_pivotal(
