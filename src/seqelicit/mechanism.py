@@ -24,10 +24,10 @@ secret-vector enumeration they replace are kept in `oracle`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import CapExceeded, PolicyFailed
 from .model import ALL_ACTIONS, Action, InfoState, ProblemInstance, Transcript
@@ -81,8 +81,7 @@ class FixedOrderPolicy:
         return (remaining & -remaining).bit_length() - 1
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     transcript: Transcript
     output: int
     halted_at: InfoState
@@ -90,8 +89,7 @@ class RunResult:
     total_cost_incurred: Fraction
 
 
-@dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(NamedTuple):
     state: InfoState
     rank: int
     cost: Fraction
@@ -99,8 +97,7 @@ class AuditRecord:
     eligible: bool
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     passed: bool
     records: tuple[AuditRecord, ...]
     failure: tuple[InfoState, str] | None

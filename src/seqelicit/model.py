@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
 from math import lcm
 from operator import contains, lt
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BadFunctionTable, CostOutOfRange, MalformedDocument, QOutOfRange
 
@@ -71,33 +70,42 @@ def _as_rational(value, where: str) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class AnonymousFunctionSpec:
+class AnonymousFunctionSpec(
+    NamedTuple("AnonymousFunctionSpec", [("n", int), ("ones_to_one", "tuple[bool, ...]"), ("name", "str | None")])
+):
     """Boolean function of n bits that depends only on the count of ones.
 
     Entry w of ``ones_to_one`` is True iff a total of w ones yields output 1.
+    ``name`` is a label only: equality and hashing ignore it.
     """
 
-    n: int
-    ones_to_one: tuple[bool, ...]
-    name: str | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise BadFunctionTable(f"agent count must be at least 1, got {self.n}")
-        if len(self.ones_to_one) != self.n + 1:
-            raise BadFunctionTable(
-                f"table has {len(self.ones_to_one)} entries, need {self.n + 1}"
-            )
-        if not all(isinstance(b, bool) for b in self.ones_to_one):
+    def __new__(cls, n: int, ones_to_one: tuple[bool, ...], name: str | None = None):
+        if n < 1:
+            raise BadFunctionTable(f"agent count must be at least 1, got {n}")
+        if len(ones_to_one) != n + 1:
+            raise BadFunctionTable(f"table has {len(ones_to_one)} entries, need {n + 1}")
+        if not all(isinstance(b, bool) for b in ones_to_one):
             raise BadFunctionTable("table entries must be booleans")
+        return tuple.__new__(cls, (n, ones_to_one, name))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:2] == other[:2]
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self) -> int:
+        return hash(self[:2])
 
     @cached_property
     def ones_before(self) -> tuple[int, ...]:
         """Entry w counts the ones-counts below w that map to 1, so the table
         window [lo, hi) holds ``ones_before[hi] - ones_before[lo]`` of them.
-        Computed once on first use; not a field, so it takes no part in
-        equality or hashing."""
+        Computed once on first use and kept beside the fields, outside
+        equality and hashing."""
         return (0, *accumulate(self.ones_to_one))
 
     @property
@@ -156,8 +164,7 @@ def from_ones_counts(n: int, counts: Iterable[int], name: str | None = None) -> 
     return AnonymousFunctionSpec(n, tuple(w in seen for w in range(n + 1)), name)
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple("Action", [("name", str), ("compute", bool), ("replies", "tuple[int, int]")])):
     """One of the six legal per-approach choices: its name, whether the agent
     computes, and the reply it gives for secret 0 and for secret 1.
 
@@ -165,13 +172,12 @@ class Action:
     gives the same reply for both.
     """
 
-    name: str
-    compute: bool
-    replies: tuple[int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.compute and self.replies[0] != self.replies[1]:
-            raise ValueError(f"action {self.name} replies by the secret without computing it")
+    def __new__(cls, name: str, compute: bool, replies: tuple[int, int]):
+        if not compute and replies[0] != replies[1]:
+            raise ValueError(f"action {name} replies by the secret without computing it")
+        return tuple.__new__(cls, (name, compute, replies))
 
     def reply(self, secret: int) -> int:
         return self.replies[secret]
@@ -188,58 +194,60 @@ ALL_ACTIONS = (GUESS_ZERO, GUESS_ONE, COMPUTE_REPORT_ZERO, COMPUTE_REPORT_ONE, T
 ACTION_NAMES = {action.name: action for action in ALL_ACTIONS}
 
 
-@dataclass(frozen=True, order=True)
-class InfoState:
-    """i agents approached so far, of which `ones` reported 1."""
+class InfoState(NamedTuple("InfoState", [("approached", int), ("ones", int)])):
+    """i agents approached so far, of which `ones` reported 1; ordered as (i, k)."""
 
-    approached: int
-    ones: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.ones <= self.approached:
-            raise ValueError(f"invalid state ({self.approached},{self.ones})")
+    def __new__(cls, approached: int, ones: int):
+        if not 0 <= ones <= approached:
+            raise ValueError(f"invalid state ({approached},{ones})")
+        return tuple.__new__(cls, (approached, ones))
 
     def __str__(self) -> str:
         return f"({self.approached},{self.ones})"
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(NamedTuple("Transcript", [("entries", "tuple[tuple[int, int], ...]")])):
     """Ordered (rank, reply) pairs; each rank appears at most once."""
 
-    entries: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, entries: tuple[tuple[int, int], ...] = ()):
         # `dict` unpacks every pair and keeps one per distinct rank; the maps
         # test `rank < 1` and `bit in (0, 1)` entry by entry, in C.
-        replies = dict(self.entries)
-        if len(replies) != len(self.entries):
+        replies = dict(entries)
+        if len(replies) != len(entries):
             raise ValueError("an agent may be approached at most once")
         if any(map(lt, replies, repeat(1))) or not all(map(contains, repeat((0, 1)), replies.values())):
             raise ValueError("transcript entries are (positive rank, bit)")
+        return tuple.__new__(cls, (entries,))
 
     @property
     def state(self) -> InfoState:
         return InfoState(len(self.entries), sum(b for _, b in self.entries))
 
 
-@dataclass(frozen=True)
 class ProblemInstance:
     """Agent count, prior, sorted costs, and the anonymous function.
 
     Costs are stored ascending; ``original_index[r-1]`` is the 1-based input
     position of the agent holding sorted rank r. Display names live in
     ``agent_ids`` (input order). The prior q is any rational in (0, 1).
+    Equality, hashing and the repr read these six fields alone, and none of
+    them can be assigned after construction.
     """
 
-    n: int
-    q: Fraction
-    costs: tuple[Fraction, ...]
-    original_index: tuple[int, ...]
-    fn_spec: AnonymousFunctionSpec
-    agent_ids: tuple[str, ...]
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        n: int,
+        q: Fraction,
+        costs: tuple[Fraction, ...],
+        original_index: tuple[int, ...],
+        fn_spec: AnonymousFunctionSpec,
+        agent_ids: tuple[str, ...],
+    ):
+        vars(self).update(n=n, q=q, costs=costs, original_index=original_index, fn_spec=fn_spec, agent_ids=agent_ids)
         if self.n < 1:
             raise MalformedDocument(f"agent count must be at least 1, got {self.n}")
         if not isinstance(self.q, Fraction) or not 0 < self.q < 1:
@@ -263,6 +271,27 @@ class ProblemInstance:
             )
         if len(self.agent_ids) != self.n or len(set(self.agent_ids)) != self.n:
             raise MalformedDocument("agent_ids must be n distinct strings")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a ProblemInstance is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a ProblemInstance is immutable")
+
+    def _key(self) -> tuple:
+        return self.n, self.q, self.costs, self.original_index, self.fn_spec, self.agent_ids
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        names = ("n", "q", "costs", "original_index", "fn_spec", "agent_ids")
+        return f"ProblemInstance({', '.join(f'{k}={v!r}' for k, v in zip(names, self._key()))})"
 
     @classmethod
     def create(
@@ -302,8 +331,8 @@ class ProblemInstance:
     @cached_property
     def lattice(self):
         """Pivotality and willing rank of every state, computed once on first
-        use (see ``pivotal.StateLattice``); not a field, so it takes no part
-        in equality or hashing."""
+        use (see ``pivotal.StateLattice``) and kept outside equality, hashing
+        and the repr."""
         from .pivotal import StateLattice
 
         return StateLattice(self)
@@ -313,7 +342,7 @@ class ProblemInstance:
         """The costs' common denominator `den`, and the cost of each rank r
         times `den` at entry r (entry 0 is 0), so that costs add up as
         integers into one ``Fraction(total, den)``. Computed once on first
-        use; not a field, so it takes no part in equality or hashing."""
+        use and kept outside equality, hashing and the repr."""
         den = lcm(*(c.denominator for c in self.costs))
         return den, (0, *(c.numerator * (den // c.denominator) for c in self.costs))
 

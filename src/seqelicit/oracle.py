@@ -22,9 +22,9 @@ the reference its low-prior answers are checked against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .errors import CapExceeded, PolicyFailed
 from .mechanism import (
@@ -51,8 +51,7 @@ BRUTE_PIVOTAL_CAP = 16
 EXHAUSTIVE_CAP = 4
 
 
-@dataclass(frozen=True)
-class DecisionTree:
+class DecisionTree(NamedTuple):
     """Adaptive mechanism: approach `rank`, then recurse on the reply.
 
     A None child means the state after that reply is determined and the
@@ -64,8 +63,7 @@ class DecisionTree:
     on_one: "DecisionTree | None"
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
+class OracleVerdict(NamedTuple):
     exists: bool
     certificate: DecisionTree | None
     mechanisms_checked: int
@@ -78,7 +76,10 @@ def mirror(instance: ProblemInstance) -> ProblemInstance:
     actions that name a bit swap. A symmetric table keeps its name."""
     table = tuple(reversed(instance.fn_spec.ones_to_one))
     name = instance.fn_spec.name if table == instance.fn_spec.ones_to_one else None
-    return replace(instance, q=1 - instance.q, fn_spec=AnonymousFunctionSpec(instance.n, table, name))
+    fn_spec = AnonymousFunctionSpec(instance.n, table, name)
+    return ProblemInstance(
+        instance.n, 1 - instance.q, instance.costs, instance.original_index, fn_spec, instance.agent_ids
+    )
 
 
 def window_determine(state: InfoState, fn: AnonymousFunctionSpec) -> int | None:

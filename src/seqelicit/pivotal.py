@@ -15,6 +15,7 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, compress
 
 from .errors import CapExceeded, StateExhausted
@@ -49,7 +50,8 @@ class StateLattice:
     bit, so no lane value `verify` forms carries into the next lane. live[i]
     is all ones in the lanes of the undetermined states, which above layer
     n-1 are the parents of undetermined states by the recurrence; `bounds`
-    holds the willing ranks there.
+    holds the willing ranks there. Only `verify` reads those two, so they
+    are built on first use.
     """
 
     def __init__(self, instance: ProblemInstance):
@@ -58,29 +60,39 @@ class StateLattice:
         if bits > LATTICE_BUDGET_BITS:
             raise CapExceeded(f"state lattice capped at {LATTICE_BUDGET_BITS} numerator bits, n={n} may need {bits}")
         code = next(code for code in "BHIQ" if n + 2 < 1 << (8 * array(code).itemsize - 1))
-        self.width = width = 8 * array(code).itemsize
+        self.width = 8 * array(code).itemsize
         table = instance.fn_spec.ones_to_one
         row = [int(table[k] != table[k + 1]) for k in range(n)]
-        flags = int.from_bytes(array(code, row), sys.byteorder) * ((1 << width) - 1)
-        num, live = [row], [flags]
+        num = [row]
         for size in range(n - 1, 0, -1):
             row = [a * row[k + 1] + (b - a) * row[k] for k in range(size)]
-            flags = (flags | flags >> width) & ((1 << size * width) - 1)
             num.append(row)
-            live.append(flags)
-        self.num, self.live = num[::-1], live[::-1]
+        self.num = num[::-1]
         # Bounds only for the distinct costs, ascending since the costs are
         # sorted; `below[d]` counts the ranks among the d cheapest of them.
         counts = Counter((c.numerator, c.denominator) for c in instance.costs)
         below = [0, *accumulate(counts.values())]
         costs = [(top, den * min(a, b - a)) for top, den in counts]
-        self.rank, self.bounds = [], set()
+        self.rank = []
         for i, row in enumerate(self.num):
             scale = b ** (n - i)
             bounds = [-(-top * scale // bottom) for top, bottom in costs]
             self.rank.append(array(code, [below[bisect_right(bounds, v)] for v in row]))
-            self.bounds.update(compress(self.rank[-1], row))
         self.n, self.a, self.b = n, a, b
+
+    @cached_property
+    def live(self) -> list[int]:
+        width = self.width
+        flags = int.from_bytes(array(self.rank[0].typecode, self.num[-1]), sys.byteorder) * ((1 << width) - 1)
+        live = [flags]
+        for size in range(self.n - 1, 0, -1):
+            flags = (flags | flags >> width) & ((1 << size * width) - 1)
+            live.append(flags)
+        return live[::-1]
+
+    @cached_property
+    def bounds(self) -> set[int]:
+        return {c for row, ranks in zip(self.num, self.rank) for c in compress(ranks, row)}
 
 
 def _check_state(state: InfoState, n: int) -> None:

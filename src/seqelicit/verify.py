@@ -11,7 +11,7 @@ per layer instead of one Python step per state (the SWAR technique of Lamport,
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import InfoState, ProblemInstance
 
@@ -20,8 +20,7 @@ REASON_C_UNDEFINED = "c_undefined_at"
 REASON_PIGEONHOLE = "pigeonhole_path"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A root-to-end path packing more than `violating_rank` cheap decision points."""
 
     path: tuple[InfoState, ...]
@@ -29,8 +28,7 @@ class Witness:
     count: int
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     exists: bool
     reason: str | None
     undefined_at: InfoState | None = None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import random
 import weakref
@@ -12,13 +13,13 @@ import pytest
 
 from conftest import Q_CHOICES, corpus, random_instance
 from seqelicit import pivotal
-from seqelicit.errors import CapExceeded
+from seqelicit.errors import CapExceeded, PolicyFailed
 from seqelicit.graph import export_dot, nodes
-from seqelicit.mechanism import HcfPolicy, audit_full_tree
+from seqelicit.mechanism import HcfPolicy, audit_full_tree, deviation_profile, draw_secrets, run
 from seqelicit.model import InfoState, ProblemInstance, parity
 from seqelicit.oracle import closed_form_pivotal
 from seqelicit.pivotal import c_of, determine, pivotal_prob, threshold
-from seqelicit.verify import REASON_PIGEONHOLE, Verdict, Witness, exists_appropriate
+from seqelicit.verify import REASON_PIGEONHOLE, REASON_TRIVIAL, Verdict, Witness, exists_appropriate
 
 
 def reference_labels(instance):
@@ -109,6 +110,23 @@ def test_lattice_built_once_and_outside_equality():
     assert inst.lattice is inst.lattice
     assert inst == twin and hash(inst) == hash(twin)
     assert "lattice" not in repr(inst)
+
+
+def test_verify_alone_builds_the_live_masks_and_bounds():
+    # `run`, the audit, the deviation reach and the graph read only `num` and
+    # `rank`; the lanes' `live` masks and the set of willing ranks wait for
+    # `exists_appropriate`.
+    for inst in corpus(8350, tuple(range(1, 9)), 24):
+        export_dot(inst)
+        policy = HcfPolicy(inst)
+        audit_full_tree(inst, policy)
+        with contextlib.suppress(PolicyFailed):
+            run(inst, policy, draw_secrets(inst, 1))
+        with contextlib.suppress(PolicyFailed):
+            deviation_profile(inst, policy, 1)
+        assert {"live", "bounds"}.isdisjoint(vars(inst.lattice))
+        trivial = exists_appropriate(inst).reason == REASON_TRIVIAL
+        assert "live" in vars(inst.lattice) and ("bounds" in vars(inst.lattice)) != trivial
 
 
 def test_no_process_wide_state():

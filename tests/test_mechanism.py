@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -599,7 +598,7 @@ def test_every_prior_agrees_with_its_mirror():
             assert report.passed == twin.passed
             if report.passed:
                 passed.add(policy_type)
-                assert {replace(rec, state=_mirrored(rec.state)) for rec in report.records} == set(twin.records)
+                assert {rec._replace(state=_mirrored(rec.state)) for rec in report.records} == set(twin.records)
         for secrets in itertools.product((0, 1), repeat=n):
             ran = _outcome(run, x, HcfPolicy(x), secrets)
             flipped = _outcome(run, m, HcfPolicy(m), [1 - s for s in secrets])
