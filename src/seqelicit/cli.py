@@ -13,8 +13,8 @@ output renders rationals as "num/den" strings, never decimals.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from json.encoder import encode_basestring_ascii
 
 from .errors import ElicitError, PolicyFailed
 from .graph import edges, export_dot, nodes
@@ -47,38 +47,7 @@ def _label_json(state: InfoState, instance: ProblemInstance) -> dict:
 
 
 def _json(payload) -> str:
-    """``json.dumps(payload, indent=2) + "\n"`` for dicts with str keys, lists,
-    str, int, bool and None. With an indent, the json module falls back to its
-    pure-Python encoder; this writes the same text directly and calls only the
-    C string encoder."""
-    out: list[str] = []
-
-    def emit(value, pad: str) -> None:
-        if isinstance(value, str):
-            out.append(encode_basestring_ascii(value))
-        elif value is None or value is True or value is False:
-            out.append("null" if value is None else "true" if value else "false")
-        elif isinstance(value, int):
-            out.append(int.__repr__(value))
-        elif not value:
-            out.append("{}" if isinstance(value, dict) else "[]")
-        else:
-            deeper = pad + "  "
-            is_dict = isinstance(value, dict)
-            out.append("{" if is_dict else "[")
-            separator = "\n" + deeper
-            for item in value.items() if is_dict else value:
-                out.append(separator)
-                separator = ",\n" + deeper
-                if is_dict:
-                    out.append(encode_basestring_ascii(item[0]) + ": ")
-                    item = item[1]
-                emit(item, deeper)
-            out.append("\n" + pad + ("}" if is_dict else "]"))
-
-    emit(payload, "")
-    out.append("\n")
-    return "".join(out)
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _text(lines: list[str]) -> str:

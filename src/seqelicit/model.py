@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
 from math import lcm
-from operator import contains, lt
+from operator import attrgetter, contains, lt
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BadFunctionTable, CostOutOfRange, MalformedDocument, QOutOfRange
@@ -70,6 +70,11 @@ def _as_rational(value, where: str) -> Fraction:
     )
 
 
+def _refuse(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of a value type that no one may change."""
+    raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+
 class AnonymousFunctionSpec(
     NamedTuple("AnonymousFunctionSpec", [("n", int), ("ones_to_one", "tuple[bool, ...]"), ("name", "str | None")])
 ):
@@ -99,6 +104,10 @@ class AnonymousFunctionSpec(
 
     def __hash__(self) -> int:
         return hash(self[:2])
+
+    # The __dict__ holds only the cached ``ones_before``, which
+    # cached_property writes there directly.
+    __setattr__ = __delattr__ = _refuse
 
     @cached_property
     def ones_before(self) -> tuple[int, ...]:
@@ -238,6 +247,8 @@ class ProblemInstance:
     them can be assigned after construction.
     """
 
+    _FIELDS = ("n", "q", "costs", "original_index", "fn_spec", "agent_ids")
+
     def __init__(
         self,
         n: int,
@@ -247,7 +258,7 @@ class ProblemInstance:
         fn_spec: AnonymousFunctionSpec,
         agent_ids: tuple[str, ...],
     ):
-        vars(self).update(n=n, q=q, costs=costs, original_index=original_index, fn_spec=fn_spec, agent_ids=agent_ids)
+        vars(self).update(zip(self._FIELDS, (n, q, costs, original_index, fn_spec, agent_ids)))
         if self.n < 1:
             raise MalformedDocument(f"agent count must be at least 1, got {self.n}")
         if not isinstance(self.q, Fraction) or not 0 < self.q < 1:
@@ -272,26 +283,20 @@ class ProblemInstance:
         if len(self.agent_ids) != self.n or len(set(self.agent_ids)) != self.n:
             raise MalformedDocument("agent_ids must be n distinct strings")
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: a ProblemInstance is immutable")
+    __setattr__ = __delattr__ = _refuse
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: a ProblemInstance is immutable")
-
-    def _key(self) -> tuple:
-        return self.n, self.q, self.costs, self.original_index, self.fn_spec, self.agent_ids
+    _key = property(attrgetter(*_FIELDS))  # the field values, in order
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._key)
 
     def __repr__(self) -> str:
-        names = ("n", "q", "costs", "original_index", "fn_spec", "agent_ids")
-        return f"ProblemInstance({', '.join(f'{k}={v!r}' for k, v in zip(names, self._key()))})"
+        return f"ProblemInstance({', '.join(f'{k}={v!r}' for k, v in zip(self._FIELDS, self._key))})"
 
     @classmethod
     def create(

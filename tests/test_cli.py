@@ -6,10 +6,9 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from conftest import INSTANCES_DIR
-from seqelicit import cli, pivotal
+from seqelicit import pivotal
 from seqelicit.cli import main
 from seqelicit.mechanism import HcfPolicy, deviation_profile
 from seqelicit.model import ACTION_NAMES, ingest, unanimity
@@ -382,37 +381,3 @@ def test_hcf_requires_secrets_or_seed(capsys):
     code = main(["hcf", EX2])
     capsys.readouterr()
     assert code == 2
-
-
-def test_json_writer_matches_json_dumps_on_every_golden_payload(capsys, monkeypatch):
-    from test_cli_golden import sweep
-
-    payloads = []
-    write = cli._json
-    monkeypatch.setattr(cli, "_json", lambda payload: payloads.append(payload) or write(payload))
-    for command, name, *rest in sweep():
-        main([command, str(INSTANCES_DIR / name), *rest])
-    capsys.readouterr()
-    assert len(payloads) == 59  # the --json calls that print
-    for payload in payloads:
-        assert write(payload) == json.dumps(payload, indent=2) + "\n"
-
-
-json_trees = st.recursive(
-    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.text(),
-    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=6), children, max_size=4),
-    max_leaves=30,
-)
-
-
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(json_trees)
-def test_json_writer_matches_json_dumps(payload):
-    # st.text() draws non-ASCII and control characters, and both container
-    # strategies draw empty ones.
-    assert cli._json(payload) == json.dumps(payload, indent=2) + "\n"
-
-
-@pytest.mark.parametrize("payload", [[], {}, "", [[]], {"": {}}, {"k": [{}, [], None]}, "é\u2028\U0001f600\x00"])
-def test_json_writer_edge_cases(payload):
-    assert cli._json(payload) == json.dumps(payload, indent=2) + "\n"

@@ -69,8 +69,8 @@ def test_valid_values_build_by_position_and_by_keyword():
         (InfoState(1, 0), ("approached", "ones")),
         (Action("truthful", True, (0, 1)), ("name", "compute", "replies")),
         (Transcript(((1, 0),)), ("entries",)),
-        (FN2, ("n", "ones_to_one", "name")),
-        (_instance(), ("n", "q", "costs", "original_index", "fn_spec", "agent_ids")),
+        (FN2, ("n", "ones_to_one", "name", "ones_before")),
+        (_instance(), ("n", "q", "costs", "original_index", "fn_spec", "agent_ids", "lattice")),
     ],
     ids=["InfoState", "Action", "Transcript", "AnonymousFunctionSpec", "ProblemInstance"],
 )
@@ -82,6 +82,9 @@ def test_no_field_can_be_assigned_or_deleted(value, names):
         with pytest.raises(AttributeError):
             delattr(value, name)
         assert getattr(value, name) is before
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert not hasattr(value, "extra")
 
 
 def test_function_spec_equality_and_hash_ignore_the_name():
