@@ -17,7 +17,10 @@ reachable such pair once, in two separate walks: the audit goes depth first
 and skips a pair it has already walked, and the deviation profile is a
 forward reach, layer by layer, that carries path weights through every pair
 and averages the lattice's pivotality over the deviating agent's approaches,
-from which every deviation's utility follows. The 2^n tree walk and
+from which every deviation's utility follows. The reach does not depend on
+the deviating agent, so one walk sums the weights of every rank's approaches
+and the instance keeps the sums of the last policy asked; the built-in
+policies are values, so fresh ones share that walk. The 2^n tree walk and
 secret-vector enumeration they replace are kept in `oracle`.
 """
 
@@ -43,11 +46,25 @@ AUDIT_CAP = 20
 DEVIATION_CAP = 12
 
 
-class HcfPolicy:
-    """Approach the dearest agent still willing to compute."""
+class _InstancePolicy:
+    """A built-in policy is a value: two compare and hash equal exactly when
+    they are of the same class over the same instance object, so a fresh
+    policy object reuses the deviation reach of an equal one."""
 
     def __init__(self, instance: ProblemInstance):
         self.instance = instance
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other.instance is self.instance
+
+    def __hash__(self) -> int:
+        return hash((self.__class__, id(self.instance)))
+
+
+class HcfPolicy(_InstancePolicy):
+    """Approach the dearest agent still willing to compute."""
 
     def next(self, state: InfoState, remaining: int) -> int:
         """The largest remaining rank up to the state's willing rank c, so
@@ -64,16 +81,13 @@ class HcfPolicy:
         return rank
 
 
-class FixedOrderPolicy:
+class FixedOrderPolicy(_InstancePolicy):
     """Approach agents in ascending cost rank regardless of incentives.
 
     The baseline that motivates sequencing by willingness: a game under it
     still stops as soon as the output is forced, but it never checks whether
     the approached agent has any reason to compute.
     """
-
-    def __init__(self, instance: ProblemInstance):
-        self.instance = instance
 
     def next(self, state: InfoState, remaining: int) -> int:
         # The lowest remaining rank. An undetermined state always has an agent
@@ -110,7 +124,8 @@ def _all_remaining(instance: ProblemInstance) -> int:
 
 def _next_rank(policy, state: InfoState, remaining: int) -> int:
     rank = policy.next(state, remaining)
-    if not (isinstance(rank, int) and rank > 0 and remaining >> rank & 1):
+    # A bool is an int: True would pass as rank 1, and False fails `rank > 0`.
+    if not (isinstance(rank, int) and rank is not True and rank > 0 and remaining >> rank & 1):
         raise ValueError(f"policy chose rank {rank!r} at {state}, which is not a remaining rank")
     return rank
 
@@ -223,6 +238,38 @@ def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
     return AuditReport(passed=True, records=tuple(records.values()), failure=None)
 
 
+def _reach(instance: ProblemInstance, policy) -> tuple[list[int], list[int]]:
+    """The forward reach of `deviation_profile` over (state, remaining), in
+    layers. Returns `total` and `pivotal`, indexed by rank (entry 0 is 0): at
+    each pick of rank r, `total[r]` adds the weight of the paths there and
+    `pivotal[r]` that weight times P(i, k), both scaled by b^n for q = a/b.
+    Once a rank is picked it leaves `remaining`, so each path picks it at
+    most once. Raises the first policy failure met in layer order."""
+    n, before, num = instance.n, instance.fn_spec.ones_before, instance.lattice.num
+    a, b = instance.q.numerator, instance.q.denominator
+    prior = (b - a, a)  # weight of a 0 and of a 1, scaled by b
+    total, pivotal = [0] * (n + 1), [0] * (n + 1)
+    # (ones, remaining) -> weight of the paths reaching it at this depth,
+    # scaled by b^depth.
+    layer = {(0, _all_remaining(instance)): 1}
+    for i in range(n):
+        reached: dict = {}
+        scale, row = b ** (n - i), num[i]
+        for (k, remaining), weight in layer.items():
+            ones = before[k + n - i + 1] - before[k]
+            if not ones or ones == n - i + 1:
+                continue
+            chosen = _next_rank(policy, InfoState(i, k), remaining)
+            total[chosen] += weight * scale
+            pivotal[chosen] += weight * row[k] * b
+            rest = remaining ^ (1 << chosen)
+            for bit in (0, 1):
+                key = (k + bit, rest)
+                reached[key] = reached.get(key, 0) + weight * prior[bit]
+        layer = reached
+    return total, pivotal
+
+
 def deviation_profile(instance: ProblemInstance, policy, rank: int) -> dict[Action, Fraction]:
     """Expected utility of all six actions for the agent at `rank`, with every
     other agent computing and reporting truthfully.
@@ -241,45 +288,35 @@ def deviation_profile(instance: ProblemInstance, policy, rank: int) -> dict[Acti
     states, weighted by the chance of reaching each, an action is correct
     with probability 1 - Pbar Pr[reply(s) != s]: 1 for truthful, 1 - Pbar for
     lie, 1 - q Pbar for the two replying 0 and 1 - (1-q) Pbar for the two
-    replying 1. A forward reach over (state, remaining) carries the weights;
-    it runs on below the picks of `rank`, so it meets every reachable pair
-    once. The reach does not depend on `rank`, so a policy failure at any
-    reachable pair fails every rank, with the first exception met in layer
-    order. `oracle.brute_deviation_profiles(instance, policy)[rank]` is the
-    same profile from all 2^n secret vectors.
+    replying 1.
+
+    A forward reach over (state, remaining) carries the weights and meets
+    every reachable pair once. It does not depend on `rank`: one walk sums
+    the weights at the picks of every rank, and the instance keeps the sums
+    of the last policy asked, so profiling each rank under one policy (or
+    under equal built-in policies) walks once. A policy must therefore be a
+    function of (state, remaining) alone. A policy failure at any reachable
+    pair fails every rank, with the first exception met in layer order, and
+    is not kept. `oracle.brute_deviation_profiles(instance, policy)[rank]` is
+    the same profile from all 2^n secret vectors.
     """
     n = instance.n
     if n > DEVIATION_CAP:
         raise CapExceeded(f"deviation profile capped at n={DEVIATION_CAP}, instance has n={n}")
-    if not isinstance(rank, int) or rank not in instance.ranks:
+    if not isinstance(rank, int) or rank is True or rank not in instance.ranks:
         raise ValueError(f"rank {rank!r} is not an int in 1..{n}")
-    before, num = instance.fn_spec.ones_before, instance.lattice.num
-    a, b = instance.q.numerator, instance.q.denominator
-    prior = (b - a, a)  # weight of a 0 and of a 1, scaled by b
-    # (ones, remaining) -> weight of the paths reaching it at this depth,
-    # scaled by b^depth. Once `rank` is picked it leaves `remaining`, so each
-    # path meets a pick of `rank` at most once. At each pick, `total` adds the
-    # path weight and `pivotal` its weight times P(i, k), both scaled by b^n.
-    layer = {(0, _all_remaining(instance)): 1}
-    total = pivotal = 0
-    for i in range(n):
-        reached: dict = {}
-        for (k, remaining), weight in layer.items():
-            ones = before[k + n - i + 1] - before[k]
-            if not ones or ones == n - i + 1:
-                continue
-            chosen = _next_rank(policy, InfoState(i, k), remaining)
-            if chosen == rank:
-                total += weight * b ** (n - i)
-                pivotal += weight * num[i][k] * b
-            rest = remaining ^ (1 << chosen)
-            for bit in (0, 1):
-                key = (k + bit, rest)
-                reached[key] = reached.get(key, 0) + weight * prior[bit]
-        layer = reached
+    memo = instance._deviation_memo
+    if memo and memo[0] == policy:
+        sums = memo[1]
+    else:
+        sums = _reach(instance, policy)
+        memo[:] = (policy, sums)
+    total, pivotal = sums[0][rank], sums[1][rank]
     if not total:
         # Every path ends where the output is forced, which is the true value.
         return {action: Fraction(1) for action in ALL_ACTIONS}
+    a, b = instance.q.numerator, instance.q.denominator
+    prior = (b - a, a)
     cost = instance.cost_of_rank(rank)
     # 1 - pivotal miss / (total b) - cost, over the denominator total b d for
     # cost = c/d.

@@ -343,6 +343,14 @@ class ProblemInstance:
         return StateLattice(self)
 
     @cached_property
+    def _deviation_memo(self) -> list:
+        """The one-entry memo of ``mechanism.deviation_profile``: empty, or
+        the last policy asked and its reach's per-rank sums. The list is
+        filled in place; like the lattice, it is kept outside equality,
+        hashing and the repr."""
+        return []
+
+    @cached_property
     def scaled_costs(self) -> tuple[int, tuple[int, ...]]:
         """The costs' common denominator `den`, and the cost of each rank r
         times `den` at entry r (entry 0 is 0), so that costs add up as

@@ -10,11 +10,14 @@ import pytest
 
 from seqelicit.model import (
     AnonymousFunctionSpec,
+    InfoState,
     ProblemInstance,
     consensus,
     majority,
     parity,
 )
+from seqelicit.pivotal import c_of
+from seqelicit.verify import REASON_PIGEONHOLE
 
 INSTANCES_DIR = Path(__file__).resolve().parent.parent / "instances"
 
@@ -74,6 +77,22 @@ def adversarial_majority(n: int) -> ProblemInstance:
     random.Random(0): nearly every willing rank is distinct, the worst case
     for one path DP per rank bound."""
     return threshold_cost_instance(majority(n), n // 8, random.Random(0))
+
+
+def check_witness(instance: ProblemInstance, verdict) -> None:
+    """Recount a pigeonhole verdict's witness from `c_of` along its path: one
+    state per layer from the root, each step adding 0 or 1 to the ones, and
+    more than `violating_rank` states willing at that bound. Any other
+    verdict passes."""
+    if verdict.reason != REASON_PIGEONHOLE:
+        return
+    path, bound, count = verdict.witness
+    assert path[0] == InfoState(0, 0)
+    assert [state.approached for state in path] == list(range(instance.n))
+    assert all(b.ones - a.ones in (0, 1) for a, b in zip(path, path[1:]))
+    willing = [c_of(state, instance) for state in path]
+    assert count == sum(1 for c in willing if c is not None and c <= bound)
+    assert count > bound
 
 
 def corpus(

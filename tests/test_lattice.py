@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import Q_CHOICES, corpus, random_instance
+from conftest import Q_CHOICES, check_witness, corpus, random_instance
 from seqelicit import pivotal
 from seqelicit.errors import CapExceeded, PolicyFailed
 from seqelicit.graph import export_dot, nodes
@@ -99,6 +99,7 @@ def test_verdict_matches_per_j_reference(corpus_main, corpus_small, corpus_br):
     for inst in corpus_main + corpus_small + corpus_br + corpus(8200, (5, 6), 60, max_cost_k=24):
         verdict = exists_appropriate(inst)
         assert verdict == reference_verdict(inst)
+        check_witness(inst, verdict)
         kinds.add(verdict.reason)
     assert kinds == {None, "trivial", "c_undefined_at", REASON_PIGEONHOLE}
 
@@ -137,6 +138,10 @@ def test_no_process_wide_state():
         export_dot(inst)
         if exists_appropriate(inst).exists:
             audit_full_tree(inst, HcfPolicy(inst))
+            # The deviation memo keeps the policy, which keeps the instance:
+            # a cycle that the collector must free.
+            deviation_profile(inst, HcfPolicy(inst), 1)
+            assert inst._deviation_memo[0].instance is inst
         refs.append(weakref.ref(inst))
         del inst
     gc.collect()

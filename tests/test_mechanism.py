@@ -413,6 +413,28 @@ def test_executors_reject_a_rank_that_is_not_an_int_in_range(rank):
         deviation_profile(inst, policy, 1)
 
 
+class _TruePolicy:
+    """The lowest remaining rank, but True in place of rank 1."""
+
+    def next(self, state, remaining):
+        rank = (remaining & -remaining).bit_length() - 1
+        return True if rank == 1 else rank
+
+
+def test_executors_reject_a_bool_rank():
+    # True is an int equal to 1, so without a check of its own it would pass
+    # as rank 1: the transcript would start (True, 1) and the audit would
+    # record rank=True. (A policy naming True at every step is caught anyway,
+    # as a repeat, one step later.)
+    inst = make_instance("1/2", ["1/10"] * 3, parity(3).ones_to_one)
+    with pytest.raises(ValueError):
+        run(inst, _TruePolicy(), (1, 0, 1))
+    with pytest.raises(ValueError):
+        audit_full_tree(inst, _TruePolicy())
+    with pytest.raises(ValueError):
+        deviation_profile(inst, _TruePolicy(), 1)
+
+
 def _outcome(check, *args):
     """The check's answer, or the type of the exception it raised."""
     try:
@@ -472,7 +494,7 @@ def test_incentive_checks_match_the_oracles_under_an_arbitrary_policy(n, max_cos
 
 def test_deviation_profile_rejects_a_rank_outside_1_to_n_before_any_policy_call():
     inst = make_instance("1/2", ["1/10"] * 3, parity(3).ones_to_one)
-    for rank in (0, inst.n + 1, 1.0, Fraction(2)):
+    for rank in (0, inst.n + 1, 1.0, Fraction(2), True):
         policy = CountingPolicy(HcfPolicy(inst))
         with pytest.raises(ValueError):
             deviation_profile(inst, policy, rank)
@@ -502,6 +524,16 @@ def test_deviation_checks_fail_every_rank_with_one_exception():
     for rank in inst.ranks:
         with pytest.raises(KeyError):
             deviation_profile(inst, _FailingPolicy(), rank)
+    # One failing policy object fails every rank too: a reach that raises is
+    # not kept, and the memo still holds the last policy that succeeded.
+    kept = FixedOrderPolicy(inst)
+    deviation_profile(inst, kept, 1)
+    sums = inst._deviation_memo[1]
+    failing = _FailingPolicy()
+    for rank in inst.ranks:
+        with pytest.raises(KeyError):
+            deviation_profile(inst, failing, rank)
+    assert inst._deviation_memo[0] is kept and inst._deviation_memo[1] is sums
 
 
 def test_audit_visits_each_state_once_under_a_fixed_order():
@@ -524,6 +556,44 @@ def test_audit_visits_each_state_once_under_a_fixed_order():
             policy = CountingPolicy(policy_class(inst))
             deviation_profile(inst, policy, rank)
             assert policy.calls == n * (n + 1) // 2
+        # One policy object: every rank reads the sums of a single reach.
+        policy = CountingPolicy(policy_class(inst))
+        for rank in inst.ranks:
+            deviation_profile(inst, policy, rank)
+        assert policy.calls == n * (n + 1) // 2
+
+
+def test_built_in_policies_are_values():
+    x, y = example2_instance(), example2_instance()
+    assert x == y and x is not y
+    assert HcfPolicy(x) == HcfPolicy(x) and hash(HcfPolicy(x)) == hash(HcfPolicy(x))
+    assert FixedOrderPolicy(x) == FixedOrderPolicy(x) and not FixedOrderPolicy(x) != FixedOrderPolicy(x)
+    assert HcfPolicy(x) != FixedOrderPolicy(x) and FixedOrderPolicy(x) != HcfPolicy(x)
+    assert HcfPolicy(x) != HcfPolicy(y)
+    assert HcfPolicy(x) != type("Subclass", (HcfPolicy,), {})(x)
+    assert len({HcfPolicy(x), HcfPolicy(x), FixedOrderPolicy(x), HcfPolicy(y)}) == 3
+    # An equal policy reads the sums that the first one left.
+    first = HcfPolicy(x)
+    profile = deviation_profile(x, first, 4)
+    assert deviation_profile(x, HcfPolicy(x), 4) == profile
+    assert x._deviation_memo[0] is first
+
+
+def test_deviation_memo_answers_for_the_policy_asked():
+    # Calls on one instance alternate between three policies, with a fresh
+    # built-in policy object each time; each must answer for its own policy,
+    # whatever the memo held before.
+    rng = random.Random(9500)
+    for n in (3, 5, 7, 8):
+        inst = random_instance(rng, n, max_cost_k=16)
+        hashed = _HashedPolicy(n)
+        policies = (lambda: HcfPolicy(inst), lambda: FixedOrderPolicy(inst), lambda: hashed)
+        brute = [brute_deviation_profiles(inst, make()) for make in policies]
+        for rank in inst.ranks:
+            for make, profiles in zip(policies, brute):
+                expected = profiles[rank]
+                profile = _outcome(deviation_profile, inst, make(), rank)
+                assert profile == (type(expected) if isinstance(expected, Exception) else expected)
 
 
 def test_deviation_profile_at_the_cap_matches_the_enumeration():

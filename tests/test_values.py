@@ -70,7 +70,7 @@ def test_valid_values_build_by_position_and_by_keyword():
         (Action("truthful", True, (0, 1)), ("name", "compute", "replies")),
         (Transcript(((1, 0),)), ("entries",)),
         (FN2, ("n", "ones_to_one", "name", "ones_before")),
-        (_instance(), ("n", "q", "costs", "original_index", "fn_spec", "agent_ids", "lattice")),
+        (_instance(), ("n", "q", "costs", "original_index", "fn_spec", "agent_ids", "lattice", "_deviation_memo")),
     ],
     ids=["InfoState", "Action", "Transcript", "AnonymousFunctionSpec", "ProblemInstance"],
 )

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     adversarial_majority,
+    check_witness,
     example1_instance,
     example2_instance,
     example3_instance,
@@ -106,7 +107,7 @@ def test_verdict_reason_partition(corpus_main):
                 assert verdict.undefined_at in nodes(inst)
                 assert c_of(verdict.undefined_at, inst) is None
             else:
-                assert verdict.witness.count > verdict.witness.violating_rank
+                check_witness(inst, verdict)
 
 
 def test_lowering_a_cost_never_destroys_existence(corpus_main, corpus_br):
@@ -134,6 +135,7 @@ def test_lanes_match_the_per_bound_dp_on_the_corpora(corpus_main, corpus_br):
     for inst in corpus_main + corpus_br:
         verdict = exists_appropriate(inst)
         assert verdict == per_bound_verdict(inst)
+        check_witness(inst, verdict)
         kinds.add(verdict.reason)
     assert kinds == {None, REASON_TRIVIAL, REASON_C_UNDEFINED, REASON_PIGEONHOLE}
 
@@ -151,6 +153,7 @@ def test_lanes_match_the_per_bound_dp_across_lane_widths(n):
         inst = threshold_cost_instance(fn, zeros, rng)
         verdict = exists_appropriate(inst)
         assert verdict == per_bound_verdict(inst)
+        check_witness(inst, verdict)
         kinds.add(verdict.reason)
         lattice = inst.lattice
         assert lattice.width == {125: 8, 126: 16, 200: 16}[n]
@@ -175,6 +178,7 @@ def test_lanes_match_the_per_bound_dp_on_adversarial_majority():
     verdict = exists_appropriate(inst)
     assert verdict == per_bound_verdict(inst)
     assert verdict.reason == REASON_PIGEONHOLE
+    check_witness(inst, verdict)
 
 
 def test_smallest_end_node_wins_over_smallest_rank_bound():
@@ -199,9 +203,10 @@ def test_verdict_matches_the_hcf_audit_beyond_n_10():
         for fn in (majority(n), parity(n), consensus(n)):
             instances += [threshold_cost_instance(fn, zeros, rng) for zeros in (n - 2, n // 2, rng.randrange(n))]
         for inst in instances:
-            exists = exists_appropriate(inst).exists
-            assert exists == audit_full_tree(inst, HcfPolicy(inst)).passed
-            verdicts.append(exists)
+            verdict = exists_appropriate(inst)
+            check_witness(inst, verdict)
+            assert verdict.exists == audit_full_tree(inst, HcfPolicy(inst)).passed
+            verdicts.append(verdict.exists)
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
 
 
@@ -216,4 +221,6 @@ def test_verdict_matches_the_hcf_audit_at_every_n_up_to_the_cap(n, max_cost_k, r
         inst = threshold_cost_instance(fn, rng.randrange(n + 1), rng)
     else:
         inst = random_instance(rng, n, max_cost_k=max_cost_k)
-    assert exists_appropriate(inst).exists == audit_full_tree(inst, HcfPolicy(inst)).passed
+    verdict = exists_appropriate(inst)
+    check_witness(inst, verdict)
+    assert verdict.exists == audit_full_tree(inst, HcfPolicy(inst)).passed
