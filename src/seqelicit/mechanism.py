@@ -306,9 +306,9 @@ def deviation_profile(instance: ProblemInstance, policy, rank: int) -> dict[Acti
     if not isinstance(rank, int) or rank is True or rank not in instance.ranks:
         raise ValueError(f"rank {rank!r} is not an int in 1..{n}")
     memo = instance._deviation_memo
-    if memo and memo[0] == policy:
-        sums = memo[1]
-    else:
+    # One read takes the pair: the comparison may run code that refills it.
+    seen, sums = memo or (None, None)
+    if sums is None or seen != policy:
         sums = _reach(instance, policy)
         memo[:] = (policy, sums)
     total, pivotal = sums[0][rank], sums[1][rank]

@@ -4,19 +4,15 @@ For an anonymous function, the pair (agents approached, ones reported) is a
 sufficient statistic for everything the remaining agents can infer, so all
 quantities here are functions of that pair. Each instance owns one
 `StateLattice`, built on first use, that holds the pivotality numerator and
-the willing rank of every state; the lookups below read it. The lattice also
-owns the packed lane format that `verify` runs its path DP on.
+the willing rank of every state; the lookups below read it.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
-from itertools import accumulate, compress
+from itertools import accumulate
 
 from .errors import CapExceeded, StateExhausted
 from .model import AnonymousFunctionSpec, InfoState, ProblemInstance
@@ -44,14 +40,6 @@ class StateLattice:
     m num / b^(n-i), and the agent at rank r is willing iff
     num >= ceil(cost_r.num b^(n-i) / (cost_r.den m)); rank[i][k] counts
     those ranks (0 when nobody is willing). Equal costs share one bound.
-
-    Each layer is packed in lanes of `width` bits, lane k for state (i, k):
-    rank[i] is an `array` of the narrowest typecode with n + 2 below its top
-    bit, so no lane value `verify` forms carries into the next lane. live[i]
-    is all ones in the lanes of the undetermined states, which above layer
-    n-1 are the parents of undetermined states by the recurrence; `bounds`
-    holds the willing ranks there. Only `verify` reads those two, so they
-    are built on first use.
     """
 
     def __init__(self, instance: ProblemInstance):
@@ -59,8 +47,6 @@ class StateLattice:
         bits = (b - 1).bit_length() * (n - 1) * n * (n + 1) // 3
         if bits > LATTICE_BUDGET_BITS:
             raise CapExceeded(f"state lattice capped at {LATTICE_BUDGET_BITS} numerator bits, n={n} may need {bits}")
-        code = next(code for code in "BHIQ" if n + 2 < 1 << (8 * array(code).itemsize - 1))
-        self.width = 8 * array(code).itemsize
         table = instance.fn_spec.ones_to_one
         row = [int(table[k] != table[k + 1]) for k in range(n)]
         num = [row]
@@ -68,7 +54,7 @@ class StateLattice:
             row = [a * row[k + 1] + (b - a) * row[k] for k in range(size)]
             num.append(row)
         self.num = num[::-1]
-        # Bounds only for the distinct costs, ascending since the costs are
+        # Cutoffs only for the distinct costs, ascending since the costs are
         # sorted; `below[d]` counts the ranks among the d cheapest of them.
         counts = Counter((c.numerator, c.denominator) for c in instance.costs)
         below = [0, *accumulate(counts.values())]
@@ -76,23 +62,9 @@ class StateLattice:
         self.rank = []
         for i, row in enumerate(self.num):
             scale = b ** (n - i)
-            bounds = [-(-top * scale // bottom) for top, bottom in costs]
-            self.rank.append(array(code, [below[bisect_right(bounds, v)] for v in row]))
+            cutoffs = [-(-top * scale // bottom) for top, bottom in costs]
+            self.rank.append([below[bisect_right(cutoffs, v)] for v in row])
         self.n, self.a, self.b = n, a, b
-
-    @cached_property
-    def live(self) -> list[int]:
-        width = self.width
-        flags = int.from_bytes(array(self.rank[0].typecode, self.num[-1]), sys.byteorder) * ((1 << width) - 1)
-        live = [flags]
-        for size in range(self.n - 1, 0, -1):
-            flags = (flags | flags >> width) & ((1 << size * width) - 1)
-            live.append(flags)
-        return live[::-1]
-
-    @cached_property
-    def bounds(self) -> set[int]:
-        return {c for row, ranks in zip(self.num, self.rank) for c in compress(ranks, row)}
 
 
 def _check_state(state: InfoState, n: int) -> None:
@@ -109,10 +81,10 @@ def determine(state: InfoState, fn: AnonymousFunctionSpec) -> int | None:
     1, 0 when none is. `oracle.window_determine` scans the window instead.
     """
     _check_state(state, fn.n)
-    width = fn.n - state.approached + 1
+    span = fn.n - state.approached + 1
     before = fn.ones_before
-    ones = before[state.ones + width] - before[state.ones]
-    if ones == width:
+    ones = before[state.ones + span] - before[state.ones]
+    if ones == span:
         return 1
     if not ones:
         return 0

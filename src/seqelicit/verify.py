@@ -1,19 +1,23 @@
 """Polynomial-time existence decision for an appropriate sequential mechanism.
 
-The path criterion runs on the state lattice's packed lanes: each layer is one
-Python int with a lane per ones-count, so the max over a state's two parents,
-the per-bound indicator and the end-layer test are a few big-int operations
-per layer instead of one Python step per state (the SWAR technique of Lamport,
-"Multiple byte processing with full-word instructions", CACM 1975).
+The path criterion runs on packed lanes of the lattice's willing ranks: each
+layer is one Python int with a lane per ones-count, so the max over a state's
+two parents, the per-bound indicator and the end-layer test are a few big-int
+operations per layer instead of one Python step per state (the SWAR technique
+of Lamport, "Multiple byte processing with full-word instructions", CACM
+1975). Only `_lanes` knows the lane format, and it packs afresh on each call.
 `oracle.per_bound_verdict` keeps the per-state list DP as the reference.
 """
 
 from __future__ import annotations
 
 import sys
+from array import array
+from itertools import compress
 from typing import NamedTuple
 
 from .model import InfoState, ProblemInstance
+from .pivotal import StateLattice
 
 REASON_TRIVIAL = "trivial"
 REASON_C_UNDEFINED = "c_undefined_at"
@@ -35,6 +39,27 @@ class Verdict(NamedTuple):
     witness: Witness | None = None
 
 
+def _lanes(lattice: StateLattice) -> tuple[int, list[int], list[int], set[int]]:
+    """(width, ranks, live, bounds): the lattice in lanes of `width` bits, lane
+    k for state (i, k), in the narrowest `array` typecode with n + 2 below its
+    top bit, so that no lane value carries into the next. ranks[i] packs layer
+    i's willing ranks; live[i] is all ones in the lanes of the undetermined
+    states, which above layer n-1 are the parents of undetermined states by
+    the recurrence; `bounds` holds the willing ranks there.
+    """
+    n, num = lattice.n, lattice.num
+    code = next(code for code in "BHIQ" if n + 2 < 1 << (8 * array(code).itemsize - 1))
+    width = 8 * array(code).itemsize
+    ranks = [int.from_bytes(array(code, row), sys.byteorder) for row in lattice.rank]
+    flags = int.from_bytes(array(code, num[-1]), sys.byteorder) * ((1 << width) - 1)
+    live = [flags]
+    for size in range(n - 1, 0, -1):
+        flags = (flags | flags >> width) & ((1 << size * width) - 1)
+        live.append(flags)
+    bounds = {c for row, rank in zip(num, lattice.rank) for c in compress(rank, row)}
+    return width, ranks, live[::-1], bounds
+
+
 def exists_appropriate(instance: ProblemInstance) -> Verdict:
     """Decide whether some sequential mechanism computes the function in equilibrium.
 
@@ -51,10 +76,9 @@ def exists_appropriate(instance: ProblemInstance) -> Verdict:
     integers, and the scan stops once the first end node violates.
     """
     lattice = instance.lattice
-    if not lattice.live[0]:
+    if not lattice.num[0][0]:
         return Verdict(True, REASON_TRIVIAL)
-    width, live = lattice.width, lattice.live
-    ranks = [int.from_bytes(row, sys.byteorder) for row in lattice.rank]
+    width, ranks, live, bounds = _lanes(lattice)
     mask = (1 << width) - 1
     ones = ((1 << (instance.n * width)) - 1) // mask  # 1 in every lane
     high = ones << (width - 1)
@@ -87,7 +111,7 @@ def exists_appropriate(instance: ProblemInstance) -> Verdict:
             out.append(row)
         return out
 
-    if 0 in lattice.bounds:
+    if 0 in bounds:
         for i, (packed, alive) in enumerate(zip(ranks, live)):
             unwilling = (high - packed) & high & alive
             if unwilling:
@@ -96,17 +120,17 @@ def exists_appropriate(instance: ProblemInstance) -> Verdict:
     # violating j of any end node is one of those ranks. Per bound, keep the
     # lowest violating end lane in `below`, the end lanes under the last found.
     below, found = live[-1], None
-    for j in sorted(lattice.bounds):
-        over = ((rows(j)[-1] | high) - (j + 2) * ones) & high & below
+    for j in sorted(bounds):
+        layers = rows(j)
+        over = ((layers[-1] | high) - (j + 2) * ones) & high & below
         if over:
-            found = lowest(over), j
+            found = lowest(over), j, layers
             below &= (1 << (found[0] * width)) - 1
             if not below:
                 break
     if found is None:
         return Verdict(True, None)
-    k, j = found
-    layers = rows(j)
+    k, j, layers = found
     count = lane(layers[-1], k) - 1
     path = [InfoState(instance.n - 1, k)]
     for i in range(instance.n - 2, -1, -1):

@@ -319,7 +319,7 @@ def test_deeply_nested_document_is_usage_error(capsys, tmp_path):
     assert err.startswith("error:") and "internal" not in err
 
 
-def test_normalize_flag(capsys, tmp_path):
+def test_the_normalize_flag_is_gone(capsys, tmp_path):
     # A prior below 1/2 needs no flag, and the flag that mirrored it is gone.
     low_q = tmp_path / "low.json"
     low_q.write_text('{"n": 2, "q": "1/3", "costs": ["0", "0"], "function": "parity"}')

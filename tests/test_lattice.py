@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import gc
 import random
 import weakref
@@ -13,13 +12,13 @@ import pytest
 
 from conftest import Q_CHOICES, check_witness, corpus, random_instance
 from seqelicit import pivotal
-from seqelicit.errors import CapExceeded, PolicyFailed
+from seqelicit.errors import CapExceeded
 from seqelicit.graph import export_dot, nodes
-from seqelicit.mechanism import HcfPolicy, audit_full_tree, deviation_profile, draw_secrets, run
+from seqelicit.mechanism import HcfPolicy, audit_full_tree, deviation_profile
 from seqelicit.model import InfoState, ProblemInstance, parity
 from seqelicit.oracle import closed_form_pivotal
 from seqelicit.pivotal import c_of, determine, pivotal_prob, threshold
-from seqelicit.verify import REASON_PIGEONHOLE, REASON_TRIVIAL, Verdict, Witness, exists_appropriate
+from seqelicit.verify import REASON_PIGEONHOLE, Verdict, Witness, exists_appropriate
 
 
 def reference_labels(instance):
@@ -113,21 +112,16 @@ def test_lattice_built_once_and_outside_equality():
     assert "lattice" not in repr(inst)
 
 
-def test_verify_alone_builds_the_live_masks_and_bounds():
-    # `run`, the audit, the deviation reach and the graph read only `num` and
-    # `rank`; the lanes' `live` masks and the set of willing ranks wait for
-    # `exists_appropriate`.
-    for inst in corpus(8350, tuple(range(1, 9)), 24):
-        export_dot(inst)
-        policy = HcfPolicy(inst)
-        audit_full_tree(inst, policy)
-        with contextlib.suppress(PolicyFailed):
-            run(inst, policy, draw_secrets(inst, 1))
-        with contextlib.suppress(PolicyFailed):
-            deviation_profile(inst, policy, 1)
-        assert {"live", "bounds"}.isdisjoint(vars(inst.lattice))
-        trivial = exists_appropriate(inst).reason == REASON_TRIVIAL
-        assert "live" in vars(inst.lattice) and ("bounds" in vars(inst.lattice)) != trivial
+def test_verify_keeps_no_state_on_the_lattice():
+    # The packed lanes are built afresh on each call and dropped after it.
+    kinds = set()
+    for inst in corpus(8350, tuple(range(1, 9)), 24) + corpus(8360, (40, 130), 4, max_cost_k=24):
+        lattice = vars(inst.lattice).copy()
+        verdict = exists_appropriate(inst)
+        assert exists_appropriate(inst) == verdict
+        assert vars(inst.lattice) == lattice
+        kinds.add(verdict.reason)
+    assert len(kinds) >= 3
 
 
 def test_no_process_wide_state():

@@ -596,6 +596,36 @@ def test_deviation_memo_answers_for_the_policy_asked():
                 assert profile == (type(expected) if isinstance(expected, Exception) else expected)
 
 
+class _MeddlingHcf(HcfPolicy):
+    """Decides as HCF, but its first equality test profiles fixed order on
+    the same instance, which refills the deviation memo mid-comparison."""
+
+    meddled = False
+
+    def __eq__(self, other):
+        if not self.meddled:
+            self.meddled = True
+            deviation_profile(self.instance, FixedOrderPolicy(self.instance), 1)
+        return super().__eq__(other)
+
+    __hash__ = HcfPolicy.__hash__
+
+
+def test_deviation_memo_is_read_in_one_step():
+    # The memo's policy and sums must come from one read: an `__eq__` that
+    # runs code between the comparison and the read of the sums must not
+    # hand this policy the sums of another.
+    inst = example2_instance()
+    expected = brute_deviation_profiles(inst, HcfPolicy(inst))
+    assert expected[1] != brute_deviation_profiles(inst, FixedOrderPolicy(inst))[1]
+    policy = _MeddlingHcf(inst)
+    # The first call fills the memo; the second, at the same rank, meddles.
+    assert deviation_profile(inst, policy, 1) == expected[1]
+    for rank in inst.ranks:
+        assert deviation_profile(inst, policy, rank) == expected[rank]
+    assert policy.meddled
+
+
 def test_deviation_profile_at_the_cap_matches_the_enumeration():
     n = DEVIATION_CAP
     inst = make_instance("1/2", ["1/8"] * n, parity(n).ones_to_one)

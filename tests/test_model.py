@@ -302,7 +302,7 @@ def test_equal_cost_agents_are_interchangeable():
     assert exists_appropriate(base) == exists_appropriate(swapped)
 
 
-def test_normalize_low_q_consensus_symmetric():
+def test_mirror_consensus_is_symmetric():
     inst = make_instance("1/3", ["0", "0", "0", "0"], [True, False, False, False, True],
                          name="consensus")
     mirrored = mirror(inst)
@@ -311,7 +311,7 @@ def test_normalize_low_q_consensus_symmetric():
     assert mirrored.fn_spec.name == "consensus"
 
 
-def test_normalize_low_q_complements_indices():
+def test_mirror_complements_indices():
     inst = make_instance("1/4", ["0"] * 5, [False, False, False, True, True, True])
     mirrored = mirror(inst)
     assert mirrored.q == Fraction(3, 4)
@@ -326,7 +326,7 @@ def test_mirror_is_an_involution_at_any_q():
     assert mirror(mirrored) == inst
 
 
-def test_normalize_low_q_preserves_pivotalness_at_mirrored_states():
+def test_mirror_preserves_pivotalness_at_mirrored_states():
     # Brute-force enumeration on n <= 6: P at (i, k) before the mirror equals
     # P at (i, i-k) after it.
     import random as _random

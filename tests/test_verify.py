@@ -29,6 +29,7 @@ from seqelicit.verify import (
     REASON_TRIVIAL,
     Verdict,
     Witness,
+    _lanes,
     exists_appropriate,
 )
 
@@ -144,8 +145,8 @@ def test_lanes_match_the_per_bound_dp_on_the_corpora(corpus_main, corpus_br):
 def test_lanes_match_the_per_bound_dp_across_lane_widths(n):
     # n = 125 is the largest n with 8-bit lanes and n = 126 the smallest with
     # 16-bit ones; with every cost 0 the end lanes reach n + 1, next to the top
-    # bit. The lattice's live lanes are the undetermined states, and its
-    # bounds the willing ranks there.
+    # bit. The live lanes are the undetermined states, and the bounds the
+    # willing ranks there.
     rng = random.Random(9100 + n)
     kinds = set()
     for zeros in (n, n - 2, 0, rng.randrange(1, n)):
@@ -155,22 +156,22 @@ def test_lanes_match_the_per_bound_dp_across_lane_widths(n):
         assert verdict == per_bound_verdict(inst)
         check_witness(inst, verdict)
         kinds.add(verdict.reason)
-        lattice = inst.lattice
-        assert lattice.width == {125: 8, 126: 16, 200: 16}[n]
-        full = (1 << lattice.width) - 1
+        width, _, lives, bounds = _lanes(inst.lattice)
+        assert width == {125: 8, 126: 16, 200: 16}[n]
+        full = (1 << width) - 1
         undetermined = set()
-        for i, live in enumerate(lattice.live):
-            assert live >> ((i + 1) * lattice.width) == 0
+        for i, live in enumerate(lives):
+            assert live >> ((i + 1) * width) == 0
             for k in range(i + 1):
                 open_state = determine(InfoState(i, k), fn) is None
-                assert (live >> (k * lattice.width)) & full == (full if open_state else 0)
+                assert (live >> (k * width)) & full == (full if open_state else 0)
                 if open_state:
                     undetermined.add(InfoState(i, k))
-        assert lattice.bounds == {c_of(state, inst) or 0 for state in undetermined}
+        assert bounds == {c_of(state, inst) or 0 for state in undetermined}
     assert {None, REASON_C_UNDEFINED, REASON_PIGEONHOLE} <= kinds
     # Every cost below every threshold: the determined states' rank 0 is no bound.
     tiny = ProblemInstance.create(Fraction(1, 2), [Fraction(1, 2 ** (n + 1))] * n, fn)
-    assert tiny.lattice.bounds == {n}
+    assert _lanes(tiny.lattice)[3] == {n}
 
 
 def test_lanes_match_the_per_bound_dp_on_adversarial_majority():
