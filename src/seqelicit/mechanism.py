@@ -6,11 +6,12 @@ not yet approached are an int bitmask, `remaining`: bit r is set while rank r
 has not been approached, and bit 0 is always clear, so a step of a game
 removes a rank with one xor and tests one with one shift. The executors
 (`run`, `deviation_profile` and the audit) step on the ints (i, k) of the
-state, read the forced test off the function's prefix count, and build an
-`InfoState` only to hand to the policy. They stop as soon as the output is determined, so no policy decides
-when to halt. The highest-cost-first policy asks the most expensive agent
-that is still willing to compute; its full-reply-tree audit certifies that
-everybody computing truthfully is an equilibrium.
+state and build an `InfoState` only to hand to the policy. They stop where
+the output is forced, at i == n or where the lattice's pivotality numerator
+`num[i][k]` is 0, so no policy decides when to halt. The highest-cost-first
+policy asks the most expensive agent that is still willing to compute; its
+full-reply-tree audit certifies that everybody computing truthfully is an
+equilibrium.
 
 Since a policy sees only (state, remaining), the incentive checks visit each
 reachable such pair once, in two separate walks: the audit goes depth first
@@ -135,18 +136,14 @@ def _play(instance, policy, state: InfoState, remaining: int, secrets, entries=N
     bits are set in `remaining` not yet approached, replying from `secrets`
     (rank order), until the output is determined. Appends each (rank, reply)
     to `entries` when given. Each step is a constant number of operations:
-    one prefix-count lookup, one policy call and one xor.
+    one lattice lookup, one policy call and one xor.
 
-    Returns the state reached and the determined output. Every state after the
-    last approach is determined, so the loop always ends.
+    Returns the state reached and its forced output, the table's value at k.
+    Every state after the last approach is determined, so the loop always ends.
     """
-    n, before = instance.n, instance.fn_spec.ones_before
+    n, num = instance.n, instance.lattice.num
     i, k = state.approached, state.ones
-    while True:
-        # `pivotal.determine`: the ones among the n-i+1 reachable counts.
-        ones = before[k + n - i + 1] - before[k]
-        if not ones or ones == n - i + 1:
-            return state, 1 if ones else 0
+    while i < n and num[i][k]:
         rank = _next_rank(policy, state, remaining)
         reply = secrets[rank - 1]
         if entries is not None:
@@ -155,6 +152,7 @@ def _play(instance, policy, state: InfoState, remaining: int, secrets, entries=N
         k += reply
         state = InfoState(i, k)
         remaining ^= 1 << rank
+    return state, instance.fn_spec.value_at(k)
 
 
 def run(instance: ProblemInstance, policy, secrets) -> RunResult:
@@ -162,7 +160,9 @@ def run(instance: ProblemInstance, policy, secrets) -> RunResult:
     n ints, each 0 or 1 (bools included), or ValueError.
 
     The output always equals the function's value on the true secrets, since
-    the game stops only once every completion agrees.
+    the game stops only once every completion agrees. The stop test reads the
+    instance's lattice under any policy, so past `pivotal.LATTICE_BUDGET_BITS`
+    this raises CapExceeded.
     """
     secrets = tuple(secrets)
     if (
@@ -206,7 +206,7 @@ def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
     """
     if instance.n > AUDIT_CAP:
         raise CapExceeded(f"full tree audit capped at n={AUDIT_CAP}, instance has n={instance.n}")
-    n, before, willing = instance.n, instance.fn_spec.ones_before, instance.lattice.rank
+    n, num, willing = instance.n, instance.lattice.num, instance.lattice.rank
     # Keyed by ints: (i, k, rank) for the records, (i, k, remaining) for the walk.
     records: dict[tuple[int, int, int], AuditRecord] = {}
     walked: set[tuple[int, int, int]] = set()
@@ -218,8 +218,7 @@ def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
                 continue
             walked.add(key)
             i, k, remaining = key
-            ones = before[k + n - i + 1] - before[k]
-            if not ones or ones == n - i + 1:
+            if i == n or not num[i][k]:
                 continue
             state = InfoState(i, k)
             rank = _next_rank(policy, state, remaining)
@@ -245,7 +244,7 @@ def _reach(instance: ProblemInstance, policy) -> tuple[list[int], list[int]]:
     `pivotal[r]` that weight times P(i, k), both scaled by b^n for q = a/b.
     Once a rank is picked it leaves `remaining`, so each path picks it at
     most once. Raises the first policy failure met in layer order."""
-    n, before, num = instance.n, instance.fn_spec.ones_before, instance.lattice.num
+    n, num = instance.n, instance.lattice.num
     a, b = instance.q.numerator, instance.q.denominator
     prior = (b - a, a)  # weight of a 0 and of a 1, scaled by b
     total, pivotal = [0] * (n + 1), [0] * (n + 1)
@@ -256,8 +255,7 @@ def _reach(instance: ProblemInstance, policy) -> tuple[list[int], list[int]]:
         reached: dict = {}
         scale, row = b ** (n - i), num[i]
         for (k, remaining), weight in layer.items():
-            ones = before[k + n - i + 1] - before[k]
-            if not ones or ones == n - i + 1:
+            if not row[k]:
                 continue
             chosen = _next_rank(policy, InfoState(i, k), remaining)
             total[chosen] += weight * scale

@@ -13,7 +13,7 @@ import json
 import re
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import repeat
 from math import lcm
 from operator import attrgetter, contains, lt
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -84,6 +84,8 @@ class AnonymousFunctionSpec(
     ``name`` is a label only: equality and hashing ignore it.
     """
 
+    __slots__ = ()
+
     def __new__(cls, n: int, ones_to_one: tuple[bool, ...], name: str | None = None):
         if n < 1:
             raise BadFunctionTable(f"agent count must be at least 1, got {n}")
@@ -104,18 +106,6 @@ class AnonymousFunctionSpec(
 
     def __hash__(self) -> int:
         return hash(self[:2])
-
-    # The __dict__ holds only the cached ``ones_before``, which
-    # cached_property writes there directly.
-    __setattr__ = __delattr__ = _refuse
-
-    @cached_property
-    def ones_before(self) -> tuple[int, ...]:
-        """Entry w counts the ones-counts below w that map to 1, so the table
-        window [lo, hi) holds ``ones_before[hi] - ones_before[lo]`` of them.
-        Computed once on first use and kept beside the fields, outside
-        equality and hashing."""
-        return (0, *accumulate(self.ones_to_one))
 
     @property
     def is_constant(self) -> bool:
@@ -280,8 +270,12 @@ class ProblemInstance:
             raise BadFunctionTable(
                 f"function is over {self.fn_spec.n} agents, instance has {self.n}"
             )
-        if len(self.agent_ids) != self.n or len(set(self.agent_ids)) != self.n:
-            raise MalformedDocument("agent_ids must be n distinct strings")
+        if (
+            len(self.agent_ids) != self.n
+            or not all(isinstance(a, str) and a for a in self.agent_ids)
+            or len(set(self.agent_ids)) != self.n
+        ):
+            raise MalformedDocument("agent_ids must be n distinct nonempty strings")
 
     __setattr__ = __delattr__ = _refuse
 
@@ -306,9 +300,12 @@ class ProblemInstance:
         fn_spec: AnonymousFunctionSpec,
         agent_ids: Sequence[str] | None = None,
     ) -> "ProblemInstance":
-        """Build an instance from costs in input order, sorting them stably."""
-        if any(isinstance(c, float) for c in costs):
-            raise CostOutOfRange("costs must be exact rationals, not floats")
+        """Build an instance from costs in input order, sorting them stably.
+        The prior and the costs are exact: a float or a bool is rejected."""
+        if isinstance(q, (bool, float)):
+            raise QOutOfRange(f"prior must be an exact rational, not a {type(q).__name__}")
+        if any(isinstance(c, (bool, float)) for c in costs):
+            raise CostOutOfRange("costs must be exact rationals, not floats or booleans")
         costs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in costs)
         n = len(costs)
         if agent_ids is None:
@@ -461,15 +458,11 @@ def ingest(document) -> ProblemInstance:
 
     agent_ids = None
     if "agent_ids" in document:
-        raw_ids = document["agent_ids"]
-        if (
-            not isinstance(raw_ids, list)
-            or len(raw_ids) != n
-            or not all(isinstance(a, str) and a for a in raw_ids)
-            or len(set(raw_ids)) != n
-        ):
+        agent_ids = document["agent_ids"]
+        # ProblemInstance checks the entries; a string or a mapping would
+        # iterate into ids of its own.
+        if not isinstance(agent_ids, list):
             raise MalformedDocument("agent_ids must be n distinct nonempty strings")
-        agent_ids = raw_ids
 
     return ProblemInstance.create(q, costs, _parse_function(document["function"], n), agent_ids)
 

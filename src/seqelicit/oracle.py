@@ -13,10 +13,14 @@ one list DP per rank bound with one Python step per state. It checks only the
 packed-lane arithmetic of `verify`, not the lattice's ranks or the criterion
 itself, which the closed-form and enumeration routes cover.
 
-`window_determine` scans the table window that `pivotal.determine` reads off
-a prefix count. `mirror` relabels every secret 0 <-> 1, the same game seen
-from q -> 1-q: the lattice answers any q in (0, 1) natively, so the mirror is
-the reference its low-prior answers are checked against.
+`brute_audit` and the mechanism enumeration stop where `pivotal.determine`'s
+window scan finds the output forced, while the executors in `mechanism` stop
+where the lattice's numerator is 0, so the audit's comparison checks one stop
+test against the other. `brute_deviation_profiles` plays through
+`mechanism._play` and shares its lattice stop test. `mirror` relabels every
+secret 0 <-> 1, the same game seen from q -> 1-q: the lattice answers any q
+in (0, 1) natively, so the mirror is the reference its low-prior answers are
+checked against.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .mechanism import (
     audit_full_tree,
 )
 from .model import ALL_ACTIONS, Action, AnonymousFunctionSpec, InfoState, ProblemInstance
-from .pivotal import StateLattice, _check_approachable, _check_state, c_of, determine, threshold
+from .pivotal import StateLattice, _check_approachable, c_of, determine, threshold
 from .verify import REASON_C_UNDEFINED, REASON_PIGEONHOLE, REASON_TRIVIAL, Verdict, Witness
 
 # Largest number of free agents completion enumeration accepts, and largest n
@@ -80,18 +84,6 @@ def mirror(instance: ProblemInstance) -> ProblemInstance:
     return ProblemInstance(
         instance.n, 1 - instance.q, instance.costs, instance.original_index, fn_spec, instance.agent_ids
     )
-
-
-def window_determine(state: InfoState, fn: AnonymousFunctionSpec) -> int | None:
-    """`pivotal.determine` by slicing the table's window of reachable
-    ones-counts, k..k+(n-i), and scanning it."""
-    _check_state(state, fn.n)
-    window = fn.ones_to_one[state.ones : state.ones + (fn.n - state.approached) + 1]
-    if all(window):
-        return 1
-    if not any(window):
-        return 0
-    return None
 
 
 def closed_form_pivotal(state: InfoState, instance: ProblemInstance) -> Fraction:

@@ -76,17 +76,16 @@ def determine(state: InfoState, fn: AnonymousFunctionSpec) -> int | None:
     """The output forced at `state`, or None while both outcomes are reachable.
 
     The reachable ones-counts from (i, k) are k..k+(n-i); the output is forced
-    exactly when the table is constant on that window, which the function's
-    prefix count of ones answers in O(1): 1 when every entry of the window is
-    1, 0 when none is. `oracle.window_determine` scans the window instead.
+    exactly when the table is constant on that window: 1 when every entry of
+    the window is 1, 0 when none is. This scans the window; the executors in
+    `mechanism` read the same fact off the instance's lattice, where `num[i][k]`
+    is 0 exactly at a determined state with i < n.
     """
     _check_state(state, fn.n)
-    span = fn.n - state.approached + 1
-    before = fn.ones_before
-    ones = before[state.ones + span] - before[state.ones]
-    if ones == span:
+    window = fn.ones_to_one[state.ones : state.ones + (fn.n - state.approached) + 1]
+    if all(window):
         return 1
-    if not ones:
+    if not any(window):
         return 0
     return None
 

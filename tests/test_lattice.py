@@ -14,7 +14,7 @@ from conftest import Q_CHOICES, check_witness, corpus, random_instance
 from seqelicit import pivotal
 from seqelicit.errors import CapExceeded
 from seqelicit.graph import export_dot, nodes
-from seqelicit.mechanism import HcfPolicy, audit_full_tree, deviation_profile
+from seqelicit.mechanism import FixedOrderPolicy, HcfPolicy, audit_full_tree, deviation_profile, run
 from seqelicit.model import InfoState, ProblemInstance, parity
 from seqelicit.oracle import closed_form_pivotal
 from seqelicit.pivotal import c_of, determine, pivotal_prob, threshold
@@ -153,6 +153,9 @@ def test_lattice_budget_turns_an_instance_away_before_building(monkeypatch):
     big = _zero_cost_parity(12)
     with pytest.raises(CapExceeded, match="numerator bits"):
         exists_appropriate(big)
+    # A fixed-order run reads the lattice's forced test as HCF does.
+    with pytest.raises(CapExceeded, match="numerator bits"):
+        run(big, FixedOrderPolicy(big), (0,) * 12)
     assert "lattice" not in vars(big)
 
 

@@ -15,8 +15,8 @@ from conftest import (
     random_instance,
 )
 from seqelicit.errors import StateExhausted
-from seqelicit.model import AnonymousFunctionSpec, InfoState, consensus, majority, parity, unanimity
-from seqelicit.oracle import brute_pivotal, window_determine
+from seqelicit.model import AnonymousFunctionSpec, InfoState, ProblemInstance, consensus, majority, parity, unanimity
+from seqelicit.oracle import brute_pivotal
 from seqelicit.graph import nodes
 from seqelicit.pivotal import c_of, determine, pivotal_prob, threshold
 
@@ -38,32 +38,38 @@ def test_determine_majority_straddle():
     assert determine(InfoState(10, 4), majority(11)) == 0
 
 
-def _determine_everywhere(fn):
-    states = [InfoState(i, k) for i in range(fn.n + 1) for k in range(i + 1)]
-    return [determine(s, fn) for s in states], [window_determine(s, fn) for s in states]
+def _check_the_window_scan_against_the_lattice(fn):
+    # `determine` scans the window; the executors read the lattice. Under a
+    # prior below 1/2, so the lattice's weights are unequal, a state with
+    # i < n is determined exactly where its numerator is 0, and at every
+    # determined state, layer n included, the forced output is table[k].
+    num = ProblemInstance.create(Fraction(1, 3), [0] * fn.n, fn).lattice.num
+    for i in range(fn.n + 1):
+        for k in range(i + 1):
+            forced = determine(InfoState(i, k), fn)
+            if i < fn.n:
+                assert (forced is None) == bool(num[i][k])
+            if forced is not None:
+                assert forced == fn.ones_to_one[k]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.integers(1, 40), st.sampled_from((0.03, 0.5, 0.97)), st.randoms(use_true_random=False))
 def test_determine_matches_the_window_scan(n, bias, rng):
-    # The prefix count against the scan of every window, at every state with
-    # i <= n; a biased coin makes long constant windows of either value common.
+    # A biased coin makes long constant windows of either value common.
     fn = AnonymousFunctionSpec(n, tuple(rng.random() < bias for _ in range(n + 1)))
-    fast, scan = _determine_everywhere(fn)
-    assert fast == scan
+    _check_the_window_scan_against_the_lattice(fn)
 
 
 @pytest.mark.parametrize("shortcut", [majority, consensus, parity, unanimity])
 @pytest.mark.parametrize("n", [1, 2, 7, 40])
 def test_determine_matches_the_window_scan_on_shortcuts(shortcut, n):
-    fast, scan = _determine_everywhere(shortcut(n))
-    assert fast == scan
+    _check_the_window_scan_against_the_lattice(shortcut(n))
 
 
 def test_determine_rejects_states_past_n():
-    for check in (determine, window_determine):
-        with pytest.raises(ValueError):
-            check(InfoState(5, 0), parity(4))
+    with pytest.raises(ValueError):
+        determine(InfoState(5, 0), parity(4))
 
 
 def test_pivotal_majority_root():

@@ -1,4 +1,5 @@
-"""Source hygiene that no linter in CI checks: every import in the package is read."""
+"""Source hygiene that no linter in CI checks: every import in the package is
+read, and so is every private name the package defines."""
 
 from __future__ import annotations
 
@@ -42,6 +43,32 @@ def _read(tree: ast.Module) -> set[str]:
     }
 
 
+def _private(tree: ast.Module) -> dict[str, int]:
+    """The private names, dunders aside, that a module defines at module or
+    class level, with the line of each."""
+    names = {}
+    bodies = [tree.body, *(node.body for node in ast.walk(tree) if isinstance(node, ast.ClassDef))]
+    for node in (node for body in bodies for node in body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined = [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+        else:
+            continue
+        for name in defined:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                names[name] = node.lineno
+    return names
+
+
+def _read_anywhere(tree: ast.Module) -> set[str]:
+    """The names a module reads, bare or as an attribute."""
+    return _read(tree) | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def test_no_module_imports_a_name_it_never_reads():
     unused = []
     modules = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
@@ -57,3 +84,19 @@ def test_the_scan_sees_an_unused_import_and_a_string_annotation():
     tree = ast.parse("import os\nfrom typing import Any\nfrom x import Y\ndef f(a: 'Y') -> None: ...\n")
     read = _read(tree)
     assert [name for name in _imported(tree) if name not in read] == ["os", "Any"]
+
+
+def test_every_private_name_is_read_somewhere_in_the_package():
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*map(_read_anywhere, trees.values()))
+    defined = [(f"{module}:{line} {name}", name) for module, tree in trees.items() for name, line in _private(tree).items()]
+    assert len(defined) >= 30
+    assert [where for where, name in defined if name not in read] == []
+
+
+def test_the_scan_sees_a_private_name_never_read():
+    tree = ast.parse(
+        "_A = 1\n_B, _C = 2, 3\nclass K:\n    _x = 0\n    def _m(self): return _A + _C\n"
+        "    def __len__(self): return self._x\ndef f():\n    _local = 1\n"
+    )
+    assert [name for name in _private(tree) if name not in _read_anywhere(tree)] == ["_B", "_m"]

@@ -47,6 +47,14 @@ REJECTED = [
     ("instance-index-not-permutation", lambda: _instance(original_index=(1, 1)), MalformedDocument),
     ("instance-function-over-3", lambda: _instance(fn_spec=majority(3)), BadFunctionTable),
     ("instance-repeated-id", lambda: _instance(agent_ids=("a", "a")), MalformedDocument),
+    # Ids that `ingest` rejects, so `emit` must never be handed them.
+    ("instance-int-ids", lambda: _instance(agent_ids=(1, 2)), MalformedDocument),
+    ("instance-empty-id", lambda: _instance(agent_ids=("", "b")), MalformedDocument),
+    ("create-int-ids", lambda: ProblemInstance.create(HALF, [0, 0], FN2, [1, 2]), MalformedDocument),
+    ("create-float-q", lambda: ProblemInstance.create(0.4, [0, 0], FN2), QOutOfRange),
+    ("create-bool-q", lambda: ProblemInstance.create(True, [0, 0], FN2), QOutOfRange),
+    ("create-bool-cost", lambda: ProblemInstance.create(HALF, [False, 0], FN2), CostOutOfRange),
+    ("create-float-cost", lambda: ProblemInstance.create(HALF, [0.25, 0], FN2), CostOutOfRange),
 ]
 
 
@@ -69,7 +77,7 @@ def test_valid_values_build_by_position_and_by_keyword():
         (InfoState(1, 0), ("approached", "ones")),
         (Action("truthful", True, (0, 1)), ("name", "compute", "replies")),
         (Transcript(((1, 0),)), ("entries",)),
-        (FN2, ("n", "ones_to_one", "name", "ones_before")),
+        (FN2, ("n", "ones_to_one", "name")),
         (_instance(), ("n", "q", "costs", "original_index", "fn_spec", "agent_ids", "lattice", "_deviation_memo")),
     ],
     ids=["InfoState", "Action", "Transcript", "AnonymousFunctionSpec", "ProblemInstance"],
@@ -93,8 +101,8 @@ def test_function_spec_equality_and_hash_ignore_the_name():
     assert hash(FN2) == hash(unnamed)
     assert FN2 != AnonymousFunctionSpec(2, (False, True, False), "or")
     assert len({FN2, unnamed}) == 1
-    # The cached prefix count is not a field either.
-    assert FN2.ones_before == (0, 0, 1, 2) and FN2 == unnamed
+    # Nothing is kept beside the fields.
+    assert not hasattr(FN2, "__dict__")
 
 
 def test_info_state_orders_prints_and_reprs_as_before():
