@@ -20,7 +20,6 @@ from .errors import (
 )
 from .mechanism import FixedOrderPolicy, HcfPolicy, audit_full_tree, deviation_profile, draw_secrets, run
 from .model import TRUTHFUL_COMPUTE, InfoState, ingest
-from .pivotal import determine
 from .verify import exists_appropriate
 
 __version__ = "0.1.0"

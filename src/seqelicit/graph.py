@@ -1,7 +1,7 @@
 """The reduced DAG of undetermined information states, read off the state lattice.
 
 Nodes are the states (i, k) where the output is still unknown, exactly those
-with a nonzero pivotality numerator in `instance.lattice`; edges follow a
+with a nonnegative willing rank in `instance.lattice`; edges follow a
 single extra reply (a 0 keeps k, a 1 increments it). Predecessors of an
 undetermined state are themselves undetermined, so the whole graph hangs off
 (0, 0), and every node with no undetermined successor sits at layer n-1.
@@ -16,19 +16,19 @@ from .pivotal import c_of, pivotal_prob
 def nodes(instance: ProblemInstance) -> list[InfoState]:
     """The undetermined states in lexicographic (i, k) order; empty for a
     constant function."""
-    return [InfoState(i, k) for i, row in enumerate(instance.lattice.num) for k, num in enumerate(row) if num]
+    return [InfoState(i, k) for i, row in enumerate(instance.lattice.rank) for k, r in enumerate(row) if r >= 0]
 
 
 def edges(instance: ProblemInstance) -> list[tuple[InfoState, InfoState]]:
     """The (state, child) pairs among the undetermined states, parents in node
     order and the 0-reply child first."""
-    num = instance.lattice.num
+    rank = instance.lattice.rank
     return [
         (state, InfoState(state.approached + 1, k))
         for state in nodes(instance)
         if state.approached + 1 < instance.n
         for k in (state.ones, state.ones + 1)
-        if num[state.approached + 1][k]
+        if rank[state.approached + 1][k] >= 0
     ]
 
 

@@ -7,9 +7,10 @@ has not been approached, and bit 0 is always clear, so a step of a game
 removes a rank with one xor and tests one with one shift. The executors
 (`run`, `deviation_profile` and the audit) step on the ints (i, k) of the
 state and build an `InfoState` only to hand to the policy. They stop where
-the output is forced, at i == n or where the lattice's pivotality numerator
-`num[i][k]` is 0, so no policy decides when to halt. The highest-cost-first
-policy asks the most expensive agent that is still willing to compute; its
+the output is forced, at i == n or where the lattice marks the state
+determined with a negative willing rank, `rank[i][k] < 0`, so no policy
+decides when to halt. The highest-cost-first policy reads the same row: it
+asks the most expensive agent that is still willing to compute, and its
 full-reply-tree audit certifies that everybody computing truthfully is an
 equilibrium.
 
@@ -70,13 +71,13 @@ class HcfPolicy(_InstancePolicy):
     def next(self, state: InfoState, remaining: int) -> int:
         """The largest remaining rank up to the state's willing rank c, so
         equal costs break toward the higher rank: the top set bit of
-        `remaining` at or below bit c. Raises PolicyFailed when nobody
-        remaining is willing."""
+        `remaining` at or below bit c, read as `c_of` does. Raises
+        PolicyFailed when nobody remaining is willing."""
         try:
             willing = self.instance.lattice.rank[state.approached][state.ones]
         except IndexError:  # layer n or beyond, where c_of raises
             willing = c_of(state, self.instance) or 0
-        rank = (remaining & ((2 << willing) - 1)).bit_length() - 1
+        rank = (remaining & ((2 << (willing if willing >= 0 else ~willing)) - 1)).bit_length() - 1
         if rank <= 0:
             raise PolicyFailed(state, FAIL_NO_ELIGIBLE)
         return rank
@@ -141,9 +142,9 @@ def _play(instance, policy, state: InfoState, remaining: int, secrets, entries=N
     Returns the state reached and its forced output, the table's value at k.
     Every state after the last approach is determined, so the loop always ends.
     """
-    n, num = instance.n, instance.lattice.num
+    n, willing = instance.n, instance.lattice.rank
     i, k = state.approached, state.ones
-    while i < n and num[i][k]:
+    while i < n and willing[i][k] >= 0:
         rank = _next_rank(policy, state, remaining)
         reply = secrets[rank - 1]
         if entries is not None:
@@ -206,7 +207,7 @@ def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
     """
     if instance.n > AUDIT_CAP:
         raise CapExceeded(f"full tree audit capped at n={AUDIT_CAP}, instance has n={instance.n}")
-    n, num, willing = instance.n, instance.lattice.num, instance.lattice.rank
+    n, willing = instance.n, instance.lattice.rank
     # Keyed by ints: (i, k, rank) for the records, (i, k, remaining) for the walk.
     records: dict[tuple[int, int, int], AuditRecord] = {}
     walked: set[tuple[int, int, int]] = set()
@@ -218,7 +219,7 @@ def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
                 continue
             walked.add(key)
             i, k, remaining = key
-            if i == n or not num[i][k]:
+            if i == n or willing[i][k] < 0:
                 continue
             state = InfoState(i, k)
             rank = _next_rank(policy, state, remaining)
@@ -244,7 +245,7 @@ def _reach(instance: ProblemInstance, policy) -> tuple[list[int], list[int]]:
     `pivotal[r]` that weight times P(i, k), both scaled by b^n for q = a/b.
     Once a rank is picked it leaves `remaining`, so each path picks it at
     most once. Raises the first policy failure met in layer order."""
-    n, num = instance.n, instance.lattice.num
+    n, num, willing = instance.n, instance.lattice.num, instance.lattice.rank
     a, b = instance.q.numerator, instance.q.denominator
     prior = (b - a, a)  # weight of a 0 and of a 1, scaled by b
     total, pivotal = [0] * (n + 1), [0] * (n + 1)
@@ -253,9 +254,9 @@ def _reach(instance: ProblemInstance, policy) -> tuple[list[int], list[int]]:
     layer = {(0, _all_remaining(instance)): 1}
     for i in range(n):
         reached: dict = {}
-        scale, row = b ** (n - i), num[i]
+        scale, row, ranks = b ** (n - i), num[i], willing[i]
         for (k, remaining), weight in layer.items():
-            if not row[k]:
+            if ranks[k] < 0:
                 continue
             chosen = _next_rank(policy, InfoState(i, k), remaining)
             total[chosen] += weight * scale

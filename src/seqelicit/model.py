@@ -249,8 +249,8 @@ class ProblemInstance:
         agent_ids: tuple[str, ...],
     ):
         vars(self).update(zip(self._FIELDS, (n, q, costs, original_index, fn_spec, agent_ids)))
-        if self.n < 1:
-            raise MalformedDocument(f"agent count must be at least 1, got {self.n}")
+        if isinstance(self.n, bool) or self.n < 1:
+            raise MalformedDocument(f"agent count must be an integer >= 1, got {self.n!r}")
         if not isinstance(self.q, Fraction) or not 0 < self.q < 1:
             raise QOutOfRange(f"prior must lie strictly between 0 and 1, got {_clip(self.q)}")
         if len(self.costs) != self.n:

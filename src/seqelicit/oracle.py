@@ -13,11 +13,12 @@ one list DP per rank bound with one Python step per state. It checks only the
 packed-lane arithmetic of `verify`, not the lattice's ranks or the criterion
 itself, which the closed-form and enumeration routes cover.
 
-`brute_audit` and the mechanism enumeration stop where `pivotal.determine`'s
-window scan finds the output forced, while the executors in `mechanism` stop
-where the lattice's numerator is 0, so the audit's comparison checks one stop
-test against the other. `brute_deviation_profiles` plays through
-`mechanism._play` and shares its lattice stop test. `mirror` relabels every
+`brute_audit` and the mechanism enumeration stop where `determine`'s window
+scan finds the output forced, while the executors in `mechanism` stop where
+the lattice marks the state determined in its rank row, so the audit's
+comparison checks one stop test against the other. `brute_deviation_profiles`
+plays through `mechanism._play` and shares its lattice stop test; the list DP
+below tests the numerators for 0 instead of the mark. `mirror` relabels every
 secret 0 <-> 1, the same game seen from q -> 1-q: the lattice answers any q
 in (0, 1) natively, so the mirror is the reference its low-prior answers are
 checked against.
@@ -44,7 +45,7 @@ from .mechanism import (
     audit_full_tree,
 )
 from .model import ALL_ACTIONS, Action, AnonymousFunctionSpec, InfoState, ProblemInstance
-from .pivotal import StateLattice, _check_approachable, c_of, determine, threshold
+from .pivotal import StateLattice, _check_approachable, c_of, threshold
 from .verify import REASON_C_UNDEFINED, REASON_PIGEONHOLE, REASON_TRIVIAL, Verdict, Witness
 
 # Largest number of free agents completion enumeration accepts, and largest n
@@ -84,6 +85,23 @@ def mirror(instance: ProblemInstance) -> ProblemInstance:
     return ProblemInstance(
         instance.n, 1 - instance.q, instance.costs, instance.original_index, fn_spec, instance.agent_ids
     )
+
+
+def determine(state: InfoState, fn: AnonymousFunctionSpec) -> int | None:
+    """The output forced at `state`, or None while both outcomes are reachable.
+
+    The reachable ones-counts from (i, k) are k..k+(n-i); the output is forced
+    exactly when the table is constant on that window, and is that constant.
+    The scan is the reference for the lattice's mark, `rank[i][k] < 0`, i < n.
+    """
+    if state.approached > fn.n:
+        raise ValueError(f"state {state} out of range for n={fn.n}")
+    window = fn.ones_to_one[state.ones : state.ones + (fn.n - state.approached) + 1]
+    if all(window):
+        return 1
+    if not any(window):
+        return 0
+    return None
 
 
 def closed_form_pivotal(state: InfoState, instance: ProblemInstance) -> Fraction:

@@ -1,10 +1,10 @@
-"""Determination status, pivotality, and incentive thresholds at information states.
+"""Pivotality, incentive thresholds and willing ranks at information states.
 
 For an anonymous function, the pair (agents approached, ones reported) is a
 sufficient statistic for everything the remaining agents can infer, so all
 quantities here are functions of that pair. Each instance owns one
 `StateLattice`, built on first use, that holds the pivotality numerator and
-the willing rank of every state; the lookups below read it.
+the willing rank, or determined mark, of every state; the lookups read it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import CapExceeded, StateExhausted
-from .model import AnonymousFunctionSpec, InfoState, ProblemInstance
+from .model import InfoState, ProblemInstance
 
 # Most bits the lattice's numerators may take, checked from n and q = a/b
 # before any row is built. A numerator at layer i is at most b^(n-1-i), about
@@ -40,6 +40,10 @@ class StateLattice:
     m num / b^(n-i), and the agent at rank r is willing iff
     num >= ceil(cost_r.num b^(n-i) / (cost_r.den m)); rank[i][k] counts
     those ranks (0 when nobody is willing). Equal costs share one bound.
+
+    A determined state, with threshold 0, has the z zero-cost agents willing
+    and holds ~z = -z-1, so `rank[i][k] < 0` is the forced test and
+    max(r, ~r) the willing count at any state.
     """
 
     def __init__(self, instance: ProblemInstance):
@@ -59,39 +63,17 @@ class StateLattice:
         counts = Counter((c.numerator, c.denominator) for c in instance.costs)
         below = [0, *accumulate(counts.values())]
         costs = [(top, den * min(a, b - a)) for top, den in counts]
+        determined = ~below[instance.costs[0] == 0]  # the zero-cost agents, the cheapest if any
         self.rank = []
         for i, row in enumerate(self.num):
             scale = b ** (n - i)
             cutoffs = [-(-top * scale // bottom) for top, bottom in costs]
-            self.rank.append([below[bisect_right(cutoffs, v)] for v in row])
-        self.n, self.a, self.b = n, a, b
-
-
-def _check_state(state: InfoState, n: int) -> None:
-    if state.approached > n:
-        raise ValueError(f"state {state} out of range for n={n}")
-
-
-def determine(state: InfoState, fn: AnonymousFunctionSpec) -> int | None:
-    """The output forced at `state`, or None while both outcomes are reachable.
-
-    The reachable ones-counts from (i, k) are k..k+(n-i); the output is forced
-    exactly when the table is constant on that window: 1 when every entry of
-    the window is 1, 0 when none is. This scans the window; the executors in
-    `mechanism` read the same fact off the instance's lattice, where `num[i][k]`
-    is 0 exactly at a determined state with i < n.
-    """
-    _check_state(state, fn.n)
-    window = fn.ones_to_one[state.ones : state.ones + (fn.n - state.approached) + 1]
-    if all(window):
-        return 1
-    if not any(window):
-        return 0
-    return None
+            self.rank.append([below[bisect_right(cutoffs, v)] if v else determined for v in row])
 
 
 def _check_approachable(state: InfoState, n: int) -> None:
-    _check_state(state, n)
+    if state.approached > n:
+        raise ValueError(f"state {state} out of range for n={n}")
     if state.approached == n:
         raise StateExhausted(f"no agent left to approach at {state}")
 
@@ -106,9 +88,8 @@ def pivotal_prob(state: InfoState, instance: ProblemInstance) -> Fraction:
 
     Zero at a determined state; at layer n-1 it is 0 or 1.
     """
-    lattice = _lattice(state, instance)
     i, k = state.approached, state.ones
-    return Fraction(lattice.num[i][k], lattice.b ** (lattice.n - 1 - i))
+    return Fraction(_lattice(state, instance).num[i][k], instance.q.denominator ** (instance.n - 1 - i))
 
 
 def threshold(state: InfoState, instance: ProblemInstance) -> Fraction:
@@ -119,15 +100,16 @@ def threshold(state: InfoState, instance: ProblemInstance) -> Fraction:
     An agent is eligible at the state iff its cost is at most this value
     (weak inequality).
     """
-    lattice = _lattice(state, instance)
     i, k = state.approached, state.ones
-    a, b = lattice.a, lattice.b
-    return Fraction(min(a, b - a) * lattice.num[i][k], b ** (lattice.n - i))
+    a, b = instance.q.as_integer_ratio()  # one call; .numerator and .denominator are two
+    return Fraction(min(a, b - a) * _lattice(state, instance).num[i][k], b ** (instance.n - i))
 
 
 def c_of(state: InfoState, instance: ProblemInstance) -> int | None:
     """Largest 1-based cost rank still willing to compute at `state`.
 
-    None when even the cheapest agent's cost exceeds the threshold.
+    None when even the cheapest agent's cost exceeds the threshold. At a
+    determined state, threshold 0, it counts the zero-cost agents (or None).
     """
-    return _lattice(state, instance).rank[state.approached][state.ones] or None
+    willing = _lattice(state, instance).rank[state.approached][state.ones]
+    return (willing if willing >= 0 else ~willing) or None

@@ -5,15 +5,15 @@ layer is one Python int with a lane per ones-count, so the max over a state's
 two parents, the per-bound indicator and the end-layer test are a few big-int
 operations per layer instead of one Python step per state (the SWAR technique
 of Lamport, "Multiple byte processing with full-word instructions", CACM
-1975). Only `_lanes` knows the lane format, and it packs afresh on each call.
-`oracle.per_bound_verdict` keeps the per-state list DP as the reference.
+1975). Only `_lanes` knows the lane format, and it packs afresh on each call,
+reading the live states off the lanes' sign bits. `oracle.per_bound_verdict`
+keeps the per-state list DP as the reference.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from itertools import compress
 from typing import NamedTuple
 
 from .model import InfoState, ProblemInstance
@@ -41,23 +41,23 @@ class Verdict(NamedTuple):
 
 def _lanes(lattice: StateLattice) -> tuple[int, list[int], list[int], set[int]]:
     """(width, ranks, live, bounds): the lattice in lanes of `width` bits, lane
-    k for state (i, k), in the narrowest `array` typecode with n + 2 below its
-    top bit, so that no lane value carries into the next. ranks[i] packs layer
-    i's willing ranks; live[i] is all ones in the lanes of the undetermined
-    states, which above layer n-1 are the parents of undetermined states by
-    the recurrence; `bounds` holds the willing ranks there.
+    k for state (i, k), in the narrowest signed `array` typecode with n + 2
+    below its top bit, so that no lane value carries into the next. A packed
+    rank row has the top bit set in exactly the lanes of its determined
+    states, where the mark is negative: live[i] is all ones in the other
+    lanes, ranks[i] keeps layer i's willing ranks there and 0 elsewhere, and
+    `bounds` holds the willing ranks of the undetermined states.
     """
-    n, num = lattice.n, lattice.num
-    code = next(code for code in "BHIQ" if n + 2 < 1 << (8 * array(code).itemsize - 1))
+    n = len(lattice.rank)
+    code = next(code for code in "bhiq" if n + 2 < 1 << (8 * array(code).itemsize - 1))
     width = 8 * array(code).itemsize
-    ranks = [int.from_bytes(array(code, row), sys.byteorder) for row in lattice.rank]
-    flags = int.from_bytes(array(code, num[-1]), sys.byteorder) * ((1 << width) - 1)
-    live = [flags]
-    for size in range(n - 1, 0, -1):
-        flags = (flags | flags >> width) & ((1 << size * width) - 1)
-        live.append(flags)
-    bounds = {c for row, rank in zip(num, lattice.rank) for c in compress(rank, row)}
-    return width, ranks, live[::-1], bounds
+    mask = (1 << width) - 1
+    high = ((1 << (n * width)) - 1) // mask << (width - 1)
+    packed = [int.from_bytes(array(code, row), sys.byteorder) for row in lattice.rank]
+    live = [(((high >> ((n - 1 - i) * width)) & ~row) >> (width - 1)) * mask for i, row in enumerate(packed)]
+    ranks = [row & alive for row, alive in zip(packed, live)]
+    bounds = {c for c in set().union(*lattice.rank) if c >= 0}
+    return width, ranks, live, bounds
 
 
 def exists_appropriate(instance: ProblemInstance) -> Verdict:
@@ -76,7 +76,7 @@ def exists_appropriate(instance: ProblemInstance) -> Verdict:
     integers, and the scan stops once the first end node violates.
     """
     lattice = instance.lattice
-    if not lattice.num[0][0]:
+    if lattice.rank[0][0] < 0:
         return Verdict(True, REASON_TRIVIAL)
     width, ranks, live, bounds = _lanes(lattice)
     mask = (1 << width) - 1

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import example2_instance, make_instance, random_instance
 from seqelicit.graph import edges, export_dot, nodes
 from seqelicit.model import InfoState, consensus, parity, ProblemInstance
-from seqelicit.pivotal import c_of, determine
-from seqelicit.oracle import _path_counts, _walk
+from seqelicit.pivotal import c_of
+from seqelicit.oracle import _path_counts, _walk, determine
 
 
 def enumerate_edges_naive(instance: ProblemInstance) -> set[tuple[InfoState, InfoState]]:

@@ -16,8 +16,8 @@ from seqelicit.errors import CapExceeded
 from seqelicit.graph import export_dot, nodes
 from seqelicit.mechanism import FixedOrderPolicy, HcfPolicy, audit_full_tree, deviation_profile, run
 from seqelicit.model import InfoState, ProblemInstance, parity
-from seqelicit.oracle import closed_form_pivotal
-from seqelicit.pivotal import c_of, determine, pivotal_prob, threshold
+from seqelicit.oracle import closed_form_pivotal, determine
+from seqelicit.pivotal import c_of, pivotal_prob, threshold
 from seqelicit.verify import REASON_PIGEONHOLE, Verdict, Witness, exists_appropriate
 
 

@@ -28,7 +28,7 @@ from seqelicit.mechanism import (
     draw_secrets,
     run,
 )
-from seqelicit.oracle import brute_audit, brute_deviation_profiles, mirror
+from seqelicit.oracle import brute_audit, brute_deviation_profiles, determine, mirror
 from seqelicit.model import (
     ALL_ACTIONS,
     COMPUTE_REPORT_ONE,
@@ -45,7 +45,7 @@ from seqelicit.model import (
     majority,
     parity,
 )
-from seqelicit.pivotal import c_of, determine, pivotal_prob, threshold
+from seqelicit.pivotal import c_of, pivotal_prob, threshold
 from seqelicit.verify import REASON_C_UNDEFINED, exists_appropriate
 
 

@@ -12,10 +12,11 @@ from seqelicit.model import InfoState, consensus
 from seqelicit.oracle import (
     BRUTE_PIVOTAL_CAP,
     brute_pivotal,
+    determine,
     exhaustive_existence,
     hcf_tree_existence,
 )
-from seqelicit.pivotal import c_of, determine
+from seqelicit.pivotal import c_of
 from seqelicit.verify import exists_appropriate
 
 

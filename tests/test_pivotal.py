@@ -16,9 +16,9 @@ from conftest import (
 )
 from seqelicit.errors import StateExhausted
 from seqelicit.model import AnonymousFunctionSpec, InfoState, ProblemInstance, consensus, majority, parity, unanimity
-from seqelicit.oracle import brute_pivotal
+from seqelicit.oracle import brute_pivotal, determine
 from seqelicit.graph import nodes
-from seqelicit.pivotal import c_of, determine, pivotal_prob, threshold
+from seqelicit.pivotal import c_of, pivotal_prob, threshold
 
 
 def test_determine_consensus_mixed_replies():
@@ -41,14 +41,16 @@ def test_determine_majority_straddle():
 def _check_the_window_scan_against_the_lattice(fn):
     # `determine` scans the window; the executors read the lattice. Under a
     # prior below 1/2, so the lattice's weights are unequal, a state with
-    # i < n is determined exactly where its numerator is 0, and at every
-    # determined state, layer n included, the forced output is table[k].
-    num = ProblemInstance.create(Fraction(1, 3), [0] * fn.n, fn).lattice.num
+    # i < n is determined exactly where its numerator is 0 and its willing
+    # rank is marked negative, and at every determined state, layer n
+    # included, the forced output is table[k].
+    lattice = ProblemInstance.create(Fraction(1, 3), [0] * fn.n, fn).lattice
     for i in range(fn.n + 1):
         for k in range(i + 1):
             forced = determine(InfoState(i, k), fn)
             if i < fn.n:
-                assert (forced is None) == bool(num[i][k])
+                assert (forced is None) == bool(lattice.num[i][k])
+                assert (forced is None) == (lattice.rank[i][k] >= 0)
             if forced is not None:
                 assert forced == fn.ones_to_one[k]
 

@@ -22,7 +22,7 @@ HEAVY = {"dataclasses", "inspect", "seqelicit.oracle"}
 EXPORTS = (
     "BadFunctionTable", "CapExceeded", "CostOutOfRange", "DecisionTree", "ElicitError", "FixedOrderPolicy",
     "HcfPolicy", "InfoState", "MalformedDocument", "PolicyFailed", "QOutOfRange", "StateExhausted",
-    "TRUTHFUL_COMPUTE", "audit_full_tree", "determine", "deviation_profile", "draw_secrets",
+    "TRUTHFUL_COMPUTE", "audit_full_tree", "deviation_profile", "draw_secrets",
     "exhaustive_existence", "exists_appropriate", "ingest", "run",
 )
 LIST_MODULES = "sys.stdout.write('\\n'.join(sys.modules))"

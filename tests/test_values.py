@@ -38,6 +38,8 @@ REJECTED = [
     ("function-short-table", lambda: AnonymousFunctionSpec(2, (True, False)), BadFunctionTable),
     ("function-int-table", lambda: AnonymousFunctionSpec(1, (1, 0)), BadFunctionTable),
     ("instance-n-0", lambda: _instance(n=0), MalformedDocument),
+    # `len(costs) == True` for one cost, and `emit` would write "n": true.
+    ("instance-bool-n", lambda: ProblemInstance(True, HALF, (HALF,), (1,), majority(1), ("a",)), MalformedDocument),
     ("instance-float-q", lambda: _instance(q=0.5), QOutOfRange),
     ("instance-q-1", lambda: _instance(q=Fraction(1)), QOutOfRange),
     ("instance-cost-count", lambda: _instance(costs=(HALF,)), MalformedDocument),

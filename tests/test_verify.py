@@ -21,8 +21,8 @@ from conftest import (
 from seqelicit.graph import nodes
 from seqelicit.mechanism import AUDIT_CAP, HcfPolicy, audit_full_tree
 from seqelicit.model import AnonymousFunctionSpec, InfoState, ProblemInstance, consensus, majority, parity
-from seqelicit.oracle import per_bound_verdict
-from seqelicit.pivotal import c_of, determine
+from seqelicit.oracle import determine, per_bound_verdict
+from seqelicit.pivotal import c_of
 from seqelicit.verify import (
     REASON_C_UNDEFINED,
     REASON_PIGEONHOLE,
