@@ -19,7 +19,7 @@ import sys
 from .errors import ElicitError, PolicyFailed
 from .graph import edges, export_dot, nodes
 from .mechanism import FixedOrderPolicy, HcfPolicy, audit_full_tree, deviation_profile, draw_secrets, run
-from .model import ACTION_NAMES, InfoState, ProblemInstance, ingest
+from .model import ACTION_NAMES, InfoState, ProblemInstance, ingest, rational_text
 from .pivotal import c_of, pivotal_prob, threshold
 from .verify import REASON_C_UNDEFINED, REASON_TRIVIAL, exists_appropriate
 
@@ -40,8 +40,8 @@ def _state_json(state: InfoState) -> list[int]:
 def _label_json(state: InfoState, instance: ProblemInstance) -> dict:
     return {
         "state": _state_json(state),
-        "pivotal": str(pivotal_prob(state, instance)),
-        "threshold": str(threshold(state, instance)),
+        "pivotal": rational_text(pivotal_prob(state, instance)),
+        "threshold": rational_text(threshold(state, instance)),
         "c": c_of(state, instance),
     }
 
@@ -119,8 +119,8 @@ def _cmd_pivotal(args, instance: ProblemInstance) -> tuple[bool, str]:
         rows.append(
             (
                 str(state),
-                str(pivotal_prob(state, instance)),
-                str(threshold(state, instance)),
+                rational_text(pivotal_prob(state, instance)),
+                rational_text(threshold(state, instance)),
                 "-" if c is None else str(c),
             )
         )
@@ -161,8 +161,9 @@ def _cmd_hcf(args, instance: ProblemInstance) -> tuple[bool, str]:
     steps = []
     state = InfoState(0, 0)
     for rank, reply in result.transcript.entries:
-        steps.append((state, rank, threshold(state, instance), reply))
+        steps.append((state, rank, rational_text(threshold(state, instance)), reply))
         state = InfoState(state.approached + 1, state.ones + reply)
+    total_cost = rational_text(result.total_cost_incurred)
 
     if args.json:
         return True, _json(
@@ -173,7 +174,7 @@ def _cmd_hcf(args, instance: ProblemInstance) -> tuple[bool, str]:
                         "agent": instance.agent_id_of_rank(rank),
                         "rank": rank,
                         "state": _state_json(st),
-                        "threshold": str(tau),
+                        "threshold": tau,
                         "reply": reply,
                     }
                     for st, rank, tau, reply in steps
@@ -181,7 +182,7 @@ def _cmd_hcf(args, instance: ProblemInstance) -> tuple[bool, str]:
                 "output": result.output,
                 "halted_at": _state_json(result.halted_at),
                 "approached": result.approached_count,
-                "total_cost": str(result.total_cost_incurred),
+                "total_cost": total_cost,
             }
         )
     lines = [
@@ -192,7 +193,7 @@ def _cmd_hcf(args, instance: ProblemInstance) -> tuple[bool, str]:
     lines.append(
         f"output: {result.output} (halted at {result.halted_at}; approached "
         f"{result.approached_count} of {instance.n} agents; total cost "
-        f"{result.total_cost_incurred})"
+        f"{total_cost})"
     )
     return True, _text(lines)
 
@@ -209,8 +210,8 @@ def _cmd_audit(args, instance: ProblemInstance) -> tuple[bool, str]:
                         "state": _state_json(rec.state),
                         "rank": rec.rank,
                         "agent": instance.agent_id_of_rank(rec.rank),
-                        "cost": str(rec.cost),
-                        "threshold": str(rec.threshold),
+                        "cost": rational_text(rec.cost),
+                        "threshold": rational_text(rec.threshold),
                         "eligible": rec.eligible,
                     }
                     for rec in report.records
@@ -229,8 +230,8 @@ def _cmd_audit(args, instance: ProblemInstance) -> tuple[bool, str]:
         verdict = "eligible" if rec.eligible else "INELIGIBLE"
         lines.append(
             f"  state {rec.state}: rank {rec.rank} "
-            f"(agent {instance.agent_id_of_rank(rec.rank)}), cost {rec.cost}, "
-            f"threshold {rec.threshold}, {verdict}"
+            f"(agent {instance.agent_id_of_rank(rec.rank)}), cost {rational_text(rec.cost)}, "
+            f"threshold {rational_text(rec.threshold)}, {verdict}"
         )
     return report.passed, _text(lines)
 
@@ -241,7 +242,7 @@ def _cmd_deviate(args, instance: ProblemInstance) -> tuple[bool, str]:
     except KeyError:
         raise _UsageError(f"unknown agent id {args.agent!r}") from None
     policy = _POLICIES[args.policy](instance)
-    utility = deviation_profile(instance, policy, rank)[ACTION_NAMES[args.action]]
+    utility = rational_text(deviation_profile(instance, policy, rank)[ACTION_NAMES[args.action]])
     if args.json:
         return True, _json(
             {
@@ -249,7 +250,7 @@ def _cmd_deviate(args, instance: ProblemInstance) -> tuple[bool, str]:
                 "rank": rank,
                 "action": args.action,
                 "policy": args.policy,
-                "utility": str(utility),
+                "utility": utility,
             }
         )
     return True, _text(
@@ -271,7 +272,7 @@ def _cmd_oracle(args, instance: ProblemInstance) -> tuple[bool, str]:
             analytic = pivotal_prob(state, instance)
             brute = brute_pivotal(state, instance)
             if analytic != brute:
-                mismatches.append((state, analytic, brute))
+                mismatches.append((state, rational_text(analytic), rational_text(brute)))
         agree = not mismatches
         if args.json:
             return agree, _json(
@@ -280,7 +281,7 @@ def _cmd_oracle(args, instance: ProblemInstance) -> tuple[bool, str]:
                     "checked": len(states),
                     "agree": agree,
                     "mismatches": [
-                        {"state": _state_json(s), "analytic": str(a), "brute": str(b)}
+                        {"state": _state_json(s), "analytic": a, "brute": b}
                         for s, a, b in mismatches
                     ],
                 }

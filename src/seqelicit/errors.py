@@ -27,8 +27,10 @@ class StateExhausted(ElicitError):
 
 class CapExceeded(ElicitError):
     """Instance past a documented size limit: a brute-force oracle's n cap,
-    the audit's or the deviation profile's n cap, or the state lattice's
-    budget of numerator bits (`pivotal.LATTICE_BUDGET_BITS`)."""
+    the audit's or the deviation profile's n cap, the state lattice's
+    budget of numerator bits (`pivotal.LATTICE_BUDGET_BITS`), or the
+    4300-digit bound (`model._MAX_DIGITS`) on the integers of a printed
+    rational and on the costs' common denominator."""
 
 
 class PolicyFailed(ElicitError):

@@ -9,7 +9,7 @@ undetermined state are themselves undetermined, so the whole graph hangs off
 
 from __future__ import annotations
 
-from .model import InfoState, ProblemInstance
+from .model import InfoState, ProblemInstance, rational_text
 from .pivotal import c_of, pivotal_prob
 
 
@@ -47,7 +47,7 @@ def export_dot(instance: ProblemInstance) -> str:
     for state in states:
         c = c_of(state, instance)
         c_text = "⊥" if c is None else str(c)
-        attrs = f'label="({state.approached},{state.ones})\\nP={pivotal_prob(state, instance)}\\nc={c_text}"'
+        attrs = f'label="({state.approached},{state.ones})\\nP={rational_text(pivotal_prob(state, instance))}\\nc={c_text}"'
         if state.approached == instance.n - 1:
             attrs += ", peripheries=2"
         lines.append(f"  s_{state.approached}_{state.ones} [{attrs}];")

@@ -163,7 +163,8 @@ def run(instance: ProblemInstance, policy, secrets) -> RunResult:
     The output always equals the function's value on the true secrets, since
     the game stops only once every completion agrees. The stop test reads the
     instance's lattice under any policy, so past `pivotal.LATTICE_BUDGET_BITS`
-    this raises CapExceeded.
+    this raises CapExceeded, as it does when the costs' common denominator
+    has more than 4300 digits (`ProblemInstance.scaled_costs`).
     """
     secrets = tuple(secrets)
     if (

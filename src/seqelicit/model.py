@@ -18,7 +18,7 @@ from math import lcm
 from operator import attrgetter, contains, lt
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import BadFunctionTable, CostOutOfRange, MalformedDocument, QOutOfRange
+from .errors import BadFunctionTable, CapExceeded, CostOutOfRange, MalformedDocument, QOutOfRange
 
 _DOCUMENT_KEYS = {"n", "q", "costs", "values", "agent_ids", "function"}
 
@@ -37,6 +37,17 @@ def _clip(value) -> str:
 # conversion limit of Python 3.11+, applied on every version, since without it
 # a megabyte-long integer parses in quadratic time.
 _MAX_DIGITS = 4300
+# The least integer with more than `_MAX_DIGITS` digits.
+_TOO_LONG = 10**_MAX_DIGITS
+
+
+def rational_text(value: Fraction) -> str:
+    """`value` as "num/den" (or an integer) for output; CapExceeded, on every
+    Python version, when its numerator or denominator has more than
+    `_MAX_DIGITS` digits, which Python 3.11+ would refuse to print."""
+    if value.denominator >= _TOO_LONG or abs(value.numerator) >= _TOO_LONG:
+        raise CapExceeded(f"output capped at {_MAX_DIGITS} digits per integer, a rational here needs more")
+    return str(value)
 
 
 def _parse_int(text: str) -> int:
@@ -352,8 +363,15 @@ class ProblemInstance:
         """The costs' common denominator `den`, and the cost of each rank r
         times `den` at entry r (entry 0 is 0), so that costs add up as
         integers into one ``Fraction(total, den)``. Computed once on first
-        use and kept outside equality, hashing and the repr."""
-        den = lcm(*(c.denominator for c in self.costs))
+        use and kept outside equality, hashing and the repr. Raises
+        CapExceeded as soon as `den` passes `_MAX_DIGITS` digits, the most
+        `rational_text` prints, before the lcm of many long denominators
+        takes time quadratic in their count."""
+        den = 1
+        for d in {c.denominator for c in self.costs}:
+            den = lcm(den, d)
+            if den >= _TOO_LONG:
+                raise CapExceeded(f"cost totals capped at {_MAX_DIGITS} digits, the costs' common denominator has more")
         return den, (0, *(c.numerator * (den // c.denominator) for c in self.costs))
 
     def cost_of_rank(self, rank: int) -> Fraction:

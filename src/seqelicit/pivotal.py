@@ -9,10 +9,11 @@ the willing rank, or determined mark, of every state; the lookups read it.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import floordiv
 
 from .errors import CapExceeded, StateExhausted
 from .model import InfoState, ProblemInstance
@@ -37,9 +38,13 @@ class StateLattice:
 
     An agent who does not compute replies with the likelier bit, wrong with
     probability min(q, 1-q) = m/b for m = min(a, b-a), so the threshold is
-    m num / b^(n-i), and the agent at rank r is willing iff
-    num >= ceil(cost_r.num b^(n-i) / (cost_r.den m)); rank[i][k] counts
-    those ranks (0 when nobody is willing). Equal costs share one bound.
+    m num / b^(n-i), and the agent at rank r is willing iff num > F_i(r), the
+    floor ceil(cost_r.num b^(n-i) / (cost_r.den m)) - 1; rank[i][k] counts
+    those ranks (0 when nobody is willing). Equal costs share one floor. The
+    floors are divided once, at the root, and stepped down a layer as
+    F_(i+1) = F_i // b, exact since floor(floor(x)/b) = floor(x/b). A floor
+    of at least b^(n-1), a cost above m/b, is dropped at the root: P <= 1
+    keeps num[i][k] <= b^(n-1-i) <= F_i, so that rank is willing nowhere.
 
     A determined state, with threshold 0, has the z zero-cost agents willing
     and holds ~z = -z-1, so `rank[i][k] < 0` is the forced test and
@@ -54,21 +59,23 @@ class StateLattice:
         table = instance.fn_spec.ones_to_one
         row = [int(table[k] != table[k + 1]) for k in range(n)]
         num = [row]
+        b_a = b - a
         for size in range(n - 1, 0, -1):
-            row = [a * row[k + 1] + (b - a) * row[k] for k in range(size)]
+            row = [a * row[k + 1] + b_a * row[k] for k in range(size)]
             num.append(row)
         self.num = num[::-1]
-        # Cutoffs only for the distinct costs, ascending since the costs are
+        # Floors only for the distinct costs, ascending since the costs are
         # sorted; `below[d]` counts the ranks among the d cheapest of them.
         counts = Counter((c.numerator, c.denominator) for c in instance.costs)
         below = [0, *accumulate(counts.values())]
-        costs = [(top, den * min(a, b - a)) for top, den in counts]
+        m, scale = min(a, b_a), b**n
+        floors = [(top * scale - 1) // (den * m) for top, den in counts]
+        del floors[bisect_left(floors, scale // b) :]  # never willing: num[i][k] <= b^(n-1-i)
         determined = ~below[instance.costs[0] == 0]  # the zero-cost agents, the cheapest if any
         self.rank = []
-        for i, row in enumerate(self.num):
-            scale = b ** (n - i)
-            cutoffs = [-(-top * scale // bottom) for top, bottom in costs]
-            self.rank.append([below[bisect_right(cutoffs, v)] if v else determined for v in row])
+        for row in self.num:
+            self.rank.append([below[bisect_left(floors, v)] if v else determined for v in row])
+            floors = list(map(floordiv, floors, repeat(b)))
 
 
 def _check_approachable(state: InfoState, n: int) -> None:

@@ -1,11 +1,13 @@
 """Performance smoke check: build the state lattice and verify two large instances.
 
 The adversarial majority instance at n = 800 has nearly every willing rank
-distinct, so a decision that runs one O(n^2) per-state DP per rank bound needs
-about a minute there; the packed-lane DP needs about a second, lattice
-included. Parity at q = 3/5 with n = 1000 and every cost 0 has about half a
-million undetermined states, so it times the lattice build itself: about half
-a second for lattice and verify together. Run it under a time limit, from the
+distinct (695 distinct costs), so a decision that runs one O(n^2) per-state
+DP per rank bound needs about a minute there; the packed-lane DP needs about
+0.3 s, lattice included, since the lattice steps one floor per distinct cost
+down the layers instead of dividing afresh on each (about 0.8 s before).
+Parity at q = 3/5 with n = 1000 and every cost 0 has about half a million
+undetermined states, so it times the numerator recurrence itself: about
+0.3 s for lattice and verify together. Run it under a time limit, from the
 repository root, with the package installed or on the path:
 
     PYTHONPATH=src timeout 60 python tests/perf_smoke.py

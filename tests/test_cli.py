@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +13,8 @@ from conftest import INSTANCES_DIR
 from seqelicit import pivotal
 from seqelicit.cli import main
 from seqelicit.mechanism import HcfPolicy, deviation_profile
-from seqelicit.model import ACTION_NAMES, ingest, unanimity
+from seqelicit.errors import CapExceeded
+from seqelicit.model import ACTION_NAMES, ingest, rational_text, unanimity
 from seqelicit.oracle import BRUTE_PIVOTAL_CAP, mirror
 
 EX1 = str(INSTANCES_DIR / "example1.json")
@@ -375,6 +378,37 @@ def test_verify_past_the_lattice_budget_is_usage_error(capsys, tmp_path, monkeyp
     assert code == 2
     assert out == ""
     assert err.startswith("error: state lattice capped at 100 numerator bits")
+
+
+def test_hcf_past_the_digit_limit_of_its_cost_total_is_usage_error(capsys, tmp_path):
+    # Four costs 1/d, each d an odd 14000-bit integer (4215 digits, so each
+    # parses): the costs' common denominator runs past 4300 digits.
+    rng = random.Random(9100)
+    costs = [f"1/{rng.getrandbits(14000) | 1 << 13999 | 1}" for _ in range(4)]
+    path = tmp_path / "costs.json"
+    path.write_text(json.dumps({"n": 4, "q": "1/2", "costs": costs, "function": "majority"}))
+    assert invoke(capsys, "verify", str(path))[:2] == (0, "appropriate mechanism EXISTS\n")
+    code, out, err = invoke(capsys, "hcf", str(path), "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cost totals capped at 4300 digits")
+
+
+def test_a_rational_past_the_digit_limit_is_usage_error(capsys, tmp_path):
+    # A 4300-digit prior denominator parses; the thresholds' have 8600 digits.
+    path = tmp_path / "long_q.json"
+    path.write_text(json.dumps({"n": 3, "q": f"1/{10**4299 + 7}", "costs": ["0"] * 3, "function": "majority"}))
+    for (command, *flags), mode in itertools.product(
+        (("pivotal",), ("graph",), ("audit",), ("hcf", "--seed", "1")), ((), ("--json",))
+    ):
+        code, out, err = invoke(capsys, command, str(path), *flags, *mode)
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error: output capped at 4300 digits")
+    assert invoke(capsys, "verify", str(path))[0] == 0
+    assert invoke(capsys, "deviate", str(path), "--agent", "1", "--action", "truthful")[0] == 0
+    assert rational_text(Fraction(-(10**4300 - 1), 10**4300 - 1)) == "-1"
+    assert len(rational_text(Fraction(1, 10**4300 - 1))) == 4302
+    with pytest.raises(CapExceeded):
+        rational_text(Fraction(10**4300))
 
 
 def test_hcf_requires_secrets_or_seed(capsys):

@@ -69,22 +69,40 @@ def reference_verdict(instance) -> Verdict:
     return Verdict(True, None)
 
 
+def _check_against_closed_form(inst) -> dict:
+    expected = reference_labels(inst)
+    for i in range(inst.n):
+        for k in range(i + 1):
+            state = InfoState(i, k)
+            if state in expected:
+                prob, tau, c = expected[state]
+            else:
+                prob, tau, c = 0, 0, bisect_right(inst.costs, 0) or None
+            assert pivotal_prob(state, inst) == prob
+            assert threshold(state, inst) == tau
+            assert c_of(state, inst) == c
+    return expected
+
+
 @pytest.mark.parametrize("n", [1, 2, 13, 27, 40])
 def test_lattice_matches_closed_form(n):
     rng = random.Random(8100 + n)
-    for q in Q_CHOICES:
+    tie_rng = random.Random(8150 + n)
+    for q in (*Q_CHOICES, Fraction(1, 3), Fraction(997, 1000)):
         inst = random_instance(rng, n, q=q, max_cost_k=12)
-        expected = reference_labels(inst)
-        for i in range(n):
-            for k in range(i + 1):
-                state = InfoState(i, k)
-                if state in expected:
-                    prob, tau, c = expected[state]
-                else:
-                    prob, tau, c = 0, 0, bisect_right(inst.costs, 0) or None
-                assert pivotal_prob(state, inst) == prob
-                assert threshold(state, inst) == tau
-                assert c_of(state, inst) == c
+        expected = _check_against_closed_form(inst)
+        # One threshold of each layer as a cost, so that a cost ties a bound
+        # on every layer with an undetermined state; then min(q, 1-q) itself
+        # and costs above it, which are willing nowhere, in place of some.
+        layers = [[tau for s, (_, tau, _) in expected.items() if s.approached == i] or [0] for i in range(n)]
+        tied = [tie_rng.choice(taus) for taus in layers]
+        m = min(q, 1 - q)
+        above = tied.copy()
+        extremes = (m, m + Fraction(1, 2 * q.denominator**n), (1 + m) / 2, Fraction(63, 64))
+        for slot, cost in zip(tie_rng.sample(range(n), min(n, 4)), extremes):
+            above[slot] = cost
+        for costs in (tied, above):
+            _check_against_closed_form(ProblemInstance.create(q, costs, inst.fn_spec))
 
 
 def test_graph_labels_match_closed_form(corpus_pivotal):
