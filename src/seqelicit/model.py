@@ -13,10 +13,10 @@ import json
 import re
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, repeat
 from math import lcm
-from operator import attrgetter, contains, lt
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from operator import attrgetter, contains, gt, is_not, itemgetter, lt, mul
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import BadFunctionTable, CapExceeded, CostOutOfRange, MalformedDocument, QOutOfRange
 
@@ -57,6 +57,14 @@ def _parse_int(text: str) -> int:
     return int(text)
 
 
+# The rational forms that `Fraction(str)` reads alike on every supported
+# Python: an optional sign, then an integer, "num/den" or a decimal, with
+# optional whitespace around the whole. Digit separators ("1_000", read by
+# 3.11+) and whitespace around the slash ("1 / 2", read by 3.12+) are not
+# among them. Groups: sign, integer part, denominator, decimal digits.
+_RATIONAL = re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*)(?:/(\d+)|(?:\.(\d*))?)\s*")
+
+
 def _as_rational(value, where: str) -> Fraction:
     # JSON floats are rejected: 0.4 the float is not 2/5. Exponent notation
     # is rejected too: Fraction("1e-1000000") expands into a million-digit
@@ -72,10 +80,16 @@ def _as_rational(value, where: str) -> Fraction:
             raise MalformedDocument(f"{where}: exponent notation is not accepted in {_clip(repr(value))}")
         if len(value) > _MAX_DIGITS and max(map(len, re.findall(r"\d+", value)), default=0) > _MAX_DIGITS:
             raise MalformedDocument(f"{where}: more than {_MAX_DIGITS} digits in {_clip(repr(value))}")
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedDocument(f"{where}: cannot parse rational {_clip(repr(value))}") from exc
+        match = _RATIONAL.fullmatch(value)
+        if match is not None:
+            sign, whole, den, decimal = match.groups()
+            top, bottom = int(whole or "0"), int(den or "1")
+            if decimal:
+                bottom = 10 ** len(decimal)
+                top = top * bottom + int(decimal)
+            if bottom:
+                return Fraction(-top if sign == "-" else top, bottom)
+        raise MalformedDocument(f"{where}: cannot parse rational {_clip(repr(value))}")
     raise MalformedDocument(
         f"{where}: expected an integer or a 'num/den' string, got {type(value).__name__}"
     )
@@ -102,7 +116,7 @@ class AnonymousFunctionSpec(
             raise BadFunctionTable(f"agent count must be at least 1, got {n}")
         if len(ones_to_one) != n + 1:
             raise BadFunctionTable(f"table has {len(ones_to_one)} entries, need {n + 1}")
-        if not all(isinstance(b, bool) for b in ones_to_one):
+        if not all(map(isinstance, ones_to_one, repeat(bool))):
             raise BadFunctionTable("table entries must be booleans")
         return tuple.__new__(cls, (n, ones_to_one, name))
 
@@ -262,18 +276,21 @@ class ProblemInstance:
         vars(self).update(zip(self._FIELDS, (n, q, costs, original_index, fn_spec, agent_ids)))
         if isinstance(self.n, bool) or self.n < 1:
             raise MalformedDocument(f"agent count must be an integer >= 1, got {self.n!r}")
-        if not isinstance(self.q, Fraction) or not 0 < self.q < 1:
+        if not isinstance(self.q, Fraction) or not 0 < self.q.numerator < self.q.denominator:
             raise QOutOfRange(f"prior must lie strictly between 0 and 1, got {_clip(self.q)}")
         if len(self.costs) != self.n:
             raise MalformedDocument(f"{len(self.costs)} costs for {self.n} agents")
-        # Integer comparisons: a Fraction's denominator is positive.
-        for c in self.costs:
+        # One range check per run of one repeated cost object, and one order
+        # check between neighbouring runs: `heads` drops each cost that is the
+        # same object as the one before it. Integer comparisons: a Fraction's
+        # denominator is positive.
+        heads = list(compress(self.costs, map(is_not, self.costs, (None, *self.costs))))
+        for c in heads:
             if not isinstance(c, Fraction) or not 0 <= c.numerator < c.denominator:
                 raise CostOutOfRange(f"normalized cost {_clip(c)} outside [0, 1)")
-        if any(
-            a.numerator * b.denominator > b.numerator * a.denominator
-            for a, b in zip(self.costs, self.costs[1:])
-        ):
+        # A descent is a/b > c/d, that is a*d > c*b, for neighbouring runs a/b, c/d.
+        tops, dens = zip(*map(Fraction.as_integer_ratio, heads))
+        if any(map(gt, map(mul, tops, dens[1:]), map(mul, tops[1:], dens))):
             raise MalformedDocument("costs must be sorted ascending")
         if sorted(self.original_index) != list(range(1, self.n + 1)):
             raise MalformedDocument("original_index must be a permutation of 1..n")
@@ -283,7 +300,8 @@ class ProblemInstance:
             )
         if (
             len(self.agent_ids) != self.n
-            or not all(isinstance(a, str) and a for a in self.agent_ids)
+            or not all(map(isinstance, self.agent_ids, repeat(str)))
+            or not all(self.agent_ids)
             or len(set(self.agent_ids)) != self.n
         ):
             raise MalformedDocument("agent_ids must be n distinct nonempty strings")
@@ -307,34 +325,39 @@ class ProblemInstance:
     def create(
         cls,
         q: Fraction,
-        costs: Sequence[Fraction | int],
+        costs: Iterable[Fraction | int],
         fn_spec: AnonymousFunctionSpec,
-        agent_ids: Sequence[str] | None = None,
+        agent_ids: Iterable[str] | None = None,
     ) -> "ProblemInstance":
         """Build an instance from costs in input order, sorting them stably.
-        The prior and the costs are exact: a float or a bool is rejected."""
+        The prior and the costs are exact: a float or a bool is rejected.
+        `costs` and `agent_ids` are each read once, so iterators will do.
+
+        Each cost x gets one integer sort key, floor(x * 4^b) for b the bit
+        length of the largest denominator: two distinct reduced fractions with
+        denominators below 2^b differ by more than 4^-b, so the keys are equal
+        for equal costs and ordered as the costs are. The stable sort on them
+        keeps ties in input order."""
+        costs = tuple(costs)
         if isinstance(q, (bool, float)):
             raise QOutOfRange(f"prior must be an exact rational, not a {type(q).__name__}")
-        if any(isinstance(c, (bool, float)) for c in costs):
+        types = set(map(type, costs))
+        if any(issubclass(t, (bool, float)) for t in types):
             raise CostOutOfRange("costs must be exact rationals, not floats or booleans")
-        costs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in costs)
+        if not all(issubclass(t, Fraction) for t in types):
+            costs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in costs)
         n = len(costs)
-        if agent_ids is None:
-            agent_ids = tuple(str(p) for p in range(1, n + 1))
-        # Only the distinct values are sorted as Fractions; equal Fractions
-        # share (numerator, denominator), so each cost's position among them
-        # is an integer sort key, and the stable sort keeps ties in input order.
-        distinct = {(c.numerator, c.denominator): c for c in costs}
-        position = {(c.numerator, c.denominator): p for p, c in enumerate(sorted(distinct.values()))}
-        key = [position[c.numerator, c.denominator] for c in costs]
-        order = sorted(range(n), key=key.__getitem__)
+        agent_ids = tuple(map(str, range(1, n + 1)) if agent_ids is None else agent_ids)
+        pairs = list(map(Fraction.as_integer_ratio, costs))
+        shift = 2 * max(map(itemgetter(1), pairs), default=1).bit_length()
+        order = sorted(range(n), key=[(num << shift) // den for num, den in pairs].__getitem__)
         return cls(
             n=n,
             q=Fraction(q),
-            costs=tuple(costs[p] for p in order),
-            original_index=tuple(p + 1 for p in order),
+            costs=tuple(map(costs.__getitem__, order)),
+            original_index=tuple(map(range(1, n + 1).__getitem__, order)),
             fn_spec=fn_spec,
-            agent_ids=tuple(agent_ids),
+            agent_ids=agent_ids,
         )
 
     @property
@@ -420,9 +443,13 @@ def ingest(document) -> ProblemInstance:
           "function": "majority" | "consensus" | "parity" | "unanimity"
                       | {"ones_counts": [<int>...]} }
 
-    Integer strings without "/" are accepted as integers. When ``values`` is
-    present each cost is folded to cost/value. Any q in (0, 1) is accepted
-    as given, below 1/2 too.
+    A rational is a JSON integer or a string: an optional sign, then an
+    integer ("3"), a fraction ("2/5") or a decimal ("0.4"), with optional
+    whitespace around it, read alike on every supported Python (see
+    `_RATIONAL`). Each distinct string is parsed once, into one shared
+    Fraction. When ``values`` is present each cost is folded to cost/value.
+    Any q in (0, 1) is accepted as given, below 1/2 too. The first bad entry
+    in input order is the one reported.
     """
     if isinstance(document, (bytes, str)):
         # Besides JSONDecodeError (a ValueError), hostile text can raise
@@ -446,30 +473,29 @@ def ingest(document) -> ProblemInstance:
         raise MalformedDocument("n must be an integer >= 1")
 
     q = _as_rational(document["q"], "q")
-    if not 0 < q < 1:
+    if not 0 < q.numerator < q.denominator:
         raise QOutOfRange(f"q must lie strictly between 0 and 1, got {_clip(q)}")
 
-    # Each distinct string is parsed once per document. Only strings are
-    # memoized, so JSON true never shares an entry with 1.
+    # Each distinct string is parsed once per document, into one Fraction
+    # that every entry spelling it shares, so that `create` and the checks
+    # after it work once per distinct cost object. Only a list of strings
+    # alone is memoized, so JSON true never shares an entry with 1.
     parsed: dict[str, Fraction] = {}
 
-    def rational(value, where: str) -> Fraction:
-        if not isinstance(value, str):
-            return _as_rational(value, where)
-        if value not in parsed:
-            parsed[value] = _as_rational(value, where)
-        return parsed[value]
+    def rationals(key: str) -> list[Fraction]:
+        raw = document[key]
+        if not isinstance(raw, list) or len(raw) != n:
+            raise MalformedDocument(f"{key} must be a list of {n} rationals")
+        if set(map(type, raw)) != {str}:
+            return [_as_rational(value, f"{key}[{idx}]") for idx, value in enumerate(raw)]
+        for idx, text in enumerate(raw):
+            if text not in parsed:
+                parsed[text] = _as_rational(text, f"{key}[{idx}]")
+        return list(map(parsed.__getitem__, raw))
 
-    raw_costs = document["costs"]
-    if not isinstance(raw_costs, list) or len(raw_costs) != n:
-        raise MalformedDocument(f"costs must be a list of {n} rationals")
-    costs = [rational(c, f"costs[{idx}]") for idx, c in enumerate(raw_costs)]
-
+    costs = rationals("costs")
     if "values" in document:
-        raw_values = document["values"]
-        if not isinstance(raw_values, list) or len(raw_values) != n:
-            raise MalformedDocument(f"values must be a list of {n} rationals")
-        values = [rational(v, f"values[{idx}]") for idx, v in enumerate(raw_values)]
+        values = rationals("values")
         if any(v.numerator <= 0 for v in values):
             raise MalformedDocument("values must be positive")
         costs = [c / v for c, v in zip(costs, values)]

@@ -66,7 +66,7 @@ class StateLattice:
         self.num = num[::-1]
         # Floors only for the distinct costs, ascending since the costs are
         # sorted; `below[d]` counts the ranks among the d cheapest of them.
-        counts = Counter((c.numerator, c.denominator) for c in instance.costs)
+        counts = Counter(map(Fraction.as_integer_ratio, instance.costs))
         below = [0, *accumulate(counts.values())]
         m, scale = min(a, b_a), b**n
         floors = [(top * scale - 1) // (den * m) for top, den in counts]

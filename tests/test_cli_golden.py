@@ -64,7 +64,7 @@ def outcome(call: tuple[str, ...]) -> list:
 def test_cli_output_matches_pinned_table():
     expected = json.loads(TABLE.read_text())
     calls = sweep()
-    assert len(calls) == 156
+    assert len(calls) == 176
     assert sorted(expected) == sorted(" ".join(call) for call in calls)
     mismatches = [" ".join(call) for call in calls if outcome(call) != expected[" ".join(call)]]
     assert mismatches == []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from seqelicit.errors import (
 )
 from seqelicit.graph import nodes
 from seqelicit.model import (
+    _as_rational,
+    _clip,
     ACTION_NAMES,
     ALL_ACTIONS,
     Action,
@@ -269,6 +272,126 @@ def test_ingest_reports_the_first_bad_cost():
     doc["costs"] = ["1", 0, True, 0]
     with pytest.raises(MalformedDocument, match=r"^costs\[2\]: expected a rational, got a boolean$"):
         ingest(doc)
+
+
+# Fraction(str) reads digit separators on 3.11+ and whitespace around the
+# slash on 3.12+; the rational grammar has neither, on every version.
+CROSS_VERSION_FORMS = ["1/1_000", "0.2_5", "0_1/2", "1 /2", "1/ 2", "1 / 2", "1\t/2", "٣ /8"]
+
+
+@pytest.mark.parametrize("text", CROSS_VERSION_FORMS)
+def test_digit_separators_and_spaced_slashes_are_rejected_on_every_python(text):
+    doc = {"n": 1, "q": "1/2", "costs": [text], "function": "unanimity"}
+    with pytest.raises(MalformedDocument, match=rf"^costs\[0\]: cannot parse rational {re.escape(repr(text))}$"):
+        ingest(doc)
+
+
+def test_rational_forms_read_alike_on_every_python():
+    spelled = {
+        "\t2/4\n": Fraction(1, 2),
+        "+3/8": Fraction(3, 8),
+        "-0": Fraction(0),
+        ".25": Fraction(1, 4),
+        "0.": Fraction(0),
+        " 0.2500 ": Fraction(1, 4),
+        "007/056": Fraction(1, 8),
+        "٣/٨": Fraction(3, 8),
+        "٠.٥": Fraction(1, 2),
+    }
+    doc = {"n": len(spelled), "q": "+0.5", "costs": list(spelled), "function": "parity"}
+    inst = ingest(doc)
+    assert inst.q == Fraction(1, 2)
+    assert inst.user_costs() == tuple(spelled.values())
+
+
+def _reading(text: str):
+    """What ingestion makes of `text`: a Fraction, or the error's message."""
+    try:
+        return _as_rational(text, "x")
+    except MalformedDocument as exc:
+        return str(exc)
+
+
+rational_texts = st.one_of(
+    st.text(alphabet="0123456789/._+-eE \t٣", max_size=10),
+    st.lists(st.sampled_from(["0", "1", "7", "12", "٣", "/", ".", "_", "+", "-", "e", " ", "\t"]), max_size=8).map(
+        "".join
+    ),
+    # A run of digits right at the 4300-digit bound or past it, inside drawn text.
+    st.builds(
+        lambda head, digits, tail: f"{head}{'3' * digits}{tail}",
+        st.sampled_from(["", "0.", "1/", "-", "1_"]),
+        st.sampled_from([4300, 4301]),
+        st.sampled_from(["", "/7", ".5", "e1", " "]),
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(rational_texts)
+def test_the_rational_grammar_matches_fraction_outside_the_cross_version_forms(text):
+    digits = max(map(len, re.findall(r"\d+", text)), default=0)
+    reading = _reading(text)
+    if "e" in text or "E" in text:
+        assert reading == f"x: exponent notation is not accepted in {_clip(repr(text))}"
+    elif digits > 4300:
+        assert reading == f"x: more than 4300 digits in {_clip(repr(text))}"
+    else:
+        try:
+            cross_version = "_" in text or re.search(r"\s/|/\s", text)
+            expected = None if cross_version else Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            expected = None
+        if expected is None:
+            assert reading == f"x: cannot parse rational {_clip(repr(text))}"
+        else:
+            assert type(reading) is Fraction and reading == expected
+
+
+def test_create_reads_iterator_arguments_once():
+    inst = ProblemInstance.create(Fraction(1, 2), (Fraction(k, 8) for k in (2, 0, 1)), parity(3), iter("abc"))
+    assert inst.costs == (Fraction(0), Fraction(1, 8), Fraction(1, 4))
+    assert inst.original_index == (2, 3, 1)
+    assert inst.agent_ids == ("a", "b", "c")
+
+
+def _farey_neighbour(x: Fraction) -> Fraction:
+    """The fraction c/d just below x = a/b, for 0 < x < 1, with d < b and
+    ad - bc = 1, so the two differ by 1/(bd), the least gap their
+    denominators allow."""
+    a, b = x.as_integer_ratio()
+    d = pow(a, -1, b)
+    return Fraction((a * d - 1) // b, d)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.fractions(0, 1, max_denominator=2**80), min_size=1, max_size=12), st.randoms(use_true_random=False))
+def test_create_orders_the_closest_fractions_exactly(drawn, rng):
+    costs = [c for x in drawn if 0 < x < 1 for c in (x, _farey_neighbour(x))] or [Fraction(0)]
+    costs = [*costs, *costs[: len(costs) // 2]]
+    rng.shuffle(costs)
+    order = sorted(range(len(costs)), key=costs.__getitem__)
+    inst = ProblemInstance.create(Fraction(1, 2), costs, parity(len(costs)))
+    assert inst.original_index == tuple(p + 1 for p in order)
+
+
+def test_direct_construction_checks_every_run_of_repeated_costs():
+    fn, x, y = parity(3), Fraction(1, 2), Fraction(1, 4)
+    twin = Fraction(2, 4)  # equal to x, another object
+    assert twin == x and twin is not x
+
+    def build(costs):
+        return ProblemInstance(3, Fraction(1, 2), costs, (1, 2, 3), fn, ("a", "b", "c"))
+
+    for costs in ((x, x, y), (x, twin, y), (y, x, y)):
+        with pytest.raises(MalformedDocument, match=r"^costs must be sorted ascending$"):
+            build(costs)
+    for costs in ((x, x, Fraction(1)), (x, twin, Fraction(1))):
+        with pytest.raises(CostOutOfRange, match=r"^normalized cost 1 outside \[0, 1\)$"):
+            build(costs)
+    with pytest.raises(CostOutOfRange, match=r"^normalized cost 0.75 outside \[0, 1\)$"):
+        build((x, x, 0.75))
+    assert build((y, x, twin)) == build((y, x, x))
 
 
 def test_mirror_of_a_low_q_document_equals_its_high_q_twin():
