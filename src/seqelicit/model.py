@@ -116,7 +116,7 @@ class AnonymousFunctionSpec(
             raise BadFunctionTable(f"agent count must be at least 1, got {n}")
         if len(ones_to_one) != n + 1:
             raise BadFunctionTable(f"table has {len(ones_to_one)} entries, need {n + 1}")
-        if not all(map(isinstance, ones_to_one, repeat(bool))):
+        if not all(isinstance(b, bool) for b in ones_to_one):
             raise BadFunctionTable("table entries must be booleans")
         return tuple.__new__(cls, (n, ones_to_one, name))
 
@@ -252,6 +252,10 @@ class Transcript(NamedTuple("Transcript", [("entries", "tuple[tuple[int, int], .
         return InfoState(len(self.entries), sum(b for _, b in self.entries))
 
 
+# Precedes the first cost when `ProblemInstance` looks for runs of one object.
+_NO_COST = object()
+
+
 class ProblemInstance:
     """Agent count, prior, sorted costs, and the anonymous function.
 
@@ -282,9 +286,10 @@ class ProblemInstance:
             raise MalformedDocument(f"{len(self.costs)} costs for {self.n} agents")
         # One range check per run of one repeated cost object, and one order
         # check between neighbouring runs: `heads` drops each cost that is the
-        # same object as the one before it. Integer comparisons: a Fraction's
-        # denominator is positive.
-        heads = list(compress(self.costs, map(is_not, self.costs, (None, *self.costs))))
+        # same object as the one before it (the first cost follows `_NO_COST`,
+        # which no cost is). Integer comparisons: a Fraction's denominator is
+        # positive.
+        heads = list(compress(self.costs, map(is_not, self.costs, (_NO_COST, *self.costs))))
         for c in heads:
             if not isinstance(c, Fraction) or not 0 <= c.numerator < c.denominator:
                 raise CostOutOfRange(f"normalized cost {_clip(c)} outside [0, 1)")
@@ -300,8 +305,7 @@ class ProblemInstance:
             )
         if (
             len(self.agent_ids) != self.n
-            or not all(map(isinstance, self.agent_ids, repeat(str)))
-            or not all(self.agent_ids)
+            or not all(isinstance(a, str) and a for a in self.agent_ids)
             or len(set(self.agent_ids)) != self.n
         ):
             raise MalformedDocument("agent_ids must be n distinct nonempty strings")
@@ -478,20 +482,22 @@ def ingest(document) -> ProblemInstance:
 
     # Each distinct string is parsed once per document, into one Fraction
     # that every entry spelling it shares, so that `create` and the checks
-    # after it work once per distinct cost object. Only a list of strings
-    # alone is memoized, so JSON true never shares an entry with 1.
+    # after it work once per distinct cost object. Only strings are
+    # memoized, so JSON true never shares an entry with 1.
     parsed: dict[str, Fraction] = {}
+
+    def rational(value, where: str) -> Fraction:
+        if not isinstance(value, str):
+            return _as_rational(value, where)
+        if value not in parsed:
+            parsed[value] = _as_rational(value, where)
+        return parsed[value]
 
     def rationals(key: str) -> list[Fraction]:
         raw = document[key]
         if not isinstance(raw, list) or len(raw) != n:
             raise MalformedDocument(f"{key} must be a list of {n} rationals")
-        if set(map(type, raw)) != {str}:
-            return [_as_rational(value, f"{key}[{idx}]") for idx, value in enumerate(raw)]
-        for idx, text in enumerate(raw):
-            if text not in parsed:
-                parsed[text] = _as_rational(text, f"{key}[{idx}]")
-        return list(map(parsed.__getitem__, raw))
+        return [rational(value, f"{key}[{idx}]") for idx, value in enumerate(raw)]
 
     costs = rationals("costs")
     if "values" in document:

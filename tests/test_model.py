@@ -376,12 +376,13 @@ def test_create_orders_the_closest_fractions_exactly(drawn, rng):
 
 
 def test_direct_construction_checks_every_run_of_repeated_costs():
-    fn, x, y = parity(3), Fraction(1, 2), Fraction(1, 4)
+    x, y = Fraction(1, 2), Fraction(1, 4)
     twin = Fraction(2, 4)  # equal to x, another object
     assert twin == x and twin is not x
 
     def build(costs):
-        return ProblemInstance(3, Fraction(1, 2), costs, (1, 2, 3), fn, ("a", "b", "c"))
+        n = len(costs)
+        return ProblemInstance(n, Fraction(1, 2), costs, tuple(range(1, n + 1)), parity(n), ("a", "b", "c")[:n])
 
     for costs in ((x, x, y), (x, twin, y), (y, x, y)):
         with pytest.raises(MalformedDocument, match=r"^costs must be sorted ascending$"):
@@ -391,6 +392,9 @@ def test_direct_construction_checks_every_run_of_repeated_costs():
             build(costs)
     with pytest.raises(CostOutOfRange, match=r"^normalized cost 0.75 outside \[0, 1\)$"):
         build((x, x, 0.75))
+    for costs in ((None, y), (None,), (None, None, x)):
+        with pytest.raises(CostOutOfRange, match=r"^normalized cost None outside \[0, 1\)$"):
+            build(costs)
     assert build((y, x, twin)) == build((y, x, x))
 
 
