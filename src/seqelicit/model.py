@@ -13,9 +13,9 @@ import json
 import re
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import repeat
 from math import lcm
-from operator import attrgetter, contains, gt, is_not, itemgetter, lt, mul
+from operator import attrgetter, contains, gt, itemgetter, lt, mul
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import BadFunctionTable, CapExceeded, CostOutOfRange, MalformedDocument, QOutOfRange
@@ -252,10 +252,6 @@ class Transcript(NamedTuple("Transcript", [("entries", "tuple[tuple[int, int], .
         return InfoState(len(self.entries), sum(b for _, b in self.entries))
 
 
-# Precedes the first cost when `ProblemInstance` looks for runs of one object.
-_NO_COST = object()
-
-
 class ProblemInstance:
     """Agent count, prior, sorted costs, and the anonymous function.
 
@@ -278,23 +274,18 @@ class ProblemInstance:
         agent_ids: tuple[str, ...],
     ):
         vars(self).update(zip(self._FIELDS, (n, q, costs, original_index, fn_spec, agent_ids)))
-        if isinstance(self.n, bool) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise MalformedDocument(f"agent count must be an integer >= 1, got {self.n!r}")
         if not isinstance(self.q, Fraction) or not 0 < self.q.numerator < self.q.denominator:
             raise QOutOfRange(f"prior must lie strictly between 0 and 1, got {_clip(self.q)}")
         if len(self.costs) != self.n:
             raise MalformedDocument(f"{len(self.costs)} costs for {self.n} agents")
-        # One range check per run of one repeated cost object, and one order
-        # check between neighbouring runs: `heads` drops each cost that is the
-        # same object as the one before it (the first cost follows `_NO_COST`,
-        # which no cost is). Integer comparisons: a Fraction's denominator is
-        # positive.
-        heads = list(compress(self.costs, map(is_not, self.costs, (_NO_COST, *self.costs))))
-        for c in heads:
+        # Integer comparisons: a Fraction's denominator is positive.
+        for c in self.costs:
             if not isinstance(c, Fraction) or not 0 <= c.numerator < c.denominator:
                 raise CostOutOfRange(f"normalized cost {_clip(c)} outside [0, 1)")
-        # A descent is a/b > c/d, that is a*d > c*b, for neighbouring runs a/b, c/d.
-        tops, dens = zip(*map(Fraction.as_integer_ratio, heads))
+        # A descent is a/b > c/d, that is a*d > c*b, for neighbouring costs a/b, c/d.
+        tops, dens = zip(*map(Fraction.as_integer_ratio, self.costs))
         if any(map(gt, map(mul, tops, dens[1:]), map(mul, tops[1:], dens))):
             raise MalformedDocument("costs must be sorted ascending")
         if sorted(self.original_index) != list(range(1, self.n + 1)):
@@ -328,14 +319,15 @@ class ProblemInstance:
     @classmethod
     def create(
         cls,
-        q: Fraction,
-        costs: Iterable[Fraction | int],
+        q: Fraction | int | str,
+        costs: Iterable[Fraction | int | str],
         fn_spec: AnonymousFunctionSpec,
         agent_ids: Iterable[str] | None = None,
     ) -> "ProblemInstance":
         """Build an instance from costs in input order, sorting them stably.
-        The prior and the costs are exact: a float or a bool is rejected.
-        `costs` and `agent_ids` are each read once, so iterators will do.
+        The prior and the costs are exact: a float or a bool is rejected, and
+        any other value but a Fraction is read as in a document. `costs` and
+        `agent_ids` are each read once, so iterators will do.
 
         Each cost x gets one integer sort key, floor(x * 4^b) for b the bit
         length of the largest denominator: two distinct reduced fractions with
@@ -345,11 +337,14 @@ class ProblemInstance:
         costs = tuple(costs)
         if isinstance(q, (bool, float)):
             raise QOutOfRange(f"prior must be an exact rational, not a {type(q).__name__}")
+        q = q if isinstance(q, Fraction) else _as_rational(q, "q")
         types = set(map(type, costs))
         if any(issubclass(t, (bool, float)) for t in types):
             raise CostOutOfRange("costs must be exact rationals, not floats or booleans")
         if not all(issubclass(t, Fraction) for t in types):
-            costs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in costs)
+            costs = tuple(
+                c if isinstance(c, Fraction) else _as_rational(c, f"costs[{p}]") for p, c in enumerate(costs)
+            )
         n = len(costs)
         agent_ids = tuple(map(str, range(1, n + 1)) if agent_ids is None else agent_ids)
         pairs = list(map(Fraction.as_integer_ratio, costs))
@@ -357,7 +352,7 @@ class ProblemInstance:
         order = sorted(range(n), key=[(num << shift) // den for num, den in pairs].__getitem__)
         return cls(
             n=n,
-            q=Fraction(q),
+            q=q,
             costs=tuple(map(costs.__getitem__, order)),
             original_index=tuple(map(range(1, n + 1).__getitem__, order)),
             fn_spec=fn_spec,
@@ -450,10 +445,12 @@ def ingest(document) -> ProblemInstance:
     A rational is a JSON integer or a string: an optional sign, then an
     integer ("3"), a fraction ("2/5") or a decimal ("0.4"), with optional
     whitespace around it, read alike on every supported Python (see
-    `_RATIONAL`). Each distinct string is parsed once, into one shared
-    Fraction. When ``values`` is present each cost is folded to cost/value.
-    Any q in (0, 1) is accepted as given, below 1/2 too. The first bad entry
-    in input order is the one reported.
+    `_RATIONAL`). Each distinct string is parsed once. When ``values`` is
+    present each cost is folded to cost/value. Any q in (0, 1) is accepted
+    as given, below 1/2 too. Of several faults, the first entry that does not
+    parse is reported, in input order (q, costs, values); once all parse,
+    `ProblemInstance` checks q's range, then the costs in sorted order, so
+    the least cost outside [0, 1) is reported.
     """
     if isinstance(document, (bytes, str)):
         # Besides JSONDecodeError (a ValueError), hostile text can raise
@@ -477,13 +474,10 @@ def ingest(document) -> ProblemInstance:
         raise MalformedDocument("n must be an integer >= 1")
 
     q = _as_rational(document["q"], "q")
-    if not 0 < q.numerator < q.denominator:
-        raise QOutOfRange(f"q must lie strictly between 0 and 1, got {_clip(q)}")
 
-    # Each distinct string is parsed once per document, into one Fraction
-    # that every entry spelling it shares, so that `create` and the checks
-    # after it work once per distinct cost object. Only strings are
-    # memoized, so JSON true never shares an entry with 1.
+    # Each distinct string is parsed once per document: a repeated cost costs
+    # one dict lookup, not a second parse. Only strings are memoized, so JSON
+    # true never shares an entry with 1.
     parsed: dict[str, Fraction] = {}
 
     def rational(value, where: str) -> Fraction:

@@ -1,8 +1,10 @@
-"""Hostile input: arbitrary JSON and mutated instance documents.
+"""Hostile input: arbitrary JSON, mutated instance documents, and arbitrary
+Python values handed to the instance constructors.
 
-Ingestion may reject a document only with an `ElicitError` subclass, and
-`seqelicit verify` must map every document to exit 0, 2 or 3, with nothing on
-standard output when it refuses the input (exit 2).
+Ingestion and `ProblemInstance` (built directly or through `create`) may
+reject their input only with an `ElicitError` subclass, and `seqelicit verify`
+must map every document to exit 0, 2 or 3, with nothing on standard output
+when it refuses the input (exit 2).
 """
 
 from __future__ import annotations
@@ -10,13 +12,15 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqelicit.cli import main
 from seqelicit.errors import ElicitError
-from seqelicit.model import ingest
+from seqelicit.model import ProblemInstance, ingest, parity
 
 RATIONAL_TEXT = ("0", "1", "1/2", "2/4", "3/5", "1/3", "-1/4", "1/0", "0.5", "1e3", " 1/2", "x", "")
 
@@ -112,3 +116,30 @@ def test_verify_exits_0_2_or_3(instance_path, document):
     assert code in (0, 2, 3), err.getvalue()
     if code == 2:
         assert out.getvalue() == ""
+
+
+# Values a library caller might pass for n, q or a cost: exact and inexact
+# numbers, strings inside and outside the rational grammar, and nested lists.
+python_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats()
+    | st.decimals()
+    | st.sampled_from((Decimal("0.5"), Fraction(-1, 2), Fraction(1, 2), Fraction(1), Fraction(7, 8)))
+    | st.sampled_from(RATIONAL_TEXT + ("1_0/100", "1 /2", "0.2_5"))
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(python_values, python_values, st.lists(python_values, min_size=1, max_size=4), st.booleans())
+def test_only_elicit_errors_escape_the_instance_constructors(n, q, costs, n_fits):
+    count = len(costs)
+    with contextlib.suppress(ElicitError):
+        ProblemInstance.create(q, costs, parity(count))
+    ids = tuple(map(str, range(count)))
+    with contextlib.suppress(ElicitError):
+        ProblemInstance(count if n_fits else n, q, tuple(costs), tuple(range(1, count + 1)), parity(count), ids)

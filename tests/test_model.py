@@ -268,6 +268,13 @@ def test_ingest_reports_the_first_bad_cost():
     doc["costs"] = ["1/2", "1", "1/2", "3/2"]
     with pytest.raises(CostOutOfRange, match=r"^normalized cost 1 outside"):
         ingest(doc)
+    # Costs that parse are range-checked in sorted order: the least is reported.
+    doc["costs"] = ["1/2", "2", "1/2", "-1"]
+    with pytest.raises(CostOutOfRange, match=r"^normalized cost -1 outside"):
+        ingest(doc)
+    # q's range is checked only once every cost has parsed.
+    with pytest.raises(MalformedDocument, match=r"^costs\[1\]: cannot parse rational 'x'$"):
+        ingest({**doc, "q": "3/2", "costs": ["1/2", "x", "1/2", "x"]})
     # A boolean is never read from the memo of an equal-looking string or int.
     doc["costs"] = ["1", 0, True, 0]
     with pytest.raises(MalformedDocument, match=r"^costs\[2\]: expected a rational, got a boolean$"):
@@ -275,15 +282,21 @@ def test_ingest_reports_the_first_bad_cost():
 
 
 # Fraction(str) reads digit separators on 3.11+ and whitespace around the
-# slash on 3.12+; the rational grammar has neither, on every version.
-CROSS_VERSION_FORMS = ["1/1_000", "0.2_5", "0_1/2", "1 /2", "1/ 2", "1 / 2", "1\t/2", "٣ /8"]
+# slash on 3.12+; the rational grammar has neither, on every version, in a
+# document or in a string handed to `ProblemInstance.create`.
+CROSS_VERSION_FORMS = ["1/1_000", "1_0/100", "0.2_5", "0_1/2", "1 /2", "1/ 2", "1 / 2", "1\t/2", "٣ /8"]
 
 
 @pytest.mark.parametrize("text", CROSS_VERSION_FORMS)
 def test_digit_separators_and_spaced_slashes_are_rejected_on_every_python(text):
+    unparsable = rf"cannot parse rational {re.escape(repr(text))}$"
     doc = {"n": 1, "q": "1/2", "costs": [text], "function": "unanimity"}
-    with pytest.raises(MalformedDocument, match=rf"^costs\[0\]: cannot parse rational {re.escape(repr(text))}$"):
+    with pytest.raises(MalformedDocument, match=rf"^costs\[0\]: {unparsable}"):
         ingest(doc)
+    with pytest.raises(MalformedDocument, match=rf"^costs\[0\]: {unparsable}"):
+        ProblemInstance.create(Fraction(1, 2), [text], majority(1))
+    with pytest.raises(MalformedDocument, match=rf"^q: {unparsable}"):
+        ProblemInstance.create(text, [0], majority(1))
 
 
 def test_rational_forms_read_alike_on_every_python():

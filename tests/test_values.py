@@ -40,6 +40,9 @@ REJECTED = [
     ("instance-n-0", lambda: _instance(n=0), MalformedDocument),
     # `len(costs) == True` for one cost, and `emit` would write "n": true.
     ("instance-bool-n", lambda: ProblemInstance(True, HALF, (HALF,), (1,), majority(1), ("a",)), MalformedDocument),
+    ("instance-float-n", lambda: _instance(n=2.0), MalformedDocument),
+    ("instance-str-n", lambda: _instance(n="2"), MalformedDocument),
+    ("instance-none-n", lambda: _instance(n=None), MalformedDocument),
     ("instance-float-q", lambda: _instance(q=0.5), QOutOfRange),
     ("instance-q-1", lambda: _instance(q=Fraction(1)), QOutOfRange),
     ("instance-cost-count", lambda: _instance(costs=(HALF,)), MalformedDocument),
