@@ -6,7 +6,8 @@ not yet approached are an int bitmask, `remaining`: bit r is set while rank r
 has not been approached, and bit 0 is always clear, so a step of a game
 removes a rank with one xor and tests one with one shift. The executors
 (`run`, `deviation_profile` and the audit) step on the ints (i, k) of the
-state and build an `InfoState` only to hand to the policy. They stop where
+state, and hand the policy the one `InfoState` the instance's lattice keeps
+for it, built on the state's first visit. They stop where
 the output is forced, at i == n or where the lattice marks the state
 determined with a negative willing rank, `rank[i][k] < 0`, so no policy
 decides when to halt. The highest-cost-first policy reads the same row: it
@@ -124,6 +125,13 @@ def _all_remaining(instance: ProblemInstance) -> int:
     return (2 << instance.n) - 2
 
 
+def _first_visit(states: list, at: int, i: int, k: int) -> InfoState:
+    """Build the `InfoState` of (i, k) into its slot `at` of the lattice's
+    table (`StateLattice.states`), where every later visit finds it."""
+    states[at] = state = InfoState(i, k)
+    return state
+
+
 def _next_rank(policy, state: InfoState, remaining: int) -> int:
     rank = policy.next(state, remaining)
     # A bool is an int: True would pass as rank 1, and False fails `rank > 0`.
@@ -142,18 +150,21 @@ def _play(instance, policy, state: InfoState, remaining: int, secrets, entries=N
     Returns the state reached and its forced output, the table's value at k.
     Every state after the last approach is determined, so the loop always ends.
     """
-    n, willing = instance.n, instance.lattice.rank
+    n, lattice = instance.n, instance.lattice
+    willing, states = lattice.rank, lattice.states
     i, k = state.approached, state.ones
+    at = i * (i + 1) // 2  # the slot of (i, 0); (i, k) is at + k
     while i < n and willing[i][k] >= 0:
+        state = states[at + k] or _first_visit(states, at + k, i, k)
         rank = _next_rank(policy, state, remaining)
         reply = secrets[rank - 1]
         if entries is not None:
             entries.append((rank, reply))
         i += 1
+        at += i
         k += reply
-        state = InfoState(i, k)
         remaining ^= 1 << rank
-    return state, instance.fn_spec.value_at(k)
+    return states[at + k] or _first_visit(states, at + k, i, k), instance.fn_spec.value_at(k)
 
 
 def run(instance: ProblemInstance, policy, secrets) -> RunResult:
@@ -208,7 +219,8 @@ def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
     """
     if instance.n > AUDIT_CAP:
         raise CapExceeded(f"full tree audit capped at n={AUDIT_CAP}, instance has n={instance.n}")
-    n, willing = instance.n, instance.lattice.rank
+    n, lattice = instance.n, instance.lattice
+    willing, states = lattice.rank, lattice.states
     # Keyed by ints: (i, k, rank) for the records, (i, k, remaining) for the walk.
     records: dict[tuple[int, int, int], AuditRecord] = {}
     walked: set[tuple[int, int, int]] = set()
@@ -222,7 +234,8 @@ def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
             i, k, remaining = key
             if i == n or willing[i][k] < 0:
                 continue
-            state = InfoState(i, k)
+            at = i * (i + 1) // 2 + k
+            state = states[at] or _first_visit(states, at, i, k)
             rank = _next_rank(policy, state, remaining)
             eligible = rank <= willing[i][k]
             if (i, k, rank) not in records:
@@ -246,7 +259,8 @@ def _reach(instance: ProblemInstance, policy) -> tuple[list[int], list[int]]:
     `pivotal[r]` that weight times P(i, k), both scaled by b^n for q = a/b.
     Once a rank is picked it leaves `remaining`, so each path picks it at
     most once. Raises the first policy failure met in layer order."""
-    n, num, willing = instance.n, instance.lattice.num, instance.lattice.rank
+    n, lattice = instance.n, instance.lattice
+    num, willing, states = lattice.num, lattice.rank, lattice.states
     a, b = instance.q.numerator, instance.q.denominator
     prior = (b - a, a)  # weight of a 0 and of a 1, scaled by b
     total, pivotal = [0] * (n + 1), [0] * (n + 1)
@@ -255,11 +269,12 @@ def _reach(instance: ProblemInstance, policy) -> tuple[list[int], list[int]]:
     layer = {(0, _all_remaining(instance)): 1}
     for i in range(n):
         reached: dict = {}
-        scale, row, ranks = b ** (n - i), num[i], willing[i]
+        scale, row, ranks, at = b ** (n - i), num[i], willing[i], i * (i + 1) // 2
         for (k, remaining), weight in layer.items():
             if ranks[k] < 0:
                 continue
-            chosen = _next_rank(policy, InfoState(i, k), remaining)
+            state = states[at + k] or _first_visit(states, at + k, i, k)
+            chosen = _next_rank(policy, state, remaining)
             total[chosen] += weight * scale
             pivotal[chosen] += weight * row[k] * b
             rest = remaining ^ (1 << chosen)

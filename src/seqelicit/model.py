@@ -95,6 +95,14 @@ def _as_rational(value, where: str) -> Fraction:
     )
 
 
+def _iterate(values, where: str):
+    """An iterator over `values`, or MalformedDocument if they are not iterable."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise MalformedDocument(f"{where} must be iterable, got {type(values).__name__}") from None
+
+
 def _refuse(self, name, *value):
     """``__setattr__`` and ``__delattr__`` of a value type that no one may change."""
     raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
@@ -278,28 +286,41 @@ class ProblemInstance:
             raise MalformedDocument(f"agent count must be an integer >= 1, got {self.n!r}")
         if not isinstance(self.q, Fraction) or not 0 < self.q.numerator < self.q.denominator:
             raise QOutOfRange(f"prior must lie strictly between 0 and 1, got {_clip(self.q)}")
-        if len(self.costs) != self.n:
-            raise MalformedDocument(f"{len(self.costs)} costs for {self.n} agents")
-        # Integer comparisons: a Fraction's denominator is positive.
-        for c in self.costs:
-            if not isinstance(c, Fraction) or not 0 <= c.numerator < c.denominator:
-                raise CostOutOfRange(f"normalized cost {_clip(c)} outside [0, 1)")
+        if not isinstance(self.costs, tuple) or len(self.costs) != self.n:
+            raise MalformedDocument(f"costs must be a tuple of {self.n} rationals")
+        # Range and order are checked on the costs' integer pairs, where a
+        # Fraction's denominator is positive. On a cost out of range, the
+        # loop finds the first one to report.
+        exact = all(map(isinstance, self.costs, repeat(Fraction)))
+        if exact:
+            tops, dens = zip(*map(Fraction.as_integer_ratio, self.costs))
+        if not (exact and min(tops) >= 0 and all(map(lt, tops, dens))):
+            for c in self.costs:
+                if not isinstance(c, Fraction) or not 0 <= c.numerator < c.denominator:
+                    raise CostOutOfRange(f"normalized cost {_clip(c)} outside [0, 1)")
         # A descent is a/b > c/d, that is a*d > c*b, for neighbouring costs a/b, c/d.
-        tops, dens = zip(*map(Fraction.as_integer_ratio, self.costs))
         if any(map(gt, map(mul, tops, dens[1:]), map(mul, tops[1:], dens))):
             raise MalformedDocument("costs must be sorted ascending")
-        if sorted(self.original_index) != list(range(1, self.n + 1)):
-            raise MalformedDocument("original_index must be a permutation of 1..n")
+        index = self.original_index
+        if not (
+            isinstance(index, tuple)
+            and all(map(isinstance, index, repeat(int)))
+            and sorted(index) == list(range(1, self.n + 1))
+        ):
+            raise MalformedDocument("original_index must be a tuple permuting 1..n")
+        if not isinstance(self.fn_spec, AnonymousFunctionSpec):
+            raise BadFunctionTable(f"function must be an AnonymousFunctionSpec, got {type(self.fn_spec).__name__}")
         if self.fn_spec.n != self.n:
             raise BadFunctionTable(
                 f"function is over {self.fn_spec.n} agents, instance has {self.n}"
             )
         if (
-            len(self.agent_ids) != self.n
+            not isinstance(self.agent_ids, tuple)
+            or len(self.agent_ids) != self.n
             or not all(isinstance(a, str) and a for a in self.agent_ids)
             or len(set(self.agent_ids)) != self.n
         ):
-            raise MalformedDocument("agent_ids must be n distinct nonempty strings")
+            raise MalformedDocument("agent_ids must be a tuple of n distinct nonempty strings")
 
     __setattr__ = __delattr__ = _refuse
 
@@ -334,7 +355,7 @@ class ProblemInstance:
         denominators below 2^b differ by more than 4^-b, so the keys are equal
         for equal costs and ordered as the costs are. The stable sort on them
         keeps ties in input order."""
-        costs = tuple(costs)
+        costs = tuple(_iterate(costs, "costs"))
         if isinstance(q, (bool, float)):
             raise QOutOfRange(f"prior must be an exact rational, not a {type(q).__name__}")
         q = q if isinstance(q, Fraction) else _as_rational(q, "q")
@@ -346,7 +367,7 @@ class ProblemInstance:
                 c if isinstance(c, Fraction) else _as_rational(c, f"costs[{p}]") for p, c in enumerate(costs)
             )
         n = len(costs)
-        agent_ids = tuple(map(str, range(1, n + 1)) if agent_ids is None else agent_ids)
+        agent_ids = tuple(map(str, range(1, n + 1)) if agent_ids is None else _iterate(agent_ids, "agent_ids"))
         pairs = list(map(Fraction.as_integer_ratio, costs))
         shift = 2 * max(map(itemgetter(1), pairs), default=1).bit_length()
         order = sorted(range(n), key=[(num << shift) // den for num, den in pairs].__getitem__)

@@ -5,6 +5,8 @@ sufficient statistic for everything the remaining agents can infer, so all
 quantities here are functions of that pair. Each instance owns one
 `StateLattice`, built on first use, that holds the pivotality numerator and
 the willing rank, or determined mark, of every state; the lookups read it.
+The lattice also keeps the one `InfoState` of each state that the game
+executors have handed to a policy.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, repeat
 from operator import floordiv
 
@@ -49,6 +52,11 @@ class StateLattice:
     A determined state, with threshold 0, has the z zero-cost agents willing
     and holds ~z = -z-1, so `rank[i][k] < 0` is the forced test and
     max(r, ~r) the willing count at any state.
+
+    One state, one object: `states` has a slot for every (i, k), i <= n, at
+    i(i+1)/2 + k, and the game executors in `mechanism` fill a slot with the
+    state's `InfoState` on its first visit and hand that object to the
+    policy on every visit after. Neither the build nor `verify` reads it.
     """
 
     def __init__(self, instance: ProblemInstance):
@@ -76,6 +84,13 @@ class StateLattice:
         for row in self.num:
             self.rank.append([below[bisect_left(floors, v)] if v else determined for v in row])
             floors = list(map(floordiv, floors, repeat(b)))
+
+    @cached_property
+    def states(self) -> list[InfoState | None]:
+        """The `InfoState` of (i, k) at slot i(i+1)/2 + k once a game has
+        visited it, else None; the table is made on first use."""
+        n = len(self.rank)
+        return [None] * ((n + 1) * (n + 2) // 2)
 
 
 def _check_approachable(state: InfoState, n: int) -> None:

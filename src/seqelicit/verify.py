@@ -72,8 +72,8 @@ def exists_appropriate(instance: ProblemInstance) -> Verdict:
     node at its smallest j, on the path that breaks ties toward the parent
     (i-1, k-1).
 
-    Each rank bound is one pass of `rows`, O(n) big-int operations on n-lane
-    integers, and the scan stops once the first end node violates.
+    Each rank bound below n is one pass of `rows`, O(n) big-int operations
+    on n-lane integers, and the scan stops once the first end node violates.
     """
     lattice = instance.lattice
     if lattice.rank[0][0] < 0:
@@ -117,10 +117,13 @@ def exists_appropriate(instance: ProblemInstance) -> Verdict:
             if unwilling:
                 return Verdict(False, REASON_C_UNDEFINED, undefined_at=InfoState(i, lowest(unwilling)))
     # The counts only change where j crosses a willing rank, so the smallest
-    # violating j of any end node is one of those ranks. Per bound, keep the
+    # violating j of any end node is one of those ranks. A root-to-end path
+    # holds n states, so no count exceeds a bound j >= n. Per bound, keep the
     # lowest violating end lane in `below`, the end lanes under the last found.
     below, found = live[-1], None
     for j in sorted(bounds):
+        if j >= instance.n:
+            break
         layers = rows(j)
         over = ((layers[-1] | high) - (j + 2) * ones) & high & below
         if over:

@@ -118,8 +118,9 @@ def test_verify_exits_0_2_or_3(instance_path, document):
         assert out.getvalue() == ""
 
 
-# Values a library caller might pass for n, q or a cost: exact and inexact
-# numbers, strings inside and outside the rational grammar, and nested lists.
+# Values a library caller might pass for n, q, a cost or any other field:
+# exact and inexact numbers, strings inside and outside the rational grammar,
+# and nested lists.
 python_values = st.recursive(
     st.none()
     | st.booleans()
@@ -134,12 +135,25 @@ python_values = st.recursive(
 )
 
 
+def _field(valid):
+    """A whole field: the valid value, or one drawn as for n, q or a cost,
+    alone or as a tuple of them."""
+    return st.just(valid) | python_values | st.lists(python_values, max_size=4).map(tuple)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(python_values, python_values, st.lists(python_values, min_size=1, max_size=4), st.booleans())
-def test_only_elicit_errors_escape_the_instance_constructors(n, q, costs, n_fits):
+@given(python_values, python_values, st.lists(python_values, min_size=1, max_size=4), st.booleans(), st.data())
+def test_only_elicit_errors_escape_the_instance_constructors(n, q, costs, n_fits, data):
     count = len(costs)
+    fn, ids, index = parity(count), tuple(map(str, range(count))), tuple(range(1, count + 1))
     with contextlib.suppress(ElicitError):
-        ProblemInstance.create(q, costs, parity(count))
-    ids = tuple(map(str, range(count)))
+        ProblemInstance.create(q, data.draw(_field(costs)), data.draw(_field(fn)), data.draw(_field(None)))
     with contextlib.suppress(ElicitError):
-        ProblemInstance(count if n_fits else n, q, tuple(costs), tuple(range(1, count + 1)), parity(count), ids)
+        ProblemInstance(
+            count if n_fits else n,
+            q,
+            data.draw(_field(tuple(costs))),
+            data.draw(_field(index)),
+            data.draw(_field(fn)),
+            data.draw(_field(ids)),
+        )

@@ -200,6 +200,42 @@ def test_run_matches_the_reference_loop(corpus_main, policy_type):
     assert ran and (failed > 0) == (policy_type is HcfPolicy)
 
 
+class _Recording:
+    """A policy that keeps every state object it is handed, by (i, k), and
+    asks `inner` for the rank."""
+
+    def __init__(self, inner):
+        self.inner, self.seen = inner, {}
+
+    def next(self, state, remaining):
+        self.seen.setdefault(tuple(state), []).append(state)
+        return self.inner.next(state, remaining)
+
+
+def test_each_state_reaches_the_policy_as_one_object():
+    # The lattice keeps one InfoState per state, built on the state's first
+    # visit, and every executor hands the policy that object.
+    inst = example2_instance()
+    slot = {(i, k): i * (i + 1) // 2 + k for i in range(inst.n + 1) for k in range(i + 1)}
+    runs, audit, reach = (_Recording(HcfPolicy(inst)) for _ in range(3))
+    halted = run(inst, runs, (0,) * inst.n).halted_at
+    table = inst.lattice.states
+    assert len(table) == len(slot)
+    # One game fills the slots of its path and of the state it halts at, no more.
+    assert {state for state, at in slot.items() if table[at] is not None} == {*runs.seen, halted}
+    for secrets in itertools.product((0, 1), repeat=inst.n):
+        halted = run(inst, runs, secrets).halted_at
+        assert halted is table[slot[halted]]
+    assert audit_full_tree(inst, audit).passed
+    deviation_profile(inst, reach, 1)
+    assert runs.seen.keys() == audit.seen.keys() == reach.seen.keys()
+    assert len(runs.seen[0, 0]) == 2**inst.n + 1
+    for policy in (runs, audit, reach):
+        for state, objects in policy.seen.items():
+            assert type(objects[0]) is InfoState and objects[0] == state
+            assert all(obj is table[slot[state]] for obj in objects)
+
+
 def test_hcf_next_past_the_last_layer_raises_as_c_of_does():
     # Layers n and beyond are not in the lattice; the policy falls back to
     # `c_of`, which tells an exhausted state from one out of range.

@@ -46,16 +46,23 @@ REJECTED = [
     ("instance-float-q", lambda: _instance(q=0.5), QOutOfRange),
     ("instance-q-1", lambda: _instance(q=Fraction(1)), QOutOfRange),
     ("instance-cost-count", lambda: _instance(costs=(HALF,)), MalformedDocument),
+    ("instance-none-costs", lambda: _instance(costs=None), MalformedDocument),
     ("instance-cost-1", lambda: _instance(costs=(Fraction(0), Fraction(1))), CostOutOfRange),
     ("instance-float-cost", lambda: _instance(costs=(Fraction(0), 0.25)), CostOutOfRange),
     ("instance-unsorted-costs", lambda: _instance(costs=(HALF, Fraction(0))), MalformedDocument),
     ("instance-index-not-permutation", lambda: _instance(original_index=(1, 1)), MalformedDocument),
+    ("instance-none-index", lambda: _instance(original_index=None), MalformedDocument),
+    ("instance-str-in-index", lambda: _instance(original_index=(1, "2")), MalformedDocument),
     ("instance-function-over-3", lambda: _instance(fn_spec=majority(3)), BadFunctionTable),
+    ("instance-none-function", lambda: _instance(fn_spec=None), BadFunctionTable),
     ("instance-repeated-id", lambda: _instance(agent_ids=("a", "a")), MalformedDocument),
+    ("instance-none-ids", lambda: _instance(agent_ids=None), MalformedDocument),
     # Ids that `ingest` rejects, so `emit` must never be handed them.
     ("instance-int-ids", lambda: _instance(agent_ids=(1, 2)), MalformedDocument),
     ("instance-empty-id", lambda: _instance(agent_ids=("", "b")), MalformedDocument),
     ("create-int-ids", lambda: ProblemInstance.create(HALF, [0, 0], FN2, [1, 2]), MalformedDocument),
+    ("create-none-costs", lambda: ProblemInstance.create(HALF, None, FN2), MalformedDocument),
+    ("create-int-for-ids", lambda: ProblemInstance.create(HALF, [0, 0], FN2, 5), MalformedDocument),
     ("create-float-q", lambda: ProblemInstance.create(0.4, [0, 0], FN2), QOutOfRange),
     ("create-bool-q", lambda: ProblemInstance.create(True, [0, 0], FN2), QOutOfRange),
     ("create-bool-cost", lambda: ProblemInstance.create(HALF, [False, 0], FN2), CostOutOfRange),
