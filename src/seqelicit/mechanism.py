@@ -125,10 +125,10 @@ def _all_remaining(instance: ProblemInstance) -> int:
     return (2 << instance.n) - 2
 
 
-def _first_visit(states: list, at: int, i: int, k: int) -> InfoState:
-    """Build the `InfoState` of (i, k) into its slot `at` of the lattice's
-    table (`StateLattice.states`), where every later visit finds it."""
-    states[at] = state = InfoState(i, k)
+def _first_visit(states: list, i: int, k: int) -> InfoState:
+    """Build the `InfoState` of (i, k) into its slot of the lattice's table
+    (`StateLattice.states`), where every later visit finds it."""
+    states[i][k] = state = InfoState(i, k)
     return state
 
 
@@ -153,18 +153,16 @@ def _play(instance, policy, state: InfoState, remaining: int, secrets, entries=N
     n, lattice = instance.n, instance.lattice
     willing, states = lattice.rank, lattice.states
     i, k = state.approached, state.ones
-    at = i * (i + 1) // 2  # the slot of (i, 0); (i, k) is at + k
     while i < n and willing[i][k] >= 0:
-        state = states[at + k] or _first_visit(states, at + k, i, k)
+        state = states[i][k] or _first_visit(states, i, k)
         rank = _next_rank(policy, state, remaining)
         reply = secrets[rank - 1]
         if entries is not None:
             entries.append((rank, reply))
         i += 1
-        at += i
         k += reply
         remaining ^= 1 << rank
-    return states[at + k] or _first_visit(states, at + k, i, k), instance.fn_spec.value_at(k)
+    return states[i][k] or _first_visit(states, i, k), instance.fn_spec.value_at(k)
 
 
 def run(instance: ProblemInstance, policy, secrets) -> RunResult:
@@ -234,8 +232,7 @@ def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
             i, k, remaining = key
             if i == n or willing[i][k] < 0:
                 continue
-            at = i * (i + 1) // 2 + k
-            state = states[at] or _first_visit(states, at, i, k)
+            state = states[i][k] or _first_visit(states, i, k)
             rank = _next_rank(policy, state, remaining)
             eligible = rank <= willing[i][k]
             if (i, k, rank) not in records:
@@ -269,11 +266,11 @@ def _reach(instance: ProblemInstance, policy) -> tuple[list[int], list[int]]:
     layer = {(0, _all_remaining(instance)): 1}
     for i in range(n):
         reached: dict = {}
-        scale, row, ranks, at = b ** (n - i), num[i], willing[i], i * (i + 1) // 2
+        scale, row, ranks = b ** (n - i), num[i], willing[i]
         for (k, remaining), weight in layer.items():
             if ranks[k] < 0:
                 continue
-            state = states[at + k] or _first_visit(states, at + k, i, k)
+            state = states[i][k] or _first_visit(states, i, k)
             chosen = _next_rank(policy, state, remaining)
             total[chosen] += weight * scale
             pivotal[chosen] += weight * row[k] * b

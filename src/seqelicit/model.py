@@ -103,6 +103,11 @@ def _iterate(values, where: str):
         raise MalformedDocument(f"{where} must be iterable, got {type(values).__name__}") from None
 
 
+def _check_tuple(value, where: str) -> None:
+    if not isinstance(value, tuple):
+        raise MalformedDocument(f"{where} must be a tuple, got {type(value).__name__}")
+
+
 def _refuse(self, name, *value):
     """``__setattr__`` and ``__delattr__`` of a value type that no one may change."""
     raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
@@ -286,41 +291,35 @@ class ProblemInstance:
             raise MalformedDocument(f"agent count must be an integer >= 1, got {self.n!r}")
         if not isinstance(self.q, Fraction) or not 0 < self.q.numerator < self.q.denominator:
             raise QOutOfRange(f"prior must lie strictly between 0 and 1, got {_clip(self.q)}")
-        if not isinstance(self.costs, tuple) or len(self.costs) != self.n:
-            raise MalformedDocument(f"costs must be a tuple of {self.n} rationals")
-        # Range and order are checked on the costs' integer pairs, where a
-        # Fraction's denominator is positive. On a cost out of range, the
-        # loop finds the first one to report.
-        exact = all(map(isinstance, self.costs, repeat(Fraction)))
-        if exact:
-            tops, dens = zip(*map(Fraction.as_integer_ratio, self.costs))
-        if not (exact and min(tops) >= 0 and all(map(lt, tops, dens))):
-            for c in self.costs:
-                if not isinstance(c, Fraction) or not 0 <= c.numerator < c.denominator:
-                    raise CostOutOfRange(f"normalized cost {_clip(c)} outside [0, 1)")
+        _check_tuple(self.costs, "costs")
+        if len(self.costs) != self.n:
+            raise MalformedDocument(f"{len(self.costs)} costs for {self.n} agents")
+        # Integer comparisons: a Fraction's denominator is positive.
+        for c in self.costs:
+            if not isinstance(c, Fraction) or not 0 <= c.numerator < c.denominator:
+                raise CostOutOfRange(f"normalized cost {_clip(c)} outside [0, 1)")
         # A descent is a/b > c/d, that is a*d > c*b, for neighbouring costs a/b, c/d.
+        tops, dens = zip(*map(Fraction.as_integer_ratio, self.costs))
         if any(map(gt, map(mul, tops, dens[1:]), map(mul, tops[1:], dens))):
             raise MalformedDocument("costs must be sorted ascending")
-        index = self.original_index
-        if not (
-            isinstance(index, tuple)
-            and all(map(isinstance, index, repeat(int)))
-            and sorted(index) == list(range(1, self.n + 1))
-        ):
-            raise MalformedDocument("original_index must be a tuple permuting 1..n")
+        _check_tuple(self.original_index, "original_index")
+        if not all(map(isinstance, self.original_index, repeat(int))):
+            raise MalformedDocument("original_index must hold ints")
+        if sorted(self.original_index) != list(range(1, self.n + 1)):
+            raise MalformedDocument("original_index must be a permutation of 1..n")
         if not isinstance(self.fn_spec, AnonymousFunctionSpec):
             raise BadFunctionTable(f"function must be an AnonymousFunctionSpec, got {type(self.fn_spec).__name__}")
         if self.fn_spec.n != self.n:
             raise BadFunctionTable(
                 f"function is over {self.fn_spec.n} agents, instance has {self.n}"
             )
+        _check_tuple(self.agent_ids, "agent_ids")
         if (
-            not isinstance(self.agent_ids, tuple)
-            or len(self.agent_ids) != self.n
+            len(self.agent_ids) != self.n
             or not all(isinstance(a, str) and a for a in self.agent_ids)
             or len(set(self.agent_ids)) != self.n
         ):
-            raise MalformedDocument("agent_ids must be a tuple of n distinct nonempty strings")
+            raise MalformedDocument("agent_ids must be n distinct nonempty strings")
 
     __setattr__ = __delattr__ = _refuse
 

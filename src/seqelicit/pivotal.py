@@ -53,10 +53,10 @@ class StateLattice:
     and holds ~z = -z-1, so `rank[i][k] < 0` is the forced test and
     max(r, ~r) the willing count at any state.
 
-    One state, one object: `states` has a slot for every (i, k), i <= n, at
-    i(i+1)/2 + k, and the game executors in `mechanism` fill a slot with the
-    state's `InfoState` on its first visit and hand that object to the
-    policy on every visit after. Neither the build nor `verify` reads it.
+    One state, one object: `states[i][k]` is a slot for every (i, k), i <= n,
+    and the game executors in `mechanism` fill a slot with the state's
+    `InfoState` on its first visit and hand that object to the policy on
+    every visit after. Neither the build nor `verify` reads it.
     """
 
     def __init__(self, instance: ProblemInstance):
@@ -86,11 +86,10 @@ class StateLattice:
             floors = list(map(floordiv, floors, repeat(b)))
 
     @cached_property
-    def states(self) -> list[InfoState | None]:
-        """The `InfoState` of (i, k) at slot i(i+1)/2 + k once a game has
+    def states(self) -> list[list[InfoState | None]]:
+        """The `InfoState` of (i, k) at `states[i][k]` once a game has
         visited it, else None; the table is made on first use."""
-        n = len(self.rank)
-        return [None] * ((n + 1) * (n + 2) // 2)
+        return [[None] * (i + 1) for i in range(len(self.rank) + 1)]
 
 
 def _check_approachable(state: InfoState, n: int) -> None:

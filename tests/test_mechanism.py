@@ -216,16 +216,16 @@ def test_each_state_reaches_the_policy_as_one_object():
     # The lattice keeps one InfoState per state, built on the state's first
     # visit, and every executor hands the policy that object.
     inst = example2_instance()
-    slot = {(i, k): i * (i + 1) // 2 + k for i in range(inst.n + 1) for k in range(i + 1)}
     runs, audit, reach = (_Recording(HcfPolicy(inst)) for _ in range(3))
     halted = run(inst, runs, (0,) * inst.n).halted_at
     table = inst.lattice.states
-    assert len(table) == len(slot)
+    assert [len(row) for row in table] == list(range(1, inst.n + 2))
     # One game fills the slots of its path and of the state it halts at, no more.
-    assert {state for state, at in slot.items() if table[at] is not None} == {*runs.seen, halted}
+    filled = {(i, k) for i, row in enumerate(table) for k, state in enumerate(row) if state is not None}
+    assert filled == {*runs.seen, halted}
     for secrets in itertools.product((0, 1), repeat=inst.n):
         halted = run(inst, runs, secrets).halted_at
-        assert halted is table[slot[halted]]
+        assert halted is table[halted.approached][halted.ones]
     assert audit_full_tree(inst, audit).passed
     deviation_profile(inst, reach, 1)
     assert runs.seen.keys() == audit.seen.keys() == reach.seen.keys()
@@ -233,7 +233,7 @@ def test_each_state_reaches_the_policy_as_one_object():
     for policy in (runs, audit, reach):
         for state, objects in policy.seen.items():
             assert type(objects[0]) is InfoState and objects[0] == state
-            assert all(obj is table[slot[state]] for obj in objects)
+            assert all(obj is table[state[0]][state[1]] for obj in objects)
 
 
 def test_hcf_next_past_the_last_layer_raises_as_c_of_does():
