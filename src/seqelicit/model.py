@@ -260,6 +260,11 @@ class Transcript(NamedTuple("Transcript", [("entries", "tuple[tuple[int, int], .
             raise ValueError("transcript entries are (positive rank, bit)")
         return tuple.__new__(cls, (entries,))
 
+    @classmethod
+    def _of_checked(cls, entries: tuple[tuple[int, int], ...]) -> "Transcript":
+        """`mechanism.run`'s transcript of entries it has checked as above."""
+        return tuple.__new__(cls, (entries,))
+
     @property
     def state(self) -> InfoState:
         return InfoState(len(self.entries), sum(b for _, b in self.entries))
@@ -288,7 +293,7 @@ class ProblemInstance:
     ):
         vars(self).update(zip(self._FIELDS, (n, q, costs, original_index, fn_spec, agent_ids)))
         if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise MalformedDocument(f"agent count must be an integer >= 1, got {self.n!r}")
+            raise MalformedDocument(f"agent count must be an integer >= 1, got {_clip(self.n)}")
         if not isinstance(self.q, Fraction) or not 0 < self.q.numerator < self.q.denominator:
             raise QOutOfRange(f"prior must lie strictly between 0 and 1, got {_clip(self.q)}")
         _check_tuple(self.costs, "costs")
@@ -347,7 +352,8 @@ class ProblemInstance:
         """Build an instance from costs in input order, sorting them stably.
         The prior and the costs are exact: a float or a bool is rejected, and
         any other value but a Fraction is read as in a document. `costs` and
-        `agent_ids` are each read once, so iterators will do.
+        `agent_ids` are each read once, so iterators will do; a string
+        `agent_ids` is refused, not split into one-character ids.
 
         Each cost x gets one integer sort key, floor(x * 4^b) for b the bit
         length of the largest denominator: two distinct reduced fractions with
@@ -366,6 +372,8 @@ class ProblemInstance:
                 c if isinstance(c, Fraction) else _as_rational(c, f"costs[{p}]") for p, c in enumerate(costs)
             )
         n = len(costs)
+        if isinstance(agent_ids, str):  # it would iterate into one-character ids
+            raise MalformedDocument("agent_ids must be n distinct nonempty strings")
         agent_ids = tuple(map(str, range(1, n + 1)) if agent_ids is None else _iterate(agent_ids, "agent_ids"))
         pairs = list(map(Fraction.as_integer_ratio, costs))
         shift = 2 * max(map(itemgetter(1), pairs), default=1).bit_length()
@@ -518,7 +526,11 @@ def ingest(document) -> ProblemInstance:
         values = rationals("values")
         if any(v.numerator <= 0 for v in values):
             raise MalformedDocument("values must be positive")
-        costs = [c / v for c, v in zip(costs, values)]
+        # One division per distinct (cost, value) pair of entries: each entry
+        # that parsed is an int or a string, far quicker to hash than a Fraction.
+        folded: dict = {}
+        pairs = zip(zip(document["costs"], document["values"]), costs, values)
+        costs = [folded[key] if key in folded else folded.setdefault(key, c / v) for key, c, v in pairs]
 
     agent_ids = None
     if "agent_ids" in document:

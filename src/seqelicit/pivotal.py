@@ -16,7 +16,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
-from operator import floordiv
+from operator import floordiv, mul
 
 from .errors import CapExceeded, StateExhausted
 from .model import InfoState, ProblemInstance
@@ -77,6 +77,7 @@ class StateLattice:
         counts = Counter(map(Fraction.as_integer_ratio, instance.costs))
         below = [0, *accumulate(counts.values())]
         m, scale = min(a, b_a), b**n
+        self._m, self._b = m, b
         floors = [(top * scale - 1) // (den * m) for top, den in counts]
         del floors[bisect_left(floors, scale // b) :]  # never willing: num[i][k] <= b^(n-1-i)
         determined = ~below[instance.costs[0] == 0]  # the zero-cost agents, the cheapest if any
@@ -84,6 +85,15 @@ class StateLattice:
         for row in self.num:
             self.rank.append([below[bisect_left(floors, v)] if v else determined for v in row])
             floors = list(map(floordiv, floors, repeat(b)))
+
+    @cached_property
+    def _denominators(self) -> list[int]:
+        """b^(n-i) at entry i < n, made on the first threshold asked."""
+        return list(accumulate(repeat(self._b, len(self.num)), mul))[::-1]
+
+    def threshold(self, i: int, k: int) -> Fraction:
+        """m num[i][k] / b^(n-i) at any i < n; `pivotal.threshold` checks i."""
+        return Fraction(self._m * self.num[i][k], self._denominators[i])
 
     @cached_property
     def states(self) -> list[list[InfoState | None]]:
@@ -121,9 +131,7 @@ def threshold(state: InfoState, instance: ProblemInstance) -> Fraction:
     An agent is eligible at the state iff its cost is at most this value
     (weak inequality).
     """
-    i, k = state.approached, state.ones
-    a, b = instance.q.as_integer_ratio()  # one call; .numerator and .denominator are two
-    return Fraction(min(a, b - a) * _lattice(state, instance).num[i][k], b ** (instance.n - i))
+    return _lattice(state, instance).threshold(state.approached, state.ones)
 
 
 def c_of(state: InfoState, instance: ProblemInstance) -> int | None:

@@ -23,6 +23,7 @@ from seqelicit.mechanism import (
     DEVIATION_CAP,
     FixedOrderPolicy,
     HcfPolicy,
+    _next_rank,
     audit_full_tree,
     deviation_profile,
     draw_secrets,
@@ -39,6 +40,7 @@ from seqelicit.model import (
     InfoState,
     ProblemInstance,
     TRUTHFUL_COMPUTE,
+    Transcript,
     consensus,
     emit,
     ingest,
@@ -469,6 +471,75 @@ def test_executors_reject_a_bool_rank():
         audit_full_tree(inst, _TruePolicy())
     with pytest.raises(ValueError):
         deviation_profile(inst, _TruePolicy(), 1)
+
+
+class _Rank(int):
+    """An int subclass: accepted wherever the int it equals is."""
+
+
+# Answers at layer 1 of parity(3), after the root has approached rank 3.
+ANSWERS = [2, 3, 0, 4, -1, True, False, 1.0, "2", None, 2**70, _Rank(2)]
+
+
+class _AnswerPolicy:
+    """Rank 3 at the root, `answer` at layer 1, then the lowest remaining rank."""
+
+    def __init__(self, answer):
+        self.answer = answer
+
+    def next(self, state, remaining):
+        if state.approached == 0:
+            return 3
+        if state.approached == 1:
+            return self.answer
+        return (remaining & -remaining).bit_length() - 1
+
+
+def _refusal(check, *args):
+    """The ValueError message `check` raised, or None if it raised none."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("answer", ANSWERS, ids=[f"{type(a).__name__}:{a!r}" for a in ANSWERS])
+def test_executors_accept_and_refuse_as_next_rank_does(answer):
+    # `_play` and the audit test each answer inline; they must keep the
+    # reference's accepted set and its message. The first layer-1 state each
+    # executor meets is (1,0): the run's rank 3 replies 0, the audit goes
+    # reply 0 first and the reach keeps the layer's order.
+    inst = make_instance("1/2", ["1/10"] * 3, parity(3).ones_to_one)
+    policy = _AnswerPolicy(answer)
+    expected = _refusal(_next_rank, policy, InfoState(1, 0), 0b0110)
+    assert (expected is None) == (answer == 2 and isinstance(answer, int))
+    assert _refusal(run, inst, policy, (1, 0, 0)) == expected
+    assert _refusal(audit_full_tree, inst, policy) == expected
+    assert _refusal(deviation_profile, inst, policy, 1) == expected
+    if expected is None:
+        assert run(inst, policy, (1, 0, 0)).transcript.entries[:2] == ((3, 0), (2, 0))
+
+
+@pytest.mark.parametrize("corpus_name", ["corpus_main", "corpus_small", "corpus_pivotal", "corpus_br"])
+def test_run_transcripts_pass_the_transcript_checks(corpus_name, request):
+    # `run` makes its transcript without Transcript's checks; every one it
+    # makes must pass them unchanged. Every secret vector up to n = 4, and
+    # four drawn ones above.
+    for inst in request.getfixturevalue(corpus_name):
+        vectors = (
+            itertools.product((0, 1), repeat=inst.n)
+            if inst.n <= 4
+            else (draw_secrets(inst, seed) for seed in range(4))
+        )
+        for secrets in vectors:
+            for policy in (HcfPolicy(inst), FixedOrderPolicy(inst)):
+                try:
+                    result = run(inst, policy, secrets)
+                except PolicyFailed:
+                    continue
+                assert type(result.transcript) is Transcript
+                assert Transcript(result.transcript.entries) == result.transcript
 
 
 def _outcome(check, *args):

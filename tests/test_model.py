@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -87,6 +88,22 @@ def test_values_folded_into_costs():
     }
     inst = ingest(doc)
     assert inst.costs == (Fraction(1, 4), Fraction(3, 4))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_values_fold_like_one_division_per_agent(seed):
+    # Equal rationals spelled apart ("1/8", "2/16", "0.125") and repeated
+    # pairs; the costs must be those of dividing agent by agent.
+    rng = random.Random(9100 + seed)
+    n = rng.randrange(1, 40)
+    costs = [rng.choice(["0", 0, "1/8", "2/16", "0.125", "3/7", "6/14", "1/3"]) for _ in range(n)]
+    values = [rng.choice(["1", 1, "3/2", "1.5", "6/4", "2", 3]) for _ in range(n)]
+    doc = {"n": n, "q": "1/2", "costs": costs, "values": values, "function": "parity"}
+    divided = [Fraction(c) / Fraction(v) for c, v in zip(costs, values)]
+    inst = ingest(doc)
+    assert inst.user_costs() == tuple(divided)
+    doc.pop("values")
+    assert inst == ingest({**doc, "costs": list(map(str, divided))})
 
 
 def test_shortcut_expansions():

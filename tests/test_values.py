@@ -63,6 +63,8 @@ REJECTED = [
     ("create-int-ids", lambda: ProblemInstance.create(HALF, [0, 0], FN2, [1, 2]), MalformedDocument),
     ("create-none-costs", lambda: ProblemInstance.create(HALF, None, FN2), MalformedDocument),
     ("create-int-for-ids", lambda: ProblemInstance.create(HALF, [0, 0], FN2, 5), MalformedDocument),
+    # A string would iterate into the one-character ids ('a', 'b').
+    ("create-str-ids", lambda: ProblemInstance.create(HALF, [0, 0], FN2, "ab"), MalformedDocument),
     ("create-float-q", lambda: ProblemInstance.create(0.4, [0, 0], FN2), QOutOfRange),
     ("create-bool-q", lambda: ProblemInstance.create(True, [0, 0], FN2), QOutOfRange),
     ("create-bool-cost", lambda: ProblemInstance.create(HALF, [False, 0], FN2), CostOutOfRange),
@@ -74,6 +76,15 @@ REJECTED = [
 def test_each_type_rejects_bad_fields_with_its_error(build, error):
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize("n", ["x" * 100_000, -(10**5000)], ids=["long-str", "int-past-str-limit"])
+def test_instance_clips_a_hostile_agent_count_in_its_message(n):
+    # The whole repr of either would be the message: 100,002 characters, or
+    # a ValueError from the interpreter's int-string limit.
+    with pytest.raises(MalformedDocument, match="^agent count must be an integer >= 1, got ") as info:
+        _instance(n=n)
+    assert len(str(info.value)) < 100
 
 
 def test_valid_values_build_by_position_and_by_keyword():
@@ -153,3 +164,16 @@ def test_no_source_path_builds_a_validated_type_past_its_checks():
         if re.search(r"\._(make|replace)\b", text)
     ]
     assert offenders == []
+
+
+def test_only_run_builds_a_transcript_past_its_checks():
+    # `Transcript._of_checked` skips the checks for steps the executor has
+    # checked already; no other source path may use it.
+    src = Path(seqelicit.__file__).resolve().parent
+    users = [
+        f"{path.name}:{text.strip()}"
+        for path in sorted(src.glob("*.py"))
+        for text in path.read_text().splitlines()
+        if "._of_checked(" in text
+    ]
+    assert users == ["mechanism.py:transcript=Transcript._of_checked(tuple(entries)),"]
