@@ -15,9 +15,8 @@ asks the most expensive agent that is still willing to compute, and its
 full-reply-tree audit certifies that everybody computing truthfully is an
 equilibrium.
 
-Each policy answer is checked once, where it is read: it must be an int,
-not a bool, whose bit is set in `remaining`, else `_refuse_rank` raises.
-`_play` and the audit test it inline, the deviation reach in `_next_rank`.
+Each policy answer is checked once, in `_next_rank`, and `run` builds its
+transcript from the checked steps without checking them again.
 
 Since a policy sees only (state, remaining), the incentive checks visit each
 reachable such pair once, in two separate walks: the audit goes depth first
@@ -136,17 +135,11 @@ def _first_visit(states: list, i: int, k: int) -> InfoState:
     return state
 
 
-def _refuse_rank(rank, state: InfoState):
-    raise ValueError(f"policy chose rank {rank!r} at {state}, which is not a remaining rank")
-
-
 def _next_rank(policy, state: InfoState, remaining: int) -> int:
-    """The policy's answer if it is a remaining rank, else ValueError; the
-    reference for the inline tests of `_play` and the audit."""
     rank = policy.next(state, remaining)
     # A bool is an int: True would pass as rank 1, and False fails `rank > 0`.
     if not (isinstance(rank, int) and rank is not True and rank > 0 and remaining >> rank & 1):
-        _refuse_rank(rank, state)
+        raise ValueError(f"policy chose rank {rank!r} at {state}, which is not a remaining rank")
     return rank
 
 
@@ -155,20 +148,18 @@ def _play(instance, policy, state: InfoState, remaining: int, secrets, entries=N
     bits are set in `remaining` not yet approached, replying from `secrets`
     (rank order), until the output is determined. Appends each (rank, reply)
     to `entries` when given. Each step is a constant number of operations:
-    one lattice lookup, one policy call, the test of its answer (as in
-    `_next_rank`), so each rank is new and in 1..n, and one xor.
+    one lattice lookup, one checked policy call, so each rank is new and in
+    1..n, and one xor.
 
     Returns the state reached and its forced output, the table's value at k.
     Every state after the last approach is determined, so the loop always ends.
     """
     n, lattice = instance.n, instance.lattice
-    willing, states, choose = lattice.rank, lattice.states, policy.next
+    willing, states = lattice.rank, lattice.states
     i, k = state.approached, state.ones
     while i < n and willing[i][k] >= 0:
         state = states[i][k] or _first_visit(states, i, k)
-        rank = choose(state, remaining)
-        if not (isinstance(rank, int) and rank is not True and rank > 0 and remaining >> rank & 1):
-            _refuse_rank(rank, state)
+        rank = _next_rank(policy, state, remaining)
         reply = secrets[rank - 1]
         if entries is not None:
             entries.append((rank, reply))
@@ -233,7 +224,7 @@ def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
     if instance.n > AUDIT_CAP:
         raise CapExceeded(f"full tree audit capped at n={AUDIT_CAP}, instance has n={instance.n}")
     n, lattice, costs = instance.n, instance.lattice, instance.costs
-    willing, states, threshold, choose = lattice.rank, lattice.states, lattice.threshold, policy.next
+    willing, states, threshold = lattice.rank, lattice.states, lattice.threshold
     # Keyed by ints: (i, k, rank) for the records, (i, k, remaining) for the walk.
     records: dict[tuple[int, int, int], AuditRecord] = {}
     walked: set[tuple[int, int, int]] = set()
@@ -248,9 +239,7 @@ def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
             if i == n or willing[i][k] < 0:
                 continue
             state = states[i][k] or _first_visit(states, i, k)
-            rank = choose(state, remaining)
-            if not (isinstance(rank, int) and rank is not True and rank > 0 and remaining >> rank & 1):
-                _refuse_rank(rank, state)
+            rank = _next_rank(policy, state, remaining)
             eligible = rank <= willing[i][k]
             if (i, k, rank) not in records:
                 records[i, k, rank] = AuditRecord(state, rank, costs[rank - 1], threshold(i, k), eligible)

@@ -526,11 +526,7 @@ def ingest(document) -> ProblemInstance:
         values = rationals("values")
         if any(v.numerator <= 0 for v in values):
             raise MalformedDocument("values must be positive")
-        # One division per distinct (cost, value) pair of entries: each entry
-        # that parsed is an int or a string, far quicker to hash than a Fraction.
-        folded: dict = {}
-        pairs = zip(zip(document["costs"], document["values"]), costs, values)
-        costs = [folded[key] if key in folded else folded.setdefault(key, c / v) for key, c, v in pairs]
+        costs = [c / v for c, v in zip(costs, values)]
 
     agent_ids = None
     if "agent_ids" in document:

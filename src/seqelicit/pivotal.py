@@ -16,7 +16,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
-from operator import floordiv, mul
+from operator import floordiv
 
 from .errors import CapExceeded, StateExhausted
 from .model import InfoState, ProblemInstance
@@ -86,14 +86,9 @@ class StateLattice:
             self.rank.append([below[bisect_left(floors, v)] if v else determined for v in row])
             floors = list(map(floordiv, floors, repeat(b)))
 
-    @cached_property
-    def _denominators(self) -> list[int]:
-        """b^(n-i) at entry i < n, made on the first threshold asked."""
-        return list(accumulate(repeat(self._b, len(self.num)), mul))[::-1]
-
     def threshold(self, i: int, k: int) -> Fraction:
         """m num[i][k] / b^(n-i) at any i < n; `pivotal.threshold` checks i."""
-        return Fraction(self._m * self.num[i][k], self._denominators[i])
+        return Fraction(self._m * self.num[i][k], self._b ** (len(self.num) - i))
 
     @cached_property
     def states(self) -> list[list[InfoState | None]]:

@@ -506,10 +506,10 @@ def _refusal(check, *args):
 
 @pytest.mark.parametrize("answer", ANSWERS, ids=[f"{type(a).__name__}:{a!r}" for a in ANSWERS])
 def test_executors_accept_and_refuse_as_next_rank_does(answer):
-    # `_play` and the audit test each answer inline; they must keep the
-    # reference's accepted set and its message. The first layer-1 state each
-    # executor meets is (1,0): the run's rank 3 replies 0, the audit goes
-    # reply 0 first and the reach keeps the layer's order.
+    # Every executor must accept what `_next_rank` accepts and refuse the
+    # rest with its message. The first layer-1 state each executor meets is
+    # (1,0): the run's rank 3 replies 0, the audit goes reply 0 first and the
+    # reach keeps the layer's order.
     inst = make_instance("1/2", ["1/10"] * 3, parity(3).ones_to_one)
     policy = _AnswerPolicy(answer)
     expected = _refusal(_next_rank, policy, InfoState(1, 0), 0b0110)

@@ -171,9 +171,9 @@ def test_only_run_builds_a_transcript_past_its_checks():
     # checked already; no other source path may use it.
     src = Path(seqelicit.__file__).resolve().parent
     users = [
-        f"{path.name}:{text.strip()}"
+        path.name
         for path in sorted(src.glob("*.py"))
         for text in path.read_text().splitlines()
         if "._of_checked(" in text
     ]
-    assert users == ["mechanism.py:transcript=Transcript._of_checked(tuple(entries)),"]
+    assert users == ["mechanism.py"]
