@@ -7,7 +7,9 @@ nothing. `main` alone loads the instance, writes the text (to `-o` for
 positive verdict), 3 when not (a negative verdict, a failed audit or an
 oracle mismatch) or when a policy fails, 2 on a usage error or any other
 `ElicitError` (input format, caps), 1 on an internal error. All machine
-output renders rationals as "num/den" strings, never decimals.
+output renders rationals as "num/den" strings, never decimals. The
+per-node outputs (`pivotal`, `graph` as JSON or DOT, `oracle --mode
+pivotal`) read one labelling pass over the reduced graph, `_labels`.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from .errors import ElicitError, PolicyFailed
-from .graph import edges, export_dot, nodes
 from .mechanism import FixedOrderPolicy, HcfPolicy, audit_full_tree, deviation_profile, draw_secrets, run
 from .model import ACTION_NAMES, InfoState, ProblemInstance, ingest, rational_text
-from .pivotal import c_of, pivotal_prob, threshold
+from .pivotal import c_of, edges, nodes, pivotal_prob, threshold
 from .verify import REASON_C_UNDEFINED, REASON_TRIVIAL, exists_appropriate
 
 EXIT_OK = 0
@@ -37,12 +39,18 @@ def _state_json(state: InfoState) -> list[int]:
     return [state.approached, state.ones]
 
 
-def _label_json(state: InfoState, instance: ProblemInstance) -> dict:
+def _labels(instance: ProblemInstance) -> list[tuple[InfoState, Fraction, int | None]]:
+    """(state, pivotal probability, willing rank or None) of every node, in
+    node order; each command formats only what it prints."""
+    return [(state, pivotal_prob(state, instance), c_of(state, instance)) for state in nodes(instance)]
+
+
+def _label_json(instance: ProblemInstance, state: InfoState, p: Fraction, c: int | None) -> dict:
     return {
         "state": _state_json(state),
-        "pivotal": rational_text(pivotal_prob(state, instance)),
+        "pivotal": rational_text(p),
         "threshold": rational_text(threshold(state, instance)),
-        "c": c_of(state, instance),
+        "c": c,
     }
 
 
@@ -107,23 +115,17 @@ def _cmd_verify(args, instance: ProblemInstance) -> tuple[bool, str]:
 
 
 def _cmd_pivotal(args, instance: ProblemInstance) -> tuple[bool, str]:
-    states = nodes(instance)
+    labels = _labels(instance)
     name = instance.fn_spec.name or "anonymous"
     if args.json:
-        return True, _json({"instance": name, "nodes": [_label_json(s, instance) for s in states]})
-    if not states:
+        return True, _json({"instance": name, "nodes": [_label_json(instance, *label) for label in labels]})
+    if not labels:
         return True, _text(["(empty state graph: the function is constant)"])
     rows = [("state", "pivotal", "threshold", "c")]
-    for state in states:
-        c = c_of(state, instance)
-        rows.append(
-            (
-                str(state),
-                rational_text(pivotal_prob(state, instance)),
-                rational_text(threshold(state, instance)),
-                "-" if c is None else str(c),
-            )
-        )
+    rows += [
+        (str(s), rational_text(p), rational_text(threshold(s, instance)), "-" if c is None else str(c))
+        for s, p, c in labels
+    ]
     widths = [max(len(row[col]) for row in rows) for col in range(4)]
     return True, _text(
         ["  ".join(cell.ljust(widths[col]) for col, cell in enumerate(row)).rstrip() for row in rows]
@@ -131,17 +133,31 @@ def _cmd_pivotal(args, instance: ProblemInstance) -> tuple[bool, str]:
 
 
 def _cmd_graph(args, instance: ProblemInstance) -> tuple[bool, str]:
-    if not args.json:
-        return True, export_dot(instance)
-    states = nodes(instance)
-    return True, _json(
-        {
-            "instance": instance.fn_spec.name or "anonymous",
-            "root": _state_json(states[0]) if states else None,
-            "nodes": [{**_label_json(s, instance), "end": s.approached == instance.n - 1} for s in states],
-            "edges": [[_state_json(a), _state_json(b)] for a, b in edges(instance)],
-        }
-    )
+    """The reduced graph as JSON, or as DOT with byte-stable, lexicographic
+    ordering: node s_i_k carries P and the willing rank (or the undefined
+    mark ⊥), and end nodes (layer n-1) get a doubled periphery."""
+    labels = _labels(instance)
+    name = instance.fn_spec.name or "anonymous"
+    end = instance.n - 1
+    if args.json:
+        return True, _json(
+            {
+                "instance": name,
+                "root": _state_json(labels[0][0]) if labels else None,
+                "nodes": [{**_label_json(instance, *label), "end": label[0].approached == end} for label in labels],
+                "edges": [[_state_json(a), _state_json(b)] for a, b in edges(instance)],
+            }
+        )
+    if not labels:
+        return True, _text([f"// instance: {name}", "digraph G { }"])
+    lines = [f"// instance: {name}", "digraph G {"]
+    for (i, k), p, c in labels:
+        c_text = "⊥" if c is None else c
+        periphery = ", peripheries=2" if i == end else ""
+        lines.append(f'  s_{i}_{k} [label="({i},{k})\\nP={rational_text(p)}\\nc={c_text}"{periphery}];')
+    lines += [f"  s_{a.approached}_{a.ones} -> s_{b.approached}_{b.ones};" for a, b in edges(instance)]
+    lines.append("}")
+    return True, _text(lines)
 
 
 def _cmd_hcf(args, instance: ProblemInstance) -> tuple[bool, str]:
@@ -266,10 +282,9 @@ def _cmd_oracle(args, instance: ProblemInstance) -> tuple[bool, str]:
     from .oracle import brute_pivotal, exhaustive_existence, hcf_tree_existence
 
     if args.mode == "pivotal":
-        states = nodes(instance)
+        labels = _labels(instance)
         mismatches = []
-        for state in states:
-            analytic = pivotal_prob(state, instance)
+        for state, analytic, _ in labels:
             brute = brute_pivotal(state, instance)
             if analytic != brute:
                 mismatches.append((state, rational_text(analytic), rational_text(brute)))
@@ -278,7 +293,7 @@ def _cmd_oracle(args, instance: ProblemInstance) -> tuple[bool, str]:
             return agree, _json(
                 {
                     "mode": "pivotal",
-                    "checked": len(states),
+                    "checked": len(labels),
                     "agree": agree,
                     "mismatches": [
                         {"state": _state_json(s), "analytic": a, "brute": b}
@@ -287,7 +302,7 @@ def _cmd_oracle(args, instance: ProblemInstance) -> tuple[bool, str]:
                 }
             )
         status = "OK" if agree else "MISMATCH"
-        lines = [f"pivotal cross-check: {len(states)} states compared: {status}"]
+        lines = [f"pivotal cross-check: {len(labels)} states compared: {status}"]
         lines += [f"  state {s}: analytic {a} vs brute-force {b}" for s, a, b in mismatches]
         return agree, _text(lines)
 

@@ -146,10 +146,6 @@ class AnonymousFunctionSpec(
         return hash(self[:2])
 
     @property
-    def is_constant(self) -> bool:
-        return all(self.ones_to_one) or not any(self.ones_to_one)
-
-    @property
     def ones_counts(self) -> tuple[int, ...]:
         """The counts mapped to output 1, ascending."""
         return tuple(w for w, b in enumerate(self.ones_to_one) if b)
@@ -264,10 +260,6 @@ class Transcript(NamedTuple("Transcript", [("entries", "tuple[tuple[int, int], .
     def _of_checked(cls, entries: tuple[tuple[int, int], ...]) -> "Transcript":
         """`mechanism.run`'s transcript of entries it has checked as above."""
         return tuple.__new__(cls, (entries,))
-
-    @property
-    def state(self) -> InfoState:
-        return InfoState(len(self.entries), sum(b for _, b in self.entries))
 
 
 class ProblemInstance:

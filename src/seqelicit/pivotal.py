@@ -6,7 +6,9 @@ quantities here are functions of that pair. Each instance owns one
 `StateLattice`, built on first use, that holds the pivotality numerator and
 the willing rank, or determined mark, of every state; the lookups read it.
 The lattice also keeps the one `InfoState` of each state that the game
-executors have handed to a policy.
+executors have handed to a policy. The reduced graph of undetermined states,
+on which `verify` decides existence, is the lattice itself: `nodes` and
+`edges` read it off the willing ranks.
 """
 
 from __future__ import annotations
@@ -127,6 +129,31 @@ def threshold(state: InfoState, instance: ProblemInstance) -> Fraction:
     (weak inequality).
     """
     return _lattice(state, instance).threshold(state.approached, state.ones)
+
+
+def nodes(instance: ProblemInstance) -> list[InfoState]:
+    """The undetermined states, those with a nonnegative willing rank, in
+    lexicographic (i, k) order; empty for a constant function.
+
+    A predecessor of an undetermined state is undetermined too, so the
+    nodes hang off (0, 0) whenever there are any.
+    """
+    return [InfoState(i, k) for i, row in enumerate(instance.lattice.rank) for k, r in enumerate(row) if r >= 0]
+
+
+def edges(instance: ProblemInstance) -> list[tuple[InfoState, InfoState]]:
+    """The (state, child) pairs among the nodes, one extra reply apart (a 0
+    keeps k, a 1 increments it), parents in node order and the 0-reply child
+    first. Every node with no undetermined child sits at layer n-1.
+    """
+    rank = instance.lattice.rank
+    return [
+        (state, InfoState(state.approached + 1, k))
+        for state in nodes(instance)
+        if state.approached + 1 < instance.n
+        for k in (state.ones, state.ones + 1)
+        if rank[state.approached + 1][k] >= 0
+    ]
 
 
 def c_of(state: InfoState, instance: ProblemInstance) -> int | None:

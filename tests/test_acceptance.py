@@ -14,7 +14,6 @@ import time
 from fractions import Fraction
 
 from conftest import INSTANCES_DIR, example1_instance, example2_instance, example3_instance
-from seqelicit.graph import edges, nodes
 from seqelicit.mechanism import (
     FixedOrderPolicy,
     HcfPolicy,
@@ -24,7 +23,7 @@ from seqelicit.mechanism import (
 )
 from seqelicit.model import ALL_ACTIONS, GUESS_ONE, InfoState, TRUTHFUL_COMPUTE
 from seqelicit.oracle import brute_pivotal, exhaustive_existence, hcf_tree_existence
-from seqelicit.pivotal import pivotal_prob, threshold
+from seqelicit.pivotal import edges, nodes, pivotal_prob, threshold
 from seqelicit.verify import REASON_C_UNDEFINED, exists_appropriate
 
 

@@ -405,6 +405,16 @@ def test_a_rational_past_the_digit_limit_is_usage_error(capsys, tmp_path):
         assert err.startswith("error: output capped at 4300 digits")
     assert invoke(capsys, "verify", str(path))[0] == 0
     assert invoke(capsys, "deviate", str(path), "--agent", "1", "--action", "truthful")[0] == 0
+    # A 1501-digit denominator: P takes 3001 digits and the threshold 4502, so
+    # only the commands that print a threshold are turned away.
+    path.write_text(json.dumps({"n": 3, "q": f"1/{10**1500 + 1}", "costs": ["0"] * 3, "function": "majority"}))
+    for command, *flags in (("pivotal",), ("pivotal", "--json"), ("graph", "--json")):
+        code, out, err = invoke(capsys, command, str(path), *flags)
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error: output capped at 4300 digits")
+    for command, *flags in (("graph",), ("oracle", "--mode", "pivotal"), ("oracle", "--mode", "pivotal", "--json")):
+        code, out, err = invoke(capsys, command, str(path), *flags)
+        assert (code, err) == (0, ""), command
     assert rational_text(Fraction(-(10**4300 - 1), 10**4300 - 1)) == "-1"
     assert len(rational_text(Fraction(1, 10**4300 - 1))) == 4302
     with pytest.raises(CapExceeded):

@@ -1,15 +1,16 @@
-"""The reduced graph read off the lattice, the verify path DP, and DOT export."""
+"""The reduced graph read off the lattice, the verify path DP, and the DOT output of `graph`."""
 
 from __future__ import annotations
 
+import argparse
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from conftest import example2_instance, make_instance, random_instance
-from seqelicit.graph import edges, export_dot, nodes
+from seqelicit.cli import _cmd_graph
 from seqelicit.model import InfoState, consensus, parity, ProblemInstance
-from seqelicit.pivotal import c_of
+from seqelicit.pivotal import c_of, edges, nodes
 from seqelicit.oracle import _path_counts, _walk, determine
 
 
@@ -28,6 +29,13 @@ def enumerate_edges_naive(instance: ProblemInstance) -> set[tuple[InfoState, Inf
             if b.approached == a.approached + 1 and b.ones in (a.ones, a.ones + 1):
                 edges.add((a, b))
     return edges
+
+
+def export_dot(instance: ProblemInstance) -> str:
+    """What `seqelicit graph` writes for `instance`, always with success."""
+    ok, text = _cmd_graph(argparse.Namespace(json=False), instance)
+    assert ok
+    return text
 
 
 def end_nodes(instance: ProblemInstance) -> list[InfoState]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import gc
 import random
 import weakref
@@ -12,12 +13,12 @@ import pytest
 
 from conftest import Q_CHOICES, check_witness, corpus, random_instance
 from seqelicit import pivotal
+from seqelicit.cli import _cmd_graph
 from seqelicit.errors import CapExceeded
-from seqelicit.graph import export_dot, nodes
 from seqelicit.mechanism import FixedOrderPolicy, HcfPolicy, audit_full_tree, deviation_profile, draw_secrets, run
 from seqelicit.model import InfoState, ProblemInstance, parity
 from seqelicit.oracle import closed_form_pivotal, determine
-from seqelicit.pivotal import c_of, pivotal_prob, threshold
+from seqelicit.pivotal import c_of, nodes, pivotal_prob, threshold
 from seqelicit.verify import REASON_PIGEONHOLE, Verdict, Witness, exists_appropriate
 
 
@@ -147,7 +148,7 @@ def test_no_process_wide_state():
     refs = []
     for _ in range(50):
         inst = random_instance(rng, rng.randrange(2, 9), max_cost_k=16)
-        export_dot(inst)
+        _cmd_graph(argparse.Namespace(json=False), inst)
         run(inst, FixedOrderPolicy(inst), draw_secrets(inst, 0))
         if exists_appropriate(inst).exists:
             audit_full_tree(inst, HcfPolicy(inst))

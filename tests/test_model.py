@@ -17,7 +17,6 @@ from seqelicit.errors import (
     MalformedDocument,
     QOutOfRange,
 )
-from seqelicit.graph import nodes
 from seqelicit.model import (
     _as_rational,
     _clip,
@@ -41,7 +40,7 @@ from seqelicit.model import (
     unanimity,
 )
 from seqelicit.oracle import brute_pivotal, mirror
-from seqelicit.pivotal import c_of, pivotal_prob, threshold
+from seqelicit.pivotal import c_of, nodes, pivotal_prob, threshold
 from seqelicit.verify import exists_appropriate
 
 
@@ -67,7 +66,7 @@ def test_ingest_constant_table():
         "function": {"ones_counts": [0, 1, 2]},
     }
     inst = ingest(doc)
-    assert inst.fn_spec.is_constant
+    assert nodes(inst) == []
 
 
 def test_ingest_json_text_and_integer_strings():
@@ -522,7 +521,7 @@ def test_action_replies():
 
 def test_transcript_state_and_no_duplicates():
     t = Transcript(((3, 1), (1, 0)))
-    assert t.state == InfoState(2, 1)
+    assert t.entries == ((3, 1), (1, 0))
     with pytest.raises(ValueError):
         Transcript(t.entries + ((3, 0),))
     with pytest.raises(ValueError):

@@ -17,8 +17,7 @@ from conftest import (
 from seqelicit.errors import StateExhausted
 from seqelicit.model import AnonymousFunctionSpec, InfoState, ProblemInstance, consensus, majority, parity, unanimity
 from seqelicit.oracle import brute_pivotal, determine
-from seqelicit.graph import nodes
-from seqelicit.pivotal import c_of, pivotal_prob, threshold
+from seqelicit.pivotal import c_of, nodes, pivotal_prob, threshold
 
 
 def test_determine_consensus_mixed_replies():

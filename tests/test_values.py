@@ -89,7 +89,7 @@ def test_instance_clips_a_hostile_agent_count_in_its_message(n):
 
 def test_valid_values_build_by_position_and_by_keyword():
     assert InfoState(approached=2, ones=0) == InfoState(2, 0)
-    assert Transcript() == Transcript(entries=()) and Transcript().state == InfoState(0, 0)
+    assert Transcript() == Transcript(entries=()) and Transcript().entries == ()
     assert AnonymousFunctionSpec(n=1, ones_to_one=(False, True)).name is None
     assert _instance() == ProblemInstance(*INSTANCE_ARGS)
 

@@ -18,11 +18,10 @@ from conftest import (
     random_instance,
     threshold_cost_instance,
 )
-from seqelicit.graph import nodes
 from seqelicit.mechanism import AUDIT_CAP, HcfPolicy, audit_full_tree
 from seqelicit.model import AnonymousFunctionSpec, InfoState, ProblemInstance, consensus, majority, parity
 from seqelicit.oracle import determine, per_bound_verdict
-from seqelicit.pivotal import c_of
+from seqelicit.pivotal import c_of, nodes
 from seqelicit.verify import (
     REASON_C_UNDEFINED,
     REASON_PIGEONHOLE,
