@@ -19,7 +19,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import ElicitError, PolicyFailed
+from .errors import ElicitError, MalformedDocument, PolicyFailed
 from .mechanism import FixedOrderPolicy, HcfPolicy, audit_full_tree, deviation_profile, draw_secrets, run
 from .model import ACTION_NAMES, InfoState, ProblemInstance, ingest, rational_text
 from .pivotal import c_of, edges, nodes, pivotal_prob, threshold
@@ -68,6 +68,8 @@ def _load_instance(path: str) -> ProblemInstance:
             text = handle.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"not valid UTF-8: {exc.reason} at byte offset {exc.start}") from exc
     return ingest(text)
 
 

@@ -1,14 +1,14 @@
 """Sequential elicitation policies, game execution, and equilibrium audits.
 
-A policy maps an undetermined information state and the agents not yet
-approached to the rank to approach next, or raises PolicyFailed. The agents
-not yet approached are an int bitmask, `remaining`: bit r is set while rank r
-has not been approached, and bit 0 is always clear, so a step of a game
-removes a rank with one xor and tests one with one shift. The executors
-(`run`, `deviation_profile` and the audit) step on the ints (i, k) of the
-state, and hand the policy the one `InfoState` the instance's lattice keeps
-for it, built on the state's first visit. They stop where
-the output is forced, at i == n or where the lattice marks the state
+A policy maps an undetermined information state, the ints (i, k) of agents
+approached and ones reported, and the agents not yet approached to the rank
+to approach next, or raises PolicyFailed. The agents not yet approached are
+an int bitmask, `remaining`: bit r is set while rank r has not been
+approached, and bit 0 is always clear, so a step of a game removes a rank
+with one xor and tests one with one shift. The executors (`run`,
+`deviation_profile` and the audit) step on (i, k) and hand the policy those
+ints; an `InfoState` is built only where a result names a state. They stop
+where the output is forced, at i == n or where the lattice marks the state
 determined with a negative willing rank, `rank[i][k] < 0`, so no policy
 decides when to halt. The highest-cost-first policy reads the same row: it
 asks the most expensive agent that is still willing to compute, and its
@@ -18,7 +18,7 @@ equilibrium.
 Each policy answer is checked once, in `_next_rank`, and `run` builds its
 transcript from the checked steps without checking them again.
 
-Since a policy sees only (state, remaining), the incentive checks visit each
+Since a policy sees only (i, k, remaining), the incentive checks visit each
 reachable such pair once, in two separate walks: the audit goes depth first
 and skips a pair it has already walked, and the deviation profile is a
 forward reach, layer by layer, that carries path weights through every pair
@@ -72,18 +72,17 @@ class _InstancePolicy:
 class HcfPolicy(_InstancePolicy):
     """Approach the dearest agent still willing to compute."""
 
-    def next(self, state: InfoState, remaining: int) -> int:
-        """The largest remaining rank up to the state's willing rank c, so
+    def next(self, i: int, k: int, remaining: int) -> int:
+        """The largest remaining rank up to the willing rank c at (i, k), so
         equal costs break toward the higher rank: the top set bit of
         `remaining` at or below bit c, read as `c_of` does. Raises
         PolicyFailed when nobody remaining is willing."""
-        try:
-            willing = self.instance.lattice.rank[state.approached][state.ones]
-        except IndexError:  # layer n or beyond, where c_of raises
-            willing = c_of(state, self.instance) or 0
+        if not 0 <= k <= i < self.instance.n:
+            c_of(InfoState(i, k), self.instance)  # not a lattice state: raises as c_of does
+        willing = self.instance.lattice.rank[i][k]
         rank = (remaining & ((2 << (willing if willing >= 0 else ~willing)) - 1)).bit_length() - 1
         if rank <= 0:
-            raise PolicyFailed(state, FAIL_NO_ELIGIBLE)
+            raise PolicyFailed(InfoState(i, k), FAIL_NO_ELIGIBLE)
         return rank
 
 
@@ -95,7 +94,7 @@ class FixedOrderPolicy(_InstancePolicy):
     the approached agent has any reason to compute.
     """
 
-    def next(self, state: InfoState, remaining: int) -> int:
+    def next(self, i: int, k: int, remaining: int) -> int:
         # The lowest remaining rank. An undetermined state always has an agent
         # left: every state after the last approach is determined.
         return (remaining & -remaining).bit_length() - 1
@@ -128,45 +127,35 @@ def _all_remaining(instance: ProblemInstance) -> int:
     return (2 << instance.n) - 2
 
 
-def _first_visit(states: list, i: int, k: int) -> InfoState:
-    """Build the `InfoState` of (i, k) into its slot of the lattice's table
-    (`StateLattice.states`), where every later visit finds it."""
-    states[i][k] = state = InfoState(i, k)
-    return state
-
-
-def _next_rank(policy, state: InfoState, remaining: int) -> int:
-    rank = policy.next(state, remaining)
+def _next_rank(policy, i: int, k: int, remaining: int) -> int:
+    rank = policy.next(i, k, remaining)
     # A bool is an int: True would pass as rank 1, and False fails `rank > 0`.
     if not (isinstance(rank, int) and rank is not True and rank > 0 and remaining >> rank & 1):
-        raise ValueError(f"policy chose rank {rank!r} at {state}, which is not a remaining rank")
+        raise ValueError(f"policy chose rank {rank!r} at ({i},{k}), which is not a remaining rank")
     return rank
 
 
-def _play(instance, policy, state: InfoState, remaining: int, secrets, entries=None):
-    """Approach agents as `policy` directs, from `state` with the ranks whose
-    bits are set in `remaining` not yet approached, replying from `secrets`
-    (rank order), until the output is determined. Appends each (rank, reply)
-    to `entries` when given. Each step is a constant number of operations:
-    one lattice lookup, one checked policy call, so each rank is new and in
-    1..n, and one xor.
+def _play(instance, policy, i: int, k: int, remaining: int, secrets, entries=None) -> tuple[int, int]:
+    """Approach agents as `policy` directs, from state (i, k) with the ranks
+    whose bits are set in `remaining` not yet approached, replying from
+    `secrets` (rank order), until the output is determined. Appends each
+    (rank, reply) to `entries` when given. Each step is a constant number of
+    operations: one lattice lookup, one checked policy call, so each rank is
+    new and in 1..n, and one xor.
 
-    Returns the state reached and its forced output, the table's value at k.
-    Every state after the last approach is determined, so the loop always ends.
+    Returns the state reached, (i, k), whose output is forced. Every state
+    after the last approach is determined, so the loop always ends.
     """
-    n, lattice = instance.n, instance.lattice
-    willing, states = lattice.rank, lattice.states
-    i, k = state.approached, state.ones
+    n, willing = instance.n, instance.lattice.rank
     while i < n and willing[i][k] >= 0:
-        state = states[i][k] or _first_visit(states, i, k)
-        rank = _next_rank(policy, state, remaining)
+        rank = _next_rank(policy, i, k, remaining)
         reply = secrets[rank - 1]
         if entries is not None:
             entries.append((rank, reply))
         i += 1
         k += reply
         remaining ^= 1 << rank
-    return states[i][k] or _first_visit(states, i, k), instance.fn_spec.value_at(k)
+    return i, k
 
 
 def run(instance: ProblemInstance, policy, secrets) -> RunResult:
@@ -189,12 +178,12 @@ def run(instance: ProblemInstance, policy, secrets) -> RunResult:
     ):
         raise ValueError(f"secrets must be {instance.n} bits")
     entries: list[tuple[int, int]] = []
-    halted_at, output = _play(instance, policy, InfoState(0, 0), _all_remaining(instance), secrets, entries)
+    i, k = _play(instance, policy, 0, 0, _all_remaining(instance), secrets, entries)
     den, scaled = instance.scaled_costs
     return RunResult(
         transcript=Transcript._of_checked(tuple(entries)),
-        output=output,
-        halted_at=halted_at,
+        output=instance.fn_spec.value_at(k),
+        halted_at=InfoState(i, k),
         approached_count=len(entries),
         total_cost_incurred=Fraction(sum(map(scaled.__getitem__, map(itemgetter(0), entries))), den),
     )
@@ -224,7 +213,7 @@ def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
     if instance.n > AUDIT_CAP:
         raise CapExceeded(f"full tree audit capped at n={AUDIT_CAP}, instance has n={instance.n}")
     n, lattice, costs = instance.n, instance.lattice, instance.costs
-    willing, states, threshold = lattice.rank, lattice.states, lattice.threshold
+    willing, threshold = lattice.rank, lattice.threshold
     # Keyed by ints: (i, k, rank) for the records, (i, k, remaining) for the walk.
     records: dict[tuple[int, int, int], AuditRecord] = {}
     walked: set[tuple[int, int, int]] = set()
@@ -238,13 +227,12 @@ def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
             i, k, remaining = key
             if i == n or willing[i][k] < 0:
                 continue
-            state = states[i][k] or _first_visit(states, i, k)
-            rank = _next_rank(policy, state, remaining)
+            rank = _next_rank(policy, i, k, remaining)
             eligible = rank <= willing[i][k]
             if (i, k, rank) not in records:
-                records[i, k, rank] = AuditRecord(state, rank, costs[rank - 1], threshold(i, k), eligible)
+                records[i, k, rank] = AuditRecord(InfoState(i, k), rank, costs[rank - 1], threshold(i, k), eligible)
             if not eligible:
-                raise PolicyFailed(state, FAIL_CHOSEN_INELIGIBLE)
+                raise PolicyFailed(InfoState(i, k), FAIL_CHOSEN_INELIGIBLE)
             rest = remaining ^ (1 << rank)
             stack.append((i + 1, k + 1, rest))
             stack.append((i + 1, k, rest))
@@ -261,7 +249,7 @@ def _reach(instance: ProblemInstance, policy) -> tuple[list[int], list[int]]:
     Once a rank is picked it leaves `remaining`, so each path picks it at
     most once. Raises the first policy failure met in layer order."""
     n, lattice = instance.n, instance.lattice
-    num, willing, states = lattice.num, lattice.rank, lattice.states
+    num, willing = lattice.num, lattice.rank
     a, b = instance.q.numerator, instance.q.denominator
     prior = (b - a, a)  # weight of a 0 and of a 1, scaled by b
     total, pivotal = [0] * (n + 1), [0] * (n + 1)
@@ -274,8 +262,7 @@ def _reach(instance: ProblemInstance, policy) -> tuple[list[int], list[int]]:
         for (k, remaining), weight in layer.items():
             if ranks[k] < 0:
                 continue
-            state = states[i][k] or _first_visit(states, i, k)
-            chosen = _next_rank(policy, state, remaining)
+            chosen = _next_rank(policy, i, k, remaining)
             total[chosen] += weight * scale
             pivotal[chosen] += weight * row[k] * b
             rest = remaining ^ (1 << chosen)
@@ -311,7 +298,7 @@ def deviation_profile(instance: ProblemInstance, policy, rank: int) -> dict[Acti
     the weights at the picks of every rank, and the instance keeps the sums
     of the last policy asked, so profiling each rank under one policy (or
     under equal built-in policies) walks once. A policy must therefore be a
-    function of (state, remaining) alone. A policy failure at any reachable
+    function of (i, k, remaining) alone. A policy failure at any reachable
     pair fails every rank, with the first exception met in layer order, and
     is not kept. `oracle.brute_deviation_profiles(instance, policy)[rank]` is
     the same profile from all 2^n secret vectors.

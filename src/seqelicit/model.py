@@ -510,7 +510,7 @@ def ingest(document) -> ProblemInstance:
     def rationals(key: str) -> list[Fraction]:
         raw = document[key]
         if not isinstance(raw, list) or len(raw) != n:
-            raise MalformedDocument(f"{key} must be a list of {n} rationals")
+            raise MalformedDocument(f"{key} must be a list of {_clip(n)} rationals")
         return [rational(value, f"{key}[{idx}]") for idx, value in enumerate(raw)]
 
     costs = rationals("costs")

@@ -206,7 +206,7 @@ def brute_audit(instance: ProblemInstance, policy) -> AuditReport:
     def walk(state: InfoState, remaining: int) -> None:
         if determine(state, fn) is not None:
             return
-        rank = _next_rank(policy, state, remaining)
+        rank = _next_rank(policy, *state, remaining)
         eligible = rank <= (c_of(state, instance) or 0)
         key = (state, rank)
         if key not in seen:
@@ -250,24 +250,23 @@ def brute_deviation_profiles(instance: ProblemInstance, policy) -> dict[int, dic
     correct = {rank: [0] * len(ALL_ACTIONS) for rank in instance.ranks}
     approached = dict.fromkeys(instance.ranks, 0)
     truthful_right = 0
-    root, all_ranks = InfoState(0, 0), _all_remaining(instance)
+    all_ranks = _all_remaining(instance)
     try:
         for secrets in itertools.product((0, 1), repeat=n):
             weight = weight_of[sum(secrets)]
             true_value = fn.value_at(sum(secrets))
             entries: list[tuple[int, int]] = []
-            truthful = _play(instance, policy, root, all_ranks, secrets, entries)[1]
+            truthful = fn.value_at(_play(instance, policy, 0, 0, all_ranks, secrets, entries)[1])
             truthful_right += weight * (truthful == true_value)
-            state, remaining = root, all_ranks
+            i, k, remaining = 0, 0, all_ranks
             for rank, reply in entries:
                 remaining ^= 1 << rank
                 outputs = [truthful, truthful]  # indexed by the agent's reply
-                flipped = InfoState(state.approached + 1, state.ones + 1 - reply)
-                outputs[1 - reply] = _play(instance, policy, flipped, remaining, secrets)[1]
+                outputs[1 - reply] = fn.value_at(_play(instance, policy, i + 1, k + 1 - reply, remaining, secrets)[1])
                 approached[rank] += weight
                 for slot, action in enumerate(ALL_ACTIONS):
                     correct[rank][slot] += weight * (outputs[action.reply(secrets[rank - 1])] == true_value)
-                state = InfoState(state.approached + 1, state.ones + reply)
+                i, k = i + 1, k + reply
     except Exception as exc:  # noqa: BLE001 - stands in for every rank's profile
         return dict.fromkeys(instance.ranks, exc)
     profiles: dict[int, dict[Action, Fraction] | Exception] = {}

@@ -5,10 +5,9 @@ sufficient statistic for everything the remaining agents can infer, so all
 quantities here are functions of that pair. Each instance owns one
 `StateLattice`, built on first use, that holds the pivotality numerator and
 the willing rank, or determined mark, of every state; the lookups read it.
-The lattice also keeps the one `InfoState` of each state that the game
-executors have handed to a policy. The reduced graph of undetermined states,
-on which `verify` decides existence, is the lattice itself: `nodes` and
-`edges` read it off the willing ranks.
+The reduced graph of undetermined states, on which `verify` decides
+existence, is the lattice itself: `nodes` and `edges` read it off the
+willing ranks.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate, repeat
 from operator import floordiv
 
@@ -54,11 +52,6 @@ class StateLattice:
     A determined state, with threshold 0, has the z zero-cost agents willing
     and holds ~z = -z-1, so `rank[i][k] < 0` is the forced test and
     max(r, ~r) the willing count at any state.
-
-    One state, one object: `states[i][k]` is a slot for every (i, k), i <= n,
-    and the game executors in `mechanism` fill a slot with the state's
-    `InfoState` on its first visit and hand that object to the policy on
-    every visit after. Neither the build nor `verify` reads it.
     """
 
     def __init__(self, instance: ProblemInstance):
@@ -91,12 +84,6 @@ class StateLattice:
     def threshold(self, i: int, k: int) -> Fraction:
         """m num[i][k] / b^(n-i) at any i < n; `pivotal.threshold` checks i."""
         return Fraction(self._m * self.num[i][k], self._b ** (len(self.num) - i))
-
-    @cached_property
-    def states(self) -> list[list[InfoState | None]]:
-        """The `InfoState` of (i, k) at `states[i][k]` once a game has
-        visited it, else None; the table is made on first use."""
-        return [[None] * (i + 1) for i in range(len(self.rank) + 1)]
 
 
 def _check_approachable(state: InfoState, n: int) -> None:

@@ -267,6 +267,16 @@ def test_malformed_instance_is_usage_error(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_instance_file_not_in_utf8_is_usage_error(capsys, tmp_path):
+    # The byte 0xff inside an agent id: the file cannot be decoded, an
+    # input-format error like any other, with a short message.
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"n": 1, "q": "1/2", "costs": ["0"], "function": "parity", "agent_ids": ["\xff"]}')
+    code, out, err = invoke(capsys, "verify", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: not valid UTF-8: invalid start byte at byte offset 74\n"
+
+
 def test_exponent_cost_is_usage_error(capsys, tmp_path):
     bad = tmp_path / "exp.json"
     bad.write_text('{"n": 2, "q": "1/2", "costs": ["0", "1e-10000000"], "function": "parity"}')

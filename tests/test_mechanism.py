@@ -53,19 +53,19 @@ from seqelicit.verify import REASON_C_UNDEFINED, exists_appropriate
 
 def test_hcf_next_prefers_highest_rank_among_ties():
     inst = example2_instance()
-    rank = HcfPolicy(inst).next(InfoState(0, 0), 0b11110)
+    rank = HcfPolicy(inst).next(0, 0, 0b11110)
     assert rank == 3
 
 
 def test_hcf_next_last_agent():
     inst = example2_instance()
-    assert HcfPolicy(inst).next(InfoState(3, 0), 0b10000) == 4
+    assert HcfPolicy(inst).next(3, 0, 0b10000) == 4
 
 
 def test_hcf_next_fails_when_nobody_willing():
     inst = example1_instance()
     with pytest.raises(PolicyFailed) as excinfo:
-        HcfPolicy(inst).next(InfoState(0, 0), (1 << 12) - 2)
+        HcfPolicy(inst).next(0, 0, (1 << 12) - 2)
     assert excinfo.value.reason == "no_eligible_agent"
 
 
@@ -78,7 +78,7 @@ def test_hcf_policy_halts_exactly_when_determined():
     result = run(inst, HcfPolicy(inst), (0, 1, 0, 1))
     assert result.halted_at == InfoState(2, 1)
     assert result.output == 0
-    assert HcfPolicy(inst).next(InfoState(1, 0), 0b10110) in (1, 2, 4)
+    assert HcfPolicy(inst).next(1, 0, 0b10110) in (1, 2, 4)
 
 
 def _random_remaining(rng, n):
@@ -102,10 +102,10 @@ def test_hcf_next_matches_the_set_reference(corpus_main):
                     expected = max((r for r in ranks if r <= willing), default=None)
                     if expected is None:
                         with pytest.raises(PolicyFailed) as excinfo:
-                            policy.next(state, mask)
+                            policy.next(i, k, mask)
                         assert (excinfo.value.state, excinfo.value.reason) == (state, "no_eligible_agent")
                     else:
-                        assert policy.next(state, mask) == expected
+                        assert policy.next(i, k, mask) == expected
 
 
 def test_fixed_order_next_matches_the_set_reference(corpus_main):
@@ -118,7 +118,7 @@ def test_fixed_order_next_matches_the_set_reference(corpus_main):
                 for _ in range(4):
                     ranks, mask = _random_remaining(rng, inst.n)
                     if ranks:
-                        assert policy.next(InfoState(i, k), mask) == min(ranks)
+                        assert policy.next(i, k, mask) == min(ranks)
 
 
 def test_run_consensus_trace():
@@ -203,49 +203,62 @@ def test_run_matches_the_reference_loop(corpus_main, policy_type):
 
 
 class _Recording:
-    """A policy that keeps every state object it is handed, by (i, k), and
-    asks `inner` for the rank."""
+    """A policy that keeps every argument tuple it is handed and asks `inner`
+    for the rank."""
 
     def __init__(self, inner):
-        self.inner, self.seen = inner, {}
+        self.inner, self.seen = inner, []
 
-    def next(self, state, remaining):
-        self.seen.setdefault(tuple(state), []).append(state)
-        return self.inner.next(state, remaining)
+    def next(self, i, k, remaining):
+        self.seen.append((i, k, remaining))
+        return self.inner.next(i, k, remaining)
 
 
-def test_each_state_reaches_the_policy_as_one_object():
-    # The lattice keeps one InfoState per state, built on the state's first
-    # visit, and every executor hands the policy that object.
-    inst = example2_instance()
-    runs, audit, reach = (_Recording(HcfPolicy(inst)) for _ in range(3))
-    halted = run(inst, runs, (0,) * inst.n).halted_at
-    table = inst.lattice.states
-    assert [len(row) for row in table] == list(range(1, inst.n + 2))
-    # One game fills the slots of its path and of the state it halts at, no more.
-    filled = {(i, k) for i, row in enumerate(table) for k, state in enumerate(row) if state is not None}
-    assert filled == {*runs.seen, halted}
-    for secrets in itertools.product((0, 1), repeat=inst.n):
-        halted = run(inst, runs, secrets).halted_at
-        assert halted is table[halted.approached][halted.ones]
-    assert audit_full_tree(inst, audit).passed
-    deviation_profile(inst, reach, 1)
-    assert runs.seen.keys() == audit.seen.keys() == reach.seen.keys()
-    assert len(runs.seen[0, 0]) == 2**inst.n + 1
-    for policy in (runs, audit, reach):
-        for state, objects in policy.seen.items():
-            assert type(objects[0]) is InfoState and objects[0] == state
-            assert all(obj is table[state[0]][state[1]] for obj in objects)
+@pytest.mark.parametrize("policy_type", [HcfPolicy, FixedOrderPolicy])
+def test_executors_hand_the_policy_ints_at_undetermined_states_only(policy_type):
+    # `run`, the audit and the deviation reach pass the policy plain ints,
+    # never an InfoState, and ask it only at a lattice state (0 <= k <= i < n)
+    # that the rank row marks undetermined.
+    rng = random.Random(20261019)
+    insts = [example2_instance(), example3_instance(), make_instance("1/2", ["1/10"] * 4, parity(4).ones_to_one)]
+    insts += [random_instance(rng, n, max_cost_k=16) for n in (1, 3, 5, 7, 8)]
+    for inst in insts:
+        runs, audit, reach = (_Recording(policy_type(inst)) for _ in range(3))
+        for secrets in itertools.product((0, 1), repeat=inst.n):
+            try:
+                run(inst, runs, secrets)
+            except PolicyFailed:
+                pass
+        audit_full_tree(inst, audit)
+        _outcome(deviation_profile, inst, reach, 1)
+        assert runs.seen and audit.seen and reach.seen
+        for policy in (runs, audit, reach):
+            for args in policy.seen:
+                assert all(type(arg) is int for arg in args)
+                i, k, remaining = args
+                assert 0 <= k <= i < inst.n and inst.lattice.rank[i][k] >= 0
+                assert remaining & 1 == 0 and remaining.bit_count() == inst.n - i
 
 
 def test_hcf_next_past_the_last_layer_raises_as_c_of_does():
-    # Layers n and beyond are not in the lattice; the policy falls back to
-    # `c_of`, which tells an exhausted state from one out of range.
+    # Only (i, k) with 0 <= k <= i < n is a lattice state. Layer n is
+    # exhausted; beyond it, k > i, k < 0 and i < 0 are out of range, though
+    # a negative index would read a row from its end.
     inst = example2_instance()
-    with pytest.raises(StateExhausted):
-        HcfPolicy(inst).next(InfoState(inst.n, 0), 0b10000)
-    with pytest.raises(ValueError):
-        HcfPolicy(inst).next(InfoState(inst.n + 1, 0), 0b10000)
+    rows = [
+        (4, 0, StateExhausted),
+        (4, 4, StateExhausted),
+        (5, 0, ValueError),
+        (1, 2, ValueError),
+        (2, -1, ValueError),
+        (-1, 0, ValueError),
+        (-1, -1, ValueError),
+    ]
+    for i, k, error in rows:
+        with pytest.raises(error):
+            HcfPolicy(inst).next(i, k, 0b10000)
+        with pytest.raises(error):
+            c_of(InfoState(i, k), inst)
 
 
 def test_run_constant_function_no_approaches():
@@ -400,9 +413,9 @@ class CountingPolicy:
         self.inner = inner
         self.calls = 0
 
-    def next(self, state, remaining):
+    def next(self, i, k, remaining):
         self.calls += 1
-        return self.inner.next(state, remaining)
+        return self.inner.next(i, k, remaining)
 
 
 def test_run_stays_on_one_path():
@@ -420,7 +433,7 @@ class _RepeatingPolicy:
     def __init__(self, rank):
         self.rank = rank
 
-    def next(self, state, remaining):
+    def next(self, i, k, remaining):
         return self.rank
 
 
@@ -454,7 +467,7 @@ def test_executors_reject_a_rank_that_is_not_an_int_in_range(rank):
 class _TruePolicy:
     """The lowest remaining rank, but True in place of rank 1."""
 
-    def next(self, state, remaining):
+    def next(self, i, k, remaining):
         rank = (remaining & -remaining).bit_length() - 1
         return True if rank == 1 else rank
 
@@ -487,10 +500,10 @@ class _AnswerPolicy:
     def __init__(self, answer):
         self.answer = answer
 
-    def next(self, state, remaining):
-        if state.approached == 0:
+    def next(self, i, k, remaining):
+        if i == 0:
             return 3
-        if state.approached == 1:
+        if i == 1:
             return self.answer
         return (remaining & -remaining).bit_length() - 1
 
@@ -512,7 +525,7 @@ def test_executors_accept_and_refuse_as_next_rank_does(answer):
     # reach keeps the layer's order.
     inst = make_instance("1/2", ["1/10"] * 3, parity(3).ones_to_one)
     policy = _AnswerPolicy(answer)
-    expected = _refusal(_next_rank, policy, InfoState(1, 0), 0b0110)
+    expected = _refusal(_next_rank, policy, 1, 0, 0b0110)
     assert (expected is None) == (answer == 2 and isinstance(answer, int))
     assert _refusal(run, inst, policy, (1, 0, 0)) == expected
     assert _refusal(audit_full_tree, inst, policy) == expected
@@ -573,16 +586,16 @@ def test_incentive_checks_match_the_oracles(corpus_name, policy_type, request):
 
 
 class _HashedPolicy:
-    """An arbitrary function of (state, remaining): the remaining rank that a
-    hash of the pair and a seed picks. Hashes of int tuples do not depend on
+    """An arbitrary function of (i, k, remaining): the remaining rank that a
+    hash of the three and a seed picks. Hashes of int tuples do not depend on
     PYTHONHASHSEED."""
 
     def __init__(self, seed):
         self.seed = seed
 
-    def next(self, state, remaining):
+    def next(self, i, k, remaining):
         ranks = [r for r in range(1, remaining.bit_length()) if remaining >> r & 1]
-        return ranks[hash((self.seed, state.approached, state.ones, remaining)) % len(ranks)]
+        return ranks[hash((self.seed, i, k, remaining)) % len(ranks)]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -590,7 +603,7 @@ class _HashedPolicy:
 def test_incentive_checks_match_the_oracles_under_an_arbitrary_policy(n, max_cost_k, seed, rng):
     # Both built-in policies are structured; the audit's one visit per pair
     # and the deviation utilities' pivotality identity must hold for any
-    # policy of (state, remaining).
+    # policy of (i, k, remaining).
     inst = random_instance(rng, n, max_cost_k=max_cost_k)
     policy = _HashedPolicy(seed)
     assert audit_full_tree(inst, policy) == brute_audit(inst, policy)
@@ -611,11 +624,11 @@ def test_deviation_profile_rejects_a_rank_outside_1_to_n_before_any_policy_call(
 class _FailingPolicy:
     """The lowest remaining rank, but raises KeyError at (1, 1) and IndexError at (2, 1)."""
 
-    def next(self, state, remaining):
-        if state == InfoState(1, 1):
-            raise KeyError(state)
-        if state == InfoState(2, 1):
-            raise IndexError(state)
+    def next(self, i, k, remaining):
+        if (i, k) == (1, 1):
+            raise KeyError((i, k))
+        if (i, k) == (2, 1):
+            raise IndexError((i, k))
         return (remaining & -remaining).bit_length() - 1
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import seqelicit
 from seqelicit.errors import BadFunctionTable, CostOutOfRange, MalformedDocument, QOutOfRange
-from seqelicit.model import Action, AnonymousFunctionSpec, InfoState, ProblemInstance, Transcript, majority
+from seqelicit.model import Action, AnonymousFunctionSpec, InfoState, ProblemInstance, Transcript, ingest, majority
 
 HALF = Fraction(1, 2)
 FN2 = AnonymousFunctionSpec(2, (False, True, True), "or")
@@ -85,6 +85,14 @@ def test_instance_clips_a_hostile_agent_count_in_its_message(n):
     with pytest.raises(MalformedDocument, match="^agent count must be an integer >= 1, got ") as info:
         _instance(n=n)
     assert len(str(info.value)) < 100
+
+
+def test_ingest_clips_a_hostile_agent_count_in_its_message():
+    # A 4300-digit n is within the interpreter's int-string limit, so it
+    # parses; echoed whole, the message ran to 4334 characters.
+    document = '{"n": 1' + "0" * 4299 + ', "q": "1/2", "costs": ["0"], "function": "parity"}'
+    with pytest.raises(MalformedDocument, match=r"^costs must be a list of 10{31}\.\.\.\(4300 chars\) rationals$"):
+        ingest(document)
 
 
 def test_valid_values_build_by_position_and_by_keyword():
