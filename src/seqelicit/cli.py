@@ -19,7 +19,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import ElicitError, MalformedDocument, PolicyFailed
+from .errors import ElicitError, PolicyFailed
 from .mechanism import FixedOrderPolicy, HcfPolicy, audit_full_tree, deviation_profile, draw_secrets, run
 from .model import ACTION_NAMES, InfoState, ProblemInstance, ingest, rational_text
 from .pivotal import c_of, edges, nodes, pivotal_prob, threshold
@@ -64,13 +64,11 @@ def _text(lines: list[str]) -> str:
 
 def _load_instance(path: str) -> ProblemInstance:
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise MalformedDocument(f"not valid UTF-8: {exc.reason} at byte offset {exc.start}") from exc
-    return ingest(text)
+    return ingest(data)
 
 
 _POLICIES = {"hcf": HcfPolicy, "fixed": FixedOrderPolicy}

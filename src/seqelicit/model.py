@@ -453,7 +453,7 @@ def _parse_function(value, n: int) -> AnonymousFunctionSpec:
 
 
 def ingest(document) -> ProblemInstance:
-    """Parse an instance document (JSON text or a parsed mapping).
+    """Parse an instance document (JSON text, UTF-8 bytes or a parsed mapping).
 
     Format::
 
@@ -472,7 +472,14 @@ def ingest(document) -> ProblemInstance:
     `ProblemInstance` checks q's range, then the costs in sorted order, so
     the least cost outside [0, 1) is reported.
     """
-    if isinstance(document, (bytes, str)):
+    if isinstance(document, bytes):
+        # Strict UTF-8, as the CLI reads its files: no other encoding is
+        # guessed, and a BOM stays in the text, where JSON refuses it.
+        try:
+            document = document.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedDocument(f"not valid UTF-8: {exc.reason} at byte offset {exc.start}") from exc
+    if isinstance(document, str):
         # Besides JSONDecodeError (a ValueError), hostile text can raise
         # RecursionError for deeply nested arrays; `_parse_int` rejects an
         # integer literal with too many digits.

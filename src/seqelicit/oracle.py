@@ -8,6 +8,11 @@ or the path criterion. The incentive checks walk every reply path, and play
 every secret vector, without the (state, remaining) sharing of `mechanism`;
 as there, a policy failure in the deviation check fails every rank at once.
 
+One reference keeps the lattice's recurrence: `full_lattice`, the whole
+numerator table with every layer's floors stepped down from the root, as the
+lattice was built before it rolled two rows. It checks the rolling rows and
+the floor checkpoints, not the recurrence, which the closed form covers.
+
 One reference does run the path criterion on the lattice: `per_bound_verdict`,
 one list DP per rank bound with one Python step per state. It checks only the
 packed-lane arithmetic of `verify`, not the lattice's ranks or the criterion
@@ -27,6 +32,8 @@ checked against.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple
@@ -118,6 +125,30 @@ def closed_form_pivotal(state: InfoState, instance: ProblemInstance) -> Fraction
         if table[k + m] != table[k + m + 1]:
             total += comb(rest, m) * q**m * (1 - q) ** (rest - m)
     return total
+
+
+def full_lattice(instance: ProblemInstance) -> tuple[list[list[int]], list[list[int]]]:
+    """(num, rank) of `pivotal.StateLattice` built whole: every numerator row
+    kept, root row first, and every layer's floors stepped down from the root
+    one `// b` at a time. The reference for the lattice's two rolling rows,
+    its 64-layer floor checkpoints and its `num`."""
+    n, a, b = instance.n, instance.q.numerator, instance.q.denominator
+    table = instance.fn_spec.ones_to_one
+    num = [[int(table[k] != table[k + 1]) for k in range(n)]]
+    for size in range(n - 1, 0, -1):
+        row = num[-1]
+        num.append([a * row[k + 1] + (b - a) * row[k] for k in range(size)])
+    num.reverse()
+    counts = Counter(map(Fraction.as_integer_ratio, instance.costs))
+    below = [0, *itertools.accumulate(counts.values())]
+    m, scale = min(a, b - a), b**n
+    floors = [f for f in ((top * scale - 1) // (den * m) for top, den in counts) if f < scale // b]
+    determined = ~below[instance.costs[0] == 0]
+    rank = []
+    for row in num:
+        rank.append([below[bisect_left(floors, v)] if v else determined for v in row])
+        floors = [f // b for f in floors]
+    return num, rank
 
 
 def brute_pivotal(state: InfoState, instance: ProblemInstance) -> Fraction:

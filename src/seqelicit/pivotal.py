@@ -3,11 +3,13 @@
 For an anonymous function, the pair (agents approached, ones reported) is a
 sufficient statistic for everything the remaining agents can infer, so all
 quantities here are functions of that pair. Each instance owns one
-`StateLattice`, built on first use, that holds the pivotality numerator and
-the willing rank, or determined mark, of every state; the lookups read it.
-The reduced graph of undetermined states, on which `verify` decides
-existence, is the lattice itself: `nodes` and `edges` read it off the
-willing ranks.
+`StateLattice`, built on first use, that holds the willing rank, or
+determined mark, of every state; the lookups read it. The pivotality
+numerators are rolled up from the leaves through two rows while the ranks are
+read off them, and the full numerator table is built only on first read, for
+the lookups that print or sum a probability. The reduced graph of
+undetermined states, on which `verify` decides existence, is the lattice
+itself: `nodes` and `edges` read it off the willing ranks.
 """
 
 from __future__ import annotations
@@ -15,29 +17,39 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, repeat
 from operator import floordiv
 
 from .errors import CapExceeded, StateExhausted
 from .model import InfoState, ProblemInstance
 
-# Most bits the lattice's numerators may take, checked from n and q = a/b
+# Most numerator bits the recurrence may produce, checked from n and q = a/b
 # before any row is built. A numerator at layer i is at most b^(n-1-i), about
 # beta (n-1-i) bits for beta = (b-1).bit_length(), so the n-i states of each
-# layer sum to beta (n-1) n (n+1) / 3 bits in all. 2^34 bits (2 GiB) admits
-# parity at q=1/2 and n=3000 (about 9.0e9 bits) and turns n=20000 (about
-# 2.7e12) away at once.
+# layer sum to beta (n-1) n (n+1) / 3 bits in all. The build keeps only two
+# rows of them, so the count bounds its work, and the memory of the full
+# table that `StateLattice.num` builds for the callers of P. 2^34 bits
+# admits parity at q=1/2 and n=3000 (about 9.0e9 bits) and turns n=20000
+# (about 2.7e12) away at once.
 LATTICE_BUDGET_BITS = 2**34
+
+# Layers per floor checkpoint: the build keeps every 64th layer's floors and
+# steps down again inside one block at a time.
+_BLOCK = 64
 
 
 class StateLattice:
-    """Integer pivotality numerators and willing ranks of every state (i, k), i < n.
+    """Willing ranks of every state (i, k), i < n, and, on first read, the
+    integer pivotality numerators.
 
     With q = a/b, P(i, k) = num[i][k] / b^(n-1-i). Conditioning on one of the
     other unapproached agents gives P(i,k) = q P(i+1,k+1) + (1-q) P(i+1,k), so
     num[i][k] = a num[i+1][k+1] + (b-a) num[i+1][k], starting from
     num[n-1][k] = [t(k) != t(k+1)]. Every binomial weight is positive, so
-    num[i][k] is 0 exactly at the determined states.
+    num[i][k] is 0 exactly at the determined states. The build rolls this up
+    from the leaves, one row from the last, and keeps only the rank row read
+    off each; `num`, the whole table, is built on its first read and kept.
 
     An agent who does not compute replies with the likelier bit, wrong with
     probability min(q, 1-q) = m/b for m = min(a, b-a), so the threshold is
@@ -45,9 +57,12 @@ class StateLattice:
     floor ceil(cost_r.num b^(n-i) / (cost_r.den m)) - 1; rank[i][k] counts
     those ranks (0 when nobody is willing). Equal costs share one floor. The
     floors are divided once, at the root, and stepped down a layer as
-    F_(i+1) = F_i // b, exact since floor(floor(x)/b) = floor(x/b). A floor
-    of at least b^(n-1), a cost above m/b, is dropped at the root: P <= 1
-    keeps num[i][k] <= b^(n-1-i) <= F_i, so that rank is willing nowhere.
+    F_(i+1) = F_i // b, exact since floor(floor(x)/b) = floor(x/b). The rows
+    come up from the leaves, so only every 64th layer's floors are kept, each
+    one `// b**64` from the last, and a block of 64 layers is stepped down
+    from its checkpoint when the rows reach it. A floor of at least b^(n-1),
+    a cost above m/b, is dropped at the root: P <= 1 keeps
+    num[i][k] <= b^(n-1-i) <= F_i, so that rank is willing nowhere.
 
     A determined state, with threshold 0, has the z zero-cost agents willing
     and holds ~z = -z-1, so `rank[i][k] < 0` is the forced test and
@@ -60,30 +75,44 @@ class StateLattice:
         if bits > LATTICE_BUDGET_BITS:
             raise CapExceeded(f"state lattice capped at {LATTICE_BUDGET_BITS} numerator bits, n={n} may need {bits}")
         table = instance.fn_spec.ones_to_one
-        row = [int(table[k] != table[k + 1]) for k in range(n)]
-        num = [row]
-        b_a = b - a
-        for size in range(n - 1, 0, -1):
-            row = [a * row[k + 1] + b_a * row[k] for k in range(size)]
-            num.append(row)
-        self.num = num[::-1]
+        row = self._leaves = [int(table[k] != table[k + 1]) for k in range(n)]
         # Floors only for the distinct costs, ascending since the costs are
         # sorted; `below[d]` counts the ranks among the d cheapest of them.
         counts = Counter(map(Fraction.as_integer_ratio, instance.costs))
         below = [0, *accumulate(counts.values())]
+        b_a = b - a
         m, scale = min(a, b_a), b**n
-        self._m, self._b = m, b
+        self._a, self._m, self._b = a, m, b
         floors = [(top * scale - 1) // (den * m) for top, den in counts]
         del floors[bisect_left(floors, scale // b) :]  # never willing: num[i][k] <= b^(n-1-i)
         determined = ~below[instance.costs[0] == 0]  # the zero-cost agents, the cheapest if any
-        self.rank = []
-        for row in self.num:
-            self.rank.append([below[bisect_left(floors, v)] if v else determined for v in row])
-            floors = list(map(floordiv, floors, repeat(b)))
+        checkpoints = [floors]  # layers 0, 64, 128, ...
+        for _ in range((n - 1) // _BLOCK):
+            checkpoints.append(list(map(floordiv, checkpoints[-1], repeat(b**_BLOCK))))
+        rank = []
+        for start in reversed(range(0, n, _BLOCK)):
+            block = [checkpoints.pop()]
+            for _ in range(start + 1, min(start + _BLOCK, n)):
+                block.append(list(map(floordiv, block[-1], repeat(b))))
+            for floors in reversed(block):
+                rank.append([below[bisect_left(floors, v)] if v else determined for v in row])
+                row = [a * y + b_a * x for x, y in zip(row, row[1:])]
+        self.rank = rank[::-1]
+
+    @cached_property
+    def num(self) -> list[list[int]]:
+        """Every numerator, root row first: O(n^3) bits, built on first read
+        by the recurrence the ranks were read from."""
+        a, b_a = self._a, self._b - self._a
+        rows = [self._leaves]
+        for _ in range(len(self._leaves) - 1):
+            row = rows[-1]
+            rows.append([a * y + b_a * x for x, y in zip(row, row[1:])])
+        return rows[::-1]
 
     def threshold(self, i: int, k: int) -> Fraction:
         """m num[i][k] / b^(n-i) at any i < n; `pivotal.threshold` checks i."""
-        return Fraction(self._m * self.num[i][k], self._b ** (len(self.num) - i))
+        return Fraction(self._m * self.num[i][k], self._b ** (len(self.rank) - i))
 
 
 def _check_approachable(state: InfoState, n: int) -> None:

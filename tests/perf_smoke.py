@@ -7,22 +7,27 @@ DP per rank bound needs about a minute there; the packed-lane DP needs about
 down the layers instead of dividing afresh on each (about 0.8 s before).
 Parity at q = 3/5 with n = 1000 and every cost 0 has about half a million
 undetermined states, so it times the numerator recurrence itself: about
-0.3 s for lattice and verify together. Run it under a time limit, from the
-repository root, with the package installed or on the path:
+0.3 s for lattice and verify together. Run it under a time limit, from any
+directory; it puts the checkout's `src` first on the path, so it needs no
+install:
 
-    PYTHONPATH=src timeout 60 python tests/perf_smoke.py
+    timeout 60 python tests/perf_smoke.py
 
 It is not named test_*, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
-from conftest import adversarial_majority
-from seqelicit.model import ProblemInstance, parity
-from seqelicit.verify import REASON_PIGEONHOLE, exists_appropriate
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from conftest import adversarial_majority  # noqa: E402  (needs src on the path)
+from seqelicit.model import ProblemInstance, parity  # noqa: E402
+from seqelicit.verify import REASON_PIGEONHOLE, exists_appropriate  # noqa: E402
 
 N = 800
 PARITY_N = 1000

@@ -13,7 +13,7 @@ from conftest import INSTANCES_DIR
 from seqelicit import pivotal
 from seqelicit.cli import main
 from seqelicit.mechanism import HcfPolicy, deviation_profile
-from seqelicit.errors import CapExceeded
+from seqelicit.errors import CapExceeded, MalformedDocument
 from seqelicit.model import ACTION_NAMES, ingest, rational_text, unanimity
 from seqelicit.oracle import BRUTE_PIVOTAL_CAP, mirror
 
@@ -275,6 +275,27 @@ def test_instance_file_not_in_utf8_is_usage_error(capsys, tmp_path):
     code, out, err = invoke(capsys, "verify", str(bad))
     assert (code, out) == (2, "")
     assert err == "error: not valid UTF-8: invalid start byte at byte offset 74\n"
+
+
+@pytest.mark.parametrize(
+    "encoding, message",
+    [
+        ("utf-16", "not valid UTF-8: invalid start byte at byte offset 0"),
+        ("utf-32", "not valid UTF-8: invalid start byte at byte offset 0"),
+        ("utf-8-sig", "not valid JSON: Unexpected UTF-8 BOM"),
+    ],
+)
+def test_ingest_and_the_cli_refuse_the_same_bytes(capsys, tmp_path, encoding, message):
+    # One valid document in three encodings that JSON's own byte detection
+    # would accept: both paths decode strictly as UTF-8, and a BOM stays a
+    # JSON error.
+    data = LOW_Q.read_text(encoding="utf-8").encode(encoding)
+    with pytest.raises(MalformedDocument, match=f"^{message}") as refused:
+        ingest(data)
+    path = tmp_path / f"{encoding}.json"
+    path.write_bytes(data)
+    assert invoke(capsys, "verify", str(path)) == (2, "", f"error: {refused.value}\n")
+    assert ingest(LOW_Q.read_bytes()) == ingest(LOW_Q.read_text(encoding="utf-8"))
 
 
 def test_exponent_cost_is_usage_error(capsys, tmp_path):

@@ -1,23 +1,24 @@
-"""The per-instance state lattice against the closed form and a per-j reference DP."""
+"""The per-instance state lattice against the closed form, its full build and a per-j reference DP."""
 
 from __future__ import annotations
 
 import argparse
 import gc
 import random
+import tracemalloc
 import weakref
 from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
 
-from conftest import Q_CHOICES, check_witness, corpus, random_instance
+from conftest import Q_CHOICES, adversarial_majority, check_witness, corpus, random_instance
 from seqelicit import pivotal
 from seqelicit.cli import _cmd_graph
 from seqelicit.errors import CapExceeded
 from seqelicit.mechanism import FixedOrderPolicy, HcfPolicy, audit_full_tree, deviation_profile, draw_secrets, run
-from seqelicit.model import InfoState, ProblemInstance, parity
-from seqelicit.oracle import closed_form_pivotal, determine
+from seqelicit.model import AnonymousFunctionSpec, InfoState, ProblemInstance, parity
+from seqelicit.oracle import closed_form_pivotal, determine, full_lattice
 from seqelicit.pivotal import c_of, nodes, pivotal_prob, threshold
 from seqelicit.verify import REASON_PIGEONHOLE, Verdict, Witness, exists_appropriate
 
@@ -106,6 +107,35 @@ def test_lattice_matches_closed_form(n):
             _check_against_closed_form(ProblemInstance.create(q, costs, inst.fn_spec))
 
 
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 129, 150])
+def test_rolling_rows_match_the_full_build(n):
+    # The rows cross the 64-layer floor blocks at n = 64, 65, 128 and 129,
+    # which the closed-form test above, at n <= 40, never reaches.
+    rng = random.Random(8700 + n)
+    varying = tuple(rng.random() < 0.5 for _ in range(n + 1))
+    for q in (Fraction(1, 2), Fraction(3, 5), Fraction(1, 3), Fraction(997, 1000)):
+        b = q.denominator
+        m = min(q, 1 - q)
+        tiny = m / b ** (n - 1)  # a floor of exactly 0 at the root, as for tiny / 2
+        for table in (varying, (True,) * (n + 1), (False,) * (n + 1)):
+            fn = AnonymousFunctionSpec(n, table, None)
+            num, _ = full_lattice(ProblemInstance.create(q, (Fraction(0),) * n, fn))
+            taus = [m * v / b ** (n - 1 - i) for i, row in enumerate(num) for v in row if v] or [Fraction(0)]
+            cost_sets = [
+                [Fraction(0)] * n,
+                [Fraction(rng.randrange(64), 64) for _ in range(n)],
+                [rng.choice(taus) for _ in range(n)],
+                [rng.choice((0, tiny, tiny / 2, rng.choice(taus))) for _ in range(n)],
+                [rng.choice((rng.choice(taus), m, m + tiny, (1 + m) / 2, Fraction(63, 64))) for _ in range(n)],
+            ]
+            for costs in cost_sets if table is varying else cost_sets[:2]:
+                inst = ProblemInstance.create(q, costs, fn)
+                lattice = pivotal.StateLattice(inst)
+                assert lattice.rank == full_lattice(inst)[1]
+                assert "num" not in vars(lattice)
+                assert lattice.num == num
+
+
 def test_graph_labels_match_closed_form(corpus_pivotal):
     for inst in corpus_pivotal:
         labels = {s: (pivotal_prob(s, inst), threshold(s, inst), c_of(s, inst)) for s in nodes(inst)}
@@ -141,6 +171,32 @@ def test_verify_keeps_no_state_on_the_lattice():
         assert vars(inst.lattice) == lattice
         kinds.add(verdict.reason)
     assert len(kinds) >= 3
+
+
+def _traced_peak(action) -> int:
+    tracemalloc.start()
+    try:
+        action()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_and_run_leave_the_numerators_unbuilt():
+    # Parity leaves no state determined: keeping all 180,300 numerators made
+    # the build and verify peak at about 20 MB, and two rolling rows take
+    # under 3 MB.
+    inst = ProblemInstance.create(Fraction(3, 5), [Fraction(0)] * 600, parity(600))
+    peak = _traced_peak(lambda: exists_appropriate(inst))
+    run(inst, HcfPolicy(inst), draw_secrets(inst, 0))
+    assert "num" not in vars(inst.lattice)
+    assert peak < 6_000_000
+    # 302 distinct costs: a block of 64 layers of floors outweighs the rows
+    # (2.0 MB in all), yet stays below the 3.05 MB the whole table took.
+    wide = adversarial_majority(350)
+    peak = _traced_peak(lambda: exists_appropriate(wide))
+    assert "num" not in vars(wide.lattice)
+    assert peak < 2_500_000
 
 
 def test_no_process_wide_state():
