@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import ElicitError, PolicyFailed
 from .mechanism import FixedOrderPolicy, HcfPolicy, audit_full_tree, deviation_profile, draw_secrets, run
@@ -174,11 +175,15 @@ def _cmd_hcf(args, instance: ProblemInstance) -> tuple[bool, str]:
     user_bits = ["?"] * instance.n
     for rank in instance.ranks:
         user_bits[instance.original_index[rank - 1] - 1] = str(by_rank[rank - 1])
-    steps = []
-    state = InfoState(0, 0)
-    for rank, reply in result.transcript.entries:
-        steps.append((state, rank, rational_text(threshold(state, instance)), reply))
-        state = InfoState(state.approached + 1, state.ones + reply)
+    entries = result.transcript.entries
+    # The ones reported before each step. The thresholds along that path come
+    # from one pass that keeps two numerator rows, not the O(n^3)-bit table.
+    ones = list(accumulate((reply for _, reply in entries), initial=0))[:-1]
+    taus = instance.lattice.path_thresholds(ones)
+    steps = [
+        (InfoState(i, k), rank, rational_text(tau), reply)
+        for i, (k, (rank, reply), tau) in enumerate(zip(ones, entries, taus))
+    ]
     total_cost = rational_text(result.total_cost_incurred)
 
     if args.json:

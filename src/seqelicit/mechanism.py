@@ -16,7 +16,8 @@ full-reply-tree audit certifies that everybody computing truthfully is an
 equilibrium.
 
 Each policy answer is checked once, in `_next_rank`, and `run` builds its
-transcript from the checked steps without checking them again.
+transcript from the checked steps without checking them again, out of the
+instance's shared (rank, reply) pairs, so a step allocates nothing.
 
 Since a policy sees only (i, k, remaining), the incentive checks visit each
 reachable such pair once, in two separate walks: the audit goes depth first
@@ -76,11 +77,17 @@ class HcfPolicy(_InstancePolicy):
         """The largest remaining rank up to the willing rank c at (i, k), so
         equal costs break toward the higher rank: the top set bit of
         `remaining` at or below bit c, read as `c_of` does. Raises
-        PolicyFailed when nobody remaining is willing."""
-        if not 0 <= k <= i < self.instance.n:
-            c_of(InfoState(i, k), self.instance)  # not a lattice state: raises as c_of does
-        willing = self.instance.lattice.rank[i][k]
-        rank = (remaining & ((2 << (willing if willing >= 0 else ~willing)) - 1)).bit_length() - 1
+        PolicyFailed when nobody remaining is willing. The dearest remaining
+        rank is the usual answer, so the mask below bit c is built only when
+        that rank is above c."""
+        instance = self.instance
+        if not 0 <= k <= i < instance.n:
+            c_of(InfoState(i, k), instance)  # not a lattice state: raises as c_of does
+        willing = instance.lattice.rank[i][k]
+        willing = willing if willing >= 0 else ~willing
+        rank = remaining.bit_length() - 1
+        if rank > willing:
+            rank = (remaining & ((2 << willing) - 1)).bit_length() - 1
         if rank <= 0:
             raise PolicyFailed(InfoState(i, k), FAIL_NO_ELIGIBLE)
         return rank
@@ -139,19 +146,20 @@ def _play(instance, policy, i: int, k: int, remaining: int, secrets, entries=Non
     """Approach agents as `policy` directs, from state (i, k) with the ranks
     whose bits are set in `remaining` not yet approached, replying from
     `secrets` (rank order), until the output is determined. Appends each
-    (rank, reply) to `entries` when given. Each step is a constant number of
-    operations: one lattice lookup, one checked policy call, so each rank is
-    new and in 1..n, and one xor.
+    step's (rank, reply) to `entries` when given, as the instance's shared
+    pair from `_step_pairs`, so a step allocates nothing. Each step is a
+    constant number of operations: one lattice lookup, one checked policy
+    call, so each rank is new and in 1..n, and one xor.
 
     Returns the state reached, (i, k), whose output is forced. Every state
     after the last approach is determined, so the loop always ends.
     """
-    n, willing = instance.n, instance.lattice.rank
+    n, willing, pairs = instance.n, instance.lattice.rank, instance._step_pairs
     while i < n and willing[i][k] >= 0:
         rank = _next_rank(policy, i, k, remaining)
         reply = secrets[rank - 1]
         if entries is not None:
-            entries.append((rank, reply))
+            entries.append(pairs[reply][rank])
         i += 1
         k += reply
         remaining ^= 1 << rank
@@ -168,7 +176,10 @@ def run(instance: ProblemInstance, policy, secrets) -> RunResult:
     this raises CapExceeded, as it does when the costs' common denominator
     has more than 4300 digits (`ProblemInstance.scaled_costs`).
     The secrets are checked here and the ranks in `_play`, so the transcript
-    skips the checks of `Transcript(...)`.
+    skips the checks of `Transcript(...)`. Its entries are the instance's
+    shared (rank, reply) pairs, plain ints whatever int or bool types the
+    policy and the secrets use, so a kept transcript holds one pointer per
+    step.
     """
     secrets = tuple(secrets)
     if (

@@ -258,7 +258,8 @@ class Transcript(NamedTuple("Transcript", [("entries", "tuple[tuple[int, int], .
 
     @classmethod
     def _of_checked(cls, entries: tuple[tuple[int, int], ...]) -> "Transcript":
-        """`mechanism.run`'s transcript of entries it has checked as above."""
+        """`mechanism.run`'s transcript of entries it has checked as above:
+        pairs taken from the instance's ``_step_pairs``, not copied."""
         return tuple.__new__(cls, (entries,))
 
 
@@ -415,6 +416,15 @@ class ProblemInstance:
             if den >= _TOO_LONG:
                 raise CapExceeded(f"cost totals capped at {_MAX_DIGITS} digits, the costs' common denominator has more")
         return den, (0, *(c.numerator * (den // c.denominator) for c in self.costs))
+
+    @cached_property
+    def _step_pairs(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+        """Every transcript entry a run can make, ``(rank, reply)`` at
+        ``[reply][rank]`` (rank 0 unused): 2(n+1) pairs of plain ints that
+        every transcript of the instance shares, so a kept transcript costs
+        one pointer per step. Computed once on first use and kept outside
+        equality, hashing and the repr."""
+        return tuple(tuple((rank, reply) for rank in range(self.n + 1)) for reply in (0, 1))
 
     def cost_of_rank(self, rank: int) -> Fraction:
         return self.costs[rank - 1]

@@ -7,7 +7,8 @@ quantities here are functions of that pair. Each instance owns one
 determined mark, of every state; the lookups read it. The pivotality
 numerators are rolled up from the leaves through two rows while the ranks are
 read off them, and the full numerator table is built only on first read, for
-the lookups that print or sum a probability. The reduced graph of
+the lookups that print or sum a probability; the thresholds along one path
+come from a second pass through two rows. The reduced graph of
 undetermined states, on which `verify` decides existence, is the lattice
 itself: `nodes` and `edges` read it off the willing ranks.
 """
@@ -49,7 +50,8 @@ class StateLattice:
     num[n-1][k] = [t(k) != t(k+1)]. Every binomial weight is positive, so
     num[i][k] is 0 exactly at the determined states. The build rolls this up
     from the leaves, one row from the last, and keeps only the rank row read
-    off each; `num`, the whole table, is built on its first read and kept.
+    off each; `num`, the whole table, is built on its first read and kept,
+    and `path_thresholds` rolls the rows up again to read one path.
 
     An agent who does not compute replies with the likelier bit, wrong with
     probability min(q, 1-q) = m/b for m = min(a, b-a), so the threshold is
@@ -75,13 +77,12 @@ class StateLattice:
         if bits > LATTICE_BUDGET_BITS:
             raise CapExceeded(f"state lattice capped at {LATTICE_BUDGET_BITS} numerator bits, n={n} may need {bits}")
         table = instance.fn_spec.ones_to_one
-        row = self._leaves = [int(table[k] != table[k + 1]) for k in range(n)]
+        self._leaves = [int(table[k] != table[k + 1]) for k in range(n)]
         # Floors only for the distinct costs, ascending since the costs are
         # sorted; `below[d]` counts the ranks among the d cheapest of them.
         counts = Counter(map(Fraction.as_integer_ratio, instance.costs))
         below = [0, *accumulate(counts.values())]
-        b_a = b - a
-        m, scale = min(a, b_a), b**n
+        m, scale = min(a, b - a), b**n
         self._a, self._m, self._b = a, m, b
         floors = [(top * scale - 1) // (den * m) for top, den in counts]
         del floors[bisect_left(floors, scale // b) :]  # never willing: num[i][k] <= b^(n-1-i)
@@ -90,29 +91,44 @@ class StateLattice:
         for _ in range((n - 1) // _BLOCK):
             checkpoints.append(list(map(floordiv, checkpoints[-1], repeat(b**_BLOCK))))
         rank = []
+        rows = self._rows()
         for start in reversed(range(0, n, _BLOCK)):
             block = [checkpoints.pop()]
             for _ in range(start + 1, min(start + _BLOCK, n)):
                 block.append(list(map(floordiv, block[-1], repeat(b))))
             for floors in reversed(block):
-                rank.append([below[bisect_left(floors, v)] if v else determined for v in row])
-                row = [a * y + b_a * x for x, y in zip(row, row[1:])]
+                rank.append([below[bisect_left(floors, v)] if v else determined for v in next(rows)])
         self.rank = rank[::-1]
+
+    def _rows(self):
+        """The numerator rows from the leaves up, layer n-1 first, each
+        rolled from the last: the one copy of the recurrence, which the
+        build, `num` and `path_thresholds` read."""
+        a, b_a = self._a, self._b - self._a
+        row = self._leaves
+        yield row
+        for _ in range(len(row) - 1):
+            row = [a * y + b_a * x for x, y in zip(row, row[1:])]
+            yield row
 
     @cached_property
     def num(self) -> list[list[int]]:
         """Every numerator, root row first: O(n^3) bits, built on first read
         by the recurrence the ranks were read from."""
-        a, b_a = self._a, self._b - self._a
-        rows = [self._leaves]
-        for _ in range(len(self._leaves) - 1):
-            row = rows[-1]
-            rows.append([a * y + b_a * x for x, y in zip(row, row[1:])])
-        return rows[::-1]
+        return list(self._rows())[::-1]
 
     def threshold(self, i: int, k: int) -> Fraction:
         """m num[i][k] / b^(n-i) at any i < n; `pivotal.threshold` checks i."""
         return Fraction(self._m * self.num[i][k], self._b ** (len(self.rank) - i))
+
+    def path_thresholds(self, ones: list[int]) -> list[Fraction]:
+        """`threshold(i, ones[i])` for each i < len(ones) <= n, from one pass
+        up from the leaves that keeps two rows: `num` is not built."""
+        if not ones:
+            return []
+        n, m, b = len(self.rank), self._m, self._b
+        picked = [row[ones[i]] for i, row in zip(range(n - 1, -1, -1), self._rows()) if i < len(ones)]
+        return [Fraction(m * num, b ** (n - i)) for i, num in enumerate(reversed(picked))]
 
 
 def _check_approachable(state: InfoState, n: int) -> None:

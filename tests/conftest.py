@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -62,12 +63,19 @@ def threshold_cost_instance(fn: AnonymousFunctionSpec, zeros: int, rng: random.R
     all-zero-cost instance, so that willing ranks spread over 0..n.
 
     At q = 1/2 the threshold at (i, k) is num[i][k] / 2^(n-i), so the
-    thresholds sort as the integers num[i][k] * 2^i over 2^n. A constant
+    thresholds sort as the integers num[i][k] * 2^i over 2^n. The numerators
+    roll up from the leaves as num[i][k] = num[i+1][k] + num[i+1][k+1], two
+    rows at a time, so the O(n^3)-bit table is never held. A constant
     function has no undetermined state and so no threshold; its costs are 0.
     """
     n = fn.n
-    zero = ProblemInstance.create(Fraction(1, 2), (Fraction(0),) * n, fn)
-    scaled = sorted({num << i for i, row in enumerate(zero.lattice.num) for num in row if num}) or [0]
+    table = fn.ones_to_one
+    row = [int(table[k] != table[k + 1]) for k in range(n)]
+    scaled = set()
+    for i in reversed(range(n)):
+        scaled.update(num << i for num in row if num)
+        row = list(map(add, row, row[1:]))
+    scaled = sorted(scaled) or [0]
     costs = [Fraction(0)] * zeros + [Fraction(rng.choice(scaled), 2**n) for _ in range(n - zeros)]
     return ProblemInstance.create(Fraction(1, 2), costs, fn)
 

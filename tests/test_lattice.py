@@ -4,20 +4,22 @@ from __future__ import annotations
 
 import argparse
 import gc
+import json
 import random
 import tracemalloc
 import weakref
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
 from conftest import Q_CHOICES, adversarial_majority, check_witness, corpus, random_instance
 from seqelicit import pivotal
-from seqelicit.cli import _cmd_graph
-from seqelicit.errors import CapExceeded
+from seqelicit.cli import _cmd_graph, _cmd_hcf
+from seqelicit.errors import CapExceeded, PolicyFailed
 from seqelicit.mechanism import FixedOrderPolicy, HcfPolicy, audit_full_tree, deviation_profile, draw_secrets, run
-from seqelicit.model import AnonymousFunctionSpec, InfoState, ProblemInstance, parity
+from seqelicit.model import AnonymousFunctionSpec, InfoState, ProblemInstance, majority, parity, rational_text
 from seqelicit.oracle import closed_form_pivotal, determine, full_lattice
 from seqelicit.pivotal import c_of, nodes, pivotal_prob, threshold
 from seqelicit.verify import REASON_PIGEONHOLE, Verdict, Witness, exists_appropriate
@@ -197,6 +199,53 @@ def test_verify_and_run_leave_the_numerators_unbuilt():
     peak = _traced_peak(lambda: exists_appropriate(wide))
     assert "num" not in vars(wide.lattice)
     assert peak < 2_500_000
+
+
+def test_the_hcf_command_leaves_the_numerators_unbuilt():
+    inst = ProblemInstance.create(Fraction(3, 5), [Fraction(0)] * 600, parity(600))
+    _, text = _cmd_hcf(argparse.Namespace(json=False, secrets=None, seed=1), inst)
+    assert text.count("\n") == 601
+    assert "num" not in vars(inst.lattice)
+
+
+@pytest.mark.parametrize("corpus_name", ["corpus_main", "corpus_pivotal", "corpus_br"])
+def test_path_thresholds_are_those_of_threshold(corpus_name, request):
+    # Paths from the root of several lengths up to n, read in one pass that
+    # leaves the lattice as it was; then the HCF command's printed
+    # thresholds, which that pass supplies.
+    rng = random.Random(8700)
+    printed = 0
+    for inst in request.getfixturevalue(corpus_name):
+        paths = [
+            list(accumulate((rng.randrange(2) for _ in range(length)), initial=0))[:length]
+            for length in (0, 1, inst.n, rng.randrange(inst.n + 1))
+        ]
+        lattice = vars(inst.lattice).copy()
+        got = [inst.lattice.path_thresholds(ones) for ones in paths]
+        assert vars(inst.lattice) == lattice
+        assert got == [[threshold(InfoState(i, k), inst) for i, k in enumerate(ones)] for ones in paths]
+        for seed in range(3):
+            try:
+                _, text = _cmd_hcf(argparse.Namespace(json=True, secrets=None, seed=seed), inst)
+            except PolicyFailed:
+                continue
+            steps = json.loads(text)["transcript"]
+            assert [step["threshold"] for step in steps] == [
+                rational_text(threshold(InfoState(*step["state"]), inst)) for step in steps
+            ]
+            printed += len(steps)
+    assert printed >= 10
+
+
+@pytest.mark.parametrize("n", [50, 200, 400])
+def test_threshold_cost_instances_match_the_full_table(n):
+    # The fixture rolls two rows of numerators; it must draw from the same
+    # sorted thresholds as the whole table gives.
+    num, _ = full_lattice(ProblemInstance.create(Fraction(1, 2), [Fraction(0)] * n, majority(n)))
+    scaled = sorted({v << i for i, row in enumerate(num) for v in row if v})
+    rng = random.Random(0)
+    costs = [Fraction(0)] * (n // 8) + [Fraction(rng.choice(scaled), 2**n) for _ in range(n - n // 8)]
+    assert adversarial_majority(n) == ProblemInstance.create(Fraction(1, 2), costs, majority(n))
 
 
 def test_no_process_wide_state():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -553,6 +554,47 @@ def test_run_transcripts_pass_the_transcript_checks(corpus_name, request):
                     continue
                 assert type(result.transcript) is Transcript
                 assert Transcript(result.transcript.entries) == result.transcript
+
+
+def test_runs_share_the_instance_pairs():
+    # Every entry is the instance's own (rank, reply) pair, so equal entries
+    # of two runs are one object and a step allocates nothing.
+    inst = make_instance("1/2", ["0"] * 12, parity(12).ones_to_one)
+    first, second = (run(inst, HcfPolicy(inst), draw_secrets(inst, seed)).transcript.entries for seed in (1, 2))
+    shared = [(a, b) for a in first for b in second if a == b]
+    assert shared and all(a is b for a, b in shared)
+    assert all(entry is inst._step_pairs[entry[1]][entry[0]] for entry in first + second)
+
+
+def test_kept_transcripts_cost_one_pointer_per_step():
+    # 500 kept runs of 100 steps each: a fresh tuple per step kept about
+    # 3.2 MB, a pointer per step keeps about 0.55 MB.
+    inst = make_instance("1/2", ["0"] * 100, parity(100).ones_to_one)
+    run(inst, HcfPolicy(inst), draw_secrets(inst, 0))
+    vectors = [draw_secrets(inst, seed) for seed in range(500)]
+    tracemalloc.start()
+    try:
+        kept = [run(inst, HcfPolicy(inst), secrets) for secrets in vectors]
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sum(result.approached_count for result in kept) == 50_000
+    assert retained < 1_000_000
+
+
+def test_bool_secrets_and_int_subclass_ranks_give_plain_int_entries():
+    # True replies and `_Rank` answers read the shared pairs of plain ints:
+    # equal and hash-equal to the pairs they would have made.
+    inst = make_instance("1/2", ["1/10"] * 3, parity(3).ones_to_one)
+    for policy, secrets, made in [
+        (HcfPolicy(inst), (True, False, True), ((3, True), (2, False), (1, True))),
+        (_AnswerPolicy(_Rank(2)), (1, 0, 0), ((3, 0), (_Rank(2), 0), (1, 1))),
+    ]:
+        result = run(inst, policy, secrets)
+        entries = result.transcript.entries
+        assert entries == made and hash(entries) == hash(made)
+        assert {type(value) for entry in entries for value in entry} == {int}
+        assert Transcript(entries) == result.transcript
 
 
 def _outcome(check, *args):

@@ -1,14 +1,17 @@
 """Source hygiene that no linter in CI checks: every import in the package is
-read, and so is every private name the package defines."""
+read, so is every private name the package defines, and every cache the
+package keeps on a value is named where the README lists the caches."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import seqelicit
 
 PACKAGE = Path(seqelicit.__file__).resolve().parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -100,3 +103,39 @@ def test_the_scan_sees_a_private_name_never_read():
         "    def __len__(self): return self._x\ndef f():\n    _local = 1\n"
     )
     assert [name for name in _private(tree) if name not in _read_anywhere(tree)] == ["_B", "_m"]
+
+
+def _cached_properties(tree: ast.Module) -> list[str]:
+    """The names a module defines under `cached_property`, bare or as
+    `functools.cached_property`."""
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for decorator in node.decorator_list
+        if getattr(decorator, "id", getattr(decorator, "attr", None)) == "cached_property"
+    ]
+
+
+def _code_names(paragraph: str) -> set[str]:
+    """The last dotted part of every code span in `paragraph`."""
+    return {span.rsplit(".", 1)[-1] for span in re.findall(r"`([^`]+)`", paragraph)}
+
+
+def test_every_cached_property_is_named_in_the_readme_caches_paragraph():
+    paragraph = next(
+        part for part in README.read_text(encoding="utf-8").split("\n\n") if "caches kept on the value" in part
+    )
+    caches = [name for path in sorted(PACKAGE.glob("*.py")) for name in _cached_properties(ast.parse(path.read_text()))]
+    assert len(caches) >= 5
+    assert [name for name in caches if name not in _code_names(paragraph)] == []
+
+
+def test_the_scan_sees_every_cached_property_and_its_name():
+    tree = ast.parse(
+        "import functools\nfrom functools import cached_property\nclass K:\n"
+        "    @cached_property\n    def a(self): ...\n    @functools.cached_property\n    def _b(self): ...\n"
+        "    @property\n    def c(self): ...\n    def d(self): ...\n"
+    )
+    assert _cached_properties(tree) == ["a", "_b"]
+    assert _code_names("the lattice (`instance.lattice`), `_b` and c") == {"lattice", "_b"}
