@@ -32,14 +32,6 @@ EXIT_USAGE = 2
 EXIT_NEGATIVE = 3
 
 
-class _UsageError(Exception):
-    pass
-
-
-def _state_json(state: InfoState) -> list[int]:
-    return [state.approached, state.ones]
-
-
 def _labels(instance: ProblemInstance) -> list[tuple[InfoState, Fraction, int | None]]:
     """(state, pivotal probability, willing rank or None) of every node, in
     node order; each command formats only what it prints."""
@@ -48,7 +40,7 @@ def _labels(instance: ProblemInstance) -> list[tuple[InfoState, Fraction, int | 
 
 def _label_json(instance: ProblemInstance, state: InfoState, p: Fraction, c: int | None) -> dict:
     return {
-        "state": _state_json(state),
+        "state": list(state),
         "pivotal": rational_text(p),
         "threshold": rational_text(threshold(state, instance)),
         "c": c,
@@ -68,7 +60,7 @@ def _load_instance(path: str) -> ProblemInstance:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from exc
+        raise ElicitError(f"cannot read {path}: {exc}") from exc
     return ingest(data)
 
 
@@ -80,12 +72,12 @@ def _cmd_verify(args, instance: ProblemInstance) -> tuple[bool, str]:
     if args.json:
         payload: dict = {"exists": verdict.exists}
         if verdict.reason == REASON_C_UNDEFINED:
-            payload["reason"] = {REASON_C_UNDEFINED: _state_json(verdict.undefined_at)}
+            payload["reason"] = {REASON_C_UNDEFINED: list(verdict.undefined_at)}
         else:
             payload["reason"] = verdict.reason
         if verdict.witness is not None:
             payload["witness"] = {
-                "path": [_state_json(s) for s in verdict.witness.path],
+                "path": [list(s) for s in verdict.witness.path],
                 "violating_rank": verdict.witness.violating_rank,
                 "count": verdict.witness.count,
             }
@@ -144,9 +136,9 @@ def _cmd_graph(args, instance: ProblemInstance) -> tuple[bool, str]:
         return True, _json(
             {
                 "instance": name,
-                "root": _state_json(labels[0][0]) if labels else None,
+                "root": list(labels[0][0]) if labels else None,
                 "nodes": [{**_label_json(instance, *label), "end": label[0].approached == end} for label in labels],
-                "edges": [[_state_json(a), _state_json(b)] for a, b in edges(instance)],
+                "edges": [[list(a), list(b)] for a, b in edges(instance)],
             }
         )
     if not labels:
@@ -165,7 +157,7 @@ def _cmd_hcf(args, instance: ProblemInstance) -> tuple[bool, str]:
     if args.secrets is not None:
         bits = args.secrets
         if len(bits) != instance.n or any(b not in "01" for b in bits):
-            raise _UsageError(f"--secrets must be {instance.n} characters of 0/1")
+            raise ElicitError(f"--secrets must be {instance.n} characters of 0/1")
         # Input bits follow the instance file's agent order.
         by_rank = tuple(int(bits[instance.original_index[r - 1] - 1]) for r in instance.ranks)
     else:
@@ -194,14 +186,14 @@ def _cmd_hcf(args, instance: ProblemInstance) -> tuple[bool, str]:
                     {
                         "agent": instance.agent_id_of_rank(rank),
                         "rank": rank,
-                        "state": _state_json(st),
+                        "state": list(st),
                         "threshold": tau,
                         "reply": reply,
                     }
                     for st, rank, tau, reply in steps
                 ],
                 "output": result.output,
-                "halted_at": _state_json(result.halted_at),
+                "halted_at": list(result.halted_at),
                 "approached": result.approached_count,
                 "total_cost": total_cost,
             }
@@ -228,7 +220,7 @@ def _cmd_audit(args, instance: ProblemInstance) -> tuple[bool, str]:
                 "passed": report.passed,
                 "records": [
                     {
-                        "state": _state_json(rec.state),
+                        "state": list(rec.state),
                         "rank": rec.rank,
                         "agent": instance.agent_id_of_rank(rec.rank),
                         "cost": rational_text(rec.cost),
@@ -239,7 +231,7 @@ def _cmd_audit(args, instance: ProblemInstance) -> tuple[bool, str]:
                 ],
                 "failure": None
                 if report.failure is None
-                else {"state": _state_json(report.failure[0]), "reason": report.failure[1]},
+                else {"state": list(report.failure[0]), "reason": report.failure[1]},
             }
         )
     if report.passed:
@@ -261,7 +253,7 @@ def _cmd_deviate(args, instance: ProblemInstance) -> tuple[bool, str]:
     try:
         rank = instance.rank_of_agent_id(args.agent)
     except KeyError:
-        raise _UsageError(f"unknown agent id {args.agent!r}") from None
+        raise ElicitError(f"unknown agent id {args.agent!r}") from None
     policy = _POLICIES[args.policy](instance)
     utility = rational_text(deviation_profile(instance, policy, rank)[ACTION_NAMES[args.action]])
     if args.json:
@@ -301,7 +293,7 @@ def _cmd_oracle(args, instance: ProblemInstance) -> tuple[bool, str]:
                     "checked": len(labels),
                     "agree": agree,
                     "mismatches": [
-                        {"state": _state_json(s), "analytic": a, "brute": b}
+                        {"state": list(s), "analytic": a, "brute": b}
                         for s, a, b in mismatches
                     ],
                 }
@@ -408,15 +400,16 @@ def main(argv=None) -> int:
                 with open(output, "w", encoding="utf-8") as handle:
                     handle.write(text)
             except OSError as exc:
-                raise _UsageError(f"cannot write {output}: {exc}") from exc
+                raise ElicitError(f"cannot write {output}: {exc}") from exc
+        elif hasattr(sys.stdout, "buffer"):
+            # UTF-8 whatever the locale, as `-o` is; a text-only stream takes the text.
+            sys.stdout.flush()
+            sys.stdout.buffer.write(text.encode("utf-8"))
         else:
             sys.stdout.write(text)
-    except PolicyFailed as exc:
+    except ElicitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    except (ElicitError, _UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_NEGATIVE if isinstance(exc, PolicyFailed) else EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - last-resort barrier for exit code 1
         print(f"error: internal: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

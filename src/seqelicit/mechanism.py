@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 from .errors import CapExceeded, PolicyFailed
 from .model import ALL_ACTIONS, Action, InfoState, ProblemInstance, Transcript
-from .pivotal import c_of
+from .pivotal import c_of, threshold
 
 FAIL_NO_ELIGIBLE = "no_eligible_agent"
 FAIL_CHOSEN_INELIGIBLE = "chosen_ineligible"
@@ -223,8 +223,7 @@ def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
     """
     if instance.n > AUDIT_CAP:
         raise CapExceeded(f"full tree audit capped at n={AUDIT_CAP}, instance has n={instance.n}")
-    n, lattice, costs = instance.n, instance.lattice, instance.costs
-    willing, threshold = lattice.rank, lattice.threshold
+    n, willing, costs = instance.n, instance.lattice.rank, instance.costs
     # Keyed by ints: (i, k, rank) for the records, (i, k, remaining) for the walk.
     records: dict[tuple[int, int, int], AuditRecord] = {}
     walked: set[tuple[int, int, int]] = set()
@@ -241,7 +240,8 @@ def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
             rank = _next_rank(policy, i, k, remaining)
             eligible = rank <= willing[i][k]
             if (i, k, rank) not in records:
-                records[i, k, rank] = AuditRecord(InfoState(i, k), rank, costs[rank - 1], threshold(i, k), eligible)
+                state = InfoState(i, k)
+                records[i, k, rank] = AuditRecord(state, rank, costs[rank - 1], threshold(state, instance), eligible)
             if not eligible:
                 raise PolicyFailed(InfoState(i, k), FAIL_CHOSEN_INELIGIBLE)
             rest = remaining ^ (1 << rank)

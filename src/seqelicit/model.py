@@ -183,7 +183,7 @@ _SHORTCUT_BUILDERS = {
 }
 
 
-def from_ones_counts(n: int, counts: Iterable[int], name: str | None = None) -> AnonymousFunctionSpec:
+def from_ones_counts(n: int, counts: Iterable[int]) -> AnonymousFunctionSpec:
     counts = tuple(counts)
     seen = set()
     for w in counts:
@@ -194,7 +194,7 @@ def from_ones_counts(n: int, counts: Iterable[int], name: str | None = None) -> 
         if w in seen:
             raise BadFunctionTable(f"duplicate ones-count {w}")
         seen.add(w)
-    return AnonymousFunctionSpec(n, tuple(w in seen for w in range(n + 1)), name)
+    return AnonymousFunctionSpec(n, tuple(w in seen for w in range(n + 1)))
 
 
 class Action(NamedTuple("Action", [("name", str), ("compute", bool), ("replies", "tuple[int, int]")])):

@@ -7,7 +7,8 @@ quantities here are functions of that pair. Each instance owns one
 determined mark, of every state; the lookups read it. The pivotality
 numerators are rolled up from the leaves through two rows while the ranks are
 read off them, and the full numerator table is built only on first read, for
-the lookups that print or sum a probability; the thresholds along one path
+the lookups that print or sum a probability: `pivotal_prob` and `threshold`
+turn one numerator into their rational here. The thresholds along one path
 come from a second pass through two rows. The reduced graph of
 undetermined states, on which `verify` decides existence, is the lattice
 itself: `nodes` and `edges` read it off the willing ranks.
@@ -42,7 +43,8 @@ _BLOCK = 64
 
 class StateLattice:
     """Willing ranks of every state (i, k), i < n, and, on first read, the
-    integer pivotality numerators.
+    integer pivotality numerators, which `pivotal_prob` and `threshold` turn
+    into one state's rationals.
 
     With q = a/b, P(i, k) = num[i][k] / b^(n-1-i). Conditioning on one of the
     other unapproached agents gives P(i,k) = q P(i+1,k+1) + (1-q) P(i+1,k), so
@@ -117,12 +119,8 @@ class StateLattice:
         by the recurrence the ranks were read from."""
         return list(self._rows())[::-1]
 
-    def threshold(self, i: int, k: int) -> Fraction:
-        """m num[i][k] / b^(n-i) at any i < n; `pivotal.threshold` checks i."""
-        return Fraction(self._m * self.num[i][k], self._b ** (len(self.rank) - i))
-
     def path_thresholds(self, ones: list[int]) -> list[Fraction]:
-        """`threshold(i, ones[i])` for each i < len(ones) <= n, from one pass
+        """`threshold` at (i, ones[i]) for each i < len(ones) <= n, from one pass
         up from the leaves that keeps two rows: `num` is not built."""
         if not ones:
             return []
@@ -160,7 +158,8 @@ def threshold(state: InfoState, instance: ProblemInstance) -> Fraction:
     An agent is eligible at the state iff its cost is at most this value
     (weak inequality).
     """
-    return _lattice(state, instance).threshold(state.approached, state.ones)
+    lattice, i = _lattice(state, instance), state.approached
+    return Fraction(lattice._m * lattice.num[i][state.ones], lattice._b ** (instance.n - i))
 
 
 def nodes(instance: ProblemInstance) -> list[InfoState]:

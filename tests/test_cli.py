@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +165,27 @@ def test_graph_output_to_a_missing_directory_is_usage_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot write")
+
+
+def test_stdout_is_utf8_whatever_the_locale(tmp_path):
+    # The DOT's undefined mark and a non-ASCII agent id, through a real
+    # stdout: the bytes are the UTF-8 run's under an ASCII or Latin-1 locale.
+    accented = tmp_path / "accented.json"
+    accented.write_text(
+        json.dumps({"n": 2, "q": "1/2", "costs": ["0", "0"], "function": "parity", "agent_ids": ["é", "b"]})
+    )
+    src = str(Path(pivotal.__file__).resolve().parents[1])
+    for argv, marker in ((["graph", EX1], "c=⊥"), (["hcf", str(accented), "--secrets", "10"], "agent é")):
+        outputs = []
+        for encoding in ("utf-8", "ascii", "latin-1"):
+            env = dict(os.environ, PYTHONIOENCODING=encoding, PYTHONPATH=src)
+            child = subprocess.run(
+                [sys.executable, "-m", "seqelicit", *argv], env=env, capture_output=True, check=False, timeout=60
+            )
+            assert child.returncode == 0, child.stderr
+            outputs.append(child.stdout)
+        assert marker.encode("utf-8") in outputs[0]
+        assert outputs[1:] == [outputs[0]] * 2
 
 
 def test_graph_json(capsys):

@@ -1,10 +1,12 @@
 """Source hygiene that no linter in CI checks: every import in the package is
-read, so is every private name the package defines, and every cache the
-package keeps on a value is named where the README lists the caches."""
+read, so is every private name the package defines, every cache the package
+keeps on a value is named where the README lists the caches, and every
+exception class the package defines lives in `errors`."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -103,6 +105,20 @@ def test_the_scan_sees_a_private_name_never_read():
         "    def __len__(self): return self._x\ndef f():\n    _local = 1\n"
     )
     assert [name for name in _private(tree) if name not in _read_anywhere(tree)] == ["_B", "_m"]
+
+
+def test_every_exception_class_the_package_defines_lives_in_errors():
+    # One hierarchy: the CLI and callers catch `ElicitError` and its subclasses.
+    names = [f"seqelicit.{path.stem}".removesuffix(".__init__") for path in sorted(PACKAGE.glob("*.py"))]
+    modules = list(map(importlib.import_module, names))
+    defined = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name, value in vars(module).items()
+        if isinstance(value, type) and issubclass(value, BaseException) and value.__module__ == module.__name__
+    ]
+    assert len(defined) >= 8
+    assert [where for where in defined if not where.startswith("seqelicit.errors.")] == []
 
 
 def _cached_properties(tree: ast.Module) -> list[str]:
