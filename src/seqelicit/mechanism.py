@@ -15,7 +15,11 @@ asks the most expensive agent that is still willing to compute, and its
 full-reply-tree audit certifies that everybody computing truthfully is an
 equilibrium.
 
-Each policy answer is checked once, in `_next_rank`, and `run` builds its
+Each policy answer is checked once. The audit and the reach call the policy
+through `_next_rank`, which checks its answer with `_checked_rank`. `_play`
+calls the policy itself and checks inline: an exact int whose bit is set in
+`remaining` passes there, and any other answer goes to `_checked_rank`, so a
+game step makes one Python call, the policy's. `run` builds its
 transcript from the checked steps without checking them again, out of the
 instance's shared (rank, reply) pairs, so a step allocates nothing.
 
@@ -71,7 +75,19 @@ class _InstancePolicy:
 
 
 class HcfPolicy(_InstancePolicy):
-    """Approach the dearest agent still willing to compute."""
+    """Approach the dearest agent still willing to compute.
+
+    It keeps its instance's n and, from its first answer on, the lattice's
+    rank rows, `instance.lattice.rank`, so each answer indexes those rows
+    without going through the instance. Building a policy builds no lattice:
+    an answer reads the rows first, so an executor's own checks, of the
+    secrets and the caps, still come before the lattice budget's.
+    """
+
+    def __init__(self, instance: ProblemInstance):
+        super().__init__(instance)
+        self._n = instance.n
+        self._rows = None
 
     def next(self, i: int, k: int, remaining: int) -> int:
         """The largest remaining rank up to the willing rank c at (i, k), so
@@ -80,10 +96,12 @@ class HcfPolicy(_InstancePolicy):
         PolicyFailed when nobody remaining is willing. The dearest remaining
         rank is the usual answer, so the mask below bit c is built only when
         that rank is above c."""
-        instance = self.instance
-        if not 0 <= k <= i < instance.n:
-            c_of(InfoState(i, k), instance)  # not a lattice state: raises as c_of does
-        willing = instance.lattice.rank[i][k]
+        if not 0 <= k <= i < self._n:
+            c_of(InfoState(i, k), self.instance)  # not a lattice state: raises as c_of does
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = self.instance.lattice.rank
+        willing = rows[i][k]
         willing = willing if willing >= 0 else ~willing
         rank = remaining.bit_length() - 1
         if rank > willing:
@@ -134,12 +152,16 @@ def _all_remaining(instance: ProblemInstance) -> int:
     return (2 << instance.n) - 2
 
 
-def _next_rank(policy, i: int, k: int, remaining: int) -> int:
-    rank = policy.next(i, k, remaining)
+def _checked_rank(rank, i: int, k: int, remaining: int) -> int:
+    """`rank` if it names a rank whose bit is set in `remaining`, else ValueError."""
     # A bool is an int: True would pass as rank 1, and False fails `rank > 0`.
     if not (isinstance(rank, int) and rank is not True and rank > 0 and remaining >> rank & 1):
         raise ValueError(f"policy chose rank {rank!r} at ({i},{k}), which is not a remaining rank")
     return rank
+
+
+def _next_rank(policy, i: int, k: int, remaining: int) -> int:
+    return _checked_rank(policy.next(i, k, remaining), i, k, remaining)
 
 
 def _play(instance, policy, i: int, k: int, remaining: int, secrets, entries=None) -> tuple[int, int]:
@@ -148,15 +170,21 @@ def _play(instance, policy, i: int, k: int, remaining: int, secrets, entries=Non
     `secrets` (rank order), until the output is determined. Appends each
     step's (rank, reply) to `entries` when given, as the instance's shared
     pair from `_step_pairs`, so a step allocates nothing. Each step is a
-    constant number of operations: one lattice lookup, one checked policy
-    call, so each rank is new and in 1..n, and one xor.
+    constant number of operations: one lattice lookup, one call of the
+    policy's `next`, bound once per game, and one xor. The answer is checked
+    inline: an exact int above 0 whose bit is set in `remaining` passes at
+    once, and any other answer goes to `_checked_rank`, the check
+    `_next_rank` makes, so each rank is new and in 1..n.
 
     Returns the state reached, (i, k), whose output is forced. Every state
     after the last approach is determined, so the loop always ends.
     """
     n, willing, pairs = instance.n, instance.lattice.rank, instance._step_pairs
+    next_rank = policy.next
     while i < n and willing[i][k] >= 0:
-        rank = _next_rank(policy, i, k, remaining)
+        rank = next_rank(i, k, remaining)
+        if type(rank) is not int or rank <= 0 or not remaining >> rank & 1:
+            rank = _checked_rank(rank, i, k, remaining)
         reply = secrets[rank - 1]
         if entries is not None:
             entries.append(pairs[reply][rank])

@@ -436,6 +436,16 @@ def test_verify_past_the_lattice_budget_is_usage_error(capsys, tmp_path, monkeyp
     assert err.startswith("error: state lattice capped at 100 numerator bits")
 
 
+def test_hcf_past_the_lattice_budget_is_usage_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(pivotal, "LATTICE_BUDGET_BITS", 100)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 12, "q": "1/2", "costs": ["0"] * 12, "function": "parity"}))
+    code, out, err = invoke(capsys, "hcf", str(path), "--secrets", "0" * 12)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: state lattice capped at 100 numerator bits")
+
+
 def test_hcf_past_the_digit_limit_of_its_cost_total_is_usage_error(capsys, tmp_path):
     # Four costs 1/d, each d an odd 14000-bit integer (4215 digits, so each
     # parses): the costs' common denominator runs past 4300 digits.

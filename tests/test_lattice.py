@@ -282,6 +282,9 @@ def test_lattice_budget_turns_an_instance_away_before_building(monkeypatch):
     with pytest.raises(CapExceeded, match="numerator bits"):
         run(big, FixedOrderPolicy(big), (0,) * 12)
     assert "lattice" not in vars(big)
+    with pytest.raises(CapExceeded, match="numerator bits"):
+        run(big, HcfPolicy(big), (0,) * 12)
+    assert "lattice" not in vars(big)
 
 
 def test_a_20000_agent_instance_is_turned_away_at_once():

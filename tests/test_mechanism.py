@@ -533,6 +533,13 @@ def test_executors_accept_and_refuse_as_next_rank_does(answer):
     assert _refusal(deviation_profile, inst, policy, 1) == expected
     if expected is None:
         assert run(inst, policy, (1, 0, 0)).transcript.entries[:2] == ((3, 0), (2, 0))
+    # The 2^n reference plays every secret vector through `_play`; a refusal
+    # stands in for every rank's profile.
+    reference = brute_deviation_profiles(inst, policy)[1]
+    if expected is None:
+        assert reference == deviation_profile(inst, policy, 1)
+    else:
+        assert type(reference) is ValueError and str(reference) == expected
 
 
 @pytest.mark.parametrize("corpus_name", ["corpus_main", "corpus_small", "corpus_pivotal", "corpus_br"])
