@@ -32,7 +32,7 @@ from which every deviation's utility follows. The reach does not depend on
 the deviating agent, so one walk sums the weights of every rank's approaches
 and the instance keeps the sums of the last policy asked; the built-in
 policies are values, so fresh ones share that walk. The 2^n tree walk and
-secret-vector enumeration they replace are kept in `oracle`.
+secret-vector enumeration are in `oracle`, as the references.
 """
 
 from __future__ import annotations
@@ -164,14 +164,14 @@ def _next_rank(policy, i: int, k: int, remaining: int) -> int:
     return _checked_rank(policy.next(i, k, remaining), i, k, remaining)
 
 
-def _play(instance, policy, i: int, k: int, remaining: int, secrets, entries=None) -> tuple[int, int]:
+def _play(instance, policy, i: int, k: int, remaining: int, secrets, entries: list) -> tuple[int, int]:
     """Approach agents as `policy` directs, from state (i, k) with the ranks
     whose bits are set in `remaining` not yet approached, replying from
     `secrets` (rank order), until the output is determined. Appends each
-    step's (rank, reply) to `entries` when given, as the instance's shared
-    pair from `_step_pairs`, so a step allocates nothing. Each step is a
-    constant number of operations: one lattice lookup, one call of the
-    policy's `next`, bound once per game, and one xor. The answer is checked
+    step's (rank, reply) to `entries`, as the instance's shared pair from
+    `_step_pairs`, so a step allocates nothing. Each step is a constant
+    number of operations: one lattice lookup, one call of the policy's
+    `next`, bound once per game, and one xor. The answer is checked
     inline: an exact int above 0 whose bit is set in `remaining` passes at
     once, and any other answer goes to `_checked_rank`, the check
     `_next_rank` makes, so each rank is new and in 1..n.
@@ -186,8 +186,7 @@ def _play(instance, policy, i: int, k: int, remaining: int, secrets, entries=Non
         if type(rank) is not int or rank <= 0 or not remaining >> rank & 1:
             rank = _checked_rank(rank, i, k, remaining)
         reply = secrets[rank - 1]
-        if entries is not None:
-            entries.append(pairs[reply][rank])
+        entries.append(pairs[reply][rank])
         i += 1
         k += reply
         remaining ^= 1 << rank

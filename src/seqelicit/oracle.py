@@ -9,9 +9,9 @@ every secret vector, without the (state, remaining) sharing of `mechanism`;
 as there, a policy failure in the deviation check fails every rank at once.
 
 One reference keeps the lattice's recurrence: `full_lattice`, the whole
-numerator table with every layer's floors stepped down from the root, as the
-lattice was built before it rolled two rows. It checks the rolling rows and
-the floor checkpoints, not the recurrence, which the closed form covers.
+numerator table with every layer's floors stepped down from the root. It
+checks the rolling rows and the floors each 64-layer block starts from, not
+the recurrence, which the binomial sums cover.
 
 One reference does run the path criterion on the lattice: `per_bound_verdict`,
 one list DP per rank bound with one Python step per state. It checks only the
@@ -131,7 +131,7 @@ def full_lattice(instance: ProblemInstance) -> tuple[list[list[int]], list[list[
     """(num, rank) of `pivotal.StateLattice` built whole: every numerator row
     kept, root row first, and every layer's floors stepped down from the root
     one `// b` at a time. The reference for the lattice's two rolling rows,
-    its 64-layer floor checkpoints and its `num`."""
+    its closed-form floors atop each 64-layer block and its `num`."""
     n, a, b = instance.n, instance.q.numerator, instance.q.denominator
     table = instance.fn_spec.ones_to_one
     num = [[int(table[k] != table[k + 1]) for k in range(n)]]
@@ -293,7 +293,8 @@ def brute_deviation_profiles(instance: ProblemInstance, policy) -> dict[int, dic
             for rank, reply in entries:
                 remaining ^= 1 << rank
                 outputs = [truthful, truthful]  # indexed by the agent's reply
-                outputs[1 - reply] = fn.value_at(_play(instance, policy, i + 1, k + 1 - reply, remaining, secrets)[1])
+                flipped = _play(instance, policy, i + 1, k + 1 - reply, remaining, secrets, [])
+                outputs[1 - reply] = fn.value_at(flipped[1])
                 approached[rank] += weight
                 for slot, action in enumerate(ALL_ACTIONS):
                     correct[rank][slot] += weight * (outputs[action.reply(secrets[rank - 1])] == true_value)

@@ -36,8 +36,8 @@ from .model import InfoState, ProblemInstance
 # (about 2.7e12) away at once.
 LATTICE_BUDGET_BITS = 2**34
 
-# Layers per floor checkpoint: the build keeps every 64th layer's floors and
-# steps down again inside one block at a time.
+# Layers per block of floors: the build divides each block's top layer from
+# the closed form and steps the rest of the block down by `// b`.
 _BLOCK = 64
 
 
@@ -60,13 +60,13 @@ class StateLattice:
     m num / b^(n-i), and the agent at rank r is willing iff num > F_i(r), the
     floor ceil(cost_r.num b^(n-i) / (cost_r.den m)) - 1; rank[i][k] counts
     those ranks (0 when nobody is willing). Equal costs share one floor. The
-    floors are divided once, at the root, and stepped down a layer as
-    F_(i+1) = F_i // b, exact since floor(floor(x)/b) = floor(x/b). The rows
-    come up from the leaves, so only every 64th layer's floors are kept, each
-    one `// b**64` from the last, and a block of 64 layers is stepped down
-    from its checkpoint when the rows reach it. A floor of at least b^(n-1),
-    a cost above m/b, is dropped at the root: P <= 1 keeps
-    num[i][k] <= b^(n-1-i) <= F_i, so that rank is willing nowhere.
+    rows come up from the leaves a block of 64 layers at a time: the floors
+    of a block's top layer s come from the closed form,
+    (cost_r.num b^(n-s) - 1) // (cost_r.den m), and the block's other layers
+    step down as F_(i+1) = F_i // b, exact since floor(floor(x)/b) =
+    floor(x/b). A cost above m/b, cost_r.num b > cost_r.den m, is dropped
+    before any floor: P <= 1 keeps num[i][k] <= b^(n-1-i) <= F_i, so that
+    rank is willing nowhere.
 
     A determined state, with threshold 0, has the z zero-cost agents willing
     and holds ~z = -z-1, so `rank[i][k] < 0` is the forced test and
@@ -84,18 +84,16 @@ class StateLattice:
         # sorted; `below[d]` counts the ranks among the d cheapest of them.
         counts = Counter(map(Fraction.as_integer_ratio, instance.costs))
         below = [0, *accumulate(counts.values())]
-        m, scale = min(a, b - a), b**n
+        m = min(a, b - a)
         self._a, self._m, self._b = a, m, b
-        floors = [(top * scale - 1) // (den * m) for top, den in counts]
-        del floors[bisect_left(floors, scale // b) :]  # never willing: num[i][k] <= b^(n-1-i)
+        # A cost above m/b is willing nowhere (P <= 1); the rest are a prefix.
+        costs = [(top, den * m) for top, den in counts if top * b <= den * m]
         determined = ~below[instance.costs[0] == 0]  # the zero-cost agents, the cheapest if any
-        checkpoints = [floors]  # layers 0, 64, 128, ...
-        for _ in range((n - 1) // _BLOCK):
-            checkpoints.append(list(map(floordiv, checkpoints[-1], repeat(b**_BLOCK))))
         rank = []
         rows = self._rows()
         for start in reversed(range(0, n, _BLOCK)):
-            block = [checkpoints.pop()]
+            scale = b ** (n - start)
+            block = [[(top * scale - 1) // dm for top, dm in costs]]
             for _ in range(start + 1, min(start + _BLOCK, n)):
                 block.append(list(map(floordiv, block[-1], repeat(b))))
             for floors in reversed(block):

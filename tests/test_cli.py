@@ -64,6 +64,29 @@ def test_verify_witness_pretty_print(capsys):
     assert "(0,0) c=1 *" in out
 
 
+def test_verify_constant_function_text(capsys, tmp_path):
+    path = tmp_path / "const.json"
+    path.write_text('{"n": 3, "q": "1/2", "costs": ["0", "1/4", "1/2"], "function": {"ones_counts": []}}')
+    code, out, err = invoke(capsys, "verify", str(path))
+    assert code == 0
+    assert out == (
+        "appropriate mechanism EXISTS\n"
+        "(constant function: the empty mechanism already outputs the value)\n"
+    )
+    assert err == ""
+
+
+def test_internal_error_exits_1(capsys, monkeypatch):
+    def boom(instance):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("seqelicit.cli.exists_appropriate", boom)
+    code, out, err = invoke(capsys, "verify", EX2)
+    assert code == 1
+    assert out == ""
+    assert err == "error: internal: boom\n"
+
+
 def test_hcf_secrets_transcript(capsys):
     code, out, _ = invoke(capsys, "hcf", EX2, "--secrets", "0001")
     assert code == 0

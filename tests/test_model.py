@@ -153,6 +153,13 @@ def test_cost_range_rejected(cost):
         {"n": 2, "q": "1/2", "costs": ["0", "0"], "values": ["1"], "function": "parity"},
         # A zero value is rejected before a cost is divided by it.
         {"n": 2, "q": "1/2", "costs": ["0", "0"], "values": ["1", "0"], "function": "parity"},
+        '[2, "1/2"]',
+        {"n": 2, "q": "1/2", "costs": ["0", "0"], "function": 3},
+        {"n": 2, "q": "1/2", "costs": ["0", "0"], "function": {"ones_counts": "12"}},
+        {"n": 2, "q": "1/2", "costs": ["0", "0"], "function": {"ones_counts": ["1"]}},
+        {"n": 2, "q": "1/2", "costs": ["0", "0"], "function": {"ones_counts": [True]}},
+        {"n": 2, "q": "1/2", "costs": ["0", "0"], "function": "parity", "agent_ids": "ab"},
+        {"n": 2, "q": "1/2", "costs": ["0", "0"], "function": "parity", "agent_ids": {"a": 1, "b": 2}},
     ],
 )
 def test_malformed_documents_rejected(doc):
