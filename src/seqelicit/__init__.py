@@ -24,23 +24,9 @@ from .verify import exists_appropriate
 
 __version__ = "0.1.0"
 
-# The brute-force references load on first use: `oracle` is the largest
-# module, and only its own subcommand and the cross-checks call it.
-_ORACLE_NAMES = ("DecisionTree", "exhaustive_existence")
-
-
-def __getattr__(name: str):
-    if name not in _ORACLE_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import oracle
-
-    return getattr(oracle, name)
-
-
 # The names the README's "Library" section uses, plus the error types; the
-# rest of the API lives in the submodules. Derived from the imports above and
-# the lazy names, so the list cannot drift from them.
+# rest of the API, `oracle`'s references too, lives in the submodules. Derived
+# from the imports above, so the list cannot drift from them.
 __all__ = sorted(
-    [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)]
-    + list(_ORACLE_NAMES)
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
 )

@@ -134,13 +134,12 @@ class AnonymousFunctionSpec(
         return tuple.__new__(cls, (n, ones_to_one, name))
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self[:2] == other[:2]
+        # Never NotImplemented: Python would fall back to tuple equality,
+        # which reads the name and equals a plain tuple.
+        return other.__class__ is self.__class__ and self[:2] == other[:2]
 
     def __ne__(self, other):
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
+        return not self == other
 
     def __hash__(self) -> int:
         return hash(self[:2])

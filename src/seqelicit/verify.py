@@ -65,12 +65,13 @@ def exists_appropriate(instance: ProblemInstance) -> Verdict:
 
     Empty reduced graph (constant function): trivially yes. A state where no
     agent is willing to compute: no, naming the first such state in (i, k)
-    order. Otherwise, no iff for some end node and some rank bound j a
-    root-to-end path carries more than j nodes whose willing rank is at most j;
-    only j distinct agents that cheap exist, so one of those decision points
-    would be left to an unwilling agent. The witness is the smallest such end
-    node at its smallest j, on the path that breaks ties toward the parent
-    (i-1, k-1).
+    order, the first willing rank of 0 in the rank rows (a determined state
+    holds ~z < 0), read before any lane is packed. Otherwise, no iff for some
+    end node and some rank bound j a root-to-end path carries more than j
+    nodes whose willing rank is at most j; only j distinct agents that cheap
+    exist, so one of those decision points would be left to an unwilling
+    agent. The witness is the smallest such end node at its smallest j, on
+    the path that breaks ties toward the parent (i-1, k-1).
 
     Each rank bound below n is one pass of `rows`, O(n) big-int operations
     on n-lane integers, and the scan stops once the first end node violates.
@@ -78,6 +79,9 @@ def exists_appropriate(instance: ProblemInstance) -> Verdict:
     lattice = instance.lattice
     if lattice.rank[0][0] < 0:
         return Verdict(True, REASON_TRIVIAL)
+    for i, row in enumerate(lattice.rank):
+        if 0 in row:
+            return Verdict(False, REASON_C_UNDEFINED, undefined_at=InfoState(i, row.index(0)))
     width, ranks, live, bounds = _lanes(lattice)
     mask = (1 << width) - 1
     ones = ((1 << (instance.n * width)) - 1) // mask  # 1 in every lane
@@ -111,11 +115,6 @@ def exists_appropriate(instance: ProblemInstance) -> Verdict:
             out.append(row)
         return out
 
-    if 0 in bounds:
-        for i, (packed, alive) in enumerate(zip(ranks, live)):
-            unwilling = (high - packed) & high & alive
-            if unwilling:
-                return Verdict(False, REASON_C_UNDEFINED, undefined_at=InfoState(i, lowest(unwilling)))
     # The counts only change where j crosses a willing rank, so the smallest
     # violating j of any end node is one of those ranks. A root-to-end path
     # holds n states, so no count exceeds a bound j >= n. Per bound, keep the

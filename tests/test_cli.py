@@ -19,7 +19,7 @@ from seqelicit.cli import main
 from seqelicit.mechanism import HcfPolicy, deviation_profile
 from seqelicit.errors import CapExceeded, MalformedDocument
 from seqelicit.model import ACTION_NAMES, ingest, rational_text, unanimity
-from seqelicit.oracle import BRUTE_PIVOTAL_CAP, mirror
+from seqelicit.oracle import BRUTE_PIVOTAL_CAP, exhaustive_existence, mirror
 
 EX1 = str(INSTANCES_DIR / "example1.json")
 EX2 = str(INSTANCES_DIR / "example2.json")
@@ -259,6 +259,39 @@ def test_oracle_modes(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["verify_exists"] is False and payload["oracle_exists"] is False
+
+
+def test_oracle_pivotal_mismatch_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr("seqelicit.oracle.brute_pivotal", lambda state, instance: Fraction(0))
+    code, out, _ = invoke(capsys, "oracle", EX2, "--mode", "pivotal")
+    assert code == 3
+    lines = out.splitlines()
+    assert lines[:2] == [
+        "pivotal cross-check: 7 states compared: MISMATCH",
+        "  state (0,0): analytic 1/4 vs brute-force 0",
+    ]
+    assert len(lines) == 8
+    code, out, _ = invoke(capsys, "oracle", EX2, "--mode", "pivotal", "--json")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["agree"] is False and payload["checked"] == 7
+    assert [entry["state"] for entry in payload["mismatches"]] == [
+        [0, 0], [1, 0], [1, 1], [2, 0], [2, 2], [3, 0], [3, 3]
+    ]
+    assert all(entry["brute"] == "0" for entry in payload["mismatches"])
+
+
+def test_oracle_mechanisms_mismatch_exits_3(capsys, monkeypatch):
+    def flipped(instance):
+        verdict = exhaustive_existence(instance)
+        return verdict._replace(exists=not verdict.exists)
+
+    monkeypatch.setattr("seqelicit.oracle.exhaustive_existence", flipped)
+    code, out, _ = invoke(capsys, "oracle", EX2, "--mode", "mechanisms", "--json")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["agree"] is False
+    assert (payload["verify_exists"], payload["oracle_exists"]) == (True, False)
 
 
 def test_oracle_mechanisms_cap_is_usage_error(capsys):

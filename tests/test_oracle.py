@@ -8,9 +8,12 @@ import pytest
 
 from conftest import example1_instance, example2_instance, example3_instance, make_instance
 from seqelicit.errors import CapExceeded
+from seqelicit.mechanism import AUDIT_CAP, DEVIATION_CAP
 from seqelicit.model import InfoState, consensus
 from seqelicit.oracle import (
     BRUTE_PIVOTAL_CAP,
+    brute_audit,
+    brute_deviation_profiles,
     brute_pivotal,
     determine,
     exhaustive_existence,
@@ -98,6 +101,25 @@ def test_exhaustive_cap():
     inst = make_instance("1/2", ["0"] * 5, [True] + [False] * 5)
     with pytest.raises(CapExceeded):
         exhaustive_existence(inst)
+
+
+class RecordingPolicy:
+    def __init__(self):
+        self.calls = []
+
+    def next(self, i, k, remaining):
+        self.calls.append((i, k, remaining))
+        return (remaining & -remaining).bit_length() - 1
+
+
+@pytest.mark.parametrize("reference, cap", [(brute_audit, AUDIT_CAP), (brute_deviation_profiles, DEVIATION_CAP)])
+def test_brute_references_refuse_past_their_cap_before_playing(reference, cap):
+    n = cap + 1
+    inst = make_instance("1/2", ["0"] * n, consensus(n).ones_to_one)
+    policy = RecordingPolicy()
+    with pytest.raises(CapExceeded):
+        reference(inst, policy)
+    assert policy.calls == []
 
 
 def test_hcf_tree_examples():

@@ -1,4 +1,4 @@
-"""Process start-up: what `import seqelicit.cli` loads, and the lazy oracle.
+"""Process start-up: what `import seqelicit.cli` loads, and the root's exports.
 
 Each check runs a fresh interpreter, since the test process has long since
 imported everything. The module lists are compared with a bare interpreter's
@@ -20,10 +20,9 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.env
 # Loaded only by the `oracle` subcommand, or by nothing at all.
 HEAVY = {"dataclasses", "inspect", "seqelicit.oracle"}
 EXPORTS = (
-    "BadFunctionTable", "CapExceeded", "CostOutOfRange", "DecisionTree", "ElicitError", "FixedOrderPolicy",
-    "HcfPolicy", "InfoState", "MalformedDocument", "PolicyFailed", "QOutOfRange", "StateExhausted",
-    "TRUTHFUL_COMPUTE", "audit_full_tree", "deviation_profile", "draw_secrets",
-    "exhaustive_existence", "exists_appropriate", "ingest", "run",
+    "BadFunctionTable", "CapExceeded", "CostOutOfRange", "ElicitError", "FixedOrderPolicy", "HcfPolicy",
+    "InfoState", "MalformedDocument", "PolicyFailed", "QOutOfRange", "StateExhausted", "TRUTHFUL_COMPUTE",
+    "audit_full_tree", "deviation_profile", "draw_secrets", "exists_appropriate", "ingest", "run",
 )
 LIST_MODULES = "sys.stdout.write('\\n'.join(sys.modules))"
 
@@ -56,8 +55,8 @@ def test_the_oracle_subcommand_loads_the_oracle_and_prints_todays_bytes():
 
 
 def test_every_exported_name_resolves_in_a_fresh_process():
-    # The oracle's two names resolve through the package's module __getattr__,
-    # by a star import and by attribute; an unknown name still raises.
+    # Every exported name resolves by a star import and by attribute, without
+    # loading the oracle; an unknown name raises.
     assert seqelicit.__all__ == sorted(EXPORTS)
     code = (
         "import sys\n"
@@ -66,7 +65,7 @@ def test_every_exported_name_resolves_in_a_fresh_process():
         "missing = [name for name in seqelicit.__all__ if name not in globals()]\n"
         "assert not missing, missing\n"
         "assert all(getattr(seqelicit, name) is globals()[name] for name in seqelicit.__all__)\n"
-        "assert DecisionTree is sys.modules['seqelicit.oracle'].DecisionTree\n"
+        "assert 'seqelicit.oracle' not in sys.modules\n"
         "try:\n"
         "    seqelicit.no_such_name\n"
         "except AttributeError:\n"

@@ -132,6 +132,11 @@ def test_function_spec_equality_and_hash_ignore_the_name():
     assert hash(FN2) == hash(unnamed)
     assert FN2 != AnonymousFunctionSpec(2, (False, True, False), "or")
     assert len({FN2, unnamed}) == 1
+    # A spec never equals a plain tuple, named or not, in either operand order.
+    spec = majority(3)
+    for plain in ((3, spec.ones_to_one, "majority"), (3, spec.ones_to_one, None)):
+        assert not spec == plain and spec != plain
+        assert not plain == spec and plain != spec
     # Nothing is kept beside the fields.
     assert not hasattr(FN2, "__dict__")
 
