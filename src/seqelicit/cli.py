@@ -101,9 +101,8 @@ def _cmd_verify(args, instance: ProblemInstance) -> tuple[bool, str]:
             lines.append(f"witness path (rank bound {w.violating_rank}):")
             for state in w.path:
                 c = c_of(state, instance)
-                c_text = "undefined" if c is None else str(c)
-                mark = " *" if c is not None and c <= w.violating_rank else ""
-                lines.append(f"  {state} c={c_text}{mark}")
+                mark = " *" if c <= w.violating_rank else ""
+                lines.append(f"  {state} c={c}{mark}")
     return False, _text(lines)
 
 
@@ -159,14 +158,12 @@ def _cmd_hcf(args, instance: ProblemInstance) -> tuple[bool, str]:
         if len(bits) != instance.n or any(b not in "01" for b in bits):
             raise ElicitError(f"--secrets must be {instance.n} characters of 0/1")
         # Input bits follow the instance file's agent order.
-        by_rank = tuple(int(bits[instance.original_index[r - 1] - 1]) for r in instance.ranks)
+        by_rank = tuple(int(bits[pos - 1]) for pos in instance.original_index)
     else:
         by_rank = draw_secrets(instance, args.seed)
+        bits = "".join(str(bit) for _, bit in sorted(zip(instance.original_index, by_rank)))
     result = run(instance, HcfPolicy(instance), by_rank)
 
-    user_bits = ["?"] * instance.n
-    for rank in instance.ranks:
-        user_bits[instance.original_index[rank - 1] - 1] = str(by_rank[rank - 1])
     entries = result.transcript.entries
     # The ones reported before each step. The thresholds along that path come
     # from one pass that keeps two numerator rows, not the O(n^3)-bit table.
@@ -181,7 +178,7 @@ def _cmd_hcf(args, instance: ProblemInstance) -> tuple[bool, str]:
     if args.json:
         return True, _json(
             {
-                "secrets": "".join(user_bits),
+                "secrets": bits,
                 "transcript": [
                     {
                         "agent": instance.agent_id_of_rank(rank),
@@ -391,7 +388,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        return exc.code
     try:
         ok, text = args.handler(args, _load_instance(args.instance))
         output = getattr(args, "output", None)

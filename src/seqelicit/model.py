@@ -439,10 +439,7 @@ class ProblemInstance:
 
     def user_costs(self) -> tuple[Fraction, ...]:
         """Costs back in input order."""
-        out: list[Fraction] = [Fraction(0)] * self.n
-        for rank, pos in enumerate(self.original_index, start=1):
-            out[pos - 1] = self.costs[rank - 1]
-        return tuple(out)
+        return tuple(cost for _, cost in sorted(zip(self.original_index, self.costs)))
 
 
 def _parse_function(value, n: int) -> AnonymousFunctionSpec:

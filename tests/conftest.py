@@ -89,9 +89,9 @@ def adversarial_majority(n: int) -> ProblemInstance:
 
 def check_witness(instance: ProblemInstance, verdict) -> None:
     """Recount a pigeonhole verdict's witness from `c_of` along its path: one
-    state per layer from the root, each step adding 0 or 1 to the ones, and
-    more than `violating_rank` states willing at that bound. Any other
-    verdict passes."""
+    state per layer from the root, each step adding 0 or 1 to the ones, a
+    willing agent at every state, and more than `violating_rank` states
+    willing at that bound. Any other verdict passes."""
     if verdict.reason != REASON_PIGEONHOLE:
         return
     path, bound, count = verdict.witness
@@ -99,7 +99,9 @@ def check_witness(instance: ProblemInstance, verdict) -> None:
     assert [state.approached for state in path] == list(range(instance.n))
     assert all(b.ones - a.ones in (0, 1) for a, b in zip(path, path[1:]))
     willing = [c_of(state, instance) for state in path]
-    assert count == sum(1 for c in willing if c is not None and c <= bound)
+    # A state with no willing agent is reported as c_undefined_at first.
+    assert None not in willing
+    assert count == sum(1 for c in willing if c <= bound)
     assert count > bound
 
 

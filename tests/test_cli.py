@@ -18,7 +18,7 @@ from seqelicit import pivotal
 from seqelicit.cli import main
 from seqelicit.mechanism import HcfPolicy, deviation_profile
 from seqelicit.errors import CapExceeded, MalformedDocument
-from seqelicit.model import ACTION_NAMES, ingest, rational_text, unanimity
+from seqelicit.model import ACTION_NAMES, ingest, majority, rational_text, unanimity
 from seqelicit.oracle import BRUTE_PIVOTAL_CAP, exhaustive_existence, mirror
 
 EX1 = str(INSTANCES_DIR / "example1.json")
@@ -318,6 +318,10 @@ def test_unknown_flag_is_usage_error(capsys):
     code = main(["verify", EX2, "--bogus"])
     capsys.readouterr()
     assert code == 2
+    # argparse's other exit: `--help` prints the usage and succeeds.
+    code, out, _ = invoke(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: seqelicit")
 
 
 @pytest.mark.parametrize(
@@ -447,20 +451,23 @@ def test_the_normalize_flag_is_gone(capsys, tmp_path):
 
 
 def test_hcf_low_q_speaks_the_files_bits(capsys):
-    table = unanimity(3).ones_to_one
-    for bits in itertools.product("01", repeat=3):
-        secrets = "".join(bits)
-        code, out, _ = invoke(capsys, "hcf", str(LOW_Q), "--secrets", secrets, "--json")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["output"] == int(table[secrets.count("1")])
-        assert payload["secrets"] == secrets
-        state = [0, 0]
-        for step in payload["transcript"]:
-            assert step["state"] == state
-            assert step["reply"] == int(secrets[int(step["agent"]) - 1])
-            state = [state[0] + 1, state[1] + step["reply"]]
-        assert payload["halted_at"] == state
+    # rational_forms.json lists its agents in cost ranks 3, 4, 1, 2, 5, so a
+    # bit read in rank order instead of file order shows in the replies.
+    for path, spec in ((LOW_Q, unanimity(3)), (INSTANCES_DIR / "rational_forms.json", majority(5))):
+        agent_ids = ingest(path.read_text()).agent_ids
+        for bits in itertools.product("01", repeat=len(agent_ids)):
+            secrets = "".join(bits)
+            code, out, _ = invoke(capsys, "hcf", str(path), "--secrets", secrets, "--json")
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["output"] == int(spec.ones_to_one[secrets.count("1")])
+            assert payload["secrets"] == secrets
+            state = [0, 0]
+            for step in payload["transcript"]:
+                assert step["state"] == state
+                assert step["reply"] == int(secrets[agent_ids.index(step["agent"])])
+                state = [state[0] + 1, state[1] + step["reply"]]
+            assert payload["halted_at"] == state
 
 
 def test_deviate_low_q_matches_the_mirror_with_the_bits_swapped(capsys):

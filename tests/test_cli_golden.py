@@ -43,8 +43,9 @@ def sweep() -> list[tuple[str, ...]]:
     """Every call of the sweep, as argv with the instance given by file name."""
     calls = []
     for path in sorted(INSTANCES_DIR.glob("*.json")):
-        commands = COMMANDS
-        if json.loads(path.read_text())["n"] <= 4:
+        n = json.loads(path.read_text())["n"]
+        commands = COMMANDS + (("hcf", "--secrets", ("10" * n)[:n]),)
+        if n <= 4:
             commands += SMALL_N_COMMANDS
         for command, *flags in commands:
             for mode in ((), ("--json",)):
@@ -64,7 +65,7 @@ def outcome(call: tuple[str, ...]) -> list:
 def test_cli_output_matches_pinned_table():
     expected = json.loads(TABLE.read_text())
     calls = sweep()
-    assert len(calls) == 176
+    assert len(calls) == 192
     assert sorted(expected) == sorted(" ".join(call) for call in calls)
     mismatches = [" ".join(call) for call in calls if outcome(call) != expected[" ".join(call)]]
     assert mismatches == []
