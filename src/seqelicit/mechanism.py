@@ -19,7 +19,9 @@ Each policy answer is checked once. The audit and the reach call the policy
 through `_next_rank`, which checks its answer with `_checked_rank`. `_play`
 calls the policy itself and checks inline: an exact int whose bit is set in
 `remaining` passes there, and any other answer goes to `_checked_rank`, so a
-game step makes one Python call, the policy's. `run` builds its
+game step makes one Python call, the policy's. A game of the built-in
+`HcfPolicy` over its own instance makes none: `_play` reads its rule inline,
+and the rank it finds is a remaining one by construction. `run` builds its
 transcript from the checked steps without checking them again, out of the
 instance's shared (rank, reply) pairs, so a step allocates nothing.
 
@@ -174,12 +176,31 @@ def _play(instance, policy, i: int, k: int, remaining: int, secrets, entries: li
     `next`, bound once per game, and one xor. The answer is checked
     inline: an exact int above 0 whose bit is set in `remaining` passes at
     once, and any other answer goes to `_checked_rank`, the check
-    `_next_rank` makes, so each rank is new and in 1..n.
+    `_next_rank` makes, so each rank is new and in 1..n. A game of
+    `HcfPolicy` itself (not a subclass, which may override `next`) over
+    this instance steps without calling `next`: its rule is read inline,
+    and raises the PolicyFailed that `next` would.
 
     Returns the state reached, (i, k), whose output is forced. Every state
     after the last approach is determined, so the loop always ends.
     """
     n, willing, pairs = instance.n, instance.lattice.rank, instance._step_pairs
+    if type(policy) is HcfPolicy and policy.instance is instance:
+        # `HcfPolicy.next` inline. `remaining` holds the n - i ranks not yet
+        # approached, so while i < n its top bit is a rank of at least 1, and
+        # only the masked search can come up empty.
+        while i < n and (c := willing[i][k]) >= 0:
+            rank = remaining.bit_length() - 1
+            if rank > c:
+                rank = (remaining & ((2 << c) - 1)).bit_length() - 1
+                if rank <= 0:
+                    raise PolicyFailed(InfoState(i, k), FAIL_NO_ELIGIBLE)
+            reply = secrets[rank - 1]
+            entries.append(pairs[reply][rank])
+            i += 1
+            k += reply
+            remaining ^= 1 << rank
+        return i, k
     next_rank = policy.next
     while i < n and willing[i][k] >= 0:
         rank = next_rank(i, k, remaining)
@@ -206,7 +227,9 @@ def run(instance: ProblemInstance, policy, secrets) -> RunResult:
     skips the checks of `Transcript(...)`. Its entries are the instance's
     shared (rank, reply) pairs, plain ints whatever int or bool types the
     policy and the secrets use, so a kept transcript holds one pointer per
-    step.
+    step. Under `HcfPolicy` over this instance the game steps without
+    calling `next`; any other policy, subclasses included, is called once
+    per step.
     """
     secrets = tuple(secrets)
     if (

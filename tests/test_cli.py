@@ -522,6 +522,20 @@ def test_hcf_past_the_digit_limit_of_its_cost_total_is_usage_error(capsys, tmp_p
     assert err.startswith("error: cost totals capped at 4300 digits")
 
 
+def test_hcf_failing_before_its_cost_total_exits_3(capsys, tmp_path):
+    # The same long denominators under costs just below 1/2: HCF fails at the
+    # root, and that failure, not the cost total's digit cap, is reported.
+    rng = random.Random(9101)
+    dens = [rng.getrandbits(14000) | 1 << 13999 | 1 for _ in range(4)]
+    path = tmp_path / "costs.json"
+    costs = [f"{d // 2 - 1}/{d}" for d in dens]
+    path.write_text(json.dumps({"n": 4, "q": "1/2", "costs": costs, "function": "majority"}))
+    for flags in (("--seed", "1"), ("--secrets", "0110"), ("--seed", "2", "--json")):
+        code, out, err = invoke(capsys, "hcf", str(path), *flags)
+        assert (code, out) == (3, ""), flags
+        assert "no_eligible_agent" in err
+
+
 def test_a_rational_past_the_digit_limit_is_usage_error(capsys, tmp_path):
     # A 4300-digit prior denominator parses; the thresholds' have 8600 digits.
     path = tmp_path / "long_q.json"

@@ -24,6 +24,7 @@ from seqelicit.mechanism import (
     DEVIATION_CAP,
     FixedOrderPolicy,
     HcfPolicy,
+    RunResult,
     _next_rank,
     audit_full_tree,
     deviation_profile,
@@ -426,6 +427,147 @@ def test_run_stays_on_one_path():
     policy = CountingPolicy(HcfPolicy(inst))
     run(inst, policy, (1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1))
     assert policy.calls <= inst.n
+
+
+class _Delegating:
+    """A plain policy whose `next` is another policy's bound `next`: `run`
+    calls it on every step, as it calls any policy but `HcfPolicy` itself."""
+
+    def __init__(self, inner):
+        self.next = inner.next
+
+
+def _game(inst, policy, secrets):
+    """`run`'s result, or its exception as type and, for a policy failure,
+    state and reason, else message."""
+    try:
+        return run(inst, policy, secrets)
+    except PolicyFailed as exc:
+        return type(exc), exc.state, exc.reason
+    except Exception as exc:  # noqa: BLE001 - compared by type and message
+        return type(exc), str(exc)
+
+
+def _hcf_against_the_generic_loop(inst, secret_vectors) -> list:
+    """Each vector's game under `HcfPolicy`, which `run` steps inline, after
+    asserting it equal, field by field or failure by failure, to the game
+    of the same rule called through `next` on every step."""
+    kernel, generic = HcfPolicy(inst), _Delegating(HcfPolicy(inst))
+    games = []
+    for secrets in secret_vectors:
+        game = _game(inst, kernel, secrets)
+        assert game == _game(inst, generic, secrets), (inst, secrets)
+        games.append(game)
+    return games
+
+
+def _skips_a_dearer_rank(inst, result) -> bool:
+    """Whether some step of the game took a rank below the top one remaining."""
+    remaining = set(inst.ranks)
+    for rank, _ in result.transcript.entries:
+        if rank != max(remaining):
+            return True
+        remaining.remove(rank)
+    return False
+
+
+@pytest.mark.parametrize("corpus_name", ["corpus_main", "corpus_small", "corpus_pivotal", "corpus_br"])
+def test_inline_hcf_games_match_the_generic_loop_on_the_corpora(corpus_name, request):
+    # Every secret vector up to n = 4, seeded draws above that.
+    rng = random.Random(20261020)
+    for inst in request.getfixturevalue(corpus_name):
+        if inst.n <= 4:
+            vectors = list(itertools.product((0, 1), repeat=inst.n))
+        else:
+            vectors = [tuple(rng.randrange(2) for _ in range(inst.n)) for _ in range(6)]
+        _hcf_against_the_generic_loop(inst, vectors)
+
+
+def test_inline_hcf_games_match_the_generic_loop_at_scale():
+    # Parity and majority at n = 100..150: zero costs, where every game runs
+    # to the forced output; threshold costs, where willing ranks spread over
+    # 0..n so the rule skips dearer ranks and can fail mid-game; and a flat
+    # 2/5, where HCF fails at the root. Each kind of game must show up.
+    rng = random.Random(20261021)
+    insts = []
+    for n in (100, 125, 150):
+        for fn in (parity(n), majority(n)):
+            insts.append(ProblemInstance.create(Fraction(3, 5), (Fraction(0),) * n, fn))
+            insts += [threshold_cost_instance(fn, zeros, rng) for zeros in (0, n // 10, n // 2)]
+            insts.append(ProblemInstance.create(Fraction(1, 2), (Fraction(2, 5),) * n, fn))
+    insts += [threshold_cost_instance(majority(n), zeros, rng) for n in (7, 20, 41) for zeros in (0, 2)]
+    insts.append(example1_instance())
+    finished = skipped = failed_at_root = failed_later = 0
+    for inst in insts:
+        vectors = [tuple(rng.randrange(2) for _ in range(inst.n)) for _ in range(8)]
+        for game in _hcf_against_the_generic_loop(inst, vectors):
+            if type(game) is RunResult:
+                finished += 1
+                skipped += _skips_a_dearer_rank(inst, game)
+            else:
+                assert game[0] is PolicyFailed and game[2] == "no_eligible_agent"
+                failed_at_root += game[1] == InfoState(0, 0)
+                failed_later += game[1] != InfoState(0, 0)
+    assert finished and skipped and failed_at_root and failed_later
+
+
+def test_hcf_subclasses_and_foreign_instances_are_called_on_every_step(monkeypatch):
+    # A subclass may override `next`, and a policy over another instance
+    # reads other rows, so `run` calls both through `next` on every step.
+    class Counting(HcfPolicy):
+        calls = 0
+
+        def next(self, i, k, remaining):
+            self.calls += 1
+            return super().next(i, k, remaining)
+
+    rng = random.Random(20261022)
+    insts = [example2_instance(), example3_instance()]
+    insts += [random_instance(rng, n, max_cost_k=16) for n in (3, 6, 9)]
+    for inst in insts:
+        for secrets in [tuple(rng.randrange(2) for _ in range(inst.n)) for _ in range(8)]:
+            policy = Counting(inst)
+            game = _game(inst, policy, secrets)
+            assert game == _game(inst, HcfPolicy(inst), secrets)
+            if type(game) is RunResult:
+                assert policy.calls == game.approached_count
+    # Policies over other instances: the same n with other willing ranks, a
+    # larger n, and a smaller n, whose rows end before this game does.
+    a = make_instance("1/2", ["1/10", "1/5", "3/10", "2/5"], parity(4).ones_to_one)
+    others = (
+        make_instance("1/2", ["0", "0", "1/5", "2/5"], consensus(4).ones_to_one),
+        example3_instance(),
+        make_instance("1/2", ["0"] * 6, majority(6).ones_to_one),
+        make_instance("3/5", ["0", "0"], parity(2).ones_to_one),
+    )
+    outcomes = set()
+    for b in others:
+        for secrets in itertools.product((0, 1), repeat=a.n):
+            game = _game(a, HcfPolicy(b), secrets)
+            assert game == _game(a, _Delegating(HcfPolicy(b)), secrets)
+            outcomes.add(type(game) if type(game) is RunResult else game[0])
+    assert outcomes == {RunResult, PolicyFailed, StateExhausted}
+    # `HcfPolicy` itself over its own instance is not called at all.
+    vectors = list(itertools.product((0, 1), repeat=a.n))
+    games = {secrets: _game(a, _Delegating(HcfPolicy(a)), secrets) for secrets in vectors}
+    monkeypatch.setattr(HcfPolicy, "next", None)
+    for secrets, game in games.items():
+        assert type(game) is RunResult and run(a, HcfPolicy(a), secrets) == game
+
+
+def test_a_failing_hcf_game_raises_before_the_cost_total_is_read():
+    # Four costs just under 1/2 over odd 14000-bit denominators, majority:
+    # HCF fails at the root, and the costs' common denominator runs past the
+    # 4300 digits `scaled_costs` allows. The game's failure comes first.
+    rng = random.Random(9101)
+    dens = [rng.getrandbits(14000) | 1 << 13999 | 1 for _ in range(4)]
+    inst = ProblemInstance.create(Fraction(1, 2), [Fraction(d // 2 - 1, d) for d in dens], majority(4))
+    for secrets in itertools.product((0, 1), repeat=4):
+        with pytest.raises(PolicyFailed) as excinfo:
+            run(inst, HcfPolicy(inst), secrets)
+        assert (excinfo.value.state, excinfo.value.reason) == (InfoState(0, 0), "no_eligible_agent")
+    with pytest.raises(CapExceeded, match="cost totals capped at 4300 digits"):
+        run(inst, FixedOrderPolicy(inst), (0, 0, 0, 0))
 
 
 class _RepeatingPolicy:
