@@ -21,9 +21,12 @@ calls the policy itself and checks inline: an exact int whose bit is set in
 `remaining` passes there, and any other answer goes to `_checked_rank`, so a
 game step makes one Python call, the policy's. A game of the built-in
 `HcfPolicy` over its own instance makes none: `_play` reads its rule inline,
-and the rank it finds is a remaining one by construction. `run` builds its
-transcript from the checked steps without checking them again, out of the
-instance's shared (rank, reply) pairs, so a step allocates nothing.
+and the rank it finds is a remaining one by construction. While the ranks
+left are exactly 1..n - i, as from the start of a game, that rule takes the
+top one for as long as it is willing, so `_play` walks those steps with no
+mask arithmetic and builds the mask only where the walk stops. `run` builds
+its transcript from the checked steps without checking them again, out of
+the instance's shared (rank, reply) pairs, so a step allocates nothing.
 
 Since a policy sees only (i, k, remaining), the incentive checks visit each
 reachable such pair once, in two separate walks: the audit goes depth first
@@ -176,19 +179,37 @@ def _play(instance, policy, i: int, k: int, remaining: int, secrets, entries: li
     `next`, bound once per game, and one xor. The answer is checked
     inline: an exact int above 0 whose bit is set in `remaining` passes at
     once, and any other answer goes to `_checked_rank`, the check
-    `_next_rank` makes, so each rank is new and in 1..n. A game of
-    `HcfPolicy` itself (not a subclass, which may override `next`) over
-    this instance steps without calling `next`: its rule is read inline,
-    and raises the PolicyFailed that `next` would.
+    `_next_rank` makes, so each rank is new and in 1..n.
+
+    A game of `HcfPolicy` itself (not a subclass, which may override
+    `next`) over this instance steps without calling `next`. While exactly
+    ranks 1..n - i remain, as at the start of every `run`, HCF's answer is
+    the top rank n - i as long as its willing rank reaches it, so those
+    steps count the rank down from n - i, each with one row read, one
+    compare, one secret read and one append, and no mask. Where that walk
+    stops, the mask is rebuilt, and the steps after it read the rule
+    inline as `next` reads it, raising the PolicyFailed that `next` would.
 
     Returns the state reached, (i, k), whose output is forced. Every state
     after the last approach is determined, so the loop always ends.
     """
     n, willing, pairs = instance.n, instance.lattice.rank, instance._step_pairs
     if type(policy) is HcfPolicy and policy.instance is instance:
-        # `HcfPolicy.next` inline. `remaining` holds the n - i ranks not yet
-        # approached, so while i < n its top bit is a rank of at least 1, and
-        # only the masked search can come up empty.
+        # `HcfPolicy.next` inline. With exactly ranks 1..n - i left, its answer
+        # is n - i while c >= n - i (a determined state's row is negative), so
+        # that prefix needs no mask; the mask is rebuilt where it ends.
+        if remaining == (2 << (n - i)) - 2:
+            for rank in range(n - i, 0, -1):
+                if willing[i][k] < rank:
+                    break
+                reply = secrets[rank - 1]
+                entries.append(pairs[reply][rank])
+                i += 1
+                k += reply
+            remaining = (2 << (n - i)) - 2
+        # `remaining` holds the n - i ranks not yet approached, so while
+        # i < n its top bit is a rank of at least 1, and only the masked
+        # search can come up empty.
         while i < n and (c := willing[i][k]) >= 0:
             rank = remaining.bit_length() - 1
             if rank > c:

@@ -7,10 +7,14 @@ DP per rank bound needs about a minute there; the packed-lane DP needs about
 down the layers instead of dividing afresh on each (about 0.8 s before).
 Parity at q = 3/5 with n = 1000 and every cost 0 has about half a million
 undetermined states, so it times the numerator recurrence itself: about
-0.3 s for lattice and verify together. One HCF game on that instance then
-approaches all 1000 agents, since parity is forced only at the last; it
-reads the lattice the verify built, so it times the game's steps alone.
-Run it under a time limit, from any directory; it puts the checkout's `src` first on the path, so it needs no
+0.3 s for lattice and verify together. Two HCF games on that instance then
+approach all 1000 agents each, since parity is forced only at the last; they
+read the lattice the verify built, so they time the games' steps alone. Every
+agent stays willing, so each game takes the top remaining rank at every step
+and runs wholly in `_play`'s top-rank prefix walk; the second game, on other
+secrets, shows that walk warm.
+Run it under a time limit, from any directory, on any interpreter: it puts the
+checkout's `src` first on the path and imports no pytest, so it needs no
 install:
 
     timeout 60 python tests/perf_smoke.py
@@ -27,7 +31,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from conftest import adversarial_majority  # noqa: E402  (needs src on the path)
+from builders import adversarial_majority  # noqa: E402  (needs src on the path)
 from seqelicit.mechanism import HcfPolicy, draw_secrets, run  # noqa: E402
 from seqelicit.model import ProblemInstance, parity  # noqa: E402
 from seqelicit.verify import REASON_PIGEONHOLE, exists_appropriate  # noqa: E402
@@ -48,11 +52,12 @@ def main() -> None:
     _timed(f"adversarial majority n={N}", adversarial_majority(N), REASON_PIGEONHOLE)
     zero_costs = ProblemInstance.create(Fraction(3, 5), [Fraction(0)] * PARITY_N, parity(PARITY_N))
     _timed(f"parity q=3/5 n={PARITY_N}, zero costs", zero_costs, None)
-    start = time.perf_counter()
-    result = run(zero_costs, HcfPolicy(zero_costs), draw_secrets(zero_costs, 1))
-    elapsed = time.perf_counter() - start
-    assert result.approached_count == PARITY_N and result.total_cost_incurred == 0, result.halted_at
-    print(f"hcf run on parity q=3/5 n={PARITY_N}: {result.approached_count} approaches in {elapsed * 1000:.2f} ms")
+    for label, seed in (("hcf run", 1), ("warm hcf run", 2)):
+        start = time.perf_counter()
+        result = run(zero_costs, HcfPolicy(zero_costs), draw_secrets(zero_costs, seed))
+        elapsed = time.perf_counter() - start
+        assert result.approached_count == PARITY_N and result.total_cost_incurred == 0, result.halted_at
+        print(f"{label} on parity q=3/5 n={PARITY_N}: {result.approached_count} approaches in {elapsed * 1000:.2f} ms")
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from seqelicit.mechanism import (
     HcfPolicy,
     RunResult,
     _next_rank,
+    _play,
     audit_full_tree,
     deviation_profile,
     draw_secrets,
@@ -471,6 +472,13 @@ def _skips_a_dearer_rank(inst, result) -> bool:
     return False
 
 
+def _top_rank_steps(inst, result) -> int:
+    """How many steps the game takes from its first on, each at the top rank
+    remaining: the steps `_play` walks in its top-rank prefix."""
+    ranks = [rank for rank, _ in result.transcript.entries]
+    return next((step for step, rank in enumerate(ranks) if rank != inst.n - step), len(ranks))
+
+
 @pytest.mark.parametrize("corpus_name", ["corpus_main", "corpus_small", "corpus_pivotal", "corpus_br"])
 def test_inline_hcf_games_match_the_generic_loop_on_the_corpora(corpus_name, request):
     # Every secret vector up to n = 4, seeded draws above that.
@@ -481,6 +489,14 @@ def test_inline_hcf_games_match_the_generic_loop_on_the_corpora(corpus_name, req
         else:
             vectors = [tuple(rng.randrange(2) for _ in range(inst.n)) for _ in range(6)]
         _hcf_against_the_generic_loop(inst, vectors)
+
+
+def _dear_top_majority(n: int) -> ProblemInstance:
+    """Majority at q = 1/2 with its three dearest agents at the root's
+    threshold: they are willing at the root but not once one side leads, so
+    HCF takes the top rank first and hands over to the masked loop mid-game."""
+    root = threshold(InfoState(0, 0), ProblemInstance.create(Fraction(1, 2), (Fraction(0),) * n, majority(n)))
+    return ProblemInstance.create(Fraction(1, 2), (Fraction(0),) * (n - 3) + (root,) * 3, majority(n))
 
 
 def test_inline_hcf_games_match_the_generic_loop_at_scale():
@@ -497,18 +513,77 @@ def test_inline_hcf_games_match_the_generic_loop_at_scale():
             insts.append(ProblemInstance.create(Fraction(1, 2), (Fraction(2, 5),) * n, fn))
     insts += [threshold_cost_instance(majority(n), zeros, rng) for n in (7, 20, 41) for zeros in (0, 2)]
     insts.append(example1_instance())
+    insts += [_dear_top_majority(n) for n in (100, 125, 150)]
     finished = skipped = failed_at_root = failed_later = 0
+    # Finished games that run wholly in the top-rank prefix, and finished
+    # games that leave it at an undetermined state after at least one step
+    # there and go on in the masked loop.
+    wholly_top = handed_over = 0
     for inst in insts:
         vectors = [tuple(rng.randrange(2) for _ in range(inst.n)) for _ in range(8)]
         for game in _hcf_against_the_generic_loop(inst, vectors):
             if type(game) is RunResult:
                 finished += 1
                 skipped += _skips_a_dearer_rank(inst, game)
+                top = _top_rank_steps(inst, game)
+                wholly_top += top == game.approached_count
+                handed_over += 0 < top < game.approached_count
             else:
                 assert game[0] is PolicyFailed and game[2] == "no_eligible_agent"
                 failed_at_root += game[1] == InfoState(0, 0)
                 failed_later += game[1] != InfoState(0, 0)
     assert finished and skipped and failed_at_root and failed_later
+    assert wholly_top and handed_over
+
+
+def _played(inst, policy, i, k, remaining, secrets):
+    """`_play`'s end state and entries from (i, k, remaining), or its policy
+    failure as type, state and reason."""
+    entries = []
+    try:
+        return _play(inst, policy, i, k, remaining, secrets, entries), entries
+    except PolicyFailed as exc:
+        return type(exc), exc.state, exc.reason
+
+
+def test_inline_hcf_matches_the_generic_loop_from_mid_game_starts():
+    # `run` enters `_play` at the root with every rank remaining. Here it is
+    # entered at seeded (i, k, remaining) starts: the top-rank prefix, exactly
+    # ranks 1..n - i remaining, at i > 0; other masks of n - i ranks; and
+    # states where nobody is willing, c == 0. Each kind must show up, and the
+    # prefix must be walked and also left for the masked loop.
+    rng = random.Random(20261023)
+    insts = []
+    for n in (9, 40, 90):
+        for fn in (parity(n), majority(n), consensus(n)):
+            insts.append(ProblemInstance.create(Fraction(3, 5), (Fraction(0),) * n, fn))
+            insts += [threshold_cost_instance(fn, zeros, rng) for zeros in (0, n // 10, n // 2)]
+        insts.append(_dear_top_majority(n))
+    walked = left = masked = unwilling = 0
+    for inst in insts:
+        n, willing = inst.n, inst.lattice.rank
+        kernel, generic = HcfPolicy(inst), _Delegating(HcfPolicy(inst))
+        states = [(i, rng.randrange(i + 1)) for i in (rng.randrange(1, n + 1) for _ in range(10))]
+        unwilling_states = [(i, k) for i in range(n) for k in range(i + 1) if willing[i][k] == 0]
+        states += rng.sample(unwilling_states, min(3, len(unwilling_states)))
+        for i, k in states:
+            secrets = tuple(rng.randrange(2) for _ in range(n))
+            prefix = (2 << (n - i)) - 2
+            other = sum(1 << rank for rank in rng.sample(range(1, n + 1), n - i))
+            for remaining in (prefix, other):
+                game = _played(inst, kernel, i, k, remaining, secrets)
+                assert game == _played(inst, generic, i, k, remaining, secrets), (inst, i, k, remaining, secrets)
+                if i < n and willing[i][k] == 0:
+                    unwilling += 1
+                    assert game == (PolicyFailed, InfoState(i, k), "no_eligible_agent")
+                elif game[0] is not PolicyFailed and game[1]:
+                    ranks = [rank for rank, _ in game[1]]
+                    if remaining != prefix:
+                        masked += 1
+                    elif ranks[0] == n - i:
+                        walked += 1
+                        left += ranks != list(range(n - i, n - i - len(ranks), -1))
+    assert walked and left and masked and unwilling
 
 
 def test_hcf_subclasses_and_foreign_instances_are_called_on_every_step(monkeypatch):
