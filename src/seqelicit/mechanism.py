@@ -15,18 +15,14 @@ asks the most expensive agent that is still willing to compute, and its
 full-reply-tree audit certifies that everybody computing truthfully is an
 equilibrium.
 
-Each policy answer is checked once. The audit and the reach call the policy
-through `_next_rank`, which checks its answer with `_checked_rank`. `_play`
-calls the policy itself and checks inline: an exact int whose bit is set in
-`remaining` passes there, and any other answer goes to `_checked_rank`, so a
-game step makes one Python call, the policy's. A game of the built-in
-`HcfPolicy` over its own instance makes none: `_play` reads its rule inline,
-and the rank it finds is a remaining one by construction. While the ranks
-left are exactly 1..n - i, as from the start of a game, that rule takes the
-top one for as long as it is willing, so `_play` walks those steps with no
-mask arithmetic and builds the mask only where the walk stops. `run` builds
-its transcript from the checked steps without checking them again, out of
-the instance's shared (rank, reply) pairs, so a step allocates nothing.
+Every executor calls a policy through `_next_rank`, which checks each answer
+once. Only a game of the built-in `HcfPolicy` over its own instance skips
+it, and only in its top-rank prefix: while the ranks left
+are exactly 1..n - i, as from the start of a game, HCF takes the top one for
+as long as it is willing, so `_play` walks those steps with no call and no
+mask and builds the mask where the walk stops. `run` builds its transcript
+from the checked steps without checking them again, out of the instance's
+shared (rank, reply) pairs, so a step allocates nothing.
 
 Since a policy sees only (i, k, remaining), the incentive checks visit each
 reachable such pair once, in two separate walks: the audit goes depth first
@@ -86,7 +82,8 @@ class HcfPolicy(_InstancePolicy):
     rank rows, `instance.lattice.rank`, so each answer indexes those rows
     without going through the instance. Building a policy builds no lattice:
     an answer reads the rows first, so an executor's own checks, of the
-    secrets and the caps, still come before the lattice budget's.
+    secrets and the caps, still come before the lattice budget's. `run`
+    over its own instance calls it on every step after the top-rank prefix.
     """
 
     def __init__(self, instance: ProblemInstance):
@@ -157,16 +154,14 @@ def _all_remaining(instance: ProblemInstance) -> int:
     return (2 << instance.n) - 2
 
 
-def _checked_rank(rank, i: int, k: int, remaining: int) -> int:
-    """`rank` if it names a rank whose bit is set in `remaining`, else ValueError."""
+def _next_rank(policy, i: int, k: int, remaining: int) -> int:
+    """The policy's answer at (i, k, remaining) if it names a rank whose bit
+    is set in `remaining`, else ValueError."""
+    rank = policy.next(i, k, remaining)
     # A bool is an int: True would pass as rank 1, and False fails `rank > 0`.
     if not (isinstance(rank, int) and rank is not True and rank > 0 and remaining >> rank & 1):
         raise ValueError(f"policy chose rank {rank!r} at ({i},{k}), which is not a remaining rank")
     return rank
-
-
-def _next_rank(policy, i: int, k: int, remaining: int) -> int:
-    return _checked_rank(policy.next(i, k, remaining), i, k, remaining)
 
 
 def _play(instance, policy, i: int, k: int, remaining: int, secrets, entries: list) -> tuple[int, int]:
@@ -174,59 +169,36 @@ def _play(instance, policy, i: int, k: int, remaining: int, secrets, entries: li
     whose bits are set in `remaining` not yet approached, replying from
     `secrets` (rank order), until the output is determined. Appends each
     step's (rank, reply) to `entries`, as the instance's shared pair from
-    `_step_pairs`, so a step allocates nothing. Each step is a constant
-    number of operations: one lattice lookup, one call of the policy's
-    `next`, bound once per game, and one xor. The answer is checked
-    inline: an exact int above 0 whose bit is set in `remaining` passes at
-    once, and any other answer goes to `_checked_rank`, the check
-    `_next_rank` makes, so each rank is new and in 1..n.
+    `_step_pairs`, so a step allocates nothing. Each step is one lattice
+    lookup, one `_next_rank` call and one xor, so each rank is new and in
+    1..n.
 
     A game of `HcfPolicy` itself (not a subclass, which may override
-    `next`) over this instance steps without calling `next`. While exactly
-    ranks 1..n - i remain, as at the start of every `run`, HCF's answer is
-    the top rank n - i as long as its willing rank reaches it, so those
-    steps count the rank down from n - i, each with one row read, one
-    compare, one secret read and one append, and no mask. Where that walk
-    stops, the mask is rebuilt, and the steps after it read the rule
-    inline as `next` reads it, raising the PolicyFailed that `next` would.
+    `next`) over this instance first walks its top-rank prefix without
+    calling `next`. While exactly ranks 1..n - i remain, as at the start of
+    every `run`, HCF's answer is the top rank n - i as long as its willing
+    rank reaches it, so those steps count the rank down from n - i, each
+    with one row read, one compare, one secret read and one append, and no
+    mask. Where that walk stops, the mask is rebuilt and the game goes on
+    through `next`.
 
     Returns the state reached, (i, k), whose output is forced. Every state
     after the last approach is determined, so the loop always ends.
     """
     n, willing, pairs = instance.n, instance.lattice.rank, instance._step_pairs
-    if type(policy) is HcfPolicy and policy.instance is instance:
-        # `HcfPolicy.next` inline. With exactly ranks 1..n - i left, its answer
-        # is n - i while c >= n - i (a determined state's row is negative), so
-        # that prefix needs no mask; the mask is rebuilt where it ends.
-        if remaining == (2 << (n - i)) - 2:
-            for rank in range(n - i, 0, -1):
-                if willing[i][k] < rank:
-                    break
-                reply = secrets[rank - 1]
-                entries.append(pairs[reply][rank])
-                i += 1
-                k += reply
-            remaining = (2 << (n - i)) - 2
-        # `remaining` holds the n - i ranks not yet approached, so while
-        # i < n its top bit is a rank of at least 1, and only the masked
-        # search can come up empty.
-        while i < n and (c := willing[i][k]) >= 0:
-            rank = remaining.bit_length() - 1
-            if rank > c:
-                rank = (remaining & ((2 << c) - 1)).bit_length() - 1
-                if rank <= 0:
-                    raise PolicyFailed(InfoState(i, k), FAIL_NO_ELIGIBLE)
+    if type(policy) is HcfPolicy and policy.instance is instance and remaining == (2 << (n - i)) - 2:
+        # With exactly ranks 1..n - i left, `HcfPolicy.next` answers n - i
+        # while c >= n - i (a determined state's row is negative).
+        for rank in range(n - i, 0, -1):
+            if willing[i][k] < rank:
+                break
             reply = secrets[rank - 1]
             entries.append(pairs[reply][rank])
             i += 1
             k += reply
-            remaining ^= 1 << rank
-        return i, k
-    next_rank = policy.next
+        remaining = (2 << (n - i)) - 2
     while i < n and willing[i][k] >= 0:
-        rank = next_rank(i, k, remaining)
-        if type(rank) is not int or rank <= 0 or not remaining >> rank & 1:
-            rank = _checked_rank(rank, i, k, remaining)
+        rank = _next_rank(policy, i, k, remaining)
         reply = secrets[rank - 1]
         entries.append(pairs[reply][rank])
         i += 1
@@ -246,11 +218,9 @@ def run(instance: ProblemInstance, policy, secrets) -> RunResult:
     has more than 4300 digits (`ProblemInstance.scaled_costs`).
     The secrets are checked here and the ranks in `_play`, so the transcript
     skips the checks of `Transcript(...)`. Its entries are the instance's
-    shared (rank, reply) pairs, plain ints whatever int or bool types the
-    policy and the secrets use, so a kept transcript holds one pointer per
-    step. Under `HcfPolicy` over this instance the game steps without
-    calling `next`; any other policy, subclasses included, is called once
-    per step.
+    shared (rank, reply) pairs, plain ints whatever types the policy and the
+    secrets use. Only `HcfPolicy`'s top-rank prefix (see `_play`) steps
+    without calling the policy; every other step calls it once.
     """
     secrets = tuple(secrets)
     if (

@@ -12,7 +12,10 @@ approach all 1000 agents each, since parity is forced only at the last; they
 read the lattice the verify built, so they time the games' steps alone. Every
 agent stays willing, so each game takes the top remaining rank at every step
 and runs wholly in `_play`'s top-rank prefix walk; the second game, on other
-secrets, shows that walk warm.
+secrets, shows that walk warm. A last HCF game, on majority at n = 1000 with
+its three dearest agents at the root's threshold, leaves that prefix after
+its first step and calls `HcfPolicy.next` through `_play`'s checked loop on
+each of its other 987 steps, so it times that loop at large n.
 Run it under a time limit, from any directory, on any interpreter: it puts the
 checkout's `src` first on the path and imports no pytest, so it needs no
 install:
@@ -33,7 +36,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from builders import adversarial_majority  # noqa: E402  (needs src on the path)
 from seqelicit.mechanism import HcfPolicy, draw_secrets, run  # noqa: E402
-from seqelicit.model import ProblemInstance, parity  # noqa: E402
+from seqelicit.model import InfoState, ProblemInstance, majority, parity  # noqa: E402
+from seqelicit.pivotal import threshold  # noqa: E402
 from seqelicit.verify import REASON_PIGEONHOLE, exists_appropriate  # noqa: E402
 
 N = 800
@@ -58,6 +62,21 @@ def main() -> None:
         elapsed = time.perf_counter() - start
         assert result.approached_count == PARITY_N and result.total_cost_incurred == 0, result.halted_at
         print(f"{label} on parity q=3/5 n={PARITY_N}: {result.approached_count} approaches in {elapsed * 1000:.2f} ms")
+    # The three dearest agents are willing at the root but not once the first
+    # reply is 0, as it is on these secrets, so HCF takes the top rank first
+    # and then ranks below the other two.
+    fn = majority(PARITY_N)
+    root = threshold(InfoState(0, 0), ProblemInstance.create(Fraction(1, 2), [Fraction(0)] * PARITY_N, fn))
+    dear_top = ProblemInstance.create(Fraction(1, 2), [Fraction(0)] * (PARITY_N - 3) + [root] * 3, fn)
+    secrets = draw_secrets(dear_top, 2)
+    dear_top.lattice.rank  # built before the clock starts, to time the steps alone
+    start = time.perf_counter()
+    result = run(dear_top, HcfPolicy(dear_top), secrets)
+    elapsed = time.perf_counter() - start
+    ranks = [rank for rank, _ in result.transcript.entries]
+    assert ranks[0] == PARITY_N and ranks[1] < PARITY_N - 2, ranks[:2]
+    assert result.output == fn.value_at(sum(secrets)), result.halted_at
+    print(f"hcf run past the prefix on majority n={PARITY_N}: {result.approached_count} approaches in {elapsed * 1000:.2f} ms")
 
 
 if __name__ == "__main__":

@@ -450,9 +450,10 @@ def _game(inst, policy, secrets):
 
 
 def _hcf_against_the_generic_loop(inst, secret_vectors) -> list:
-    """Each vector's game under `HcfPolicy`, which `run` steps inline, after
-    asserting it equal, field by field or failure by failure, to the game
-    of the same rule called through `next` on every step."""
+    """Each vector's game under `HcfPolicy`, whose top-rank prefix `run`
+    walks without `next`, after asserting it equal, field by field or
+    failure by failure, to the game of the same rule called through `next`
+    on every step."""
     kernel, generic = HcfPolicy(inst), _Delegating(HcfPolicy(inst))
     games = []
     for secrets in secret_vectors:
@@ -493,8 +494,9 @@ def test_inline_hcf_games_match_the_generic_loop_on_the_corpora(corpus_name, req
 
 def _dear_top_majority(n: int) -> ProblemInstance:
     """Majority at q = 1/2 with its three dearest agents at the root's
-    threshold: they are willing at the root but not once one side leads, so
-    HCF takes the top rank first and hands over to the masked loop mid-game."""
+    threshold: they are willing at the root but not at every later state (at
+    even n, not after a first reply of 0), so HCF takes the top rank first
+    and the steps after that prefix call `next`."""
     root = threshold(InfoState(0, 0), ProblemInstance.create(Fraction(1, 2), (Fraction(0),) * n, majority(n)))
     return ProblemInstance.create(Fraction(1, 2), (Fraction(0),) * (n - 3) + (root,) * 3, majority(n))
 
@@ -517,7 +519,7 @@ def test_inline_hcf_games_match_the_generic_loop_at_scale():
     finished = skipped = failed_at_root = failed_later = 0
     # Finished games that run wholly in the top-rank prefix, and finished
     # games that leave it at an undetermined state after at least one step
-    # there and go on in the masked loop.
+    # there and go on through `next`.
     wholly_top = handed_over = 0
     for inst in insts:
         vectors = [tuple(rng.randrange(2) for _ in range(inst.n)) for _ in range(8)]
@@ -551,7 +553,7 @@ def test_inline_hcf_matches_the_generic_loop_from_mid_game_starts():
     # entered at seeded (i, k, remaining) starts: the top-rank prefix, exactly
     # ranks 1..n - i remaining, at i > 0; other masks of n - i ranks; and
     # states where nobody is willing, c == 0. Each kind must show up, and the
-    # prefix must be walked and also left for the masked loop.
+    # prefix must be walked and also left for the steps that call `next`.
     rng = random.Random(20261023)
     insts = []
     for n in (9, 40, 90):
@@ -584,6 +586,41 @@ def test_inline_hcf_matches_the_generic_loop_from_mid_game_starts():
                         walked += 1
                         left += ranks != list(range(n - i, n - i - len(ranks), -1))
     assert walked and left and masked and unwilling
+
+
+def test_hcf_games_call_next_on_every_step_after_the_top_rank_prefix(monkeypatch):
+    # `run` walks HCF's top-rank prefix without calling `next` and calls it
+    # once on every step after. The count wraps the class's own `next`, not a
+    # subclass's, so the prefix walk still applies.
+    calls = 0
+    hcf_next = HcfPolicy.next
+
+    def counting_next(self, i, k, remaining):
+        nonlocal calls
+        calls += 1
+        return hcf_next(self, i, k, remaining)
+
+    monkeypatch.setattr(HcfPolicy, "next", counting_next)
+    rng = random.Random(20261024)
+    insts = [_dear_top_majority(n) for n in (9, 40, 100)]
+    for n in (9, 40, 100):
+        for fn in (parity(n), majority(n)):
+            insts += [threshold_cost_instance(fn, zeros, rng) for zeros in (0, n // 2, n)]
+    wholly_top = handed_over = 0
+    for inst in insts:
+        for secrets in [tuple(rng.randrange(2) for _ in range(inst.n)) for _ in range(6)]:
+            calls = 0
+            game = _game(inst, HcfPolicy(inst), secrets)
+            if type(game) is not RunResult:
+                continue
+            top = _top_rank_steps(inst, game)
+            assert calls == game.approached_count - top, (inst, secrets)
+            if top == game.approached_count:
+                wholly_top += 1
+                assert calls == 0
+            else:
+                handed_over += 1
+    assert wholly_top and handed_over
 
 
 def test_hcf_subclasses_and_foreign_instances_are_called_on_every_step(monkeypatch):
@@ -622,7 +659,8 @@ def test_hcf_subclasses_and_foreign_instances_are_called_on_every_step(monkeypat
             assert game == _game(a, _Delegating(HcfPolicy(b)), secrets)
             outcomes.add(type(game) if type(game) is RunResult else game[0])
     assert outcomes == {RunResult, PolicyFailed, StateExhausted}
-    # `HcfPolicy` itself over its own instance is not called at all.
+    # `HcfPolicy` itself over its own instance is not called while the
+    # top-rank prefix lasts.
     vectors = list(itertools.product((0, 1), repeat=a.n))
     games = {secrets: _game(a, _Delegating(HcfPolicy(a)), secrets) for secrets in vectors}
     monkeypatch.setattr(HcfPolicy, "next", None)
