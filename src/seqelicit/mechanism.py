@@ -25,15 +25,16 @@ from the checked steps without checking them again, out of the instance's
 shared (rank, reply) pairs, so a step allocates nothing.
 
 Since a policy sees only (i, k, remaining), the incentive checks visit each
-reachable such pair once, in two separate walks: the audit goes depth first
-and skips a pair it has already walked, and the deviation profile is a
-forward reach, layer by layer, that carries path weights through every pair
-and averages the lattice's pivotality over the deviating agent's approaches,
-from which every deviation's utility follows. The reach does not depend on
-the deviating agent, so one walk sums the weights of every rank's approaches
-and the instance keeps the sums of the last policy asked; the built-in
-policies are values, so fresh ones share that walk. The 2^n tree walk and
-secret-vector enumeration are in `oracle`, as the references.
+reachable such pair once, in two separate walks. The audit goes depth first,
+skips a pair it has already walked and reads each record's threshold from the
+lattice's memo, which the audits of one instance share. The deviation profile
+is a forward reach, layer by layer, that carries path weights through every
+pair and averages the lattice's pivotality over the deviating agent's
+approaches, from which every deviation's utility follows in integers. The
+reach does not depend on the deviating agent, so one walk sums the weights of
+every rank's approaches and the instance keeps the sums of the last policy
+asked; the built-in policies are values, so fresh ones share that walk. The
+2^n tree walk and secret-vector enumeration are in `oracle`, as the references.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import NamedTuple
 
 from .errors import CapExceeded, PolicyFailed
 from .model import ALL_ACTIONS, Action, InfoState, ProblemInstance, Transcript
-from .pivotal import c_of, threshold
+from .pivotal import c_of
 
 FAIL_NO_ELIGIBLE = "no_eligible_agent"
 FAIL_CHOSEN_INELIGIBLE = "chosen_ineligible"
@@ -56,6 +57,9 @@ FAIL_CHOSEN_INELIGIBLE = "chosen_ineligible"
 # shared with the 2^n oracles in `oracle`, not work budgets.
 AUDIT_CAP = 20
 DEVIATION_CAP = 12
+
+# (action, misreports a secret 0, misreports a secret 1, computes) per action.
+_MISREPORTS = tuple((action, action.reply(0) != 0, action.reply(1) != 1, action.compute) for action in ALL_ACTIONS)
 
 
 class _InstancePolicy:
@@ -254,17 +258,17 @@ def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
     """Follow every reply path of the policy and check each decision point.
 
     At each reached undetermined state the chosen agent's cost is compared to
-    the threshold there. A pass certifies that everybody computing truthfully
-    is an equilibrium: any unilateral deviation at a reached state reduces to
-    the recorded inequality. Stops at the first failure; records are deduped
-    by (state, rank) in first-reached order. The walk is depth first, reply 0
-    first, and meets each (state, remaining) pair once: the policy sees only
-    the pair, so all below a pair met again has been walked, and the records
-    are those of the full tree (`oracle.brute_audit`).
+    the threshold there, the lattice's memo entry. A pass certifies that
+    everybody computing truthfully is an equilibrium: any unilateral deviation
+    at a reached state reduces to the recorded inequality. Stops at the first
+    failure; records are deduped by (state, rank) in first-reached order. The
+    walk is depth first, reply 0 first, and meets each (state, remaining) pair
+    once: the policy sees only the pair, so all below a pair met again has been
+    walked, and the records are those of the full tree (`oracle.brute_audit`).
     """
     if instance.n > AUDIT_CAP:
         raise CapExceeded(f"full tree audit capped at n={AUDIT_CAP}, instance has n={instance.n}")
-    n, willing, costs = instance.n, instance.lattice.rank, instance.costs
+    n, costs, willing, taus = instance.n, instance.costs, instance.lattice.rank, instance.lattice.thresholds
     # Keyed by ints: (i, k, rank) for the records, (i, k, remaining) for the walk.
     records: dict[tuple[int, int, int], AuditRecord] = {}
     walked: set[tuple[int, int, int]] = set()
@@ -281,8 +285,8 @@ def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
             rank = _next_rank(policy, i, k, remaining)
             eligible = rank <= willing[i][k]
             if (i, k, rank) not in records:
-                state = InfoState(i, k)
-                records[i, k, rank] = AuditRecord(state, rank, costs[rank - 1], threshold(state, instance), eligible)
+                state = tuple.__new__(InfoState, (i, k))  # a lattice state: no check
+                records[i, k, rank] = AuditRecord(state, rank, costs[rank - 1], taus[state], eligible)
             if not eligible:
                 raise PolicyFailed(InfoState(i, k), FAIL_CHOSEN_INELIGIBLE)
             rest = remaining ^ (1 << rank)
@@ -371,15 +375,10 @@ def deviation_profile(instance: ProblemInstance, policy, rank: int) -> dict[Acti
         # Every path ends where the output is forced, which is the true value.
         return {action: Fraction(1) for action in ALL_ACTIONS}
     a, b = instance.q.numerator, instance.q.denominator
-    prior = (b - a, a)
-    cost = instance.cost_of_rank(rank)
-    # 1 - pivotal miss / (total b) - cost, over the denominator total b d for
-    # cost = c/d.
-    c, d = cost.numerator, cost.denominator
-    profile = {}
-    for action in ALL_ACTIONS:
-        # Prior weight, scaled by b, of the secrets the action misreports.
-        miss = sum(prior[s] for s in (0, 1) if action.reply(s) != s)
-        top = (total * b - pivotal * miss) * d - (c * total * b if action.compute else 0)
-        profile[action] = Fraction(top, total * b * d)
-    return profile
+    c, d = instance.cost_of_rank(rank).as_integer_ratio()
+    # Utility 1 - pivotal miss / (total b) - c/d over total b d; miss = b Pr[misreport].
+    whole = total * b
+    return {
+        action: Fraction((whole - pivotal * ((b - a) * miss0 + a * miss1)) * d - c * whole * computes, whole * d)
+        for action, miss0, miss1, computes in _MISREPORTS
+    }

@@ -7,9 +7,9 @@ quantities here are functions of that pair. Each instance owns one
 determined mark, of every state; the lookups read it. The pivotality
 numerators are rolled up from the leaves through two rows while the ranks are
 read off them, and the full numerator table is built only on first read, for
-the lookups that print or sum a probability: `pivotal_prob` and `threshold`
-turn one numerator into their rational here. The thresholds along one path
-come from a second pass through two rows. The reduced graph of
+`pivotal_prob`, which turns one numerator into its rational, and the memo of
+thresholds that `threshold` and the audits read. The thresholds along one
+path come from a second pass through two rows. The reduced graph of
 undetermined states, on which `verify` decides existence, is the lattice
 itself: `nodes` and `edges` read it off the willing ranks.
 """
@@ -118,6 +118,12 @@ class StateLattice:
         by the recurrence the ranks were read from."""
         return list(self._rows())[::-1]
 
+    @cached_property
+    def thresholds(self) -> dict[tuple[int, int], Fraction]:
+        """The memo of `threshold`: m num[i][k] / b^(n-i) at `[i, k]`, made from `num`
+        on the first read of (i, k) and kept; at most n(n+1)/2 entries, keys unchecked."""
+        return _Thresholds(self.num, self._m, self._b)
+
     def path_thresholds(self, ones: list[int]) -> list[Fraction]:
         """`threshold` at (i, ones[i]) for each i < len(ones) <= n, from one pass
         up from the leaves that keeps two rows: `num` is not built."""
@@ -126,6 +132,18 @@ class StateLattice:
         n, m, b = len(self.rank), self._m, self._b
         picked = [row[ones[i]] for i, row in zip(range(n - 1, -1, -1), self._rows()) if i < len(ones)]
         return [Fraction(m * num, b ** (n - i)) for i, num in enumerate(reversed(picked))]
+
+
+class _Thresholds(dict):
+    """`StateLattice.thresholds`: it keeps `num`, not the lattice, so it makes no reference cycle."""
+
+    def __init__(self, num: list[list[int]], m: int, b: int):
+        self._num, self._m, self._b = num, m, b
+
+    def __missing__(self, state: tuple[int, int]) -> Fraction:
+        i, k = state
+        tau = self[state] = Fraction(self._m * self._num[i][k], self._b ** (len(self._num) - i))
+        return tau
 
 
 def _check_approachable(state: InfoState, n: int) -> None:
@@ -152,13 +170,11 @@ def pivotal_prob(state: InfoState, instance: ProblemInstance) -> Fraction:
 def threshold(state: InfoState, instance: ProblemInstance) -> Fraction:
     """Largest cost an agent will pay to compute at `state`:
     min(q, 1-q) * P(pivotal), as not computing means replying with the
-    likelier bit.
-
-    An agent is eligible at the state iff its cost is at most this value
-    (weak inequality).
+    likelier bit. An agent is eligible at the state iff its cost is at most
+    this value (weak inequality). Read from `StateLattice.thresholds`, after
+    the range check, so each state's rational is made once per instance.
     """
-    lattice, i = _lattice(state, instance), state.approached
-    return Fraction(lattice._m * lattice.num[i][state.ones], lattice._b ** (instance.n - i))
+    return _lattice(state, instance).thresholds[state]
 
 
 def nodes(instance: ProblemInstance) -> list[InfoState]:

@@ -15,7 +15,11 @@ and runs wholly in `_play`'s top-rank prefix walk; the second game, on other
 secrets, shows that walk warm. A last HCF game, on majority at n = 1000 with
 its three dearest agents at the root's threshold, leaves that prefix after
 its first step and calls `HcfPolicy.next` through `_play`'s checked loop on
-each of its other 987 steps, so it times that loop at large n.
+each of its other 987 steps, so it times that loop at large n. Last, the
+incentive checks at their caps, on parity at q = 3/5 with every cost 0: an
+HCF audit at `AUDIT_CAP`, which records every one of its n(n+1)/2 states,
+and a deviation profile of every rank at `DEVIATION_CAP`, which share one
+reach. These lines are printed only, to show the checks' cost on each run.
 Run it under a time limit, from any directory, on any interpreter: it puts the
 checkout's `src` first on the path and imports no pytest, so it needs no
 install:
@@ -35,7 +39,15 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from builders import adversarial_majority  # noqa: E402  (needs src on the path)
-from seqelicit.mechanism import HcfPolicy, draw_secrets, run  # noqa: E402
+from seqelicit.mechanism import (  # noqa: E402
+    AUDIT_CAP,
+    DEVIATION_CAP,
+    HcfPolicy,
+    audit_full_tree,
+    deviation_profile,
+    draw_secrets,
+    run,
+)
 from seqelicit.model import InfoState, ProblemInstance, majority, parity  # noqa: E402
 from seqelicit.pivotal import threshold  # noqa: E402
 from seqelicit.verify import REASON_PIGEONHOLE, exists_appropriate  # noqa: E402
@@ -77,6 +89,17 @@ def main() -> None:
     assert ranks[0] == PARITY_N and ranks[1] < PARITY_N - 2, ranks[:2]
     assert result.output == fn.value_at(sum(secrets)), result.halted_at
     print(f"hcf run past the prefix on majority n={PARITY_N}: {result.approached_count} approaches in {elapsed * 1000:.2f} ms")
+    audited = ProblemInstance.create(Fraction(3, 5), [Fraction(0)] * AUDIT_CAP, parity(AUDIT_CAP))
+    start = time.perf_counter()
+    report = audit_full_tree(audited, HcfPolicy(audited))
+    elapsed = time.perf_counter() - start
+    assert report.passed and len(report.records) == AUDIT_CAP * (AUDIT_CAP + 1) // 2, report.failure
+    print(f"hcf audit on parity q=3/5 n={AUDIT_CAP}: {len(report.records)} records in {elapsed * 1000:.2f} ms")
+    profiled = ProblemInstance.create(Fraction(3, 5), [Fraction(0)] * DEVIATION_CAP, parity(DEVIATION_CAP))
+    start = time.perf_counter()
+    profiles = [deviation_profile(profiled, HcfPolicy(profiled), rank) for rank in profiled.ranks]
+    elapsed = time.perf_counter() - start
+    print(f"deviation profiles on parity q=3/5 n={DEVIATION_CAP}: {len(profiles)} ranks in {elapsed * 1000:.2f} ms")
 
 
 if __name__ == "__main__":

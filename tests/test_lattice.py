@@ -21,7 +21,7 @@ from seqelicit.errors import CapExceeded, PolicyFailed
 from seqelicit.mechanism import FixedOrderPolicy, HcfPolicy, audit_full_tree, deviation_profile, draw_secrets, run
 from seqelicit.model import AnonymousFunctionSpec, InfoState, ProblemInstance, majority, parity, rational_text
 from seqelicit.oracle import closed_form_pivotal, determine, full_lattice
-from seqelicit.pivotal import c_of, nodes, pivotal_prob, threshold
+from seqelicit.pivotal import c_of, edges, nodes, pivotal_prob, threshold
 from seqelicit.verify import REASON_PIGEONHOLE, Verdict, Witness, exists_appropriate
 
 
@@ -206,6 +206,49 @@ def test_the_hcf_command_leaves_the_numerators_unbuilt():
     _, text = _cmd_hcf(argparse.Namespace(json=False, secrets=None, seed=1), inst)
     assert text.count("\n") == 601
     assert "num" not in vars(inst.lattice)
+
+
+def test_the_threshold_memo_is_bounded_and_built_only_by_threshold_reads():
+    # `verify`, games of either policy, `nodes` and `edges` leave the memo
+    # unbuilt. The audits and the public lookup add at most one entry per
+    # state, which equality, hashing and the repr ignore.
+    built = 0
+    for seed in range(8750, 8790):
+        inst, twin = (random_instance(random.Random(seed), seed % 9 + 1, max_cost_k=16) for _ in range(2))
+        exists = exists_appropriate(inst).exists
+        run(inst, FixedOrderPolicy(inst), draw_secrets(inst, 0))
+        if exists:
+            run(inst, HcfPolicy(inst), draw_secrets(inst, 1))
+        nodes(inst), edges(inst)
+        assert "thresholds" not in vars(inst.lattice)
+        states = inst.n * (inst.n + 1) // 2
+        audit_full_tree(inst, HcfPolicy(inst))
+        audit_full_tree(inst, FixedOrderPolicy(inst))
+        memo = inst.lattice.thresholds
+        assert len(memo) <= states
+        for _ in range(2):
+            for i in range(inst.n):
+                for k in range(i + 1):
+                    threshold(InfoState(i, k), inst)
+            assert len(memo) == states and inst.lattice.thresholds is memo
+        assert inst == twin and hash(inst) == hash(twin) and repr(inst) == repr(twin)
+        built += exists
+    assert built >= 10
+
+
+def test_the_threshold_memo_is_freed_with_its_instance_without_the_collector():
+    # The memo keeps `num`, not the lattice, so no reference cycle holds
+    # either past the instance.
+    inst = ProblemInstance.create(Fraction(3, 5), [Fraction(0)] * 8, parity(8))
+    assert audit_full_tree(inst, HcfPolicy(inst)).passed
+    lattice, memo = weakref.ref(inst.lattice), weakref.ref(inst.lattice.thresholds)
+    assert len(memo()) == 8 * 9 // 2
+    gc.disable()
+    try:
+        del inst
+        assert lattice() is None and memo() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("corpus_name", ["corpus_main", "corpus_pivotal", "corpus_br"])

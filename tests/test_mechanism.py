@@ -32,7 +32,8 @@ from seqelicit.mechanism import (
     draw_secrets,
     run,
 )
-from seqelicit.oracle import brute_audit, brute_deviation_profiles, determine, mirror
+from seqelicit.cli import _label_json, _labels
+from seqelicit.oracle import brute_audit, brute_deviation_profiles, determine, full_lattice, mirror
 from seqelicit.model import (
     ALL_ACTIONS,
     COMPUTE_REPORT_ONE,
@@ -914,6 +915,40 @@ def test_incentive_checks_match_the_oracles_under_an_arbitrary_policy(n, max_cos
     brute = brute_deviation_profiles(inst, policy)
     for rank in inst.ranks:
         assert deviation_profile(inst, policy, rank) == brute[rank]
+
+
+@pytest.mark.parametrize("fill", [None, "threshold", "labels"])
+@pytest.mark.parametrize("policy_types", [(HcfPolicy, FixedOrderPolicy), (FixedOrderPolicy, HcfPolicy)])
+def test_audit_thresholds_equal_the_numerator_formula(fill, policy_types):
+    # `brute_audit` reads `pivotal.threshold`, the same memo the audit reads,
+    # so comparing the two cannot catch a wrong memo entry. Each record's
+    # threshold is recomputed here from the whole numerator table of
+    # `oracle.full_lattice`, with the audits in either order, on instances
+    # whose memo is empty or was filled first by the public lookup or by the
+    # CLI's labels.
+    rng = random.Random(9300)
+    records = passed = 0
+    for _ in range(40):
+        q = rng.choice((Fraction(1, 10), Fraction(1, 3), Fraction(3, 5), Fraction(3, 4)))
+        inst = random_instance(rng, rng.randrange(1, 11), q=q, max_cost_k=16)
+        num, _ = full_lattice(inst)
+        m, b = min(q.numerator, q.denominator - q.numerator), q.denominator
+        if fill == "threshold":
+            for i in range(inst.n):
+                for k in range(i + 1):
+                    threshold(InfoState(i, k), inst)
+        elif fill == "labels":
+            for label in _labels(inst):
+                _label_json(inst, *label)
+        for policy_type in policy_types:
+            report = audit_full_tree(inst, policy_type(inst))
+            for rec in report.records:
+                i, k = rec.state
+                assert type(rec.state) is InfoState and 0 <= k <= i < inst.n
+                assert rec.threshold == Fraction(m * num[i][k], b ** (inst.n - i))
+            records += len(report.records)
+            passed += report.passed
+    assert records >= 800 and passed >= 30
 
 
 def test_deviation_profile_rejects_a_rank_outside_1_to_n_before_any_policy_call():
