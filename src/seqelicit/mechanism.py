@@ -22,7 +22,8 @@ are exactly 1..n - i, as from the start of a game, HCF takes the top one for
 as long as it is willing, so `_play` walks those steps with no call and no
 mask and builds the mask where the walk stops. `run` builds its transcript
 from the checked steps without checking them again, out of the instance's
-shared (rank, reply) pairs, so a step allocates nothing.
+shared (rank, reply) pairs, so a step allocates nothing, and reads the cost
+of the top-rank prefix from one of the instance's suffix totals.
 
 Since a policy sees only (i, k, remaining), the incentive checks visit each
 reachable such pair once, in two separate walks. The audit goes depth first,
@@ -168,7 +169,7 @@ def _next_rank(policy, i: int, k: int, remaining: int) -> int:
     return rank
 
 
-def _play(instance, policy, i: int, k: int, remaining: int, secrets, entries: list) -> tuple[int, int]:
+def _play(instance, policy, i: int, k: int, remaining: int, secrets, entries: list) -> tuple[int, int, int]:
     """Approach agents as `policy` directs, from state (i, k) with the ranks
     whose bits are set in `remaining` not yet approached, replying from
     `secrets` (rank order), until the output is determined. Appends each
@@ -186,10 +187,13 @@ def _play(instance, policy, i: int, k: int, remaining: int, secrets, entries: li
     mask. Where that walk stops, the mask is rebuilt and the game goes on
     through `next`.
 
-    Returns the state reached, (i, k), whose output is forced. Every state
-    after the last approach is determined, so the loop always ends.
+    Returns the state reached, (i, k), whose output is forced, and the
+    number of steps the top-rank prefix walked (0 where it is not taken).
+    Every state after the last approach is determined, so the loop always
+    ends.
     """
     n, willing, pairs = instance.n, instance.lattice.rank, instance._step_pairs
+    start = i
     if type(policy) is HcfPolicy and policy.instance is instance and remaining == (2 << (n - i)) - 2:
         # With exactly ranks 1..n - i left, `HcfPolicy.next` answers n - i
         # while c >= n - i (a determined state's row is negative).
@@ -201,6 +205,7 @@ def _play(instance, policy, i: int, k: int, remaining: int, secrets, entries: li
             i += 1
             k += reply
         remaining = (2 << (n - i)) - 2
+    top = i - start
     while i < n and willing[i][k] >= 0:
         rank = _next_rank(policy, i, k, remaining)
         reply = secrets[rank - 1]
@@ -208,7 +213,7 @@ def _play(instance, policy, i: int, k: int, remaining: int, secrets, entries: li
         i += 1
         k += reply
         remaining ^= 1 << rank
-    return i, k
+    return i, k, top
 
 
 def run(instance: ProblemInstance, policy, secrets) -> RunResult:
@@ -224,7 +229,10 @@ def run(instance: ProblemInstance, policy, secrets) -> RunResult:
     skips the checks of `Transcript(...)`. Its entries are the instance's
     shared (rank, reply) pairs, plain ints whatever types the policy and the
     secrets use. Only `HcfPolicy`'s top-rank prefix (see `_play`) steps
-    without calling the policy; every other step calls it once.
+    without calling the policy; every other step calls it once. That prefix
+    takes the dearest ranks n, n - 1, ... in turn, so the total cost reads
+    its part from the instance's `_top_costs` and adds up only the steps
+    after it, one `scaled_costs` read each.
     """
     secrets = tuple(secrets)
     if (
@@ -234,14 +242,15 @@ def run(instance: ProblemInstance, policy, secrets) -> RunResult:
     ):
         raise ValueError(f"secrets must be {instance.n} bits")
     entries: list[tuple[int, int]] = []
-    i, k = _play(instance, policy, 0, 0, _all_remaining(instance), secrets, entries)
+    i, k, top = _play(instance, policy, 0, 0, _all_remaining(instance), secrets, entries)
     den, scaled = instance.scaled_costs
+    tops = instance._top_costs
     return RunResult(
         transcript=Transcript._of_checked(tuple(entries)),
         output=instance.fn_spec.value_at(k),
         halted_at=InfoState(i, k),
         approached_count=len(entries),
-        total_cost_incurred=Fraction(sum(map(scaled.__getitem__, map(itemgetter(0), entries))), den),
+        total_cost_incurred=Fraction(tops[top] + sum(map(scaled.__getitem__, map(itemgetter(0), entries[top:]))), den),
     )
 
 

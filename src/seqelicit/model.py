@@ -13,7 +13,7 @@ import json
 import re
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import lcm
 from operator import attrgetter, contains, gt, itemgetter, lt, mul
 from typing import Iterable, Mapping, NamedTuple
@@ -404,17 +404,27 @@ class ProblemInstance:
     def scaled_costs(self) -> tuple[int, tuple[int, ...]]:
         """The costs' common denominator `den`, and the cost of each rank r
         times `den` at entry r (entry 0 is 0), so that costs add up as
-        integers into one ``Fraction(total, den)``. Computed once on first
-        use and kept outside equality, hashing and the repr. Raises
-        CapExceeded as soon as `den` passes `_MAX_DIGITS` digits, the most
-        `rational_text` prints, before the lcm of many long denominators
-        takes time quadratic in their count."""
+        integers into one ``Fraction(total, den)``; `_top_costs` keeps their
+        sums from the dearest rank down. Computed once on first use and kept
+        outside equality, hashing and the repr. Raises CapExceeded as soon
+        as `den` passes `_MAX_DIGITS` digits, the most `rational_text`
+        prints, before the lcm of many long denominators takes time
+        quadratic in their count."""
         den = 1
         for d in {c.denominator for c in self.costs}:
             den = lcm(den, d)
             if den >= _TOO_LONG:
                 raise CapExceeded(f"cost totals capped at {_MAX_DIGITS} digits, the costs' common denominator has more")
         return den, (0, *(c.numerator * (den // c.denominator) for c in self.costs))
+
+    @cached_property
+    def _top_costs(self) -> tuple[int, ...]:
+        """The scaled cost of the L dearest ranks, n - L + 1..n, at entry L,
+        in the units of `scaled_costs` (n + 1 entries, entry 0 is 0). HCF's
+        top-rank prefix takes exactly those ranks, so `run` reads that part
+        of a game's total here. Computed once on first use, after
+        `scaled_costs`, and kept outside equality, hashing and the repr."""
+        return tuple(accumulate(reversed(self.scaled_costs[1][1:]), initial=0))
 
     @cached_property
     def _step_pairs(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:

@@ -15,7 +15,9 @@ and runs wholly in `_play`'s top-rank prefix walk; the second game, on other
 secrets, shows that walk warm. A last HCF game, on majority at n = 1000 with
 its three dearest agents at the root's threshold, leaves that prefix after
 its first step and calls `HcfPolicy.next` through `_play`'s checked loop on
-each of its other 987 steps, so it times that loop at large n. Last, the
+each of its other 987 steps, so it times that loop at large n. Each of
+the three games' total cost must equal the sum of its approached ranks'
+costs, the check of `run`'s total over the prefix and past it. Last, the
 incentive checks at their caps, on parity at q = 3/5 with every cost 0: an
 HCF audit at `AUDIT_CAP`, which records every one of its n(n+1)/2 states,
 and a deviation profile of every rank at `DEVIATION_CAP`, which share one
@@ -56,6 +58,12 @@ N = 800
 PARITY_N = 1000
 
 
+def _check_total(instance: ProblemInstance, result) -> None:
+    """A game's total cost is the sum of its approached ranks' costs."""
+    total = sum((instance.cost_of_rank(rank) for rank, _ in result.transcript.entries), Fraction(0))
+    assert result.total_cost_incurred == total, (result.total_cost_incurred, total)
+
+
 def _timed(label: str, instance: ProblemInstance, reason: str | None) -> None:
     start = time.perf_counter()
     verdict = exists_appropriate(instance)
@@ -73,6 +81,7 @@ def main() -> None:
         result = run(zero_costs, HcfPolicy(zero_costs), draw_secrets(zero_costs, seed))
         elapsed = time.perf_counter() - start
         assert result.approached_count == PARITY_N and result.total_cost_incurred == 0, result.halted_at
+        _check_total(zero_costs, result)
         print(f"{label} on parity q=3/5 n={PARITY_N}: {result.approached_count} approaches in {elapsed * 1000:.2f} ms")
     # The three dearest agents are willing at the root but not once the first
     # reply is 0, as it is on these secrets, so HCF takes the top rank first
@@ -88,6 +97,7 @@ def main() -> None:
     ranks = [rank for rank, _ in result.transcript.entries]
     assert ranks[0] == PARITY_N and ranks[1] < PARITY_N - 2, ranks[:2]
     assert result.output == fn.value_at(sum(secrets)), result.halted_at
+    _check_total(dear_top, result)
     print(f"hcf run past the prefix on majority n={PARITY_N}: {result.approached_count} approaches in {elapsed * 1000:.2f} ms")
     audited = ProblemInstance.create(Fraction(3, 5), [Fraction(0)] * AUDIT_CAP, parity(AUDIT_CAP))
     start = time.perf_counter()

@@ -51,7 +51,7 @@ from seqelicit.model import (
     majority,
     parity,
 )
-from seqelicit.pivotal import c_of, pivotal_prob, threshold
+from seqelicit.pivotal import c_of, edges, nodes, pivotal_prob, threshold
 from seqelicit.verify import REASON_C_UNDEFINED, exists_appropriate
 
 
@@ -204,6 +204,72 @@ def test_run_matches_the_reference_loop(corpus_main, policy_type):
             assert result.total_cost_incurred == sum((inst.cost_of_rank(r) for r, _ in entries), Fraction(0))
             ran += 1
     assert ran and (failed > 0) == (policy_type is HcfPolicy)
+
+
+def test_run_totals_the_cost_of_its_transcript():
+    # `run` reads the cost of HCF's top-rank prefix from the instance's
+    # `_top_costs` and adds up only the steps after it; the total must be
+    # the sum of the approached ranks' costs. Games wholly in the prefix
+    # (parity and consensus, zero and low costs), games that leave it, games
+    # whose dearest agent is unwilling at the root so the prefix is empty,
+    # games of policies that never take it (fixed order and an HCF subclass),
+    # and costs over many distinct prime denominators must each show up.
+    class Subclass(HcfPolicy):
+        pass
+
+    rng = random.Random(20261025)
+    insts = []
+    for n in (5, 30, 90):
+        for fn in (parity(n), consensus(n)):
+            insts.append(ProblemInstance.create(Fraction(3, 5), [Fraction(0)] * n, fn))
+            low = [Fraction(rng.randrange(4), 2048) for _ in range(n)]
+            insts.append(ProblemInstance.create(Fraction(1, 2), low, fn))
+    insts += [_dear_top_majority(n) for n in (9, 40, 100)]
+    for fn in (majority(7), majority(30), consensus(4)):
+        insts.append(ProblemInstance.create(Fraction(1, 2), [Fraction(0)] * (fn.n - 1) + [Fraction(9, 10)], fn))
+    primes = [p for p in range(3, 200) if all(p % d for d in range(2, p))]
+    for fn in (parity(40), majority(40), consensus(6)):
+        costs = [Fraction(rng.randrange(p // 3), p) for p in primes[: fn.n]]
+        insts.append(ProblemInstance.create(Fraction(1, 2), costs, fn))
+    kinds = dict.fromkeys(("wholly_top", "left_top", "empty_top", "fixed", "subclass", "primes"), 0)
+    for inst in insts:
+        many_dens = len({c.denominator for c in inst.costs}) >= 20
+        for policy in (HcfPolicy(inst), FixedOrderPolicy(inst), Subclass(inst)):
+            for _ in range(6):
+                game = _game(inst, policy, tuple(rng.randrange(2) for _ in range(inst.n)))
+                if type(game) is not RunResult or not game.approached_count:
+                    continue
+                total = sum((inst.cost_of_rank(r) for r, _ in game.transcript.entries), Fraction(0))
+                assert game.total_cost_incurred == total, (inst, game)
+                if type(policy) is HcfPolicy:
+                    top = _top_rank_steps(inst, game)
+                    kinds["wholly_top" if top == game.approached_count else "left_top" if top else "empty_top"] += 1
+                    kinds["primes"] += bool(many_dens and top and total)
+                else:
+                    kinds["fixed" if type(policy) is FixedOrderPolicy else "subclass"] += 1
+    assert all(kinds.values()), kinds
+
+
+def test_the_top_cost_sums_are_suffix_sums_built_only_by_run():
+    # Entry L of `_top_costs` is the scaled cost of the L dearest ranks,
+    # n - L + 1..n. `verify`, the audits, `nodes` and `edges` leave it
+    # unbuilt, a run of any policy builds it, and equality, hashing and the
+    # repr ignore it.
+    rng = random.Random(20261026)
+    for seed in range(30):
+        n = seed % 9 + 1
+        inst, twin = (random_instance(random.Random(seed), n, max_cost_k=16) for _ in range(2))
+        exists_appropriate(inst)
+        audit_full_tree(inst, HcfPolicy(inst))
+        audit_full_tree(inst, FixedOrderPolicy(inst))
+        nodes(inst), edges(inst)
+        assert "_top_costs" not in vars(inst)
+        run(inst, FixedOrderPolicy(inst), tuple(rng.randrange(2) for _ in range(n)))
+        tops, den = vars(inst)["_top_costs"], inst.scaled_costs[0]
+        assert len(tops) == n + 1 and inst._top_costs is tops
+        for length in range(n + 1):
+            assert Fraction(tops[length], den) == sum(map(inst.cost_of_rank, range(n - length + 1, n + 1)), Fraction(0))
+        assert inst == twin and hash(inst) == hash(twin) and repr(inst) == repr(twin)
 
 
 class _Recording:
@@ -474,11 +540,15 @@ def _skips_a_dearer_rank(inst, result) -> bool:
     return False
 
 
+def _counting_down(ranks, first) -> int:
+    """How many leading ranks count down by one from `first`."""
+    return next((step for step, rank in enumerate(ranks) if rank != first - step), len(ranks))
+
+
 def _top_rank_steps(inst, result) -> int:
     """How many steps the game takes from its first on, each at the top rank
     remaining: the steps `_play` walks in its top-rank prefix."""
-    ranks = [rank for rank, _ in result.transcript.entries]
-    return next((step for step, rank in enumerate(ranks) if rank != inst.n - step), len(ranks))
+    return _counting_down([rank for rank, _ in result.transcript.entries], inst.n)
 
 
 @pytest.mark.parametrize("corpus_name", ["corpus_main", "corpus_small", "corpus_pivotal", "corpus_br"])
@@ -541,12 +611,14 @@ def test_inline_hcf_games_match_the_generic_loop_at_scale():
 
 def _played(inst, policy, i, k, remaining, secrets):
     """`_play`'s end state and entries from (i, k, remaining), or its policy
-    failure as type, state and reason."""
+    failure as type, state and reason; and, apart, the number of steps it
+    reports for its top-rank prefix (None on a failure)."""
     entries = []
     try:
-        return _play(inst, policy, i, k, remaining, secrets, entries), entries
+        i, k, top = _play(inst, policy, i, k, remaining, secrets, entries)
     except PolicyFailed as exc:
-        return type(exc), exc.state, exc.reason
+        return (type(exc), exc.state, exc.reason), None
+    return ((i, k), entries), top
 
 
 def test_inline_hcf_matches_the_generic_loop_from_mid_game_starts():
@@ -555,6 +627,9 @@ def test_inline_hcf_matches_the_generic_loop_from_mid_game_starts():
     # ranks 1..n - i remaining, at i > 0; other masks of n - i ranks; and
     # states where nobody is willing, c == 0. Each kind must show up, and the
     # prefix must be walked and also left for the steps that call `next`.
+    # The prefix count `_play` reports is that of the leading ranks n - i,
+    # n - i - 1, ... where the prefix is taken, and 0 where it is not or
+    # `next` answers every step.
     rng = random.Random(20261023)
     insts = []
     for n in (9, 40, 90):
@@ -574,13 +649,19 @@ def test_inline_hcf_matches_the_generic_loop_from_mid_game_starts():
             prefix = (2 << (n - i)) - 2
             other = sum(1 << rank for rank in rng.sample(range(1, n + 1), n - i))
             for remaining in (prefix, other):
-                game = _played(inst, kernel, i, k, remaining, secrets)
-                assert game == _played(inst, generic, i, k, remaining, secrets), (inst, i, k, remaining, secrets)
+                game, top = _played(inst, kernel, i, k, remaining, secrets)
+                generic_game, generic_top = _played(inst, generic, i, k, remaining, secrets)
+                assert game == generic_game, (inst, i, k, remaining, secrets)
+                if game[0] is PolicyFailed:
+                    assert top is generic_top is None
+                else:
+                    ranks = [rank for rank, _ in game[1]]
+                    assert top == (_counting_down(ranks, n - i) if remaining == prefix else 0), (inst, i, k)
+                    assert generic_top == 0
                 if i < n and willing[i][k] == 0:
                     unwilling += 1
                     assert game == (PolicyFailed, InfoState(i, k), "no_eligible_agent")
                 elif game[0] is not PolicyFailed and game[1]:
-                    ranks = [rank for rank, _ in game[1]]
                     if remaining != prefix:
                         masked += 1
                     elif ranks[0] == n - i:

@@ -155,7 +155,7 @@ def test_problem_instance_hashes_weakrefs_and_keeps_the_lattice_out_of_its_repr(
     assert inst == twin and hash(inst) == hash(twin) and not inst != twin
     assert inst != _instance(agent_ids=("b", "a")) and inst != INSTANCE_ARGS
     assert weakref.ref(inst)() is inst
-    assert inst.lattice is inst.lattice and inst.scaled_costs == (2, (0, 0, 1))
+    assert inst.lattice is inst.lattice and inst.scaled_costs == (2, (0, 0, 1)) and inst._top_costs == (0, 1, 1)
     assert repr(inst) == (
         "ProblemInstance(n=2, q=Fraction(1, 2), costs=(Fraction(0, 1), Fraction(1, 2)), "
         "original_index=(2, 1), fn_spec=AnonymousFunctionSpec(n=2, ones_to_one=(False, True, True), "
