@@ -6,15 +6,17 @@ two parents, the per-bound indicator and the end-layer test are a few big-int
 operations per layer instead of one Python step per state (the SWAR technique
 of Lamport, "Multiple byte processing with full-word instructions", CACM
 1975). Only `_lanes` knows the lane format, and it packs afresh on each call,
-reading the live states off the lanes' sign bits. `oracle.per_bound_verdict`
-keeps the per-state list DP as the reference.
+reading the live states off the lanes' sign bits. A rank bound that no path
+can break gets no pass, and when no bound is left nothing is packed.
+`oracle.per_bound_verdict` keeps the per-state list DP, every bound passed, as
+the reference.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .model import InfoState, ProblemInstance
 from .pivotal import StateLattice
@@ -39,14 +41,19 @@ class Verdict(NamedTuple):
     witness: Witness | None = None
 
 
-def _lanes(lattice: StateLattice) -> tuple[int, list[int], list[int], set[int]]:
-    """(width, ranks, live, bounds): the lattice in lanes of `width` bits, lane
-    k for state (i, k), in the narrowest signed `array` typecode with n + 2
-    below its top bit, so that no lane value carries into the next. A packed
-    rank row has the top bit set in exactly the lanes of its determined
-    states, where the mark is negative: live[i] is all ones in the other
-    lanes, ranks[i] keeps layer i's willing ranks there and 0 elsewhere, and
-    `bounds` holds the willing ranks of the undetermined states.
+def _willing(rows: Iterable[Iterable[int]]) -> set[int]:
+    """The willing ranks of the undetermined states in `rows`, the rank rows
+    or their sets of values: the rank bounds that may need a pass."""
+    return {c for c in set().union(*rows) if c >= 0}
+
+
+def _lanes(lattice: StateLattice) -> tuple[int, list[int], list[int]]:
+    """(width, ranks, live): the lattice in lanes of `width` bits, lane k for
+    state (i, k), in the narrowest signed `array` typecode with n + 2 below
+    its top bit, so that no lane value carries into the next. A packed rank
+    row has the top bit set in exactly the lanes of its determined states,
+    where the mark is negative: live[i] is all ones in the other lanes, and
+    ranks[i] keeps layer i's willing ranks there and 0 elsewhere.
     """
     n = len(lattice.rank)
     code = next(code for code in "bhiq" if n + 2 < 1 << (8 * array(code).itemsize - 1))
@@ -56,8 +63,7 @@ def _lanes(lattice: StateLattice) -> tuple[int, list[int], list[int], set[int]]:
     packed = [int.from_bytes(array(code, row), sys.byteorder) for row in lattice.rank]
     live = [(((high >> ((n - 1 - i) * width)) & ~row) >> (width - 1)) * mask for i, row in enumerate(packed)]
     ranks = [row & alive for row, alive in zip(packed, live)]
-    bounds = {c for c in set().union(*lattice.rank) if c >= 0}
-    return width, ranks, live, bounds
+    return width, ranks, live
 
 
 def exists_appropriate(instance: ProblemInstance) -> Verdict:
@@ -73,16 +79,34 @@ def exists_appropriate(instance: ProblemInstance) -> Verdict:
     agent. The witness is the smallest such end node at its smallest j, on
     the path that breaks ties toward the parent (i-1, k-1).
 
-    Each rank bound below n is one pass of `rows`, O(n) big-int operations
-    on n-lane integers, and the scan stops once the first end node violates.
+    A path holds one state per layer, so at bound j it counts at most U(j),
+    the number of layers whose cheapest live willing rank is at most j, and
+    only a willing rank j with j < U(j) gets a pass of `rows`, O(n) big-int
+    operations on n-lane integers; a skipped bound violates at no end node.
+    With no such bound the answer is yes and no lane is packed. The scan
+    stops once the first end node violates.
     """
     lattice = instance.lattice
     if lattice.rank[0][0] < 0:
         return Verdict(True, REASON_TRIVIAL)
+    distinct = []  # each layer's distinct rank values
     for i, row in enumerate(lattice.rank):
-        if 0 in row:
+        distinct.append(set(row))
+        if 0 in distinct[-1]:
             return Verdict(False, REASON_C_UNDEFINED, undefined_at=InfoState(i, row.index(0)))
-    width, ranks, live, bounds = _lanes(lattice)
+    willing = _willing(distinct)
+    # The counts only change where j crosses a willing rank, so the smallest
+    # violating j of any end node is one of those ranks, and a path of n
+    # states breaks no bound j >= n. The root is live and a live state has a
+    # live child, so every layer has a cheapest live rank, and with those
+    # sorted, U(j) > j for j < n iff the (j+1)-th smallest is at most j.
+    bounds = sorted(j for j in willing if j < instance.n)
+    if bounds:
+        cheapest = sorted(map(min, map(willing.intersection, distinct)))
+        bounds = [j for j in bounds if cheapest[j] <= j]
+    if not bounds:
+        return Verdict(True, None)
+    width, ranks, live = _lanes(lattice)
     mask = (1 << width) - 1
     ones = ((1 << (instance.n * width)) - 1) // mask  # 1 in every lane
     high = ones << (width - 1)
@@ -115,14 +139,10 @@ def exists_appropriate(instance: ProblemInstance) -> Verdict:
             out.append(row)
         return out
 
-    # The counts only change where j crosses a willing rank, so the smallest
-    # violating j of any end node is one of those ranks. A root-to-end path
-    # holds n states, so no count exceeds a bound j >= n. Per bound, keep the
-    # lowest violating end lane in `below`, the end lanes under the last found.
+    # Per bound, keep the lowest violating end lane in `below`, the end lanes
+    # under the last found.
     below, found = live[-1], None
-    for j in sorted(bounds):
-        if j >= instance.n:
-            break
+    for j in bounds:
         layers = rows(j)
         over = ((layers[-1] | high) - (j + 2) * ones) & high & below
         if over:

@@ -1,10 +1,15 @@
-"""Performance smoke check: build the state lattice and verify two large instances.
+"""Performance smoke check: build the state lattice and verify large instances.
 
 The adversarial majority instance at n = 800 has nearly every willing rank
 distinct (695 distinct costs), so a decision that runs one O(n^2) per-state
 DP per rank bound needs about a minute there; the packed-lane DP needs about
 0.3 s, lattice included, since the lattice steps one floor per distinct cost
 down the layers instead of dividing afresh on each (about 0.8 s before).
+Two threshold-cost instances at the same n, majority with 500 zero costs and
+consensus with 600, drawn by random.Random(1), then time the decision alone,
+on a prebuilt lattice: most of their willing ranks are bounds that no path
+can break, which the decision skips (about 1 s each when every distinct
+willing rank below n took a pass, a few tens of ms with the skip).
 Parity at q = 3/5 with n = 1000 and every cost 0 has about half a million
 undetermined states, so it times the numerator recurrence itself: about
 0.3 s for lattice and verify together. Two HCF games on that instance then
@@ -33,6 +38,7 @@ It is not named test_*, so pytest does not collect it.
 
 from __future__ import annotations
 
+import random
 import sys
 import time
 from fractions import Fraction
@@ -40,7 +46,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from builders import adversarial_majority  # noqa: E402  (needs src on the path)
+from builders import adversarial_majority, threshold_cost_instance  # noqa: E402  (needs src on the path)
 from seqelicit.mechanism import (  # noqa: E402
     AUDIT_CAP,
     DEVIATION_CAP,
@@ -50,7 +56,7 @@ from seqelicit.mechanism import (  # noqa: E402
     draw_secrets,
     run,
 )
-from seqelicit.model import InfoState, ProblemInstance, majority, parity  # noqa: E402
+from seqelicit.model import InfoState, ProblemInstance, consensus, majority, parity  # noqa: E402
 from seqelicit.pivotal import threshold  # noqa: E402
 from seqelicit.verify import REASON_PIGEONHOLE, exists_appropriate  # noqa: E402
 
@@ -74,6 +80,13 @@ def _timed(label: str, instance: ProblemInstance, reason: str | None) -> None:
 
 def main() -> None:
     _timed(f"adversarial majority n={N}", adversarial_majority(N), REASON_PIGEONHOLE)
+    for fn, zeros in ((majority(N), 500), (consensus(N), 600)):
+        instance = threshold_cost_instance(fn, zeros, random.Random(1))
+        instance.lattice.rank  # built before the clock starts, to time the decision alone
+        start = time.perf_counter()
+        verdict = exists_appropriate(instance)
+        elapsed = time.perf_counter() - start
+        print(f"{fn.name} n={N}, {zeros} zero costs, lattice prebuilt: {verdict.reason} in {elapsed * 1000:.2f} ms")
     zero_costs = ProblemInstance.create(Fraction(3, 5), [Fraction(0)] * PARITY_N, parity(PARITY_N))
     _timed(f"parity q=3/5 n={PARITY_N}, zero costs", zero_costs, None)
     for label, seed in (("hcf run", 1), ("warm hcf run", 2)):

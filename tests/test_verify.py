@@ -18,6 +18,7 @@ from conftest import (
     random_instance,
     threshold_cost_instance,
 )
+from seqelicit import mechanism, verify
 from seqelicit.mechanism import AUDIT_CAP, HcfPolicy, audit_full_tree
 from seqelicit.model import AnonymousFunctionSpec, InfoState, ProblemInstance, consensus, majority, parity
 from seqelicit.oracle import determine, per_bound_verdict
@@ -29,8 +30,17 @@ from seqelicit.verify import (
     Verdict,
     Witness,
     _lanes,
+    _willing,
     exists_appropriate,
 )
+
+
+@pytest.fixture
+def packed(monkeypatch):
+    """The lattices `exists_appropriate` packs into lanes, one per `_lanes` call."""
+    lattices = []
+    monkeypatch.setattr(verify, "_lanes", lambda lattice: lattices.append(lattice) or _lanes(lattice))
+    return lattices
 
 
 def test_majority_example_no_mechanism():
@@ -144,8 +154,8 @@ def test_lanes_match_the_per_bound_dp_on_the_corpora(corpus_main, corpus_br):
 def test_lanes_match_the_per_bound_dp_across_lane_widths(n):
     # n = 125 is the largest n with 8-bit lanes and n = 126 the smallest with
     # 16-bit ones; with every cost 0 the end lanes reach n + 1, next to the top
-    # bit. The live lanes are the undetermined states, and the bounds the
-    # willing ranks there.
+    # bit. The live lanes are the undetermined states, and the candidate
+    # bounds the willing ranks there.
     rng = random.Random(9100 + n)
     kinds = set()
     for zeros in (n, n - 2, 0, rng.randrange(1, n)):
@@ -155,7 +165,7 @@ def test_lanes_match_the_per_bound_dp_across_lane_widths(n):
         assert verdict == per_bound_verdict(inst)
         check_witness(inst, verdict)
         kinds.add(verdict.reason)
-        width, _, lives, bounds = _lanes(inst.lattice)
+        width, _, lives = _lanes(inst.lattice)
         assert width == {125: 8, 126: 16, 200: 16}[n]
         full = (1 << width) - 1
         undetermined = set()
@@ -166,11 +176,59 @@ def test_lanes_match_the_per_bound_dp_across_lane_widths(n):
                 assert (live >> (k * width)) & full == (full if open_state else 0)
                 if open_state:
                     undetermined.add(InfoState(i, k))
-        assert bounds == {c_of(state, inst) or 0 for state in undetermined}
+        assert _willing(inst.lattice.rank) == {c_of(state, inst) or 0 for state in undetermined}
     assert {None, REASON_C_UNDEFINED, REASON_PIGEONHOLE} <= kinds
     # Every cost below every threshold: the determined states' rank 0 is no bound.
     tiny = ProblemInstance.create(Fraction(1, 2), [Fraction(1, 2 ** (n + 1))] * n, fn)
-    assert _lanes(tiny.lattice)[3] == {n}
+    assert _willing(tiny.lattice.rank) == {n}
+
+
+def test_skipped_bounds_keep_the_verdict_of_every_bound_passed(packed):
+    # z-families, where many willing ranks j have at most j layers with a
+    # live rank that cheap, so no path can break them, and a table with
+    # costs k/64, where bounds tend to be kept, on both sides of the 8/16-bit
+    # lane boundary. The verdict, witness included, must equal the per-bound
+    # DP's, which passes every bound, and lanes are packed exactly when some
+    # bound j < n has more than j such layers, U(j) > j, read here from
+    # `c_of` state by state.
+    cases = set()
+    for n in (125, 126, 176):
+        rng = random.Random(9400 + n)
+        table = AnonymousFunctionSpec(n, tuple(rng.random() < 0.5 for _ in range(n + 1)))
+        instances = [
+            threshold_cost_instance(fn, zeros, rng)
+            for fn in (majority(n), consensus(n), parity(n), table)
+            for zeros in (0, n // 2, 5 * n // 8, 3 * n // 4, n)
+        ]
+        for inst in [*instances, random_instance(rng, n, max_cost_k=64)]:
+            packed.clear()
+            verdict = exists_appropriate(inst)
+            assert verdict == per_bound_verdict(inst)
+            check_witness(inst, verdict)
+            if verdict.reason in (REASON_TRIVIAL, REASON_C_UNDEFINED):
+                assert not packed
+                continue
+            cheapest, bounds = [n] * n, set()
+            for state in nodes(inst):
+                c = c_of(state, inst)
+                cheapest[state.approached] = min(cheapest[state.approached], c)
+                if c < n:
+                    bounds.add(c)
+            kept = {j for j in bounds if sum(c <= j for c in cheapest) > j}
+            assert len(packed) == bool(kept)
+            cases.add("none packed" if not kept else "some skipped" if kept < bounds else "none skipped")
+    assert cases == {"none packed", "some skipped", "none skipped"}
+
+
+def test_a_bound_some_path_could_break_gets_a_pass_and_may_hold(packed):
+    # Three layers have a state of willing rank at most 2, so bound 2 gets a
+    # pass, but (1, 0) and (2, 2) lie on no common path and every path counts
+    # 2 such states; bound 3 has three layers and is skipped. Lanes are
+    # packed and the answer is still yes.
+    inst = make_instance("3/5", ["7/64", "7/64", "3/16", "1/4"], [True, True, True, False, False])
+    assert inst.lattice.rank == [[2], [2, 3], [-1, 3, 2], [-1, -1, 4, -1]]
+    assert exists_appropriate(inst) == Verdict(True, None) == per_bound_verdict(inst)
+    assert len(packed) == 1
 
 
 def test_lanes_match_the_per_bound_dp_on_adversarial_majority():
@@ -208,6 +266,27 @@ def test_verdict_matches_the_hcf_audit_beyond_n_10():
             assert verdict.exists == audit_full_tree(inst, HcfPolicy(inst)).passed
             verdicts.append(verdict.exists)
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+
+def test_verdict_matches_the_hcf_audit_at_n_32_to_128(monkeypatch):
+    # The same theorem past the audit's cap, where the skip removes bounds:
+    # threshold-cost majority, parity, consensus and random tables with a
+    # random number of zero costs. The audit stays polynomial on passing
+    # draws and stops within tens of keys on failing ones, so the cap is
+    # raised for these sizes; no check is loosened.
+    monkeypatch.setattr(mechanism, "AUDIT_CAP", 128)
+    rng = random.Random(9500)
+    verdicts = []
+    for _ in range(120):
+        n = rng.randint(32, 128)
+        family = rng.choice((majority, parity, consensus, None))
+        fn = family(n) if family else AnonymousFunctionSpec(n, tuple(rng.random() < 0.5 for _ in range(n + 1)))
+        inst = threshold_cost_instance(fn, rng.randrange(n + 1), rng)
+        verdict = exists_appropriate(inst)
+        check_witness(inst, verdict)
+        assert verdict.exists == audit_full_tree(inst, HcfPolicy(inst)).passed
+        verdicts.append(verdict.exists)
+    assert True in verdicts and False in verdicts
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
