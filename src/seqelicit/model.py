@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
 from math import lcm
 from operator import attrgetter, contains, gt, itemgetter, lt, mul
-from typing import Iterable, Mapping, NamedTuple
+from typing import NamedTuple
 
 from .errors import BadFunctionTable, CapExceeded, CostOutOfRange, MalformedDocument, QOutOfRange
 
@@ -57,6 +58,11 @@ def _parse_int(text: str) -> int:
     return int(text)
 
 
+# One decoder for every document: `json.loads` would build a new one per call
+# to carry the `parse_int` hook.
+_DECODER = json.JSONDecoder(parse_int=_parse_int)
+
+
 # The rational forms that `Fraction(str)` reads alike on every supported
 # Python: an optional sign, then an integer, "num/den" or a decimal, with
 # optional whitespace around the whole. Digit separators ("1_000", read by
@@ -65,21 +71,19 @@ def _parse_int(text: str) -> int:
 _RATIONAL = re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*)(?:/(\d+)|(?:\.(\d*))?)\s*")
 
 
-def _as_rational(value, where: str) -> Fraction:
+def _rational(value) -> Fraction:
+    """`value` read as a document rational; MalformedDocument, naming no
+    location, if it is not one."""
     # JSON floats are rejected: 0.4 the float is not 2/5. Exponent notation
     # is rejected too: Fraction("1e-1000000") expands into a million-digit
     # integer, so a few bytes of input could stall ingestion. Each run of
     # digits (numerator, denominator, or either side of a decimal point) is
     # bounded as 3.11+ bounds the int() call that parses it.
-    if isinstance(value, bool):
-        raise MalformedDocument(f"{where}: expected a rational, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         if "e" in value or "E" in value:
-            raise MalformedDocument(f"{where}: exponent notation is not accepted in {_clip(repr(value))}")
+            raise MalformedDocument(f"exponent notation is not accepted in {_clip(repr(value))}")
         if len(value) > _MAX_DIGITS and max(map(len, re.findall(r"\d+", value)), default=0) > _MAX_DIGITS:
-            raise MalformedDocument(f"{where}: more than {_MAX_DIGITS} digits in {_clip(repr(value))}")
+            raise MalformedDocument(f"more than {_MAX_DIGITS} digits in {_clip(repr(value))}")
         match = _RATIONAL.fullmatch(value)
         if match is not None:
             sign, whole, den, decimal = match.groups()
@@ -89,10 +93,43 @@ def _as_rational(value, where: str) -> Fraction:
                 top = top * bottom + int(decimal)
             if bottom:
                 return Fraction(-top if sign == "-" else top, bottom)
-        raise MalformedDocument(f"{where}: cannot parse rational {_clip(repr(value))}")
-    raise MalformedDocument(
-        f"{where}: expected an integer or a 'num/den' string, got {type(value).__name__}"
-    )
+        raise MalformedDocument(f"cannot parse rational {_clip(repr(value))}")
+    if isinstance(value, bool):
+        raise MalformedDocument("expected a rational, got a boolean")
+    if isinstance(value, int):
+        return Fraction(value)
+    raise MalformedDocument(f"expected an integer or a 'num/den' string, got {type(value).__name__}")
+
+
+def _as_rational(value, where: str) -> Fraction:
+    """`_rational`, its error message prefixed by `where`."""
+    try:
+        return _rational(value)
+    except MalformedDocument as exc:
+        raise MalformedDocument(f"{where}: {exc}") from None
+
+
+def _rationals(document: Mapping, key: str, n: int) -> list[Fraction]:
+    """The list `document[key]` of n rationals, each distinct string parsed
+    once: a repeated cost costs one dict lookup, not a second parse. Only
+    strings are memoized, so JSON true never shares an entry with 1. The
+    first entry that does not parse is reported as ``key[index]``."""
+    raw = document[key]
+    if not isinstance(raw, list) or len(raw) != n:
+        raise MalformedDocument(f"{key} must be a list of {_clip(n)} rationals")
+    parsed: dict[str, Fraction] = {}
+    out: list[Fraction] = []
+    try:
+        for value in raw:
+            if not isinstance(value, str):
+                out.append(_rational(value))
+            elif value in parsed:
+                out.append(parsed[value])
+            else:
+                out.append(parsed.setdefault(value, _rational(value)))
+    except MalformedDocument as exc:
+        raise MalformedDocument(f"{key}[{len(out)}]: {exc}") from None
+    return out
 
 
 def _iterate(values, where: str):
@@ -106,6 +143,11 @@ def _iterate(values, where: str):
 def _check_tuple(value, where: str) -> None:
     if not isinstance(value, tuple):
         raise MalformedDocument(f"{where} must be a tuple, got {type(value).__name__}")
+
+
+def _distinct_ids(ids: tuple, n: int) -> bool:
+    """Whether `ids` are n distinct nonempty strings."""
+    return len(ids) == n and all(map(isinstance, ids, repeat(str))) and all(ids) and len(set(ids)) == n
 
 
 def _refuse(self, name, *value):
@@ -129,7 +171,7 @@ class AnonymousFunctionSpec(
             raise BadFunctionTable(f"agent count must be at least 1, got {n}")
         if len(ones_to_one) != n + 1:
             raise BadFunctionTable(f"table has {len(ones_to_one)} entries, need {n + 1}")
-        if not all(isinstance(b, bool) for b in ones_to_one):
+        if not all(map(isinstance, ones_to_one, repeat(bool))):
             raise BadFunctionTable("table entries must be booleans")
         return tuple.__new__(cls, (n, ones_to_one, name))
 
@@ -311,11 +353,7 @@ class ProblemInstance:
                 f"function is over {self.fn_spec.n} agents, instance has {self.n}"
             )
         _check_tuple(self.agent_ids, "agent_ids")
-        if (
-            len(self.agent_ids) != self.n
-            or not all(isinstance(a, str) and a for a in self.agent_ids)
-            or len(set(self.agent_ids)) != self.n
-        ):
+        if not _distinct_ids(self.agent_ids, self.n):
             raise MalformedDocument("agent_ids must be n distinct nonempty strings")
 
     __setattr__ = __delattr__ = _refuse
@@ -351,7 +389,10 @@ class ProblemInstance:
         length of the largest denominator: two distinct reduced fractions with
         denominators below 2^b differ by more than 4^-b, so the keys are equal
         for equal costs and ordered as the costs are. The stable sort on them
-        keeps ties in input order."""
+        keeps ties in input order. The sorted order and the range of every
+        cost between the least and the greatest are left to the sort; the
+        checks it leaves open run after it (see `_sorted`), and a fault
+        raises what ``ProblemInstance(...)`` raises on the sorted fields."""
         costs = tuple(_iterate(costs, "costs"))
         if isinstance(q, (bool, float)):
             raise QOutOfRange(f"prior must be an exact rational, not a {type(q).__name__}")
@@ -363,21 +404,37 @@ class ProblemInstance:
             costs = tuple(
                 c if isinstance(c, Fraction) else _as_rational(c, f"costs[{p}]") for p, c in enumerate(costs)
             )
-        n = len(costs)
         if isinstance(agent_ids, str):  # it would iterate into one-character ids
             raise MalformedDocument("agent_ids must be n distinct nonempty strings")
-        agent_ids = tuple(map(str, range(1, n + 1)) if agent_ids is None else _iterate(agent_ids, "agent_ids"))
+        return cls._sorted(q, costs, fn_spec, None if agent_ids is None else tuple(_iterate(agent_ids, "agent_ids")))
+
+    @classmethod
+    def _sorted(cls, q: Fraction, costs: list | tuple, fn_spec, agent_ids: tuple | None) -> "ProblemInstance":
+        """The instance of an exact prior and exact costs in input order, for
+        `create` and `ingest`: one stable sort on the costs' integer keys (see
+        `create`), which orders the costs exactly and numbers the agents,
+        then only the checks the sort leaves open: n >= 1, q's range, the
+        function spec's class and n, the least and the greatest sorted cost
+        in [0, 1), and the agent ids (the default ids "1".."n" need none). If
+        one fails, `ProblemInstance(...)` runs on the same sorted fields and
+        raises what it raises. The sorted (num, den) pairs stay as
+        `_cost_pairs`."""
+        n = len(costs)
         pairs = list(map(Fraction.as_integer_ratio, costs))
         shift = 2 * max(map(itemgetter(1), pairs), default=1).bit_length()
         order = sorted(range(n), key=[(num << shift) // den for num, den in pairs].__getitem__)
-        return cls(
-            n=n,
-            q=q,
-            costs=tuple(map(costs.__getitem__, order)),
-            original_index=tuple(map(range(1, n + 1).__getitem__, order)),
-            fn_spec=fn_spec,
-            agent_ids=agent_ids,
-        )
+        pairs = tuple(map(pairs.__getitem__, order))
+        ids = tuple(map(str, range(1, n + 1))) if agent_ids is None else agent_ids
+        fields = (n, q, tuple(map(costs.__getitem__, order)), tuple(map(range(1, n + 1).__getitem__, order)), fn_spec, ids)
+        if not (
+            n and 0 < q.numerator < q.denominator and pairs[0][0] >= 0 and pairs[-1][0] < pairs[-1][1]
+            and isinstance(fn_spec, AnonymousFunctionSpec) and fn_spec.n == n
+            and (agent_ids is None or _distinct_ids(agent_ids, n))
+        ):
+            return cls(*fields)  # raises, with the message of a direct construction
+        self = object.__new__(cls)
+        vars(self).update(zip(cls._FIELDS, fields), _cost_pairs=pairs)
+        return self
 
     @property
     def ranks(self) -> range:
@@ -399,6 +456,14 @@ class ProblemInstance:
         filled in place; like the lattice, it is kept outside equality,
         hashing and the repr."""
         return []
+
+    @cached_property
+    def _cost_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Each sorted cost as its (numerator, denominator) pair of ints, from
+        which the lattice reads its runs of equal costs. `create` and `ingest`
+        keep the pairs their sort read; a directly built instance makes them
+        on first use. Kept outside equality, hashing and the repr."""
+        return tuple(map(Fraction.as_integer_ratio, self.costs))
 
     @cached_property
     def scaled_costs(self) -> tuple[int, tuple[int, ...]]:
@@ -481,12 +546,13 @@ def ingest(document) -> ProblemInstance:
     A rational is a JSON integer or a string: an optional sign, then an
     integer ("3"), a fraction ("2/5") or a decimal ("0.4"), with optional
     whitespace around it, read alike on every supported Python (see
-    `_RATIONAL`). Each distinct string is parsed once. When ``values`` is
-    present each cost is folded to cost/value. Any q in (0, 1) is accepted
-    as given, below 1/2 too. Of several faults, the first entry that does not
-    parse is reported, in input order (q, costs, values); once all parse,
-    `ProblemInstance` checks q's range, then the costs in sorted order, so
-    the least cost outside [0, 1) is reported.
+    `_RATIONAL`). Each distinct string of a list is parsed once. When
+    ``values`` is present each cost is folded to cost/value. Any q in (0, 1)
+    is accepted as given, below 1/2 too. Of several faults, the first entry
+    that does not parse is reported, in input order (q, costs, values); once
+    all parse, the instance is built as `ProblemInstance.create` builds it,
+    and a fault left is reported as `ProblemInstance` reports it: q's range,
+    then the costs in sorted order, so the least cost outside [0, 1).
     """
     if isinstance(document, bytes):
         # Strict UTF-8, as the CLI reads its files: no other encoding is
@@ -500,7 +566,9 @@ def ingest(document) -> ProblemInstance:
         # RecursionError for deeply nested arrays; `_parse_int` rejects an
         # integer literal with too many digits.
         try:
-            document = json.loads(document, parse_int=_parse_int)
+            if document.startswith("\ufeff"):  # refused as `json.loads` refuses it
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", document, 0)
+            document = _DECODER.decode(document)
         except (ValueError, RecursionError) as exc:
             raise MalformedDocument(f"not valid JSON: {exc}") from exc
     if not isinstance(document, Mapping):
@@ -517,28 +585,9 @@ def ingest(document) -> ProblemInstance:
         raise MalformedDocument("n must be an integer >= 1")
 
     q = _as_rational(document["q"], "q")
-
-    # Each distinct string is parsed once per document: a repeated cost costs
-    # one dict lookup, not a second parse. Only strings are memoized, so JSON
-    # true never shares an entry with 1.
-    parsed: dict[str, Fraction] = {}
-
-    def rational(value, where: str) -> Fraction:
-        if not isinstance(value, str):
-            return _as_rational(value, where)
-        if value not in parsed:
-            parsed[value] = _as_rational(value, where)
-        return parsed[value]
-
-    def rationals(key: str) -> list[Fraction]:
-        raw = document[key]
-        if not isinstance(raw, list) or len(raw) != n:
-            raise MalformedDocument(f"{key} must be a list of {_clip(n)} rationals")
-        return [rational(value, f"{key}[{idx}]") for idx, value in enumerate(raw)]
-
-    costs = rationals("costs")
+    costs = _rationals(document, "costs", n)
     if "values" in document:
-        values = rationals("values")
+        values = _rationals(document, "values", n)
         if any(v.numerator <= 0 for v in values):
             raise MalformedDocument("values must be positive")
         costs = [c / v for c, v in zip(costs, values)]
@@ -550,8 +599,9 @@ def ingest(document) -> ProblemInstance:
         # iterate into ids of its own.
         if not isinstance(agent_ids, list):
             raise MalformedDocument("agent_ids must be n distinct nonempty strings")
+        agent_ids = tuple(agent_ids)
 
-    return ProblemInstance.create(q, costs, _parse_function(document["function"], n), agent_ids)
+    return ProblemInstance._sorted(q, costs, _parse_function(document["function"], n), agent_ids)
 
 
 def emit(instance: ProblemInstance) -> dict:

@@ -83,13 +83,13 @@ class StateLattice:
         self._leaves = [int(table[k] != table[k + 1]) for k in range(n)]
         # Floors only for the distinct costs, ascending since the costs are
         # sorted; `below[d]` counts the ranks among the d cheapest of them.
-        counts = Counter(map(Fraction.as_integer_ratio, instance.costs))
+        counts = Counter(instance._cost_pairs)
         below = [0, *accumulate(counts.values())]
         m = min(a, b - a)
         self._a, self._m, self._b = a, m, b
         # A cost above m/b is willing nowhere (P <= 1); the rest are a prefix.
         costs = [(top, den * m) for top, den in counts if top * b <= den * m]
-        determined = ~below[instance.costs[0] == 0]  # the zero-cost agents, the cheapest if any
+        determined = ~counts[0, 1]  # the number of zero-cost agents, the only ones willing at threshold 0
         rank = []
         rows = self._rows()
         for start in reversed(range(0, n, _BLOCK)):

@@ -3,8 +3,8 @@
 Runs pytest in this process under a `sys.settrace` tracer that follows only the
 code objects of files in `src/seqelicit`, lists every executable line of those
 files from the `co_lines()` of their compiled code objects, and exits 1 naming
-each line that no test reached. Arguments go to pytest. From the root of a
-checkout, with pytest installed:
+each line that no test reached and each branch arm that no test took.
+Arguments go to pytest. From the root of a checkout, with pytest installed:
 
     PYTHONPATH=src python tests/line_coverage.py -q
 
@@ -12,13 +12,14 @@ Subprocesses are not traced, so the lines only `python -m seqelicit` runs are
 allowed to stay unreached: the two `raise SystemExit(main())` guards.
 
 The tracer also records each step from one line to the next in a frame, and
-the script then prints every branch arm that no test takes, as
+the script then names every branch arm that no test takes, as
 `file:line->line`: each conditional jump and `for` loop of the compiled code
 leads on to two lines, read from its bytecode with `dis`, and an arm is taken
 when a test stepped from the one line to the other. Arms that stay within one
 line (a conditional expression, a comprehension's filter), arms that return
 or raise before another line starts, and arms into the two allowed guards
-are left out. The arms are a report only: they do not change the exit code.
+are left out. An untaken arm fails the run as an unreached line does: each
+is a test to add or code to delete.
 """
 
 from __future__ import annotations
@@ -141,9 +142,9 @@ def main(args: list[str]) -> int:
         untaken += [f"{path.name}:{a}->{b}: {source[a - 1].strip()}" for a, b in sorted(arms)
                     if (path.name, source[b - 1].strip()) not in ALLOWED]
     print("\n".join(missed) or f"every executable line of {PACKAGE.name} was reached")
-    print("\n".join(["branch arms no test takes (a report, not a failure):", *untaken]) if untaken
+    print("\n".join(["branch arms no test takes:", *untaken]) if untaken
           else f"every branch arm of {PACKAGE.name} was taken")
-    return int(status) or int(bool(missed))
+    return int(status) or int(bool(missed or untaken))
 
 
 if __name__ == "__main__":

@@ -27,6 +27,9 @@ incentive checks at their caps, on parity at q = 3/5 with every cost 0: an
 HCF audit at `AUDIT_CAP`, which records every one of its n(n+1)/2 states,
 and a deviation profile of every rank at `DEVIATION_CAP`, which share one
 reach. These lines are printed only, to show the checks' cost on each run.
+So are the two `ingest` lines before them, which time reading two n = 1000
+documents: one with 1000 distinct cost strings, each parsed, and one with a
+single cost string repeated, parsed once. Neither is gated.
 Run it under a time limit, from any directory, on any interpreter: it puts the
 checkout's `src` first on the path and imports no pytest, so it needs no
 install:
@@ -38,6 +41,7 @@ It is not named test_*, so pytest does not collect it.
 
 from __future__ import annotations
 
+import json
 import random
 import sys
 import time
@@ -56,7 +60,7 @@ from seqelicit.mechanism import (  # noqa: E402
     draw_secrets,
     run,
 )
-from seqelicit.model import InfoState, ProblemInstance, consensus, majority, parity  # noqa: E402
+from seqelicit.model import InfoState, ProblemInstance, consensus, ingest, majority, parity  # noqa: E402
 from seqelicit.pivotal import threshold  # noqa: E402
 from seqelicit.verify import REASON_PIGEONHOLE, exists_appropriate  # noqa: E402
 
@@ -112,6 +116,16 @@ def main() -> None:
     assert result.output == fn.value_at(sum(secrets)), result.halted_at
     _check_total(dear_top, result)
     print(f"hcf run past the prefix on majority n={PARITY_N}: {result.approached_count} approaches in {elapsed * 1000:.2f} ms")
+    for label, costs in (
+        (f"{PARITY_N} distinct cost strings", [f"{k}/{PARITY_N + 9}" for k in range(PARITY_N)]),
+        ("one cost string repeated", ["1/3"] * PARITY_N),
+    ):
+        text = json.dumps({"n": PARITY_N, "q": "3/5", "costs": costs, "function": "majority"})
+        start = time.perf_counter()
+        ingested = ingest(text)
+        elapsed = time.perf_counter() - start
+        assert ingested.n == PARITY_N and len(set(ingested.costs)) == len(set(costs)), label
+        print(f"ingest n={PARITY_N}, {label}: {elapsed * 1000:.2f} ms")
     audited = ProblemInstance.create(Fraction(3, 5), [Fraction(0)] * AUDIT_CAP, parity(AUDIT_CAP))
     start = time.perf_counter()
     report = audit_full_tree(audited, HcfPolicy(audited))

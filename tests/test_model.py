@@ -39,7 +39,7 @@ from seqelicit.model import (
     parity,
     unanimity,
 )
-from seqelicit.oracle import brute_pivotal, mirror
+from seqelicit.oracle import brute_pivotal, full_lattice, mirror
 from seqelicit.pivotal import c_of, nodes, pivotal_prob, threshold
 from seqelicit.verify import exists_appropriate
 
@@ -549,3 +549,159 @@ def test_instance_direct_validation():
         ProblemInstance.create(Fraction(1, 2), (0.5, 0.5), fn)
     with pytest.raises(BadFunctionTable):
         ProblemInstance.create(Fraction(1, 2), (Fraction(0),), fn)
+
+
+# The one-pass build of `create` and `ingest` against their definition: each
+# entry read on its own, a stable sort by value, and a direct
+# `ProblemInstance(...)` on the sorted fields, which runs every check.
+def _by_definition(q, costs, fn_spec, agent_ids):
+    n = len(costs)
+    order = sorted(range(n), key=costs.__getitem__)
+    ids = tuple(map(str, range(1, n + 1))) if agent_ids is None else tuple(agent_ids)
+    return ProblemInstance(n, q, tuple(costs[p] for p in order), tuple(p + 1 for p in order), fn_spec, ids)
+
+
+def _ingest_by_definition(document):
+    if isinstance(document, bytes):
+        document = document.decode("utf-8")
+    try:
+        document = json.loads(document)
+    except ValueError as exc:
+        raise MalformedDocument(f"not valid JSON: {exc}") from exc
+    n = document["n"]
+    if n < 1:
+        raise MalformedDocument("n must be an integer >= 1")
+    q = _as_rational(document["q"], "q")
+    costs = [_as_rational(c, f"costs[{p}]") for p, c in enumerate(document["costs"])]
+    agent_ids = document.get("agent_ids")
+    if isinstance(agent_ids, str):
+        raise MalformedDocument("agent_ids must be n distinct nonempty strings")
+    fn = {"majority": majority, "parity": parity, "consensus": consensus}[document["function"]](n)
+    return _by_definition(q, costs, fn, agent_ids)
+
+
+def _create_by_definition(q, costs, fn_spec, agent_ids=None):
+    q = q if isinstance(q, Fraction) else _as_rational(q, "q")
+    if any(isinstance(c, (bool, float)) for c in costs):
+        raise CostOutOfRange("costs must be exact rationals, not floats or booleans")
+    costs = [c if isinstance(c, Fraction) else _as_rational(c, f"costs[{p}]") for p, c in enumerate(costs)]
+    if isinstance(agent_ids, str):
+        raise MalformedDocument("agent_ids must be n distinct nonempty strings")
+    return _by_definition(q, costs, fn_spec, agent_ids)
+
+
+def _result(build, *args):
+    """The instance `build` returns, or the type and message of what it raises."""
+    try:
+        return build(*args)
+    except Exception as exc:  # noqa: BLE001  (any exception is compared)
+        return type(exc), str(exc)
+
+
+class _SubclassSpec(AnonymousFunctionSpec):
+    __slots__ = ()
+
+
+_SPELLINGS = ("0", 0, "1/2", "2/4", " 0.5 ", "1/3", "3/7", "6/14", "0.25", ".125", "5/64", "63/64", "1/64")
+# Each cost fault as a document entry and as a `create` argument.
+_COST_FAULTS = {"negative": "-1/4", "one": "1", "above one": "3/2", "float": 0.5, "bool": True, "null": None}
+_AT = {"first": 0, "middle": 0.5, "last": 1}
+
+
+def _draws(seed: int):
+    """Seeded (kind, q, costs, function name, agent ids) drafts, valid and
+    hostile: every cost fault at the first, a middle and the last sorted
+    position, q out of range, n = 0, and faulty agent ids."""
+    rng = random.Random(seed)
+
+    def valid(n):
+        ids = [f"a{p}" for p in range(n)] if rng.random() < 0.5 else None
+        return "1/2" if rng.random() < 0.5 else "3/5", [rng.choice(_SPELLINGS) for _ in range(n)], ids
+
+    for _ in range(40):
+        yield ("valid", *valid(rng.randrange(1, 13)))
+    for fault, bad in _COST_FAULTS.items():
+        for at, share in _AT.items():
+            for _ in range(3):
+                q, costs, ids = valid(rng.randrange(3, 13))
+                order = sorted(range(len(costs)), key=lambda p: Fraction(costs[p]))
+                costs[order[round(share * (len(costs) - 1))]] = bad
+                yield (f"cost {fault} {at}", q, costs, ids)
+    for bad_q in ("0", "1", "3/2", "-1/2", "x"):
+        yield ("q", bad_q, *valid(rng.randrange(1, 13))[1:])
+    yield ("n = 0", "1/2", [], None)
+    for fault in ("duplicate", "empty", "non-string", "string", "short"):
+        q, costs, _ = valid(rng.randrange(2, 13))
+        ids = [f"a{p}" for p in range(len(costs))]
+        middle = len(ids) // 2
+        ids = {
+            "duplicate": ids[:-1] + ids[:1],
+            "empty": ids[:middle] + [""] + ids[middle + 1:],
+            "non-string": ids[:middle] + [7] + ids[middle + 1:],
+            "string": "".join(f"{p % 10}" for p in range(len(ids))),
+            "short": ids[1:],
+        }[fault]
+        yield (f"agent_ids {fault}", q, costs, ids)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ingest_gives_the_instance_or_the_error_of_its_definition(seed):
+    rng = random.Random(8800 + seed)
+    seen = set()
+    for kind, q, costs, ids in _draws(8800 + seed):
+        doc = {"n": len(costs), "q": q, "costs": costs, "function": rng.choice(("majority", "parity", "consensus"))}
+        if ids is not None:
+            doc["agent_ids"] = ids
+        text = json.dumps(doc)
+        for document in (text, text.encode(), "\ufeff" + text, ("\ufeff" + text).encode()):
+            expected = _result(_ingest_by_definition, document)
+            got = _result(ingest, document)
+            assert got == expected, (kind, document)
+            if isinstance(got, ProblemInstance):
+                assert type(got) is ProblemInstance
+                assert got._cost_pairs == tuple(map(Fraction.as_integer_ratio, got.costs))
+            seen.add((kind, isinstance(got, ProblemInstance)))
+    assert ("valid", True) in seen
+    assert {kind for kind, made in seen if not made} >= {
+        *(f"cost {fault} {at}" for fault in _COST_FAULTS for at in _AT), "q", "n = 0", "agent_ids duplicate",
+        "agent_ids empty", "agent_ids non-string", "agent_ids string", "agent_ids short",
+    }
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_create_gives_the_instance_or_the_error_of_its_definition(seed):
+    rng = random.Random(8900 + seed)
+    seen = set()
+    for kind, q, costs, ids in _draws(8900 + seed):
+        n = len(costs)
+        # Some costs already Fractions; the rest are read as in a document.
+        costs = [Fraction(c) if isinstance(c, str) and rng.random() < 0.3 and "/" in c else c for c in costs]
+        table = tuple(rng.random() < 0.5 for _ in range(max(n, 1) + 1))  # n = 0 gets a spec over 1 agent
+        specs = {"spec": AnonymousFunctionSpec(max(n, 1), table)}
+        if kind == "valid":
+            specs["spec over n + 1"] = parity(n + 1)
+            specs["subclass spec"] = _SubclassSpec(n, table)
+            specs["tuple spec"] = (n, table, None)
+        for spec_kind, spec in specs.items():
+            for prior in (q, Fraction(q) if q != "x" else q):
+                args = (prior, costs, spec, ids)
+                expected = _result(_create_by_definition, *args)
+                got = _result(ProblemInstance.create, *args)
+                assert got == expected, (kind, spec_kind, args)
+                if isinstance(got, ProblemInstance):
+                    assert type(got.fn_spec) is type(spec)
+                    assert got._cost_pairs == tuple(map(Fraction.as_integer_ratio, got.costs))
+                seen.add((kind if spec_kind == "spec" else spec_kind, isinstance(got, ProblemInstance)))
+    assert {("valid", True), ("subclass spec", True), ("spec over n + 1", False), ("tuple spec", False)} <= seen
+    assert {kind for kind, made in seen if not made} >= {
+        *(f"cost {fault} {at}" for fault in _COST_FAULTS for at in _AT), "q", "n = 0", "agent_ids string",
+    }
+
+
+@pytest.mark.parametrize("corpus_name", ["corpus_main", "corpus_small", "corpus_pivotal", "corpus_br"])
+def test_kept_cost_pairs_and_rank_rows_match_their_references(corpus_name, request):
+    for inst in request.getfixturevalue(corpus_name):
+        for built in (inst, ingest(emit(inst)), ProblemInstance(*inst._key)):
+            assert built == inst
+            assert built._cost_pairs == tuple(map(Fraction.as_integer_ratio, built.costs))
+            assert built.lattice.rank == full_lattice(built)[1]
