@@ -23,7 +23,8 @@ as long as it is willing, so `_play` walks those steps with no call and no
 mask and builds the mask where the walk stops. `run` builds its transcript
 from the checked steps without checking them again, out of the instance's
 shared (rank, reply) pairs, so a step allocates nothing, and reads the cost
-of the top-rank prefix from one of the instance's suffix totals.
+of the top-rank prefix from one of the suffix totals in the instance's
+`scaled_costs`.
 
 Since a policy sees only (i, k, remaining), the incentive checks visit each
 reachable such pair once, in two separate walks. The audit goes depth first,
@@ -231,8 +232,8 @@ def run(instance: ProblemInstance, policy, secrets) -> RunResult:
     secrets use. Only `HcfPolicy`'s top-rank prefix (see `_play`) steps
     without calling the policy; every other step calls it once. That prefix
     takes the dearest ranks n, n - 1, ... in turn, so the total cost reads
-    its part from the instance's `_top_costs` and adds up only the steps
-    after it, one `scaled_costs` read each.
+    its part from one of the suffix totals in the instance's `scaled_costs`
+    and adds up only the steps after it, one scaled cost each.
     """
     secrets = tuple(secrets)
     if (
@@ -243,8 +244,7 @@ def run(instance: ProblemInstance, policy, secrets) -> RunResult:
         raise ValueError(f"secrets must be {instance.n} bits")
     entries: list[tuple[int, int]] = []
     i, k, top = _play(instance, policy, 0, 0, _all_remaining(instance), secrets, entries)
-    den, scaled = instance.scaled_costs
-    tops = instance._top_costs
+    den, scaled, tops = instance.scaled_costs
     return RunResult(
         transcript=Transcript._of_checked(tuple(entries)),
         output=instance.fn_spec.value_at(k),

@@ -167,8 +167,8 @@ class AnonymousFunctionSpec(
     __slots__ = ()
 
     def __new__(cls, n: int, ones_to_one: tuple[bool, ...], name: str | None = None):
-        if n < 1:
-            raise BadFunctionTable(f"agent count must be at least 1, got {n}")
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise BadFunctionTable(f"agent count must be an integer >= 1, got {_clip(n)}")
         if len(ones_to_one) != n + 1:
             raise BadFunctionTable(f"table has {len(ones_to_one)} entries, need {n + 1}")
         if not all(map(isinstance, ones_to_one, repeat(bool))):
@@ -274,6 +274,8 @@ class InfoState(NamedTuple("InfoState", [("approached", int), ("ones", int)])):
     __slots__ = ()
 
     def __new__(cls, approached: int, ones: int):
+        if not (isinstance(approached, int) and isinstance(ones, int)) or bool in (type(approached), type(ones)):
+            raise TypeError(f"state coordinates must be ints, got ({_clip(approached)},{_clip(ones)})")
         if not 0 <= ones <= approached:
             raise ValueError(f"invalid state ({approached},{ones})")
         return tuple.__new__(cls, (approached, ones))
@@ -289,10 +291,13 @@ class Transcript(NamedTuple("Transcript", [("entries", "tuple[tuple[int, int], .
 
     def __new__(cls, entries: tuple[tuple[int, int], ...] = ()):
         # `dict` unpacks every pair and keeps one per distinct rank; the maps
-        # test `rank < 1` and `bit in (0, 1)` entry by entry, in C.
+        # test types, `rank < 1` and `bit in (0, 1)` entry by entry, in C. A
+        # bit may be a bool, as a secret of `mechanism.run` may.
         replies = dict(entries)
         if len(replies) != len(entries):
             raise ValueError("an agent may be approached at most once")
+        if not all(map(isinstance, (*replies, *replies.values()), repeat(int))) or bool in map(type, replies):
+            raise TypeError("transcript ranks must be ints, and bits ints or bools")
         if any(map(lt, replies, repeat(1))) or not all(map(contains, repeat((0, 1)), replies.values())):
             raise ValueError("transcript entries are (positive rank, bit)")
         return tuple.__new__(cls, (entries,))
@@ -311,7 +316,10 @@ class ProblemInstance:
     position of the agent holding sorted rank r. Display names live in
     ``agent_ids`` (input order). The prior q is any rational in (0, 1).
     Equality, hashing and the repr read these six fields alone, and none of
-    them can be assigned after construction.
+    them can be assigned after construction. Each table derived from them,
+    such as ``_cost_pairs``, the sorted costs as (numerator, denominator)
+    pairs of ints, is made once (at construction, or on first use for a
+    ``cached_property``) and kept outside equality, hashing and the repr.
     """
 
     _FIELDS = ("n", "q", "costs", "original_index", "fn_spec", "agent_ids")
@@ -338,7 +346,8 @@ class ProblemInstance:
             if not isinstance(c, Fraction) or not 0 <= c.numerator < c.denominator:
                 raise CostOutOfRange(f"normalized cost {_clip(c)} outside [0, 1)")
         # A descent is a/b > c/d, that is a*d > c*b, for neighbouring costs a/b, c/d.
-        tops, dens = zip(*map(Fraction.as_integer_ratio, self.costs))
+        vars(self)["_cost_pairs"] = pairs = tuple(map(Fraction.as_integer_ratio, self.costs))
+        tops, dens = zip(*pairs)
         if any(map(gt, map(mul, tops, dens[1:]), map(mul, tops[1:], dens))):
             raise MalformedDocument("costs must be sorted ascending")
         _check_tuple(self.original_index, "original_index")
@@ -349,9 +358,7 @@ class ProblemInstance:
         if not isinstance(self.fn_spec, AnonymousFunctionSpec):
             raise BadFunctionTable(f"function must be an AnonymousFunctionSpec, got {type(self.fn_spec).__name__}")
         if self.fn_spec.n != self.n:
-            raise BadFunctionTable(
-                f"function is over {self.fn_spec.n} agents, instance has {self.n}"
-            )
+            raise BadFunctionTable(f"function is over {self.fn_spec.n} agents, instance has {self.n}")
         _check_tuple(self.agent_ids, "agent_ids")
         if not _distinct_ids(self.agent_ids, self.n):
             raise MalformedDocument("agent_ids must be n distinct nonempty strings")
@@ -408,6 +415,7 @@ class ProblemInstance:
             raise MalformedDocument("agent_ids must be n distinct nonempty strings")
         return cls._sorted(q, costs, fn_spec, None if agent_ids is None else tuple(_iterate(agent_ids, "agent_ids")))
 
+    # `ingest` calls this, not `create`, whose iteration and type checks add 1.5 % to a `verify-lattice` op.
     @classmethod
     def _sorted(cls, q: Fraction, costs: list | tuple, fn_spec, agent_ids: tuple | None) -> "ProblemInstance":
         """The instance of an exact prior and exact costs in input order, for
@@ -442,9 +450,8 @@ class ProblemInstance:
 
     @cached_property
     def lattice(self):
-        """Pivotality and willing rank of every state, computed once on first
-        use (see ``pivotal.StateLattice``) and kept outside equality, hashing
-        and the repr."""
+        """Pivotality and willing rank of every state (see
+        ``pivotal.StateLattice``)."""
         from .pivotal import StateLattice
 
         return StateLattice(self)
@@ -452,52 +459,33 @@ class ProblemInstance:
     @cached_property
     def _deviation_memo(self) -> list:
         """The one-entry memo of ``mechanism.deviation_profile``: empty, or
-        the last policy asked and its reach's per-rank sums. The list is
-        filled in place; like the lattice, it is kept outside equality,
-        hashing and the repr."""
+        the last policy asked and its reach's per-rank sums, filled in
+        place."""
         return []
 
     @cached_property
-    def _cost_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Each sorted cost as its (numerator, denominator) pair of ints, from
-        which the lattice reads its runs of equal costs. `create` and `ingest`
-        keep the pairs their sort read; a directly built instance makes them
-        on first use. Kept outside equality, hashing and the repr."""
-        return tuple(map(Fraction.as_integer_ratio, self.costs))
-
-    @cached_property
-    def scaled_costs(self) -> tuple[int, tuple[int, ...]]:
-        """The costs' common denominator `den`, and the cost of each rank r
-        times `den` at entry r (entry 0 is 0), so that costs add up as
-        integers into one ``Fraction(total, den)``; `_top_costs` keeps their
-        sums from the dearest rank down. Computed once on first use and kept
-        outside equality, hashing and the repr. Raises CapExceeded as soon
-        as `den` passes `_MAX_DIGITS` digits, the most `rational_text`
-        prints, before the lcm of many long denominators takes time
-        quadratic in their count."""
+    def scaled_costs(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(den, scaled, tops): the costs' common denominator; rank r's cost
+        times `den` at scaled[r], so costs add up as integers into one
+        ``Fraction(total, den)``; and at tops[L] the scaled cost of the L
+        dearest ranks, HCF's top-rank prefix of length L, which `run` reads
+        (entry 0 of each is 0). CapExceeded as soon as `den` passes
+        `_MAX_DIGITS` digits, the most `rational_text` prints, before the lcm
+        of many long denominators takes time quadratic in their count."""
         den = 1
-        for d in {c.denominator for c in self.costs}:
+        for d in set(map(itemgetter(1), self._cost_pairs)):
             den = lcm(den, d)
             if den >= _TOO_LONG:
                 raise CapExceeded(f"cost totals capped at {_MAX_DIGITS} digits, the costs' common denominator has more")
-        return den, (0, *(c.numerator * (den // c.denominator) for c in self.costs))
-
-    @cached_property
-    def _top_costs(self) -> tuple[int, ...]:
-        """The scaled cost of the L dearest ranks, n - L + 1..n, at entry L,
-        in the units of `scaled_costs` (n + 1 entries, entry 0 is 0). HCF's
-        top-rank prefix takes exactly those ranks, so `run` reads that part
-        of a game's total here. Computed once on first use, after
-        `scaled_costs`, and kept outside equality, hashing and the repr."""
-        return tuple(accumulate(reversed(self.scaled_costs[1][1:]), initial=0))
+        scaled = (0, *(top * (den // d) for top, d in self._cost_pairs))
+        return den, scaled, tuple(accumulate(reversed(scaled[1:]), initial=0))
 
     @cached_property
     def _step_pairs(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
         """Every transcript entry a run can make, ``(rank, reply)`` at
         ``[reply][rank]`` (rank 0 unused): 2(n+1) pairs of plain ints that
         every transcript of the instance shares, so a kept transcript costs
-        one pointer per step. Computed once on first use and kept outside
-        equality, hashing and the repr."""
+        one pointer per step."""
         return tuple(tuple((rank, reply) for rank in range(self.n + 1)) for reply in (0, 1))
 
     def cost_of_rank(self, rank: int) -> Fraction:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .model import InfoState, ProblemInstance
 from .pivotal import StateLattice
@@ -39,12 +39,6 @@ class Verdict(NamedTuple):
     reason: str | None
     undefined_at: InfoState | None = None
     witness: Witness | None = None
-
-
-def _willing(rows: Iterable[Iterable[int]]) -> set[int]:
-    """The willing ranks of the undetermined states in `rows`, the rank rows
-    or their sets of values: the rank bounds that may need a pass."""
-    return {c for c in set().union(*rows) if c >= 0}
 
 
 def _lanes(lattice: StateLattice) -> tuple[int, list[int], list[int]]:
@@ -94,7 +88,7 @@ def exists_appropriate(instance: ProblemInstance) -> Verdict:
         distinct.append(set(row))
         if 0 in distinct[-1]:
             return Verdict(False, REASON_C_UNDEFINED, undefined_at=InfoState(i, row.index(0)))
-    willing = _willing(distinct)
+    willing = {c for c in set().union(*distinct) if c >= 0}  # the live states' willing ranks
     # The counts only change where j crosses a willing rank, so the smallest
     # violating j of any end node is one of those ranks, and a path of n
     # states breaks no bound j >= n. The root is live and a live state has a
@@ -113,10 +107,6 @@ def exists_appropriate(instance: ProblemInstance) -> Verdict:
 
     def lane(packed: int, k: int) -> int:
         return (packed >> (k * width)) & mask
-
-    def lowest(packed: int) -> int:
-        """Index of the lowest nonzero lane."""
-        return ((packed & -packed).bit_length() - 1) // width
 
     def rows(rank_bound: int) -> list[int]:
         """The path DP at one rank bound: lane k of layer i is one more than
@@ -139,14 +129,14 @@ def exists_appropriate(instance: ProblemInstance) -> Verdict:
             out.append(row)
         return out
 
-    # Per bound, keep the lowest violating end lane in `below`, the end lanes
-    # under the last found.
+    # Per bound, `found` takes the lowest violating end lane, the lowest set
+    # bit of `over`, and `below` keeps the end lanes under it.
     below, found = live[-1], None
     for j in bounds:
         layers = rows(j)
         over = ((layers[-1] | high) - (j + 2) * ones) & high & below
         if over:
-            found = lowest(over), j, layers
+            found = ((over & -over).bit_length() - 1) // width, j, layers
             below &= (1 << (found[0] * width)) - 1
             if not below:
                 break

@@ -208,7 +208,7 @@ def test_run_matches_the_reference_loop(corpus_main, policy_type):
 
 def test_run_totals_the_cost_of_its_transcript():
     # `run` reads the cost of HCF's top-rank prefix from the instance's
-    # `_top_costs` and adds up only the steps after it; the total must be
+    # `scaled_costs` and adds up only the steps after it; the total must be
     # the sum of the approached ranks' costs. Games wholly in the prefix
     # (parity and consensus, zero and low costs), games that leave it, games
     # whose dearest agent is unwilling at the root so the prefix is empty,
@@ -251,7 +251,7 @@ def test_run_totals_the_cost_of_its_transcript():
 
 
 def test_the_top_cost_sums_are_suffix_sums_built_only_by_run():
-    # Entry L of `_top_costs` is the scaled cost of the L dearest ranks,
+    # Entry L of `scaled_costs[2]` is the scaled cost of the L dearest ranks,
     # n - L + 1..n. `verify`, the audits, `nodes` and `edges` leave it
     # unbuilt, a run of any policy builds it, and equality, hashing and the
     # repr ignore it.
@@ -263,10 +263,10 @@ def test_the_top_cost_sums_are_suffix_sums_built_only_by_run():
         audit_full_tree(inst, HcfPolicy(inst))
         audit_full_tree(inst, FixedOrderPolicy(inst))
         nodes(inst), edges(inst)
-        assert "_top_costs" not in vars(inst)
+        assert "scaled_costs" not in vars(inst)
         run(inst, FixedOrderPolicy(inst), tuple(rng.randrange(2) for _ in range(n)))
-        tops, den = vars(inst)["_top_costs"], inst.scaled_costs[0]
-        assert len(tops) == n + 1 and inst._top_costs is tops
+        tops, den = vars(inst)["scaled_costs"][2], inst.scaled_costs[0]
+        assert len(tops) == n + 1 and inst.scaled_costs[2] is tops
         for length in range(n + 1):
             assert Fraction(tops[length], den) == sum(map(inst.cost_of_rank, range(n - length + 1, n + 1)), Fraction(0))
         assert inst == twin and hash(inst) == hash(twin) and repr(inst) == repr(twin)

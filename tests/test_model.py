@@ -701,7 +701,9 @@ def test_create_gives_the_instance_or_the_error_of_its_definition(seed):
 @pytest.mark.parametrize("corpus_name", ["corpus_main", "corpus_small", "corpus_pivotal", "corpus_br"])
 def test_kept_cost_pairs_and_rank_rows_match_their_references(corpus_name, request):
     for inst in request.getfixturevalue(corpus_name):
-        for built in (inst, ingest(emit(inst)), ProblemInstance(*inst._key)):
-            assert built == inst
+        create = ProblemInstance.create(inst.q, inst.user_costs(), inst.fn_spec, inst.agent_ids)
+        for built in (inst, ingest(emit(inst)), ProblemInstance(*inst._key), create, mirror(mirror(inst))):
+            # Every build keeps its pairs at construction, before the lattice reads them.
+            assert built == inst and "_cost_pairs" in vars(built)
             assert built._cost_pairs == tuple(map(Fraction.as_integer_ratio, built.costs))
             assert built.lattice.rank == full_lattice(built)[1]

@@ -28,13 +28,27 @@ REJECTED = [
     ("state-ones-above-approached", lambda: InfoState(1, 2), ValueError),
     ("state-negative-ones", lambda: InfoState(0, -1), ValueError),
     ("state-str-ones", lambda: InfoState(1, "1"), TypeError),
+    # A float state would reach `pivotal_prob`'s list indexing.
+    ("state-float", lambda: InfoState(1.0, 0.0), TypeError),
+    ("state-bool", lambda: InfoState(True, False), TypeError),
+    ("state-bool-ones", lambda: InfoState(1, True), TypeError),
+    ("state-fraction-approached", lambda: InfoState(Fraction(2), 1), TypeError),
     ("action-guess-by-secret", lambda: Action("guess-01", False, (0, 1)), ValueError),
     ("transcript-repeated-rank", lambda: Transcript(((1, 0), (1, 1))), ValueError),
     ("transcript-rank-0", lambda: Transcript(((0, 1),)), ValueError),
     ("transcript-bit-2", lambda: Transcript(((1, 2),)), ValueError),
     ("transcript-short-entry", lambda: Transcript(((1,),)), ValueError),
     ("transcript-flat-entries", lambda: Transcript((1, 2)), TypeError),
+    ("transcript-float-entry", lambda: Transcript(((1.5, 0.0),)), TypeError),
+    ("transcript-float-bit", lambda: Transcript(((1, 0.0),)), TypeError),
+    ("transcript-fraction-rank", lambda: Transcript(((Fraction(3, 2), 1),)), TypeError),
+    ("transcript-integral-fraction-rank", lambda: Transcript(((Fraction(2), 1),)), TypeError),
+    ("transcript-bool-rank", lambda: Transcript(((True, 0),)), TypeError),
     ("function-n-0", lambda: AnonymousFunctionSpec(0, (True,)), BadFunctionTable),
+    ("function-float-n", lambda: AnonymousFunctionSpec(2.0, (False, True, True)), BadFunctionTable),
+    ("function-bool-n", lambda: AnonymousFunctionSpec(True, (False, True)), BadFunctionTable),
+    ("function-fraction-n", lambda: AnonymousFunctionSpec(Fraction(2), (False, True, True)), BadFunctionTable),
+    ("function-str-n", lambda: AnonymousFunctionSpec("2", (False, True, True)), BadFunctionTable),
     ("function-short-table", lambda: AnonymousFunctionSpec(2, (True, False)), BadFunctionTable),
     ("function-int-table", lambda: AnonymousFunctionSpec(1, (1, 0)), BadFunctionTable),
     ("instance-n-0", lambda: _instance(n=0), MalformedDocument),
@@ -98,6 +112,8 @@ def test_ingest_clips_a_hostile_agent_count_in_its_message():
 def test_valid_values_build_by_position_and_by_keyword():
     assert InfoState(approached=2, ones=0) == InfoState(2, 0)
     assert Transcript() == Transcript(entries=()) and Transcript().entries == ()
+    # A bit may be a bool, as a secret of `run` may; a rank may not.
+    assert Transcript(((2, True), (1, False))).entries == ((2, True), (1, False))
     assert AnonymousFunctionSpec(n=1, ones_to_one=(False, True)).name is None
     assert _instance() == ProblemInstance(*INSTANCE_ARGS)
 
@@ -155,7 +171,7 @@ def test_problem_instance_hashes_weakrefs_and_keeps_the_lattice_out_of_its_repr(
     assert inst == twin and hash(inst) == hash(twin) and not inst != twin
     assert inst != _instance(agent_ids=("b", "a")) and inst != INSTANCE_ARGS
     assert weakref.ref(inst)() is inst
-    assert inst.lattice is inst.lattice and inst.scaled_costs == (2, (0, 0, 1)) and inst._top_costs == (0, 1, 1)
+    assert inst.lattice is inst.lattice and inst.scaled_costs == (2, (0, 0, 1), (0, 1, 1))
     assert repr(inst) == (
         "ProblemInstance(n=2, q=Fraction(1, 2), costs=(Fraction(0, 1), Fraction(1, 2)), "
         "original_index=(2, 1), fn_spec=AnonymousFunctionSpec(n=2, ones_to_one=(False, True, True), "

@@ -30,7 +30,6 @@ from seqelicit.verify import (
     Verdict,
     Witness,
     _lanes,
-    _willing,
     exists_appropriate,
 )
 
@@ -176,11 +175,12 @@ def test_lanes_match_the_per_bound_dp_across_lane_widths(n):
                 assert (live >> (k * width)) & full == (full if open_state else 0)
                 if open_state:
                     undetermined.add(InfoState(i, k))
-        assert _willing(inst.lattice.rank) == {c_of(state, inst) or 0 for state in undetermined}
+        willing = {c for row in inst.lattice.rank for c in row if c >= 0}
+        assert willing == {c_of(state, inst) or 0 for state in undetermined}
     assert {None, REASON_C_UNDEFINED, REASON_PIGEONHOLE} <= kinds
     # Every cost below every threshold: the determined states' rank 0 is no bound.
     tiny = ProblemInstance.create(Fraction(1, 2), [Fraction(1, 2 ** (n + 1))] * n, fn)
-    assert _willing(tiny.lattice.rank) == {n}
+    assert {c for row in tiny.lattice.rank for c in row if c >= 0} == {n}
 
 
 def test_skipped_bounds_keep_the_verdict_of_every_bound_passed(packed):
