@@ -20,7 +20,9 @@ once. Only a game of the built-in `HcfPolicy` over its own instance skips
 it, and only in its top-rank prefix: while the ranks left
 are exactly 1..n - i, as from the start of a game, HCF takes the top one for
 as long as it is willing, so `_play` walks those steps with no call and no
-mask and builds the mask where the walk stops. `run` builds its transcript
+mask and builds the mask where the walk stops. Above the lattice's
+`top_depth` every state is willing to the top rank, so those steps read no
+row at all. `run` builds its transcript
 from the checked steps without checking them again, out of the instance's
 shared (rank, reply) pairs, so a step allocates nothing, and reads the cost
 of the top-rank prefix from one of the suffix totals in the instance's
@@ -185,7 +187,10 @@ def _play(instance, policy, i: int, k: int, remaining: int, secrets, entries: li
     every `run`, HCF's answer is the top rank n - i as long as its willing
     rank reaches it, so those steps count the rank down from n - i, each
     with one row read, one compare, one secret read and one append, and no
-    mask. Where that walk stops, the mask is rebuilt and the game goes on
+    mask. Above the lattice's `top_depth` d every state is willing to rank
+    n - i, so the layers i < d take a step each with no row read and no
+    compare, and k adds their secrets in one sum; the row walk goes on from
+    layer d. Where that walk stops, the mask is rebuilt and the game goes on
     through `next`.
 
     Returns the state reached, (i, k), whose output is forced, and the
@@ -197,7 +202,14 @@ def _play(instance, policy, i: int, k: int, remaining: int, secrets, entries: li
     start = i
     if type(policy) is HcfPolicy and policy.instance is instance and remaining == (2 << (n - i)) - 2:
         # With exactly ranks 1..n - i left, `HcfPolicy.next` answers n - i
-        # while c >= n - i (a determined state's row is negative).
+        # while c >= n - i (a determined state's row is negative), which
+        # holds at every state above layer d.
+        d = instance.lattice.top_depth
+        if i < d:
+            for rank in range(n - i, n - d, -1):
+                entries.append(pairs[secrets[rank - 1]][rank])
+            k += sum(secrets[n - d:n - i])
+            i = d
         for rank in range(n - i, 0, -1):
             if willing[i][k] < rank:
                 break
@@ -230,7 +242,8 @@ def run(instance: ProblemInstance, policy, secrets) -> RunResult:
     skips the checks of `Transcript(...)`. Its entries are the instance's
     shared (rank, reply) pairs, plain ints whatever types the policy and the
     secrets use. Only `HcfPolicy`'s top-rank prefix (see `_play`) steps
-    without calling the policy; every other step calls it once. That prefix
+    without calling the policy, and above the lattice's `top_depth` without
+    reading a rank row; every other step calls it once. That prefix
     takes the dearest ranks n, n - 1, ... in turn, so the total cost reads
     its part from one of the suffix totals in the instance's `scaled_costs`
     and adds up only the steps after it, one scaled cost each.

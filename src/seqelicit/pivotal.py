@@ -119,6 +119,15 @@ class StateLattice:
         return list(self._rows())[::-1]
 
     @cached_property
+    def top_depth(self) -> int:
+        """The first layer d with a state (i, k) of `rank[i][k] < n - i`,
+        determined included, else n: above d every state is undetermined and
+        willing to rank n - i. Found on first read, by the HCF games of
+        `run`, from a scan of the rows down to layer d."""
+        n = len(self.rank)
+        return next((i for i, row in enumerate(self.rank) if min(row) < n - i), n)
+
+    @cached_property
     def thresholds(self) -> dict[tuple[int, int], Fraction]:
         """The memo of `threshold`: m num[i][k] / b^(n-i) at `[i, k]`, made from `num`
         on the first read of (i, k) and kept; at most n(n+1)/2 entries, keys unchecked."""

@@ -14,14 +14,21 @@ Parity at q = 3/5 with n = 1000 and every cost 0 has about half a million
 undetermined states, so it times the numerator recurrence itself: about
 0.3 s for lattice and verify together. Two HCF games on that instance then
 approach all 1000 agents each, since parity is forced only at the last; they
-read the lattice the verify built, so they time the games' steps alone. Every
-agent stays willing, so each game takes the top remaining rank at every step
-and runs wholly in `_play`'s top-rank prefix walk; the second game, on other
-secrets, shows that walk warm. A last HCF game, on majority at n = 1000 with
-its three dearest agents at the root's threshold, leaves that prefix after
-its first step and calls `HcfPolicy.next` through `_play`'s checked loop on
-each of its other 987 steps, so it times that loop at large n. Each of
-the three games' total cost must equal the sum of its approached ranks'
+read the lattice the verify built. Every agent stays willing and no state
+above the last layer is determined, so the lattice's top depth is 1000: each
+game takes the top remaining rank at every step, wholly in `_play`'s
+top-rank prefix and with no rank row read. The first game also pays the
+O(n^2) scan of the rows that finds that depth (about 1.1 ms for the game
+before the depth was kept, about 7.5 ms with the scan); the second, on other
+secrets, shows the walk warm (about 0.65 ms with a row read per step, about
+0.55 ms without). A print-only HCF game on majority at n = 1000 with every
+cost 0, whose top depth is 500, takes half its steps with no row read and
+the rest in the row walk, the scan down to layer 500 included. A last HCF
+game, on majority at n = 1000 with its three dearest agents at the root's
+threshold, top depth 1, leaves that prefix after its first step and calls
+`HcfPolicy.next` through `_play`'s checked loop on each of its other 987
+steps, so it times that loop at large n. The total cost of each parity
+game and of the last game must equal the sum of its approached ranks'
 costs, the check of `run`'s total over the prefix and past it. Last, the
 incentive checks at their caps, on parity at q = 3/5 with every cost 0: an
 HCF audit at `AUDIT_CAP`, which records every one of its n(n+1)/2 states,
@@ -100,11 +107,22 @@ def main() -> None:
         assert result.approached_count == PARITY_N and result.total_cost_incurred == 0, result.halted_at
         _check_total(zero_costs, result)
         print(f"{label} on parity q=3/5 n={PARITY_N}: {result.approached_count} approaches in {elapsed * 1000:.2f} ms")
+    assert zero_costs.lattice.top_depth == PARITY_N
+    # Majority with every cost 0 has its first determined state at layer
+    # n/2, so an HCF game takes the layers above it with no row read and
+    # walks the rows from there.
+    fn = majority(PARITY_N)
+    zero_majority = ProblemInstance.create(Fraction(1, 2), [Fraction(0)] * PARITY_N, fn)
+    root = threshold(InfoState(0, 0), zero_majority)  # builds the lattice before the clock starts
+    start = time.perf_counter()
+    result = run(zero_majority, HcfPolicy(zero_majority), draw_secrets(zero_majority, 3))
+    elapsed = time.perf_counter() - start
+    assert zero_majority.lattice.top_depth == PARITY_N // 2 < result.approached_count, result.halted_at
+    print(f"hcf run on majority n={PARITY_N}, zero costs: {result.approached_count} approaches in {elapsed * 1000:.2f} ms")
+    del zero_majority  # its numerator table, built for `root`, would slow the next game's first steps
     # The three dearest agents are willing at the root but not once the first
     # reply is 0, as it is on these secrets, so HCF takes the top rank first
     # and then ranks below the other two.
-    fn = majority(PARITY_N)
-    root = threshold(InfoState(0, 0), ProblemInstance.create(Fraction(1, 2), [Fraction(0)] * PARITY_N, fn))
     dear_top = ProblemInstance.create(Fraction(1, 2), [Fraction(0)] * (PARITY_N - 3) + [root] * 3, fn)
     secrets = draw_secrets(dear_top, 2)
     dear_top.lattice.rank  # built before the clock starts, to time the steps alone
@@ -112,6 +130,7 @@ def main() -> None:
     result = run(dear_top, HcfPolicy(dear_top), secrets)
     elapsed = time.perf_counter() - start
     ranks = [rank for rank, _ in result.transcript.entries]
+    assert dear_top.lattice.top_depth == 1
     assert ranks[0] == PARITY_N and ranks[1] < PARITY_N - 2, ranks[:2]
     assert result.output == fn.value_at(sum(secrets)), result.halted_at
     _check_total(dear_top, result)

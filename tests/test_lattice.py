@@ -236,6 +236,34 @@ def test_the_threshold_memo_is_bounded_and_built_only_by_threshold_reads():
     assert built >= 10
 
 
+def test_the_top_depth_is_built_only_by_hcf_games():
+    # The lattice build, `verify`, `nodes`, `edges`, fixed-order games, both
+    # audits and the deviation profile leave it unbuilt; an HCF game builds
+    # it, failing or not, and a second read gives the same int.
+    games = 0
+    for seed in range(8800, 8840):
+        inst = random_instance(random.Random(seed), seed % 9 + 1, max_cost_k=16)
+        inst.lattice
+        exists_appropriate(inst), nodes(inst), edges(inst)
+        run(inst, FixedOrderPolicy(inst), draw_secrets(inst, 0))
+        for policy in (HcfPolicy(inst), FixedOrderPolicy(inst)):
+            audit_full_tree(inst, policy)
+            try:
+                deviation_profile(inst, policy, inst.n)
+            except PolicyFailed:
+                pass
+        assert "top_depth" not in vars(inst.lattice)
+        try:
+            run(inst, HcfPolicy(inst), draw_secrets(inst, 1))
+            games += 1
+        except PolicyFailed:
+            pass
+        depth = vars(inst.lattice)["top_depth"]
+        assert type(depth) is int and 0 <= depth <= inst.n
+        assert inst.lattice.top_depth is depth
+    assert 0 < games < 40
+
+
 def test_the_threshold_memo_is_freed_with_its_instance_without_the_collector():
     # The memo keeps `num`, not the lattice, so no reference cycle holds
     # either past the instance.

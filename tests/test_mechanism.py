@@ -563,6 +563,37 @@ def test_inline_hcf_games_match_the_generic_loop_on_the_corpora(corpus_name, req
         _hcf_against_the_generic_loop(inst, vectors)
 
 
+def _top_depth(inst) -> int:
+    """The first layer holding a state (i, k) with a willing rank below the
+    top rank n - i, determined states included, else n: `oracle.full_lattice`'s
+    rank rows read state by state, the reference for `StateLattice.top_depth`."""
+    rank = full_lattice(inst)[1]
+    for i in range(inst.n):
+        for k in range(i + 1):
+            if rank[i][k] < inst.n - i:
+                return i
+    return inst.n
+
+
+@pytest.mark.parametrize("corpus_name", ["corpus_main", "corpus_small", "corpus_pivotal", "corpus_br"])
+def test_top_depth_matches_a_state_by_state_scan_of_the_full_lattice(corpus_name, request):
+    depths = set()
+    for inst in request.getfixturevalue(corpus_name):
+        depth = inst.lattice.top_depth
+        assert type(depth) is int and depth == _top_depth(inst), inst
+        depths.add(depth)
+    assert len(depths) > 1
+
+
+def test_top_depth_of_the_dear_top_majorities():
+    # At even n a first reply of 0 already leaves rank n - 1 unwilling; at odd
+    # n both states of layer 1 keep it willing and a state of layer 2 leaves
+    # rank n - 2 unwilling.
+    for n in (*range(9, 41), 100, 101):
+        inst = _dear_top_majority(n)
+        assert inst.lattice.top_depth == _top_depth(inst) == (1 if n % 2 == 0 else 2), n
+
+
 def _dear_top_majority(n: int) -> ProblemInstance:
     """Majority at q = 1/2 with its three dearest agents at the root's
     threshold: they are willing at the root but not at every later state (at
@@ -592,7 +623,14 @@ def test_inline_hcf_games_match_the_generic_loop_at_scale():
     # games that leave it at an undetermined state after at least one step
     # there and go on through `next`.
     wholly_top = handed_over = 0
+    # Instances whose top depth d is 0, where the prefix walk reads the root's
+    # row at once; in 1..n-1, where it leaves the row-free layers for the row
+    # walk; and n, where the whole game takes no row read.
+    depths = set()
     for inst in insts:
+        depth = inst.lattice.top_depth
+        assert depth == _top_depth(inst), inst
+        depths.add("none" if depth == 0 else "all" if depth == inst.n else "some")
         vectors = [tuple(rng.randrange(2) for _ in range(inst.n)) for _ in range(8)]
         for game in _hcf_against_the_generic_loop(inst, vectors):
             if type(game) is RunResult:
@@ -607,6 +645,7 @@ def test_inline_hcf_games_match_the_generic_loop_at_scale():
                 failed_later += game[1] != InfoState(0, 0)
     assert finished and skipped and failed_at_root and failed_later
     assert wholly_top and handed_over
+    assert depths == {"none", "some", "all"}
 
 
 def _played(inst, policy, i, k, remaining, secrets):
@@ -626,7 +665,9 @@ def test_inline_hcf_matches_the_generic_loop_from_mid_game_starts():
     # entered at seeded (i, k, remaining) starts: the top-rank prefix, exactly
     # ranks 1..n - i remaining, at i > 0; other masks of n - i ranks; and
     # states where nobody is willing, c == 0. Each kind must show up, and the
-    # prefix must be walked and also left for the steps that call `next`.
+    # prefix must be walked and also left for the steps that call `next`,
+    # from starts above the top depth d, which take the row-free layers
+    # first, and from starts at or below it, which take none.
     # The prefix count `_play` reports is that of the leading ranks n - i,
     # n - i - 1, ... where the prefix is taken, and 0 where it is not or
     # `next` answers every step.
@@ -637,9 +678,9 @@ def test_inline_hcf_matches_the_generic_loop_from_mid_game_starts():
             insts.append(ProblemInstance.create(Fraction(3, 5), (Fraction(0),) * n, fn))
             insts += [threshold_cost_instance(fn, zeros, rng) for zeros in (0, n // 10, n // 2)]
         insts.append(_dear_top_majority(n))
-    walked = left = masked = unwilling = 0
+    walked = left = masked = unwilling = above = below = 0
     for inst in insts:
-        n, willing = inst.n, inst.lattice.rank
+        n, willing, depth = inst.n, inst.lattice.rank, inst.lattice.top_depth
         kernel, generic = HcfPolicy(inst), _Delegating(HcfPolicy(inst))
         states = [(i, rng.randrange(i + 1)) for i in (rng.randrange(1, n + 1) for _ in range(10))]
         unwilling_states = [(i, k) for i in range(n) for k in range(i + 1) if willing[i][k] == 0]
@@ -667,7 +708,11 @@ def test_inline_hcf_matches_the_generic_loop_from_mid_game_starts():
                     elif ranks[0] == n - i:
                         walked += 1
                         left += ranks != list(range(n - i, n - i - len(ranks), -1))
-    assert walked and left and masked and unwilling
+                        above += i < depth
+                        below += i >= depth
+                        # Every layer above d takes the top rank.
+                        assert top >= depth - i, (inst, i, k)
+    assert walked and left and masked and unwilling and above and below
 
 
 def test_hcf_games_call_next_on_every_step_after_the_top_rank_prefix(monkeypatch):
