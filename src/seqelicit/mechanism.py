@@ -16,17 +16,8 @@ full-reply-tree audit certifies that everybody computing truthfully is an
 equilibrium.
 
 Every executor calls a policy through `_next_rank`, which checks each answer
-once. Only a game of the built-in `HcfPolicy` over its own instance skips
-it, and only in its top-rank prefix: while the ranks left
-are exactly 1..n - i, as from the start of a game, HCF takes the top one for
-as long as it is willing, so `_play` walks those steps with no call and no
-mask and builds the mask where the walk stops. Above the lattice's
-`top_depth` every state is willing to the top rank, so those steps read no
-row at all. `run` builds its transcript
-from the checked steps without checking them again, out of the instance's
-shared (rank, reply) pairs, so a step allocates nothing, and reads the cost
-of the top-rank prefix from one of the suffix totals in the instance's
-`scaled_costs`.
+once. Only `run` under the built-in `HcfPolicy` over its own instance skips
+it, in the game's top-rank prefix (see `run`).
 
 Since a policy sees only (i, k, remaining), the incentive checks visit each
 reachable such pair once, in two separate walks. The audit goes depth first,
@@ -86,18 +77,11 @@ class _InstancePolicy:
 class HcfPolicy(_InstancePolicy):
     """Approach the dearest agent still willing to compute.
 
-    It keeps its instance's n and, from its first answer on, the lattice's
-    rank rows, `instance.lattice.rank`, so each answer indexes those rows
-    without going through the instance. Building a policy builds no lattice:
-    an answer reads the rows first, so an executor's own checks, of the
-    secrets and the caps, still come before the lattice budget's. `run`
-    over its own instance calls it on every step after the top-rank prefix.
+    Building a policy builds no lattice: an answer reads the rank row of
+    `instance.lattice` first, so an executor's own checks, of the secrets
+    and the caps, still come before the lattice budget's. `run` over its own
+    instance calls it on every step after the top-rank prefix.
     """
-
-    def __init__(self, instance: ProblemInstance):
-        super().__init__(instance)
-        self._n = instance.n
-        self._rows = None
 
     def next(self, i: int, k: int, remaining: int) -> int:
         """The largest remaining rank up to the willing rank c at (i, k), so
@@ -106,12 +90,10 @@ class HcfPolicy(_InstancePolicy):
         PolicyFailed when nobody remaining is willing. The dearest remaining
         rank is the usual answer, so the mask below bit c is built only when
         that rank is above c."""
-        if not 0 <= k <= i < self._n:
-            c_of(InfoState(i, k), self.instance)  # not a lattice state: raises as c_of does
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = self.instance.lattice.rank
-        willing = rows[i][k]
+        instance = self.instance
+        if not 0 <= k <= i < instance.n:
+            c_of(InfoState(i, k), instance)  # not a lattice state: raises as c_of does
+        willing = instance.lattice.rank[i][k]
         willing = willing if willing >= 0 else ~willing
         rank = remaining.bit_length() - 1
         if rank > willing:
@@ -172,44 +154,49 @@ def _next_rank(policy, i: int, k: int, remaining: int) -> int:
     return rank
 
 
-def _play(instance, policy, i: int, k: int, remaining: int, secrets, entries: list) -> tuple[int, int, int]:
-    """Approach agents as `policy` directs, from state (i, k) with the ranks
-    whose bits are set in `remaining` not yet approached, replying from
-    `secrets` (rank order), until the output is determined. Appends each
-    step's (rank, reply) to `entries`, as the instance's shared pair from
-    `_step_pairs`, so a step allocates nothing. Each step is one lattice
-    lookup, one `_next_rank` call and one xor, so each rank is new and in
-    1..n.
+def run(instance: ProblemInstance, policy, secrets) -> RunResult:
+    """Play one game from the root as `policy` directs, with truthful replies
+    drawn from `secrets` (rank order): n ints, each 0 or 1 (bools included),
+    or ValueError.
 
-    A game of `HcfPolicy` itself (not a subclass, which may override
-    `next`) over this instance first walks its top-rank prefix without
-    calling `next`. While exactly ranks 1..n - i remain, as at the start of
-    every `run`, HCF's answer is the top rank n - i as long as its willing
-    rank reaches it, so those steps count the rank down from n - i, each
-    with one row read, one compare, one secret read and one append, and no
-    mask. Above the lattice's `top_depth` d every state is willing to rank
-    n - i, so the layers i < d take a step each with no row read and no
-    compare, and k adds their secrets in one sum; the row walk goes on from
-    layer d. Where that walk stops, the mask is rebuilt and the game goes on
-    through `next`.
+    The game stops only once every completion agrees, so the output always
+    equals the function's value on the true secrets. The stop test reads the
+    instance's lattice under any policy, so past `pivotal.LATTICE_BUDGET_BITS`
+    this raises CapExceeded, as it does when the costs' common denominator
+    has more than 4300 digits (`ProblemInstance.scaled_costs`). Each step is
+    one lattice lookup, one `_next_rank` call and one xor, so each rank is
+    new and in 1..n and the transcript skips the checks of `Transcript(...)`.
+    Its entries are the instance's shared (rank, reply) pairs from
+    `_step_pairs`, plain ints whatever types the policy and the secrets use,
+    so a step allocates nothing.
 
-    Returns the state reached, (i, k), whose output is forced, and the
-    number of steps the top-rank prefix walked (0 where it is not taken).
-    Every state after the last approach is determined, so the loop always
-    ends.
+    A game of `HcfPolicy` itself (not a subclass, which may override `next`)
+    over this instance first walks its top-rank prefix without calling
+    `next`. While exactly ranks 1..n - i remain, HCF's answer is the top rank
+    n - i as long as its willing rank reaches it, so those steps count the
+    rank down from n with one row read and one compare each, and no mask.
+    Above the lattice's `top_depth` d every state is willing to rank n - i,
+    so the first d steps read no row, and k adds their secrets in one sum.
+    Where the walk stops, the mask is built and the game goes on through
+    `next`. The prefix takes the dearest ranks in turn, so the total cost
+    reads its part from one of the suffix totals in `scaled_costs` and adds
+    up only the steps after it, one scaled cost each.
     """
-    n, willing, pairs = instance.n, instance.lattice.rank, instance._step_pairs
-    start = i
-    if type(policy) is HcfPolicy and policy.instance is instance and remaining == (2 << (n - i)) - 2:
+    secrets = tuple(secrets)
+    n = instance.n
+    if len(secrets) != n or not all(map(isinstance, secrets, repeat(int))) or not {0, 1}.issuperset(secrets):
+        raise ValueError(f"secrets must be {n} bits")
+    willing, pairs = instance.lattice.rank, instance._step_pairs
+    entries: list[tuple[int, int]] = []
+    i = k = 0
+    if type(policy) is HcfPolicy and policy.instance is instance:
         # With exactly ranks 1..n - i left, `HcfPolicy.next` answers n - i
         # while c >= n - i (a determined state's row is negative), which
         # holds at every state above layer d.
-        d = instance.lattice.top_depth
-        if i < d:
-            for rank in range(n - i, n - d, -1):
-                entries.append(pairs[secrets[rank - 1]][rank])
-            k += sum(secrets[n - d:n - i])
-            i = d
+        i = instance.lattice.top_depth
+        for rank in range(n, n - i, -1):
+            entries.append(pairs[secrets[rank - 1]][rank])
+        k = sum(secrets[n - i:])
         for rank in range(n - i, 0, -1):
             if willing[i][k] < rank:
                 break
@@ -217,8 +204,9 @@ def _play(instance, policy, i: int, k: int, remaining: int, secrets, entries: li
             entries.append(pairs[reply][rank])
             i += 1
             k += reply
-        remaining = (2 << (n - i)) - 2
-    top = i - start
+    top = i
+    remaining = (2 << (n - i)) - 2
+    # Every state after the last approach is determined, so the loop ends.
     while i < n and willing[i][k] >= 0:
         rank = _next_rank(policy, i, k, remaining)
         reply = secrets[rank - 1]
@@ -226,37 +214,6 @@ def _play(instance, policy, i: int, k: int, remaining: int, secrets, entries: li
         i += 1
         k += reply
         remaining ^= 1 << rank
-    return i, k, top
-
-
-def run(instance: ProblemInstance, policy, secrets) -> RunResult:
-    """Execute one game with truthful replies drawn from `secrets` (rank order):
-    n ints, each 0 or 1 (bools included), or ValueError.
-
-    The output always equals the function's value on the true secrets, since
-    the game stops only once every completion agrees. The stop test reads the
-    instance's lattice under any policy, so past `pivotal.LATTICE_BUDGET_BITS`
-    this raises CapExceeded, as it does when the costs' common denominator
-    has more than 4300 digits (`ProblemInstance.scaled_costs`).
-    The secrets are checked here and the ranks in `_play`, so the transcript
-    skips the checks of `Transcript(...)`. Its entries are the instance's
-    shared (rank, reply) pairs, plain ints whatever types the policy and the
-    secrets use. Only `HcfPolicy`'s top-rank prefix (see `_play`) steps
-    without calling the policy, and above the lattice's `top_depth` without
-    reading a rank row; every other step calls it once. That prefix
-    takes the dearest ranks n, n - 1, ... in turn, so the total cost reads
-    its part from one of the suffix totals in the instance's `scaled_costs`
-    and adds up only the steps after it, one scaled cost each.
-    """
-    secrets = tuple(secrets)
-    if (
-        len(secrets) != instance.n
-        or not all(map(isinstance, secrets, repeat(int)))
-        or not {0, 1}.issuperset(secrets)
-    ):
-        raise ValueError(f"secrets must be {instance.n} bits")
-    entries: list[tuple[int, int]] = []
-    i, k, top = _play(instance, policy, 0, 0, _all_remaining(instance), secrets, entries)
     den, scaled, tops = instance.scaled_costs
     return RunResult(
         transcript=Transcript._of_checked(tuple(entries)),

@@ -18,12 +18,11 @@ one list DP per rank bound with one Python step per state. It checks only the
 packed-lane arithmetic of `verify`, not the lattice's ranks or the criterion
 itself, which the closed-form and enumeration routes cover.
 
-`brute_audit` and the mechanism enumeration stop where `determine`'s window
+Every reference that plays or walks a game stops where `determine`'s window
 scan finds the output forced, while the executors in `mechanism` stop where
-the lattice marks the state determined in its rank row, so the audit's
-comparison checks one stop test against the other. `brute_deviation_profiles`
-plays through `mechanism._play` and shares its lattice stop test; the list DP
-below tests the numerators for 0 instead of the mark. `mirror` relabels every
+the lattice marks the state determined in its rank row, so each comparison
+checks one stop test against the other; the list DP below tests the
+numerators for 0 instead of the mark. `mirror` relabels every
 secret 0 <-> 1, the same game seen from q -> 1-q: the lattice answers any q
 in (0, 1) natively, so the mirror is the reference its low-prior answers are
 checked against.
@@ -48,7 +47,6 @@ from .mechanism import (
     HcfPolicy,
     _all_remaining,
     _next_rank,
-    _play,
     audit_full_tree,
 )
 from .model import ALL_ACTIONS, Action, AnonymousFunctionSpec, InfoState, ProblemInstance
@@ -282,22 +280,32 @@ def brute_deviation_profiles(instance: ProblemInstance, policy) -> dict[int, dic
     approached = dict.fromkeys(instance.ranks, 0)
     truthful_right = 0
     all_ranks = _all_remaining(instance)
+
+    def play(i: int, k: int, remaining: int, secrets, ranks: list) -> int:
+        # The ones-count where the game from (i, k, remaining) stops, asking
+        # the policy at every step; appends each rank approached to `ranks`.
+        while determine(InfoState(i, k), fn) is None:
+            rank = _next_rank(policy, i, k, remaining)
+            ranks.append(rank)
+            i, k, remaining = i + 1, k + secrets[rank - 1], remaining ^ (1 << rank)
+        return k
+
     try:
         for secrets in itertools.product((0, 1), repeat=n):
             weight = weight_of[sum(secrets)]
             true_value = fn.value_at(sum(secrets))
-            entries: list[tuple[int, int]] = []
-            truthful = fn.value_at(_play(instance, policy, 0, 0, all_ranks, secrets, entries)[1])
+            ranks: list[int] = []
+            truthful = fn.value_at(play(0, 0, all_ranks, secrets, ranks))
             truthful_right += weight * (truthful == true_value)
             i, k, remaining = 0, 0, all_ranks
-            for rank, reply in entries:
+            for rank in ranks:
+                reply = secrets[rank - 1]
                 remaining ^= 1 << rank
                 outputs = [truthful, truthful]  # indexed by the agent's reply
-                flipped = _play(instance, policy, i + 1, k + 1 - reply, remaining, secrets, [])
-                outputs[1 - reply] = fn.value_at(flipped[1])
+                outputs[1 - reply] = fn.value_at(play(i + 1, k + 1 - reply, remaining, secrets, []))
                 approached[rank] += weight
                 for slot, action in enumerate(ALL_ACTIONS):
-                    correct[rank][slot] += weight * (outputs[action.reply(secrets[rank - 1])] == true_value)
+                    correct[rank][slot] += weight * (outputs[action.reply(reply)] == true_value)
                 i, k = i + 1, k + reply
     except Exception as exc:  # noqa: BLE001 - stands in for every rank's profile
         return dict.fromkeys(instance.ranks, exc)

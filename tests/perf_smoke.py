@@ -16,7 +16,7 @@ undetermined states, so it times the numerator recurrence itself: about
 approach all 1000 agents each, since parity is forced only at the last; they
 read the lattice the verify built. Every agent stays willing and no state
 above the last layer is determined, so the lattice's top depth is 1000: each
-game takes the top remaining rank at every step, wholly in `_play`'s
+game takes the top remaining rank at every step, wholly in `run`'s
 top-rank prefix and with no rank row read. The first game also pays the
 O(n^2) scan of the rows that finds that depth (about 1.1 ms for the game
 before the depth was kept, about 7.5 ms with the scan); the second, on other
@@ -26,7 +26,7 @@ cost 0, whose top depth is 500, takes half its steps with no row read and
 the rest in the row walk, the scan down to layer 500 included. A last HCF
 game, on majority at n = 1000 with its three dearest agents at the root's
 threshold, top depth 1, leaves that prefix after its first step and calls
-`HcfPolicy.next` through `_play`'s checked loop on each of its other 987
+`HcfPolicy.next` through `run`'s checked loop on each of its other 987
 steps, so it times that loop at large n. The total cost of each parity
 game and of the last game must equal the sum of its approached ranks'
 costs, the check of `run`'s total over the prefix and past it. Last, the

@@ -26,7 +26,6 @@ from seqelicit.mechanism import (
     HcfPolicy,
     RunResult,
     _next_rank,
-    _play,
     audit_full_tree,
     deviation_profile,
     draw_secrets,
@@ -547,7 +546,7 @@ def _counting_down(ranks, first) -> int:
 
 def _top_rank_steps(inst, result) -> int:
     """How many steps the game takes from its first on, each at the top rank
-    remaining: the steps `_play` walks in its top-rank prefix."""
+    remaining: the steps `run` walks in its top-rank prefix."""
     return _counting_down([rank for rank, _ in result.transcript.entries], inst.n)
 
 
@@ -646,73 +645,6 @@ def test_inline_hcf_games_match_the_generic_loop_at_scale():
     assert finished and skipped and failed_at_root and failed_later
     assert wholly_top and handed_over
     assert depths == {"none", "some", "all"}
-
-
-def _played(inst, policy, i, k, remaining, secrets):
-    """`_play`'s end state and entries from (i, k, remaining), or its policy
-    failure as type, state and reason; and, apart, the number of steps it
-    reports for its top-rank prefix (None on a failure)."""
-    entries = []
-    try:
-        i, k, top = _play(inst, policy, i, k, remaining, secrets, entries)
-    except PolicyFailed as exc:
-        return (type(exc), exc.state, exc.reason), None
-    return ((i, k), entries), top
-
-
-def test_inline_hcf_matches_the_generic_loop_from_mid_game_starts():
-    # `run` enters `_play` at the root with every rank remaining. Here it is
-    # entered at seeded (i, k, remaining) starts: the top-rank prefix, exactly
-    # ranks 1..n - i remaining, at i > 0; other masks of n - i ranks; and
-    # states where nobody is willing, c == 0. Each kind must show up, and the
-    # prefix must be walked and also left for the steps that call `next`,
-    # from starts above the top depth d, which take the row-free layers
-    # first, and from starts at or below it, which take none.
-    # The prefix count `_play` reports is that of the leading ranks n - i,
-    # n - i - 1, ... where the prefix is taken, and 0 where it is not or
-    # `next` answers every step.
-    rng = random.Random(20261023)
-    insts = []
-    for n in (9, 40, 90):
-        for fn in (parity(n), majority(n), consensus(n)):
-            insts.append(ProblemInstance.create(Fraction(3, 5), (Fraction(0),) * n, fn))
-            insts += [threshold_cost_instance(fn, zeros, rng) for zeros in (0, n // 10, n // 2)]
-        insts.append(_dear_top_majority(n))
-    walked = left = masked = unwilling = above = below = 0
-    for inst in insts:
-        n, willing, depth = inst.n, inst.lattice.rank, inst.lattice.top_depth
-        kernel, generic = HcfPolicy(inst), _Delegating(HcfPolicy(inst))
-        states = [(i, rng.randrange(i + 1)) for i in (rng.randrange(1, n + 1) for _ in range(10))]
-        unwilling_states = [(i, k) for i in range(n) for k in range(i + 1) if willing[i][k] == 0]
-        states += rng.sample(unwilling_states, min(3, len(unwilling_states)))
-        for i, k in states:
-            secrets = tuple(rng.randrange(2) for _ in range(n))
-            prefix = (2 << (n - i)) - 2
-            other = sum(1 << rank for rank in rng.sample(range(1, n + 1), n - i))
-            for remaining in (prefix, other):
-                game, top = _played(inst, kernel, i, k, remaining, secrets)
-                generic_game, generic_top = _played(inst, generic, i, k, remaining, secrets)
-                assert game == generic_game, (inst, i, k, remaining, secrets)
-                if game[0] is PolicyFailed:
-                    assert top is generic_top is None
-                else:
-                    ranks = [rank for rank, _ in game[1]]
-                    assert top == (_counting_down(ranks, n - i) if remaining == prefix else 0), (inst, i, k)
-                    assert generic_top == 0
-                if i < n and willing[i][k] == 0:
-                    unwilling += 1
-                    assert game == (PolicyFailed, InfoState(i, k), "no_eligible_agent")
-                elif game[0] is not PolicyFailed and game[1]:
-                    if remaining != prefix:
-                        masked += 1
-                    elif ranks[0] == n - i:
-                        walked += 1
-                        left += ranks != list(range(n - i, n - i - len(ranks), -1))
-                        above += i < depth
-                        below += i >= depth
-                        # Every layer above d takes the top rank.
-                        assert top >= depth - i, (inst, i, k)
-    assert walked and left and masked and unwilling and above and below
 
 
 def test_hcf_games_call_next_on_every_step_after_the_top_rank_prefix(monkeypatch):
@@ -915,8 +847,8 @@ def test_executors_accept_and_refuse_as_next_rank_does(answer):
     assert _refusal(deviation_profile, inst, policy, 1) == expected
     if expected is None:
         assert run(inst, policy, (1, 0, 0)).transcript.entries[:2] == ((3, 0), (2, 0))
-    # The 2^n reference plays every secret vector through `_play`; a refusal
-    # stands in for every rank's profile.
+    # The 2^n reference plays every secret vector in its own game loop; a
+    # refusal stands in for every rank's profile.
     reference = brute_deviation_profiles(inst, policy)[1]
     if expected is None:
         assert reference == deviation_profile(inst, policy, 1)

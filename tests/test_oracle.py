@@ -8,8 +8,8 @@ import pytest
 
 from conftest import example1_instance, example2_instance, example3_instance, make_instance
 from seqelicit.errors import CapExceeded
-from seqelicit.mechanism import AUDIT_CAP, DEVIATION_CAP
-from seqelicit.model import InfoState, consensus
+from seqelicit.mechanism import AUDIT_CAP, DEVIATION_CAP, FixedOrderPolicy, deviation_profile
+from seqelicit.model import InfoState, consensus, majority
 from seqelicit.oracle import (
     BRUTE_PIVOTAL_CAP,
     brute_audit,
@@ -120,6 +120,16 @@ def test_brute_references_refuse_past_their_cap_before_playing(reference, cap):
     with pytest.raises(CapExceeded):
         reference(inst, policy)
     assert policy.calls == []
+
+
+def test_the_deviation_reference_plays_its_own_games_without_the_lattice():
+    # The reference asks the policy at every step and stops where
+    # `determine`'s window scan finds the output forced, so it shares no code
+    # with the executors it checks and never builds the lattice they stop on.
+    inst = make_instance("1/2", ["1/16"] * 6, majority(6).ones_to_one)
+    profiles = brute_deviation_profiles(inst, FixedOrderPolicy(inst))
+    assert "lattice" not in vars(inst)
+    assert profiles == {rank: deviation_profile(inst, FixedOrderPolicy(inst), rank) for rank in inst.ranks}
 
 
 def test_hcf_tree_examples():
