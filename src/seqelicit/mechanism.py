@@ -21,15 +21,15 @@ it, in the game's top-rank prefix (see `run`).
 
 Since a policy sees only (i, k, remaining), the incentive checks visit each
 reachable such pair once, in two separate walks. The audit goes depth first,
-skips a pair it has already walked and reads each record's threshold from the
-lattice's memo, which the audits of one instance share. The deviation profile
-is a forward reach, layer by layer, that carries path weights through every
-pair and averages the lattice's pivotality over the deviating agent's
-approaches, from which every deviation's utility follows in integers. The
-reach does not depend on the deviating agent, so one walk sums the weights of
-every rank's approaches and the instance keeps the sums of the last policy
-asked; the built-in policies are values, so fresh ones share that walk. The
-2^n tree walk and secret-vector enumeration are in `oracle`, as the references.
+skips a pair it has already walked and makes each record's threshold from the
+lattice's numerator at its state. The deviation profile is a forward reach,
+layer by layer, that carries path weights through every pair and averages the
+lattice's pivotality over the deviating agent's approaches, from which every
+deviation's utility follows in integers. The reach does not depend on the
+deviating agent, so one walk sums the weights of every rank's approaches and
+the instance keeps the sums of the last policy asked; the built-in policies
+are values, so fresh ones share that walk. The 2^n tree walk and secret-vector
+enumeration are in `oracle`, as the references.
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
     """Follow every reply path of the policy and check each decision point.
 
     At each reached undetermined state the chosen agent's cost is compared to
-    the threshold there, the lattice's memo entry. A pass certifies that
+    the threshold there, from the lattice's numerator. A pass certifies that
     everybody computing truthfully is an equilibrium: any unilateral deviation
     at a reached state reduces to the recorded inequality. Stops at the first
     failure; records are deduped by (state, rank) in first-reached order. The
@@ -247,7 +247,8 @@ def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
     """
     if instance.n > AUDIT_CAP:
         raise CapExceeded(f"full tree audit capped at n={AUDIT_CAP}, instance has n={instance.n}")
-    n, costs, willing, taus = instance.n, instance.costs, instance.lattice.rank, instance.lattice.thresholds
+    n, costs, lattice = instance.n, instance.costs, instance.lattice
+    willing, num, m, b = lattice.rank, lattice.num, lattice._m, lattice._b
     # Keyed by ints: (i, k, rank) for the records, (i, k, remaining) for the walk.
     records: dict[tuple[int, int, int], AuditRecord] = {}
     walked: set[tuple[int, int, int]] = set()
@@ -265,7 +266,8 @@ def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
             eligible = rank <= willing[i][k]
             if (i, k, rank) not in records:
                 state = tuple.__new__(InfoState, (i, k))  # a lattice state: no check
-                records[i, k, rank] = AuditRecord(state, rank, costs[rank - 1], taus[state], eligible)
+                tau = Fraction(m * num[i][k], b ** (n - i))  # `StateLattice.threshold`, inline: the call is slower
+                records[i, k, rank] = AuditRecord(state, rank, costs[rank - 1], tau, eligible)
             if not eligible:
                 raise PolicyFailed(InfoState(i, k), FAIL_CHOSEN_INELIGIBLE)
             rest = remaining ^ (1 << rank)

@@ -3,15 +3,15 @@
 For an anonymous function, the pair (agents approached, ones reported) is a
 sufficient statistic for everything the remaining agents can infer, so all
 quantities here are functions of that pair. Each instance owns one
-`StateLattice`, built on first use, that holds the willing rank, or
-determined mark, of every state; the lookups read it. The pivotality
-numerators are rolled up from the leaves through two rows while the ranks are
-read off them, and the full numerator table is built only on first read, for
-`pivotal_prob`, which turns one numerator into its rational, and the memo of
-thresholds that `threshold` and the audits read. The thresholds along one
-path come from a second pass through two rows. The reduced graph of
-undetermined states, on which `verify` decides existence, is the lattice
-itself: `nodes` and `edges` read it off the willing ranks.
+`StateLattice`, built on first use, that holds the willing rank, or determined
+mark, of every state; the lookups read it. The pivotality numerators are
+rolled up from the leaves through two rows while the ranks are read off them,
+and the full numerator table is built only on first read, for `pivotal_prob`
+and `threshold`, which turn one numerator into its rational, and the incentive
+checks. The thresholds along one path come from a second pass through two
+rows. The reduced graph of undetermined states, on which `verify` decides
+existence, is the lattice itself: `nodes` and `edges` read it off the willing
+ranks.
 """
 
 from __future__ import annotations
@@ -127,32 +127,18 @@ class StateLattice:
         n = len(self.rank)
         return next((i for i, row in enumerate(self.rank) if min(row) < n - i), n)
 
-    @cached_property
-    def thresholds(self) -> dict[tuple[int, int], Fraction]:
-        """The memo of `threshold`: m num[i][k] / b^(n-i) at `[i, k]`, made from `num`
-        on the first read of (i, k) and kept; at most n(n+1)/2 entries, keys unchecked."""
-        return _Thresholds(self.num, self._m, self._b)
+    def threshold(self, i: int, num: int) -> Fraction:
+        """m num / b^(n-i), the threshold at layer i of the state whose numerator is `num`."""
+        return Fraction(self._m * num, self._b ** (len(self.rank) - i))
 
     def path_thresholds(self, ones: list[int]) -> list[Fraction]:
         """`threshold` at (i, ones[i]) for each i < len(ones) <= n, from one pass
         up from the leaves that keeps two rows: `num` is not built."""
         if not ones:
             return []
-        n, m, b = len(self.rank), self._m, self._b
+        n = len(self.rank)
         picked = [row[ones[i]] for i, row in zip(range(n - 1, -1, -1), self._rows()) if i < len(ones)]
-        return [Fraction(m * num, b ** (n - i)) for i, num in enumerate(reversed(picked))]
-
-
-class _Thresholds(dict):
-    """`StateLattice.thresholds`: it keeps `num`, not the lattice, so it makes no reference cycle."""
-
-    def __init__(self, num: list[list[int]], m: int, b: int):
-        self._num, self._m, self._b = num, m, b
-
-    def __missing__(self, state: tuple[int, int]) -> Fraction:
-        i, k = state
-        tau = self[state] = Fraction(self._m * self._num[i][k], self._b ** (len(self._num) - i))
-        return tau
+        return list(map(self.threshold, range(n), reversed(picked)))
 
 
 def _check_approachable(state: InfoState, n: int) -> None:
@@ -180,10 +166,10 @@ def threshold(state: InfoState, instance: ProblemInstance) -> Fraction:
     """Largest cost an agent will pay to compute at `state`:
     min(q, 1-q) * P(pivotal), as not computing means replying with the
     likelier bit. An agent is eligible at the state iff its cost is at most
-    this value (weak inequality). Read from `StateLattice.thresholds`, after
-    the range check, so each state's rational is made once per instance.
+    this value (weak inequality).
     """
-    return _lattice(state, instance).thresholds[state]
+    lattice = _lattice(state, instance)
+    return lattice.threshold(state.approached, lattice.num[state.approached][state.ones])
 
 
 def nodes(instance: ProblemInstance) -> list[InfoState]:

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import Q_CHOICES, adversarial_majority, check_witness, corpus, random_instance
 from seqelicit import pivotal
-from seqelicit.cli import _cmd_graph, _cmd_hcf
+from seqelicit.cli import _cmd_graph, _cmd_hcf, _label_json, _labels
 from seqelicit.errors import CapExceeded, PolicyFailed
 from seqelicit.mechanism import FixedOrderPolicy, HcfPolicy, audit_full_tree, deviation_profile, draw_secrets, run
 from seqelicit.model import AnonymousFunctionSpec, InfoState, ProblemInstance, majority, parity, rational_text
@@ -208,10 +208,9 @@ def test_the_hcf_command_leaves_the_numerators_unbuilt():
     assert "num" not in vars(inst.lattice)
 
 
-def test_the_threshold_memo_is_bounded_and_built_only_by_threshold_reads():
-    # `verify`, games of either policy, `nodes` and `edges` leave the memo
-    # unbuilt. The audits and the public lookup add at most one entry per
-    # state, which equality, hashing and the repr ignore.
+def test_the_lattice_holds_only_its_rows_numerators_and_top_depth():
+    # Every reader of the lattice, thresholds included, adds at most `num`
+    # and the top depth to it; equality, hashing and the repr ignore both.
     built = 0
     for seed in range(8750, 8790):
         inst, twin = (random_instance(random.Random(seed), seed % 9 + 1, max_cost_k=16) for _ in range(2))
@@ -220,17 +219,20 @@ def test_the_threshold_memo_is_bounded_and_built_only_by_threshold_reads():
         if exists:
             run(inst, HcfPolicy(inst), draw_secrets(inst, 1))
         nodes(inst), edges(inst)
-        assert "thresholds" not in vars(inst.lattice)
-        states = inst.n * (inst.n + 1) // 2
-        audit_full_tree(inst, HcfPolicy(inst))
-        audit_full_tree(inst, FixedOrderPolicy(inst))
-        memo = inst.lattice.thresholds
-        assert len(memo) <= states
+        for policy in (HcfPolicy(inst), FixedOrderPolicy(inst)):
+            audit_full_tree(inst, policy)
+            try:
+                deviation_profile(inst, policy, inst.n)
+            except PolicyFailed:
+                pass
+        for label in _labels(inst):
+            _label_json(inst, *label)
+        inst.lattice.path_thresholds(list(range(inst.n)))
         for _ in range(2):
             for i in range(inst.n):
                 for k in range(i + 1):
                     threshold(InfoState(i, k), inst)
-            assert len(memo) == states and inst.lattice.thresholds is memo
+        assert set(vars(inst.lattice)) <= {"rank", "_leaves", "_a", "_m", "_b", "num", "top_depth"}
         assert inst == twin and hash(inst) == hash(twin) and repr(inst) == repr(twin)
         built += exists
     assert built >= 10
@@ -264,17 +266,17 @@ def test_the_top_depth_is_built_only_by_hcf_games():
     assert 0 < games < 40
 
 
-def test_the_threshold_memo_is_freed_with_its_instance_without_the_collector():
-    # The memo keeps `num`, not the lattice, so no reference cycle holds
-    # either past the instance.
+def test_the_lattice_is_freed_with_its_instance_without_the_collector():
+    # The lattice and its numerator table make no reference cycle, so
+    # dropping the instance frees them at once.
     inst = ProblemInstance.create(Fraction(3, 5), [Fraction(0)] * 8, parity(8))
     assert audit_full_tree(inst, HcfPolicy(inst)).passed
-    lattice, memo = weakref.ref(inst.lattice), weakref.ref(inst.lattice.thresholds)
-    assert len(memo()) == 8 * 9 // 2
+    assert "num" in vars(inst.lattice)
+    lattice = weakref.ref(inst.lattice)
     gc.disable()
     try:
         del inst
-        assert lattice() is None and memo() is None
+        assert lattice() is None
     finally:
         gc.enable()
 

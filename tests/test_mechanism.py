@@ -978,12 +978,12 @@ def test_incentive_checks_match_the_oracles_under_an_arbitrary_policy(n, max_cos
 @pytest.mark.parametrize("fill", [None, "threshold", "labels"])
 @pytest.mark.parametrize("policy_types", [(HcfPolicy, FixedOrderPolicy), (FixedOrderPolicy, HcfPolicy)])
 def test_audit_thresholds_equal_the_numerator_formula(fill, policy_types):
-    # `brute_audit` reads `pivotal.threshold`, the same memo the audit reads,
-    # so comparing the two cannot catch a wrong memo entry. Each record's
-    # threshold is recomputed here from the whole numerator table of
-    # `oracle.full_lattice`, with the audits in either order, on instances
-    # whose memo is empty or was filled first by the public lookup or by the
-    # CLI's labels.
+    # `brute_audit` reads `pivotal.threshold`, which reads the same lattice
+    # numerators as the audit, so comparing the two cannot catch a wrong
+    # numerator. Each record's threshold is recomputed here from the whole
+    # numerator table of `oracle.full_lattice`, with the audits in either
+    # order, on instances whose thresholds were read first by nobody, by the
+    # public lookup or by the CLI's labels.
     rng = random.Random(9300)
     records = passed = 0
     for _ in range(40):
