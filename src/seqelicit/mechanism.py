@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -156,8 +155,12 @@ def _next_rank(policy, i: int, k: int, remaining: int) -> int:
 
 def run(instance: ProblemInstance, policy, secrets) -> RunResult:
     """Play one game from the root as `policy` directs, with truthful replies
-    drawn from `secrets` (rank order): n ints, each 0 or 1 (bools included),
-    or ValueError.
+    drawn from `secrets` (rank order): n elements that `bytes()` takes, each
+    0 or 1 (any int or bool, or any object with `__index__`; not a float, a
+    str or a Fraction), or ValueError; a non-iterable raises TypeError. The
+    secrets are read once, as one `bytes` of their tuple (the tuple makes an
+    `array` give its elements, not its raw buffer), and the check, the ones
+    count and every reply read that one object.
 
     The game stops only once every completion agrees, so the output always
     equals the function's value on the true secrets. The stop test reads the
@@ -167,8 +170,8 @@ def run(instance: ProblemInstance, policy, secrets) -> RunResult:
     one lattice lookup, one `_next_rank` call and one xor, so each rank is
     new and in 1..n and the transcript skips the checks of `Transcript(...)`.
     Its entries are the instance's shared (rank, reply) pairs from
-    `_step_pairs`, plain ints whatever types the policy and the secrets use,
-    so a step allocates nothing.
+    `_step_pairs`, indexed by rank and then reply, plain ints whatever types
+    the policy and the secrets use, so a step allocates nothing.
 
     A game of `HcfPolicy` itself (not a subclass, which may override `next`)
     over this instance first walks its top-rank prefix without calling
@@ -176,7 +179,8 @@ def run(instance: ProblemInstance, policy, secrets) -> RunResult:
     n - i as long as its willing rank reaches it, so those steps count the
     rank down from n with one row read and one compare each, and no mask.
     Above the lattice's `top_depth` d every state is willing to rank n - i,
-    so the first d steps read no row, and k adds their secrets in one sum.
+    so the first d steps read no row: their entries are one comprehension
+    over the top d ranks, and k is the count of ones among their secrets.
     Where the walk stops, the mask is built and the game goes on through
     `next`. The prefix takes the dearest ranks in turn, so the total cost
     reads its part from one of the suffix totals in `scaled_costs` and adds
@@ -184,7 +188,11 @@ def run(instance: ProblemInstance, policy, secrets) -> RunResult:
     """
     secrets = tuple(secrets)
     n = instance.n
-    if len(secrets) != n or not all(map(isinstance, secrets, repeat(int))) or not {0, 1}.issuperset(secrets):
+    try:
+        bits = bytes(secrets)
+    except (TypeError, ValueError):
+        raise ValueError(f"secrets must be {n} bits") from None
+    if len(bits) != n or bits.translate(None, b"\0\1"):
         raise ValueError(f"secrets must be {n} bits")
     willing, pairs = instance.lattice.rank, instance._step_pairs
     entries: list[tuple[int, int]] = []
@@ -194,14 +202,13 @@ def run(instance: ProblemInstance, policy, secrets) -> RunResult:
         # while c >= n - i (a determined state's row is negative), which
         # holds at every state above layer d.
         i = instance.lattice.top_depth
-        for rank in range(n, n - i, -1):
-            entries.append(pairs[secrets[rank - 1]][rank])
-        k = sum(secrets[n - i:])
+        entries = [p[s] for p, s in zip(pairs[n:n - i:-1], bits[n - i:][::-1])]
+        k = bits.count(1, n - i)
         for rank in range(n - i, 0, -1):
             if willing[i][k] < rank:
                 break
-            reply = secrets[rank - 1]
-            entries.append(pairs[reply][rank])
+            reply = bits[rank - 1]
+            entries.append(pairs[rank][reply])
             i += 1
             k += reply
     top = i
@@ -209,8 +216,8 @@ def run(instance: ProblemInstance, policy, secrets) -> RunResult:
     # Every state after the last approach is determined, so the loop ends.
     while i < n and willing[i][k] >= 0:
         rank = _next_rank(policy, i, k, remaining)
-        reply = secrets[rank - 1]
-        entries.append(pairs[reply][rank])
+        reply = bits[rank - 1]
+        entries.append(pairs[rank][reply])
         i += 1
         k += reply
         remaining ^= 1 << rank
@@ -218,7 +225,7 @@ def run(instance: ProblemInstance, policy, secrets) -> RunResult:
     return RunResult(
         transcript=Transcript._of_checked(tuple(entries)),
         output=instance.fn_spec.value_at(k),
-        halted_at=InfoState(i, k),
+        halted_at=tuple.__new__(InfoState, (i, k)),  # a lattice state: no check
         approached_count=len(entries),
         total_cost_incurred=Fraction(tops[top] + sum(map(scaled.__getitem__, map(itemgetter(0), entries[top:]))), den),
     )

@@ -481,12 +481,12 @@ class ProblemInstance:
         return den, scaled, tuple(accumulate(reversed(scaled[1:]), initial=0))
 
     @cached_property
-    def _step_pairs(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    def _step_pairs(self) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
         """Every transcript entry a run can make, ``(rank, reply)`` at
-        ``[reply][rank]`` (rank 0 unused): 2(n+1) pairs of plain ints that
+        ``[rank][reply]`` (rank 0 unused): 2(n+1) pairs of plain ints that
         every transcript of the instance shares, so a kept transcript costs
         one pointer per step."""
-        return tuple(tuple((rank, reply) for rank in range(self.n + 1)) for reply in (0, 1))
+        return tuple(((rank, 0), (rank, 1)) for rank in range(self.n + 1))
 
     def cost_of_rank(self, rank: int) -> Fraction:
         return self.costs[rank - 1]

@@ -20,8 +20,10 @@ game takes the top remaining rank at every step, wholly in `run`'s
 top-rank prefix and with no rank row read. The first game also pays the
 O(n^2) scan of the rows that finds that depth (about 1.1 ms for the game
 before the depth was kept, about 7.5 ms with the scan); the second, on other
-secrets, shows the walk warm (about 0.65 ms with a row read per step, about
-0.55 ms without). A print-only HCF game on majority at n = 1000 with every
+secrets, shows the walk warm: about 0.5 ms, of which about 0.45 ms draws
+the secrets inside the clock and about 0.08 ms plays the game (about 0.12 ms
+when each entry was appended in a loop, 0.65 ms in all with a row read per
+step). A print-only HCF game on majority at n = 1000 with every
 cost 0, whose top depth is 500, takes half its steps with no row read and
 the rest in the row walk, the scan down to layer 500 included. A last HCF
 game, on majority at n = 1000 with its three dearest agents at the root's

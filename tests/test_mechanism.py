@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import tracemalloc
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -150,6 +151,55 @@ def test_run_parity_three():
     for secrets in ((1, 1), (1, 1, 0, 0), (1, 2, 0), (1, "1", 0), (1.0, 0, 1), (Fraction(1), 0, 0)):
         with pytest.raises(ValueError, match="secrets must be 3 bits"):
             run(inst, HcfPolicy(inst), secrets)
+
+
+class _Bit:
+    """A secret that is no int but has `__index__`, as numpy's integers do."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def _outcome(inst, policy, secrets):
+    try:
+        return run(inst, policy, secrets)
+    except PolicyFailed as exc:
+        return exc.state, exc.reason
+
+
+def test_run_reads_any_form_of_the_same_secrets_alike(corpus_main):
+    # `run` reads its secrets as one `bytes`: every iterable of n elements
+    # that `bytes()` takes as 0 or 1 gives the same game, with plain-int
+    # entries whatever the elements' type.
+    rng = random.Random(20261022)
+    for inst in corpus_main:
+        secrets = tuple(rng.randrange(2) for _ in range(inst.n))
+        for policy in (HcfPolicy(inst), FixedOrderPolicy(inst)):
+            expected = _outcome(inst, policy, secrets)
+            for form in (
+                list(secrets),
+                bytes(secrets),
+                bytearray(secrets),
+                (bit for bit in secrets),
+                tuple(map(bool, secrets)),
+                [_Bit(bit) for bit in secrets],
+                array("h", secrets),
+            ):
+                outcome = _outcome(inst, policy, form)
+                assert outcome == expected
+                if isinstance(outcome, RunResult):
+                    assert all(type(reply) is int for _, reply in outcome.transcript.entries)
+                    assert type(outcome.halted_at.ones) is int
+    inst = corpus_main[0]
+    # `bytes(5)` would be five zero secrets; a non-iterable is refused first.
+    with pytest.raises(TypeError):
+        run(inst, HcfPolicy(inst), inst.n)
+    for bad in (-1, 256, 2**70, _Bit(2), _Bit(-1)):
+        with pytest.raises(ValueError, match=f"secrets must be {inst.n} bits"):
+            run(inst, HcfPolicy(inst), [bad] + [0] * (inst.n - 1))
 
 
 def _reference_run(inst, policy_type, secrets):
@@ -884,7 +934,7 @@ def test_runs_share_the_instance_pairs():
     first, second = (run(inst, HcfPolicy(inst), draw_secrets(inst, seed)).transcript.entries for seed in (1, 2))
     shared = [(a, b) for a in first for b in second if a == b]
     assert shared and all(a is b for a, b in shared)
-    assert all(entry is inst._step_pairs[entry[1]][entry[0]] for entry in first + second)
+    assert all(entry is inst._step_pairs[entry[0]][entry[1]] for entry in first + second)
 
 
 def test_kept_transcripts_cost_one_pointer_per_step():
