@@ -86,17 +86,13 @@ class HcfPolicy(_InstancePolicy):
         """The largest remaining rank up to the willing rank c at (i, k), so
         equal costs break toward the higher rank: the top set bit of
         `remaining` at or below bit c, read as `c_of` does. Raises
-        PolicyFailed when nobody remaining is willing. The dearest remaining
-        rank is the usual answer, so the mask below bit c is built only when
-        that rank is above c."""
+        PolicyFailed when nobody remaining is willing."""
         instance = self.instance
         if not 0 <= k <= i < instance.n:
             c_of(InfoState(i, k), instance)  # not a lattice state: raises as c_of does
         willing = instance.lattice.rank[i][k]
         willing = willing if willing >= 0 else ~willing
-        rank = remaining.bit_length() - 1
-        if rank > willing:
-            rank = (remaining & ((2 << willing) - 1)).bit_length() - 1
+        rank = (remaining & ((2 << willing) - 1)).bit_length() - 1
         if rank <= 0:
             raise PolicyFailed(InfoState(i, k), FAIL_NO_ELIGIBLE)
         return rank
@@ -223,7 +219,7 @@ def run(instance: ProblemInstance, policy, secrets) -> RunResult:
         remaining ^= 1 << rank
     den, scaled, tops = instance.scaled_costs
     return RunResult(
-        transcript=Transcript._of_checked(tuple(entries)),
+        transcript=tuple.__new__(Transcript, (tuple(entries),)),  # each rank new and in 1..n: no check
         output=instance.fn_spec.value_at(k),
         halted_at=tuple.__new__(InfoState, (i, k)),  # a lattice state: no check
         approached_count=len(entries),
@@ -276,7 +272,7 @@ def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
                 tau = Fraction(m * num[i][k], b ** (n - i))  # `StateLattice.threshold`, inline: the call is slower
                 records[i, k, rank] = AuditRecord(state, rank, costs[rank - 1], tau, eligible)
             if not eligible:
-                raise PolicyFailed(InfoState(i, k), FAIL_CHOSEN_INELIGIBLE)
+                raise PolicyFailed(tuple.__new__(InfoState, (i, k)), FAIL_CHOSEN_INELIGIBLE)  # a lattice state
             rest = remaining ^ (1 << rank)
             stack.append((i + 1, k + 1, rest))
             stack.append((i + 1, k, rest))

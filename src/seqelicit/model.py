@@ -302,12 +302,6 @@ class Transcript(NamedTuple("Transcript", [("entries", "tuple[tuple[int, int], .
             raise ValueError("transcript entries are (positive rank, bit)")
         return tuple.__new__(cls, (entries,))
 
-    @classmethod
-    def _of_checked(cls, entries: tuple[tuple[int, int], ...]) -> "Transcript":
-        """`mechanism.run`'s transcript of entries it has checked as above:
-        pairs taken from the instance's ``_step_pairs``, not copied."""
-        return tuple.__new__(cls, (entries,))
-
 
 class ProblemInstance:
     """Agent count, prior, sorted costs, and the anonymous function.
@@ -404,10 +398,9 @@ class ProblemInstance:
         if isinstance(q, (bool, float)):
             raise QOutOfRange(f"prior must be an exact rational, not a {type(q).__name__}")
         q = q if isinstance(q, Fraction) else _as_rational(q, "q")
-        types = set(map(type, costs))
-        if any(issubclass(t, (bool, float)) for t in types):
-            raise CostOutOfRange("costs must be exact rationals, not floats or booleans")
-        if not all(issubclass(t, Fraction) for t in types):
+        if not all(map(isinstance, costs, repeat(Fraction))):
+            if any(map(isinstance, costs, repeat((bool, float)))):
+                raise CostOutOfRange("costs must be exact rationals, not floats or booleans")
             costs = tuple(
                 c if isinstance(c, Fraction) else _as_rational(c, f"costs[{p}]") for p, c in enumerate(costs)
             )

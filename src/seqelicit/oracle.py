@@ -256,17 +256,17 @@ def brute_audit(instance: ProblemInstance, policy) -> AuditReport:
     return AuditReport(passed=True, records=tuple(records), failure=None)
 
 
-def brute_deviation_profiles(instance: ProblemInstance, policy) -> dict[int, dict[Action, Fraction] | Exception]:
+def brute_deviation_profiles(instance: ProblemInstance, policy) -> dict[int, dict[Action, Fraction]]:
     """`mechanism.deviation_profile` of every rank by playing all 2^n secret
     vectors: per vector, the truthful game once and, at each approach on it,
     the continuation with the approached agent's reply flipped. A rank never
     approached is credited from the truthful outputs. Each vector weighs
     a^ones (b-a)^(n-ones), its prior probability scaled by b^n for q = a/b.
 
-    As in `deviation_profile`, a policy failure fails every rank, here with
-    the first exception met, each truthful game before its flips: the replies
-    are the secrets, so the truthful games follow every reply path of the
-    policy, and every rank's own enumeration would meet a failure.
+    A policy failure fails every rank, as in `deviation_profile`: it raises
+    the first exception met, each truthful game played before its flips. The
+    replies are the secrets, so the truthful games follow every reply path of
+    the policy, and every rank's own enumeration would meet a failure.
     """
     n = instance.n
     if n > DEVIATION_CAP:
@@ -290,26 +290,23 @@ def brute_deviation_profiles(instance: ProblemInstance, policy) -> dict[int, dic
             i, k, remaining = i + 1, k + secrets[rank - 1], remaining ^ (1 << rank)
         return k
 
-    try:
-        for secrets in itertools.product((0, 1), repeat=n):
-            weight = weight_of[sum(secrets)]
-            true_value = fn.value_at(sum(secrets))
-            ranks: list[int] = []
-            truthful = fn.value_at(play(0, 0, all_ranks, secrets, ranks))
-            truthful_right += weight * (truthful == true_value)
-            i, k, remaining = 0, 0, all_ranks
-            for rank in ranks:
-                reply = secrets[rank - 1]
-                remaining ^= 1 << rank
-                outputs = [truthful, truthful]  # indexed by the agent's reply
-                outputs[1 - reply] = fn.value_at(play(i + 1, k + 1 - reply, remaining, secrets, []))
-                approached[rank] += weight
-                for slot, action in enumerate(ALL_ACTIONS):
-                    correct[rank][slot] += weight * (outputs[action.reply(reply)] == true_value)
-                i, k = i + 1, k + reply
-    except Exception as exc:  # noqa: BLE001 - stands in for every rank's profile
-        return dict.fromkeys(instance.ranks, exc)
-    profiles: dict[int, dict[Action, Fraction] | Exception] = {}
+    for secrets in itertools.product((0, 1), repeat=n):
+        weight = weight_of[sum(secrets)]
+        true_value = fn.value_at(sum(secrets))
+        ranks: list[int] = []
+        truthful = fn.value_at(play(0, 0, all_ranks, secrets, ranks))
+        truthful_right += weight * (truthful == true_value)
+        i, k, remaining = 0, 0, all_ranks
+        for rank in ranks:
+            reply = secrets[rank - 1]
+            remaining ^= 1 << rank
+            outputs = [truthful, truthful]  # indexed by the agent's reply
+            outputs[1 - reply] = fn.value_at(play(i + 1, k + 1 - reply, remaining, secrets, []))
+            approached[rank] += weight
+            for slot, action in enumerate(ALL_ACTIONS):
+                correct[rank][slot] += weight * (outputs[action.reply(reply)] == true_value)
+            i, k = i + 1, k + reply
+    profiles: dict[int, dict[Action, Fraction]] = {}
     for rank in instance.ranks:
         if not approached[rank]:
             profiles[rank] = dict.fromkeys(ALL_ACTIONS, Fraction(truthful_right, b**n))

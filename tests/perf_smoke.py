@@ -20,16 +20,18 @@ game takes the top remaining rank at every step, wholly in `run`'s
 top-rank prefix and with no rank row read. The first game also pays the
 O(n^2) scan of the rows that finds that depth (about 1.1 ms for the game
 before the depth was kept, about 7.5 ms with the scan); the second, on other
-secrets, shows the walk warm: about 0.5 ms, of which about 0.45 ms draws
-the secrets inside the clock and about 0.08 ms plays the game (about 0.12 ms
-when each entry was appended in a loop, 0.65 ms in all with a row read per
-step). A print-only HCF game on majority at n = 1000 with every
-cost 0, whose top depth is 500, takes half its steps with no row read and
-the rest in the row walk, the scan down to layer 500 included. A last HCF
-game, on majority at n = 1000 with its three dearest agents at the root's
-threshold, top depth 1, leaves that prefix after its first step and calls
-`HcfPolicy.next` through `run`'s checked loop on each of its other 987
-steps, so it times that loop at large n. The total cost of each parity
+secrets, shows the walk warm: about 0.08 ms (about 0.12 ms when each entry
+was appended in a loop). Both draw their secrets before the clock starts;
+the draw, about 0.45 ms, was once timed with them (0.65 ms in all, draw
+included, with a row read per step). A print-only HCF game on majority at
+n = 1000 with every cost 0, whose top depth is 500, takes half its steps
+with no row read and the rest in the row walk, the scan down to layer 500
+included. A last HCF game, on majority at n = 1000 with its three dearest
+agents at the root's threshold, top depth 1, leaves that prefix after its
+first step and calls `HcfPolicy.next` through `run`'s checked loop on each
+of its other 987 steps, so it times that loop at large n: about 1.6 ms,
+against about 1.5 ms when `next` masked only where the dearest remaining
+rank was above the willing one. The total cost of each parity
 game and of the last game must equal the sum of its approached ranks'
 costs, the check of `run`'s total over the prefix and past it. Last, the
 incentive checks at their caps, on parity at q = 3/5 with every cost 0: an
@@ -103,8 +105,9 @@ def main() -> None:
     zero_costs = ProblemInstance.create(Fraction(3, 5), [Fraction(0)] * PARITY_N, parity(PARITY_N))
     _timed(f"parity q=3/5 n={PARITY_N}, zero costs", zero_costs, None)
     for label, seed in (("hcf run", 1), ("warm hcf run", 2)):
+        secrets = draw_secrets(zero_costs, seed)
         start = time.perf_counter()
-        result = run(zero_costs, HcfPolicy(zero_costs), draw_secrets(zero_costs, seed))
+        result = run(zero_costs, HcfPolicy(zero_costs), secrets)
         elapsed = time.perf_counter() - start
         assert result.approached_count == PARITY_N and result.total_cost_incurred == 0, result.halted_at
         _check_total(zero_costs, result)

@@ -163,7 +163,7 @@ class _Bit:
         return self.value
 
 
-def _outcome(inst, policy, secrets):
+def _run_outcome(inst, policy, secrets):
     try:
         return run(inst, policy, secrets)
     except PolicyFailed as exc:
@@ -178,7 +178,7 @@ def test_run_reads_any_form_of_the_same_secrets_alike(corpus_main):
     for inst in corpus_main:
         secrets = tuple(rng.randrange(2) for _ in range(inst.n))
         for policy in (HcfPolicy(inst), FixedOrderPolicy(inst)):
-            expected = _outcome(inst, policy, secrets)
+            expected = _run_outcome(inst, policy, secrets)
             for form in (
                 list(secrets),
                 bytes(secrets),
@@ -188,7 +188,7 @@ def test_run_reads_any_form_of_the_same_secrets_alike(corpus_main):
                 [_Bit(bit) for bit in secrets],
                 array("h", secrets),
             ):
-                outcome = _outcome(inst, policy, form)
+                outcome = _run_outcome(inst, policy, form)
                 assert outcome == expected
                 if isinstance(outcome, RunResult):
                     assert all(type(reply) is int for _, reply in outcome.transcript.entries)
@@ -897,13 +897,11 @@ def test_executors_accept_and_refuse_as_next_rank_does(answer):
     assert _refusal(deviation_profile, inst, policy, 1) == expected
     if expected is None:
         assert run(inst, policy, (1, 0, 0)).transcript.entries[:2] == ((3, 0), (2, 0))
-    # The 2^n reference plays every secret vector in its own game loop; a
-    # refusal stands in for every rank's profile.
-    reference = brute_deviation_profiles(inst, policy)[1]
+    # The 2^n reference plays every secret vector in its own game loop and
+    # refuses as the executors do.
+    assert _refusal(brute_deviation_profiles, inst, policy) == expected
     if expected is None:
-        assert reference == deviation_profile(inst, policy, 1)
-    else:
-        assert type(reference) is ValueError and str(reference) == expected
+        assert brute_deviation_profiles(inst, policy)[1] == deviation_profile(inst, policy, 1)
 
 
 @pytest.mark.parametrize("corpus_name", ["corpus_main", "corpus_small", "corpus_pivotal", "corpus_br"])
@@ -986,11 +984,10 @@ def test_incentive_checks_match_the_oracles(corpus_name, policy_type, request):
     for inst in request.getfixturevalue(corpus_name):
         policy = policy_type(inst)
         assert _outcome(audit_full_tree, inst, policy) == _outcome(brute_audit, inst, policy)
-        brute = brute_deviation_profiles(inst, policy)
+        brute = _outcome(brute_deviation_profiles, inst, policy)
         for rank in inst.ranks:
             profile = _outcome(deviation_profile, inst, policy, rank)
-            expected = brute[rank]
-            assert profile == (type(expected) if isinstance(expected, Exception) else expected)
+            assert profile == (brute if isinstance(brute, type) else brute[rank])
             failures += isinstance(profile, type)
     if policy_type is FixedOrderPolicy:
         assert failures == 0
@@ -1082,12 +1079,12 @@ class _FailingPolicy:
 def test_deviation_checks_fail_every_rank_with_one_exception():
     # Parity n = 3 asks ranks 1, 2, 3 at layers 0, 1, 2, so the reach meets
     # (1, 1) before (2, 1), and the enumeration's first vector, 000, meets
-    # (1, 1) first, in the continuation with rank 1's reply flipped. Both
-    # checks fail every rank with that KeyError, though rank 3's own games
-    # would first meet the IndexError.
+    # (1, 1) first, in the continuation with rank 1's reply flipped. The
+    # reference raises that KeyError, and the reach fails every rank with it,
+    # though rank 3's own games would first meet the IndexError.
     inst = make_instance("1/2", ["1/10"] * 3, parity(3).ones_to_one)
-    profiles = brute_deviation_profiles(inst, _FailingPolicy())
-    assert {rank: type(profile) for rank, profile in profiles.items()} == dict.fromkeys(inst.ranks, KeyError)
+    with pytest.raises(KeyError):
+        brute_deviation_profiles(inst, _FailingPolicy())
     for rank in inst.ranks:
         with pytest.raises(KeyError):
             deviation_profile(inst, _FailingPolicy(), rank)
@@ -1155,12 +1152,11 @@ def test_deviation_memo_answers_for_the_policy_asked():
         inst = random_instance(rng, n, max_cost_k=16)
         hashed = _HashedPolicy(n)
         policies = (lambda: HcfPolicy(inst), lambda: FixedOrderPolicy(inst), lambda: hashed)
-        brute = [brute_deviation_profiles(inst, make()) for make in policies]
+        brute = [_outcome(brute_deviation_profiles, inst, make()) for make in policies]
         for rank in inst.ranks:
             for make, profiles in zip(policies, brute):
-                expected = profiles[rank]
                 profile = _outcome(deviation_profile, inst, make(), rank)
-                assert profile == (type(expected) if isinstance(expected, Exception) else expected)
+                assert profile == (profiles if isinstance(profiles, type) else profiles[rank])
 
 
 class _MeddlingHcf(HcfPolicy):

@@ -1,7 +1,8 @@
 """Source hygiene that no linter in CI checks: every import in the package is
 read, so is every private name the package defines, every cache the package
-keeps on a value is named where the README lists the caches, and every
-exception class the package defines lives in `errors`."""
+keeps on a value is named where the README lists the caches, every
+exception class the package defines lives in `errors`, and the only handler
+that catches every exception is the CLI's exit-1 barrier."""
 
 from __future__ import annotations
 
@@ -155,3 +156,49 @@ def test_the_scan_sees_every_cached_property_and_its_name():
     )
     assert _cached_properties(tree) == ["a", "_b"]
     assert _code_names("the lattice (`instance.lattice`), `_b` and c") == {"lattice", "_b"}
+
+
+def _catch_alls(tree: ast.Module) -> list[str]:
+    """The dotted name of the function or class around each handler that
+    catches `Exception` or `BaseException`, alone or in a tuple, and each bare
+    `except:`, in source order ("" at module level)."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.ExceptHandler):
+                caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                if any(
+                    kind is None or getattr(kind, "id", getattr(kind, "attr", None)) in ("Exception", "BaseException")
+                    for kind in caught
+                ):
+                    found.append(where)
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_the_only_catch_all_handler_is_the_cli_exit_barrier():
+    # A reference or an executor that catches everything turns a fault into
+    # a value; only `cli.main` may, to exit 1 with a message.
+    found = [
+        f"{path.stem}.{where}".rstrip(".")
+        for path in sorted(PACKAGE.glob("*.py"))
+        for where in _catch_alls(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == ["cli.main"]
+
+
+def test_the_scan_sees_every_catch_all_handler_and_where_it_is():
+    tree = ast.parse(
+        "try: pass\nexcept: pass\n"
+        "def f():\n    def g():\n        try: pass\n        except (ValueError, Exception): pass\n"
+        "    try: pass\n    except ValueError: pass\n"
+        "class K:\n    def m(self):\n        try: pass\n        except KeyError: pass\n"
+        "        except builtins.BaseException as exc: pass\n"
+    )
+    assert _catch_alls(tree) == ["", "f.g", "K.m"]

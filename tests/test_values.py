@@ -196,13 +196,14 @@ def test_no_source_path_builds_a_validated_type_past_its_checks():
 
 
 def test_only_run_builds_a_transcript_past_its_checks():
-    # `Transcript._of_checked` skips the checks for steps the executor has
-    # checked already; no other source path may use it.
+    # `run` builds its transcript through `tuple.__new__`, which skips the
+    # checks for steps the executor has checked already; no other source
+    # path may.
     src = Path(seqelicit.__file__).resolve().parent
     users = [
         path.name
         for path in sorted(src.glob("*.py"))
         for text in path.read_text().splitlines()
-        if "._of_checked(" in text
+        if "__new__(Transcript" in text
     ]
     assert users == ["mechanism.py"]
