@@ -20,16 +20,19 @@ once. Only `run` under the built-in `HcfPolicy` over its own instance skips
 it, in the game's top-rank prefix (see `run`).
 
 Since a policy sees only (i, k, remaining), the incentive checks visit each
-reachable such pair once, in two separate walks. The audit goes depth first,
-skips a pair it has already walked and makes each record's threshold from the
-lattice's numerator at its state. The deviation profile is a forward reach,
-layer by layer, that carries path weights through every pair and averages the
-lattice's pivotality over the deviating agent's approaches, from which every
-deviation's utility follows in integers. The reach does not depend on the
-deviating agent, so one walk sums the weights of every rank's approaches and
-the instance keeps the sums of the last policy asked; the built-in policies
-are values, so fresh ones share that walk. The 2^n tree walk and secret-vector
-enumeration are in `oracle`, as the references.
+reachable such pair once, in two separate walks, each holding only the pairs
+at undetermined states. The audit goes depth first, skips a pair it has
+already walked and reads each record's threshold from the lattice's
+`thresholds` table, filling a state's slot from its numerator on first use, so
+the audits of one instance share one threshold per state. The deviation
+profile is a forward reach, layer by layer, that carries path weights through
+every pair and averages the lattice's pivotality over the deviating agent's
+approaches, from which every deviation's utility follows in integers. The
+reach does not depend on the deviating agent, so one walk sums the weights of
+every rank's approaches and the instance keeps the sums of the last policy
+asked; the built-in policies are values, so fresh ones share that walk. The
+2^n tree walk and secret-vector enumeration are in `oracle`, as the
+references.
 """
 
 from __future__ import annotations
@@ -240,22 +243,30 @@ def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
     """Follow every reply path of the policy and check each decision point.
 
     At each reached undetermined state the chosen agent's cost is compared to
-    the threshold there, from the lattice's numerator. A pass certifies that
-    everybody computing truthfully is an equilibrium: any unilateral deviation
-    at a reached state reduces to the recorded inequality. Stops at the first
-    failure; records are deduped by (state, rank) in first-reached order. The
-    walk is depth first, reply 0 first, and meets each (state, remaining) pair
-    once: the policy sees only the pair, so all below a pair met again has been
-    walked, and the records are those of the full tree (`oracle.brute_audit`).
+    the threshold there. A pass certifies that everybody computing truthfully
+    is an equilibrium: any unilateral deviation at a reached state reduces to
+    the recorded inequality. Stops at the first failure; records are deduped
+    by (state, rank) in first-reached order. The walk is depth first, reply 0
+    first, and meets each (state, remaining) pair once: the policy sees only
+    the pair, so all below a pair met again has been walked, and the records
+    are those of the full tree (`oracle.brute_audit`). Only live pairs are
+    pushed: the root when it is undetermined, and a child when it lies above
+    layer n and its rank row is nonnegative.
+
+    A threshold is made from the state's numerator on its first record and
+    kept in the lattice's `thresholds` table, so every record at one state,
+    in this audit or another of the instance, holds the same `Fraction`.
     """
     if instance.n > AUDIT_CAP:
         raise CapExceeded(f"full tree audit capped at n={AUDIT_CAP}, instance has n={instance.n}")
     n, costs, lattice = instance.n, instance.costs, instance.lattice
-    willing, num, m, b = lattice.rank, lattice.num, lattice._m, lattice._b
+    willing, num, table, m, b = lattice.rank, lattice.num, lattice.thresholds, lattice._m, lattice._b
+    # Layer n, after the last approach, is determined throughout.
+    below = [*willing[1:], [-1] * (n + 1)]
     # Keyed by ints: (i, k, rank) for the records, (i, k, remaining) for the walk.
     records: dict[tuple[int, int, int], AuditRecord] = {}
     walked: set[tuple[int, int, int]] = set()
-    stack = [(0, 0, _all_remaining(instance))]
+    stack = [(0, 0, _all_remaining(instance))] if willing[0][0] >= 0 else []
     try:
         while stack:
             key = stack.pop()
@@ -263,19 +274,22 @@ def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
                 continue
             walked.add(key)
             i, k, remaining = key
-            if i == n or willing[i][k] < 0:
-                continue
             rank = _next_rank(policy, i, k, remaining)
             eligible = rank <= willing[i][k]
             if (i, k, rank) not in records:
+                tau = table[i][k]
+                if tau is None:
+                    # `StateLattice.threshold`, inline: the call is slower.
+                    tau = table[i][k] = Fraction(m * num[i][k], b ** (n - i))
                 state = tuple.__new__(InfoState, (i, k))  # a lattice state: no check
-                tau = Fraction(m * num[i][k], b ** (n - i))  # `StateLattice.threshold`, inline: the call is slower
-                records[i, k, rank] = AuditRecord(state, rank, costs[rank - 1], tau, eligible)
+                records[i, k, rank] = tuple.__new__(AuditRecord, (state, rank, costs[rank - 1], tau, eligible))
             if not eligible:
                 raise PolicyFailed(tuple.__new__(InfoState, (i, k)), FAIL_CHOSEN_INELIGIBLE)  # a lattice state
-            rest = remaining ^ (1 << rank)
-            stack.append((i + 1, k + 1, rest))
-            stack.append((i + 1, k, rest))
+            rest, row = remaining ^ (1 << rank), below[i]
+            if row[k + 1] >= 0:
+                stack.append((i + 1, k + 1, rest))
+            if row[k] >= 0:
+                stack.append((i + 1, k, rest))
     except PolicyFailed as exc:
         return AuditReport(passed=False, records=tuple(records.values()), failure=(exc.state, exc.reason))
     return AuditReport(passed=True, records=tuple(records.values()), failure=None)
@@ -287,28 +301,32 @@ def _reach(instance: ProblemInstance, policy) -> tuple[list[int], list[int]]:
     each pick of rank r, `total[r]` adds the weight of the paths there and
     `pivotal[r]` that weight times P(i, k), both scaled by b^n for q = a/b.
     Once a rank is picked it leaves `remaining`, so each path picks it at
-    most once. Raises the first policy failure met in layer order."""
+    most once. A layer holds only live pairs: the root when it is
+    undetermined, and a child when it lies above layer n and its rank row is
+    nonnegative, so layer n stays empty. Raises the first policy failure met
+    in layer order."""
     n, lattice = instance.n, instance.lattice
     num, willing = lattice.num, lattice.rank
     a, b = instance.q.numerator, instance.q.denominator
     prior = (b - a, a)  # weight of a 0 and of a 1, scaled by b
+    # Layer n, after the last approach, is determined throughout.
+    below = [*willing[1:], [-1] * (n + 1)]
     total, pivotal = [0] * (n + 1), [0] * (n + 1)
     # (ones, remaining) -> weight of the paths reaching it at this depth,
     # scaled by b^depth.
-    layer = {(0, _all_remaining(instance)): 1}
+    layer = {(0, _all_remaining(instance)): 1} if willing[0][0] >= 0 else {}
     for i in range(n):
         reached: dict = {}
-        scale, row, ranks = b ** (n - i), num[i], willing[i]
+        scale, row, live = b ** (n - i), num[i], below[i]
         for (k, remaining), weight in layer.items():
-            if ranks[k] < 0:
-                continue
             chosen = _next_rank(policy, i, k, remaining)
             total[chosen] += weight * scale
             pivotal[chosen] += weight * row[k] * b
             rest = remaining ^ (1 << chosen)
             for bit in (0, 1):
-                key = (k + bit, rest)
-                reached[key] = reached.get(key, 0) + weight * prior[bit]
+                if live[k + bit] >= 0:
+                    key = (k + bit, rest)
+                    reached[key] = reached.get(key, 0) + weight * prior[bit]
         layer = reached
     return total, pivotal
 

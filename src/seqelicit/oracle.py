@@ -19,12 +19,13 @@ packed-lane arithmetic of `verify`, not the lattice's ranks or the criterion
 itself, which the closed-form and enumeration routes cover.
 
 Every reference that plays or walks a game stops where `determine`'s window
-scan finds the output forced, while the executors in `mechanism` stop where
-the lattice marks the state determined in its rank row, so each comparison
-checks one stop test against the other; the list DP below tests the
-numerators for 0 instead of the mark. `mirror` relabels every
-secret 0 <-> 1, the same game seen from q -> 1-q: the lattice answers any q
-in (0, 1) natively, so the mirror is the reference its low-prior answers are
+scan finds the output forced (the audit and deviation references scan each
+state once per call, into a local table), while the executors in `mechanism`
+stop where the lattice marks the state determined in its rank row, so each
+comparison checks one stop test against the other; the list DP below tests
+the numerators for 0 instead of the mark. `mirror` relabels every secret
+0 <-> 1, the same game seen from q -> 1-q: the lattice answers any q in
+(0, 1) natively, so the mirror is the reference its low-prior answers are
 checked against.
 """
 
@@ -107,6 +108,13 @@ def determine(state: InfoState, fn: AnonymousFunctionSpec) -> int | None:
     if not any(window):
         return 0
     return None
+
+
+def _forced(fn: AnonymousFunctionSpec) -> list[list[bool]]:
+    """Whether `determine` finds the output forced, at every (i, k) with
+    i <= n: the window scan once per state, for the references that walk or
+    play many paths through the same states."""
+    return [[determine(InfoState(i, k), fn) is not None for k in range(i + 1)] for i in range(fn.n + 1)]
 
 
 def closed_form_pivotal(state: InfoState, instance: ProblemInstance) -> Fraction:
@@ -228,12 +236,12 @@ def brute_audit(instance: ProblemInstance, policy) -> AuditReport:
     the policy at every node of the tree."""
     if instance.n > AUDIT_CAP:
         raise CapExceeded(f"full tree audit capped at n={AUDIT_CAP}, instance has n={instance.n}")
-    fn = instance.fn_spec
+    forced = _forced(instance.fn_spec)
     records: list[AuditRecord] = []
     seen: set[tuple[InfoState, int]] = set()
 
     def walk(state: InfoState, remaining: int) -> None:
-        if determine(state, fn) is not None:
+        if forced[state.approached][state.ones]:
             return
         rank = _next_rank(policy, *state, remaining)
         eligible = rank <= (c_of(state, instance) or 0)
@@ -274,6 +282,7 @@ def brute_deviation_profiles(instance: ProblemInstance, policy) -> dict[int, dic
     a, b = instance.q.numerator, instance.q.denominator
     weight_of = [a**ones * (b - a) ** (n - ones) for ones in range(n + 1)]
     fn = instance.fn_spec
+    forced = _forced(fn)
     # Per rank, the weight of the vectors where each action, in ALL_ACTIONS
     # order, gives the true output.
     correct = {rank: [0] * len(ALL_ACTIONS) for rank in instance.ranks}
@@ -284,7 +293,7 @@ def brute_deviation_profiles(instance: ProblemInstance, policy) -> dict[int, dic
     def play(i: int, k: int, remaining: int, secrets, ranks: list) -> int:
         # The ones-count where the game from (i, k, remaining) stops, asking
         # the policy at every step; appends each rank approached to `ranks`.
-        while determine(InfoState(i, k), fn) is None:
+        while not forced[i][k]:
             rank = _next_rank(policy, i, k, remaining)
             ranks.append(rank)
             i, k, remaining = i + 1, k + secrets[rank - 1], remaining ^ (1 << rank)

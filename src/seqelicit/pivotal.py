@@ -8,10 +8,11 @@ mark, of every state; the lookups read it. The pivotality numerators are
 rolled up from the leaves through two rows while the ranks are read off them,
 and the full numerator table is built only on first read, for `pivotal_prob`
 and `threshold`, which turn one numerator into its rational, and the incentive
-checks. The thresholds along one path come from a second pass through two
-rows. The reduced graph of undetermined states, on which `verify` decides
-existence, is the lattice itself: `nodes` and `edges` read it off the willing
-ranks.
+checks. The audits keep the thresholds they make in a table of one slot per
+state, beside it. The thresholds along one path come from a second pass
+through two rows. The reduced graph of undetermined states, on which `verify`
+decides existence, is the lattice itself: `nodes` and `edges` read it off the
+willing ranks.
 """
 
 from __future__ import annotations
@@ -117,6 +118,14 @@ class StateLattice:
         """Every numerator, root row first: O(n^3) bits, built on first read
         by the recurrence the ranks were read from."""
         return list(self._rows())[::-1]
+
+    @cached_property
+    def thresholds(self) -> list[list[Fraction | None]]:
+        """One slot per state, root row first, each None until an audit
+        writes the state's threshold there, so both audits of an instance
+        share one `Fraction` per state. Only `audit_full_tree` builds and
+        fills it; `threshold` and `path_thresholds` make theirs afresh."""
+        return [[None] * (i + 1) for i in range(len(self.rank))]
 
     @cached_property
     def top_depth(self) -> int:

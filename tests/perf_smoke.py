@@ -36,6 +36,8 @@ game and of the last game must equal the sum of its approached ranks'
 costs, the check of `run`'s total over the prefix and past it. Last, the
 incentive checks at their caps, on parity at q = 3/5 with every cost 0: an
 HCF audit at `AUDIT_CAP`, which records every one of its n(n+1)/2 states,
+then a fixed-order audit of the same instance, which records the same
+states and reads every threshold from the table the HCF audit filled,
 and a deviation profile of every rank at `DEVIATION_CAP`, which share one
 reach. These lines are printed only, to show the checks' cost on each run.
 So are the two `ingest` lines before them, which time reading two n = 1000
@@ -65,6 +67,7 @@ from builders import adversarial_majority, threshold_cost_instance  # noqa: E402
 from seqelicit.mechanism import (  # noqa: E402
     AUDIT_CAP,
     DEVIATION_CAP,
+    FixedOrderPolicy,
     HcfPolicy,
     audit_full_tree,
     deviation_profile,
@@ -156,6 +159,10 @@ def main() -> None:
     elapsed = time.perf_counter() - start
     assert report.passed and len(report.records) == AUDIT_CAP * (AUDIT_CAP + 1) // 2, report.failure
     print(f"hcf audit on parity q=3/5 n={AUDIT_CAP}: {len(report.records)} records in {elapsed * 1000:.2f} ms")
+    start = time.perf_counter()
+    report = audit_full_tree(audited, FixedOrderPolicy(audited))
+    elapsed = time.perf_counter() - start
+    print(f"fixed-order audit on the same instance: {len(report.records)} records in {elapsed * 1000:.2f} ms")
     profiled = ProblemInstance.create(Fraction(3, 5), [Fraction(0)] * DEVIATION_CAP, parity(DEVIATION_CAP))
     start = time.perf_counter()
     profiles = [deviation_profile(profiled, HcfPolicy(profiled), rank) for rank in profiled.ranks]

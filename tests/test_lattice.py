@@ -6,6 +6,7 @@ import argparse
 import gc
 import json
 import random
+import sys
 import tracemalloc
 import weakref
 from bisect import bisect_right
@@ -209,8 +210,9 @@ def test_the_hcf_command_leaves_the_numerators_unbuilt():
 
 
 def test_the_lattice_holds_only_its_rows_numerators_and_top_depth():
-    # Every reader of the lattice, thresholds included, adds at most `num`
-    # and the top depth to it; equality, hashing and the repr ignore both.
+    # Every reader of the lattice, thresholds included, adds at most `num`,
+    # the audits' threshold table and the top depth to it; equality, hashing
+    # and the repr ignore all three.
     built = 0
     for seed in range(8750, 8790):
         inst, twin = (random_instance(random.Random(seed), seed % 9 + 1, max_cost_k=16) for _ in range(2))
@@ -232,7 +234,7 @@ def test_the_lattice_holds_only_its_rows_numerators_and_top_depth():
             for i in range(inst.n):
                 for k in range(i + 1):
                     threshold(InfoState(i, k), inst)
-        assert set(vars(inst.lattice)) <= {"rank", "_leaves", "_a", "_m", "_b", "num", "top_depth"}
+        assert set(vars(inst.lattice)) <= {"rank", "_leaves", "_a", "_m", "_b", "num", "thresholds", "top_depth"}
         assert inst == twin and hash(inst) == hash(twin) and repr(inst) == repr(twin)
         built += exists
     assert built >= 10
@@ -267,16 +269,18 @@ def test_the_top_depth_is_built_only_by_hcf_games():
 
 
 def test_the_lattice_is_freed_with_its_instance_without_the_collector():
-    # The lattice and its numerator table make no reference cycle, so
-    # dropping the instance frees them at once.
+    # The lattice, its numerator table and its threshold table make no
+    # reference cycle, so dropping the instance frees them at once. A list
+    # takes no weak reference: the table's only holder left must be `table`.
     inst = ProblemInstance.create(Fraction(3, 5), [Fraction(0)] * 8, parity(8))
     assert audit_full_tree(inst, HcfPolicy(inst)).passed
-    assert "num" in vars(inst.lattice)
-    lattice = weakref.ref(inst.lattice)
+    assert "num" in vars(inst.lattice) and "thresholds" in vars(inst.lattice)
+    lattice, table = weakref.ref(inst.lattice), inst.lattice.thresholds
     gc.disable()
     try:
         del inst
         assert lattice() is None
+        assert sys.getrefcount(table) == 2  # `table` and the call's argument
     finally:
         gc.enable()
 

@@ -1056,6 +1056,87 @@ def test_audit_thresholds_equal_the_numerator_formula(fill, policy_types):
     assert records >= 800 and passed >= 30
 
 
+def test_the_audits_of_one_instance_share_one_threshold_per_state():
+    # Every record at one state, in either audit, holds the one `Fraction` in
+    # the lattice's table, equal to the formula on `oracle.full_lattice`'s
+    # numerators; the table has one slot per state and fills only the
+    # recorded ones.
+    rng = random.Random(9400)
+    shared = 0
+    for _ in range(40):
+        q = rng.choice((Fraction(1, 3), Fraction(1, 2), Fraction(3, 5), Fraction(3, 4)))
+        inst = random_instance(rng, rng.randrange(1, 11), q=q, max_cost_k=16)
+        n, m, b = inst.n, min(q.numerator, q.denominator - q.numerator), q.denominator
+        num, _ = full_lattice(inst)
+        reports = [audit_full_tree(inst, policy_type(inst)) for policy_type in (HcfPolicy, FixedOrderPolicy)]
+        table = inst.lattice.thresholds
+        assert [len(row) for row in table] == list(range(1, n + 1))
+        filled = {(i, k) for i, row in enumerate(table) for k, tau in enumerate(row) if tau is not None}
+        assert len(filled) <= n * (n + 1) // 2
+        states = [set(map(tuple, (rec.state for rec in report.records))) for report in reports]
+        assert filled == states[0] | states[1]
+        for report in reports:
+            for rec in report.records:
+                i, k = rec.state
+                assert rec.threshold is table[i][k]
+                assert rec.threshold == Fraction(m * num[i][k], b ** (n - i))
+        shared += len(states[0] & states[1])
+    assert shared >= 200
+
+
+def test_only_the_audits_build_the_threshold_table():
+    # verify, games, the deviation reach, the reduced graph, the CLI's labels,
+    # one path's thresholds and the public lookups leave it unbuilt.
+    built = 0
+    for seed in range(9500, 9530):
+        inst = random_instance(random.Random(seed), seed % 8 + 1, max_cost_k=16)
+        exists_appropriate(inst)
+        for policy in (HcfPolicy(inst), FixedOrderPolicy(inst)):
+            for action in (lambda: run(inst, policy, draw_secrets(inst, seed)), lambda: deviation_profile(inst, policy, 1)):
+                try:
+                    action()
+                except PolicyFailed:
+                    pass
+        nodes(inst), edges(inst)
+        for label in _labels(inst):
+            _label_json(inst, *label)
+        inst.lattice.path_thresholds(list(range(inst.n)))
+        for i in range(inst.n):
+            for k in range(i + 1):
+                threshold(InfoState(i, k), inst), pivotal_prob(InfoState(i, k), inst)
+        assert "thresholds" not in vars(inst.lattice)
+        audit_full_tree(inst, FixedOrderPolicy(inst))
+        built += "thresholds" in vars(inst.lattice)
+    assert built == 30
+
+
+def test_incentive_checks_match_the_oracles_on_priors_either_side_of_one_half():
+    # Seeded draws, constant functions among them, with q below, at and above
+    # 1/2: both audits against the full reply tree and every rank's profile
+    # under both policies against the 2^n enumeration.
+    rng = random.Random(9600)
+    passed = failed = constant = 0
+    for draw in range(60):
+        q = rng.choice((Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(3, 5), Fraction(9, 10)))
+        n = rng.randrange(1, 8)
+        if draw % 6 == 0:
+            inst = make_instance(q, [Fraction(rng.randrange(16), 64) for _ in range(n)], (draw % 12 == 0,) * (n + 1))
+        else:
+            inst = random_instance(rng, n, q=q, max_cost_k=16)
+        constant += len(set(inst.fn_spec.ones_to_one)) == 1
+        for policy_type in (HcfPolicy, FixedOrderPolicy):
+            policy = policy_type(inst)
+            report = audit_full_tree(inst, policy)
+            assert report == brute_audit(inst, policy)
+            passed += report.passed
+            failed += not report.passed
+            brute = _outcome(brute_deviation_profiles, inst, policy)
+            for rank in inst.ranks:
+                profile = _outcome(deviation_profile, inst, policy, rank)
+                assert profile == (brute if isinstance(brute, type) else brute[rank])
+    assert passed >= 20 and failed >= 20 and constant >= 10
+
+
 def test_deviation_profile_rejects_a_rank_outside_1_to_n_before_any_policy_call():
     inst = make_instance("1/2", ["1/10"] * 3, parity(3).ones_to_one)
     for rank in (0, inst.n + 1, 1.0, Fraction(2), True):
