@@ -377,7 +377,7 @@ def deviation_profile(instance: ProblemInstance, policy, rank: int) -> dict[Acti
         # Every path ends where the output is forced, which is the true value.
         return {action: Fraction(1) for action in ALL_ACTIONS}
     a, b = instance.q.numerator, instance.q.denominator
-    c, d = instance.cost_of_rank(rank).as_integer_ratio()
+    c, d = instance._cost_pairs[rank - 1]
     # Utility 1 - pivotal miss / (total b) - c/d over total b d; miss = b Pr[misreport].
     whole = total * b
     return {

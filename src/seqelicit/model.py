@@ -15,7 +15,7 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter, contains, gt, itemgetter, lt, mul
 from typing import NamedTuple
 
@@ -71,8 +71,9 @@ _DECODER = json.JSONDecoder(parse_int=_parse_int)
 _RATIONAL = re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*)(?:/(\d+)|(?:\.(\d*))?)\s*")
 
 
-def _rational(value) -> Fraction:
-    """`value` read as a document rational; MalformedDocument, naming no
+def _rational_pair(value) -> tuple[int, int]:
+    """`value` read as a document rational, as its reduced (numerator,
+    denominator) pair, the denominator positive; MalformedDocument, naming no
     location, if it is not one."""
     # JSON floats are rejected: 0.4 the float is not 2/5. Exponent notation
     # is rejected too: Fraction("1e-1000000") expands into a million-digit
@@ -92,41 +93,48 @@ def _rational(value) -> Fraction:
                 bottom = 10 ** len(decimal)
                 top = top * bottom + int(decimal)
             if bottom:
-                return Fraction(-top if sign == "-" else top, bottom)
+                g = gcd(top, bottom)
+                return (-top if sign == "-" else top) // g, bottom // g
         raise MalformedDocument(f"cannot parse rational {_clip(repr(value))}")
     if isinstance(value, bool):
         raise MalformedDocument("expected a rational, got a boolean")
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     raise MalformedDocument(f"expected an integer or a 'num/den' string, got {type(value).__name__}")
 
 
-def _as_rational(value, where: str) -> Fraction:
-    """`_rational`, its error message prefixed by `where`."""
+def _as_pair(value, where: str) -> tuple[int, int]:
+    """`_rational_pair`, its error message prefixed by `where`."""
     try:
-        return _rational(value)
+        return _rational_pair(value)
     except MalformedDocument as exc:
         raise MalformedDocument(f"{where}: {exc}") from None
 
 
-def _rationals(document: Mapping, key: str, n: int) -> list[Fraction]:
-    """The list `document[key]` of n rationals, each distinct string parsed
-    once: a repeated cost costs one dict lookup, not a second parse. Only
-    strings are memoized, so JSON true never shares an entry with 1. The
-    first entry that does not parse is reported as ``key[index]``."""
+def _as_rational(value, where: str) -> Fraction:
+    """`_as_pair` as a Fraction."""
+    return Fraction(*_as_pair(value, where))
+
+
+def _pairs(document: Mapping, key: str, n: int) -> list[tuple[int, int]]:
+    """The list `document[key]` of n rationals as `_rational_pair`s, each
+    distinct string parsed once: a repeated cost costs one dict lookup, not a
+    second parse. Only strings are memoized, so JSON true never shares an
+    entry with 1. The first entry that does not parse is reported as
+    ``key[index]``."""
     raw = document[key]
     if not isinstance(raw, list) or len(raw) != n:
         raise MalformedDocument(f"{key} must be a list of {_clip(n)} rationals")
-    parsed: dict[str, Fraction] = {}
-    out: list[Fraction] = []
+    parsed: dict[str, tuple[int, int]] = {}
+    out: list[tuple[int, int]] = []
     try:
         for value in raw:
             if not isinstance(value, str):
-                out.append(_rational(value))
+                out.append(_rational_pair(value))
             elif value in parsed:
                 out.append(parsed[value])
             else:
-                out.append(parsed.setdefault(value, _rational(value)))
+                out.append(parsed.setdefault(value, _rational_pair(value)))
     except MalformedDocument as exc:
         raise MalformedDocument(f"{key}[{len(out)}]: {exc}") from None
     return out
@@ -311,9 +319,13 @@ class ProblemInstance:
     ``agent_ids`` (input order). The prior q is any rational in (0, 1).
     Equality, hashing and the repr read these six fields alone, and none of
     them can be assigned after construction. Each table derived from them,
-    such as ``_cost_pairs``, the sorted costs as (numerator, denominator)
-    pairs of ints, is made once (at construction, or on first use for a
-    ``cached_property``) and kept outside equality, hashing and the repr.
+    such as ``_cost_pairs``, the sorted costs as reduced (numerator,
+    denominator) pairs of ints, is made once (at construction, or on first
+    use for a ``cached_property``) and kept outside equality, hashing and the
+    repr. An instance that `create` or `ingest` built holds the pairs alone
+    and makes ``costs`` from them on first read (equality, hashing and the
+    repr read it too); a direct ``ProblemInstance(...)`` holds the tuple it
+    is given and derives the pairs from it.
     """
 
     _FIELDS = ("n", "q", "costs", "original_index", "fn_spec", "agent_ids")
@@ -398,44 +410,59 @@ class ProblemInstance:
         if isinstance(q, (bool, float)):
             raise QOutOfRange(f"prior must be an exact rational, not a {type(q).__name__}")
         q = q if isinstance(q, Fraction) else _as_rational(q, "q")
-        if not all(map(isinstance, costs, repeat(Fraction))):
-            if any(map(isinstance, costs, repeat((bool, float)))):
-                raise CostOutOfRange("costs must be exact rationals, not floats or booleans")
-            costs = tuple(
-                c if isinstance(c, Fraction) else _as_rational(c, f"costs[{p}]") for p, c in enumerate(costs)
-            )
+        if any(map(isinstance, costs, repeat((bool, float)))):
+            raise CostOutOfRange("costs must be exact rationals, not floats or booleans")
+        pairs = [
+            c.as_integer_ratio() if isinstance(c, Fraction) else _as_pair(c, f"costs[{p}]") for p, c in enumerate(costs)
+        ]
         if isinstance(agent_ids, str):  # it would iterate into one-character ids
             raise MalformedDocument("agent_ids must be n distinct nonempty strings")
-        return cls._sorted(q, costs, fn_spec, None if agent_ids is None else tuple(_iterate(agent_ids, "agent_ids")))
+        return cls._sorted(q, pairs, fn_spec, None if agent_ids is None else tuple(_iterate(agent_ids, "agent_ids")))
 
     # `ingest` calls this, not `create`, whose iteration and type checks add 1.5 % to a `verify-lattice` op.
     @classmethod
-    def _sorted(cls, q: Fraction, costs: list | tuple, fn_spec, agent_ids: tuple | None) -> "ProblemInstance":
-        """The instance of an exact prior and exact costs in input order, for
-        `create` and `ingest`: one stable sort on the costs' integer keys (see
-        `create`), which orders the costs exactly and numbers the agents,
-        then only the checks the sort leaves open: n >= 1, q's range, the
-        function spec's class and n, the least and the greatest sorted cost
-        in [0, 1), and the agent ids (the default ids "1".."n" need none). If
-        one fails, `ProblemInstance(...)` runs on the same sorted fields and
-        raises what it raises. The sorted (num, den) pairs stay as
-        `_cost_pairs`."""
-        n = len(costs)
-        pairs = list(map(Fraction.as_integer_ratio, costs))
+    def _sorted(cls, q: Fraction, pairs: list, fn_spec, agent_ids: tuple | None) -> "ProblemInstance":
+        """The instance of an exact prior and the reduced (num, den) pairs of
+        exact costs in input order, for `create` and `ingest`: one stable sort
+        on the costs' integer keys (see `create`), which orders the costs
+        exactly and numbers the agents, then only the checks the sort leaves
+        open: n >= 1, q's range, the function spec's class and n, the least
+        and the greatest sorted cost in [0, 1), and the agent ids (the default
+        ids "1".."n" need none). If one fails, `ProblemInstance(...)` runs on
+        the same sorted fields, the costs as Fractions, and raises what it
+        raises. Otherwise the sorted pairs stay as `_cost_pairs`, and `costs`
+        is made from them on first read."""
+        n = len(pairs)
         shift = 2 * max(map(itemgetter(1), pairs), default=1).bit_length()
         order = sorted(range(n), key=[(num << shift) // den for num, den in pairs].__getitem__)
         pairs = tuple(map(pairs.__getitem__, order))
         ids = tuple(map(str, range(1, n + 1))) if agent_ids is None else agent_ids
-        fields = (n, q, tuple(map(costs.__getitem__, order)), tuple(map(range(1, n + 1).__getitem__, order)), fn_spec, ids)
+        index = tuple(map(range(1, n + 1).__getitem__, order))
+        fields = {"n": n, "q": q, "original_index": index, "fn_spec": fn_spec, "agent_ids": ids}
         if not (
             n and 0 < q.numerator < q.denominator and pairs[0][0] >= 0 and pairs[-1][0] < pairs[-1][1]
             and isinstance(fn_spec, AnonymousFunctionSpec) and fn_spec.n == n
             and (agent_ids is None or _distinct_ids(agent_ids, n))
         ):
-            return cls(*fields)  # raises, with the message of a direct construction
+            # Raises, with the message of a direct construction.
+            return cls(costs=tuple(Fraction(*pair) for pair in pairs), **fields)
         self = object.__new__(cls)
-        vars(self).update(zip(cls._FIELDS, fields), _cost_pairs=pairs)
+        vars(self).update(fields, _cost_pairs=pairs)
         return self
+
+    @cached_property
+    def costs(self) -> tuple[Fraction, ...]:
+        """The sorted costs of an instance that `create` or `ingest` built,
+        made from `_cost_pairs` on first read: one `Fraction` per distinct
+        pair, which every rank of that cost shares (equal pairs are
+        neighbours). A direct ``ProblemInstance(...)`` holds the tuple it was
+        given, so this never runs for it."""
+        out, last = [], None
+        for pair in self._cost_pairs:
+            if pair != last:
+                last, cost = pair, Fraction(*pair)
+            out.append(cost)
+        return tuple(out)
 
     @property
     def ranks(self) -> range:
@@ -527,8 +554,9 @@ def ingest(document) -> ProblemInstance:
     A rational is a JSON integer or a string: an optional sign, then an
     integer ("3"), a fraction ("2/5") or a decimal ("0.4"), with optional
     whitespace around it, read alike on every supported Python (see
-    `_RATIONAL`). Each distinct string of a list is parsed once. When
-    ``values`` is present each cost is folded to cost/value. Any q in (0, 1)
+    `_RATIONAL`), straight to a reduced pair of ints. Each distinct string
+    of a list is parsed once. When ``values`` is present each cost is folded
+    to cost/value on those pairs, one gcd per agent. Any q in (0, 1)
     is accepted as given, below 1/2 too. Of several faults, the first entry
     that does not parse is reported, in input order (q, costs, values); once
     all parse, the instance is built as `ProblemInstance.create` builds it,
@@ -566,12 +594,15 @@ def ingest(document) -> ProblemInstance:
         raise MalformedDocument("n must be an integer >= 1")
 
     q = _as_rational(document["q"], "q")
-    costs = _rationals(document, "costs", n)
+    costs = _pairs(document, "costs", n)
     if "values" in document:
-        values = _rationals(document, "values", n)
-        if any(v.numerator <= 0 for v in values):
+        values = _pairs(document, "values", n)
+        if any(top <= 0 for top, _ in values):
             raise MalformedDocument("values must be positive")
-        costs = [c / v for c, v in zip(costs, values)]
+        # cost / value on integer pairs: a/b / (c/d) = ad / bc, one gcd each.
+        tops = [top * den for (top, _), (_, den) in zip(costs, values)]
+        dens = [den * top for (_, den), (top, _) in zip(costs, values)]
+        costs = [(top // g, den // g) for top, den, g in zip(tops, dens, map(gcd, tops, dens))]
 
     agent_ids = None
     if "agent_ids" in document:

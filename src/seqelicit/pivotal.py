@@ -6,7 +6,9 @@ quantities here are functions of that pair. Each instance owns one
 `StateLattice`, built on first use, that holds the willing rank, or determined
 mark, of every state; the lookups read it. The pivotality numerators are
 rolled up from the leaves through two rows while the ranks are read off them,
-and the full numerator table is built only on first read, for `pivotal_prob`
+unless no kept cost is positive: then every live state has the same willing
+rank, and the rows come from the function table's constant runs alone.
+The full numerator table is built only on first read, for `pivotal_prob`
 and `threshold`, which turn one numerator into its rational, and the incentive
 checks. The audits keep the thresholds they make in a table of one slot per
 state, beside it. The thresholds along one path come from a second pass
@@ -73,6 +75,14 @@ class StateLattice:
     A determined state, with threshold 0, has the z zero-cost agents willing
     and holds ~z = -z-1, so `rank[i][k] < 0` is the forced test and
     max(r, ~r) the willing count at any state.
+
+    When no kept cost is positive (every cost is 0 or above m/b), every floor
+    is -1, so each live state has all the kept ranks willing and only the
+    determined mark varies. Then the build rolls no numerator: state (i, k)
+    is determined iff the function table is constant on [k, k + n - i], so
+    each row is one willing rank with ~z written over the determined stretch
+    of each constant run longer than n - i, a few list operations per layer.
+    `num` and `path_thresholds` roll the recurrence on first read as ever.
     """
 
     def __init__(self, instance: ProblemInstance):
@@ -92,20 +102,38 @@ class StateLattice:
         costs = [(top, den * m) for top, den in counts if top * b <= den * m]
         determined = ~counts[0, 1]  # the number of zero-cost agents, the only ones willing at threshold 0
         rank = []
-        rows = self._rows()
-        for start in reversed(range(0, n, _BLOCK)):
-            scale = b ** (n - start)
-            block = [[(top * scale - 1) // dm for top, dm in costs]]
-            for _ in range(start + 1, min(start + _BLOCK, n)):
-                block.append(list(map(floordiv, block[-1], repeat(b))))
-            for floors in reversed(block):
-                rank.append([below[bisect_left(floors, v)] if v else determined for v in next(rows)])
+        if costs and costs[-1][0]:  # the dearest kept cost is positive
+            rows = self._rows()
+            for start in reversed(range(0, n, _BLOCK)):
+                scale = b ** (n - start)
+                block = [[(top * scale - 1) // dm for top, dm in costs]]
+                for _ in range(start + 1, min(start + _BLOCK, n)):
+                    block.append(list(map(floordiv, block[-1], repeat(b))))
+                for floors in reversed(block):
+                    rank.append([below[bisect_left(floors, v)] if v else determined for v in next(rows)])
+        else:
+            # No floor is positive, so every live state has one willing rank,
+            # and (i, k) is determined iff the table is constant on
+            # [k, k + d] for d = n - i: each constant run [s, e) of the table
+            # longer than d marks k in [s, e - d). Longest runs first, so a
+            # layer stops at the first run too short for it.
+            willing = below[len(costs)]
+            cuts = [k + 1 for k, flip in enumerate(self._leaves) if flip]
+            runs = sorted(zip([0, *cuts], [*cuts, n + 1]), key=lambda run: run[0] - run[1])
+            for d in range(1, n + 1):
+                row = [willing] * (n + 1 - d)
+                for s, e in runs:
+                    if e - s <= d:
+                        break
+                    row[s : e - d] = [determined] * (e - d - s)
+                rank.append(row)
         self.rank = rank[::-1]
 
     def _rows(self):
         """The numerator rows from the leaves up, layer n-1 first, each
         rolled from the last: the one copy of the recurrence, which the
-        build, `num` and `path_thresholds` read."""
+        build (when some kept cost is positive), `num` and `path_thresholds`
+        read."""
         a, b_a = self._a, self._b - self._a
         row = self._leaves
         yield row

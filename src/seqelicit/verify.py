@@ -105,9 +105,6 @@ def exists_appropriate(instance: ProblemInstance) -> Verdict:
     ones = ((1 << (instance.n * width)) - 1) // mask  # 1 in every lane
     high = ones << (width - 1)
 
-    def lane(packed: int, k: int) -> int:
-        return (packed >> (k * width)) & mask
-
     def rows(rank_bound: int) -> list[int]:
         """The path DP at one rank bound: lane k of layer i is one more than
         the largest number of states with willing rank at most `rank_bound`
@@ -143,10 +140,13 @@ def exists_appropriate(instance: ProblemInstance) -> Verdict:
     if found is None:
         return Verdict(True, None)
     k, j, layers = found
-    count = lane(layers[-1], k) - 1
-    path = [InfoState(instance.n - 1, k)]
+    count = ((layers[-1] >> (k * width)) & mask) - 1
+    # The path's states are lattice states, so they skip `InfoState`'s checks.
+    path = [tuple.__new__(InfoState, (instance.n - 1, k))]
     for i in range(instance.n - 2, -1, -1):
-        if k and lane(layers[i], k - 1) >= lane(layers[i], k):
-            k -= 1
-        path.append(InfoState(i, k))
+        if k:
+            parents = layers[i] >> ((k - 1) * width)  # lane k - 1 at the bottom, lane k above it
+            if parents & mask >= (parents >> width) & mask:
+                k -= 1
+        path.append(tuple.__new__(InfoState, (i, k)))
     return Verdict(False, REASON_PIGEONHOLE, witness=Witness(tuple(reversed(path)), j, count))

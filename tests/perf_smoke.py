@@ -10,11 +10,14 @@ consensus with 600, drawn by random.Random(1), then time the decision alone,
 on a prebuilt lattice: most of their willing ranks are bounds that no path
 can break, which the decision skips (about 1 s each when every distinct
 willing rank below n took a pass, a few tens of ms with the skip).
-Parity at q = 3/5 with n = 1000 and every cost 0 has about half a million
-undetermined states, so it times the numerator recurrence itself: about
-0.3 s for lattice and verify together. Two HCF games on that instance then
-approach all 1000 agents each, since parity is forced only at the last; they
-read the lattice the verify built. Every agent stays willing and no state
+Parity at q = 3/5 with n = 1000 has about half a million undetermined
+states. With one agent at cost 1/10, a positive floor, it times the numerator
+recurrence itself: 0.1-0.3 s for lattice and verify together. With every
+cost 0 no floor is positive, so its lattice is the build that needs no
+numerators, its rows read off the function table's constant runs: about
+0.01 s (about 0.3 s when it rolled the numerators too). Two HCF games on
+that zero-cost instance then approach all 1000 agents each, since parity is
+forced only at the last; they read the lattice the verify built. Every agent stays willing and no state
 above the last layer is determined, so the lattice's top depth is 1000: each
 game takes the top remaining rank at every step, wholly in `run`'s
 top-rank prefix and with no rank row read. The first game also pays the
@@ -42,7 +45,10 @@ and a deviation profile of every rank at `DEVIATION_CAP`, which share one
 reach. These lines are printed only, to show the checks' cost on each run.
 So are the two `ingest` lines before them, which time reading two n = 1000
 documents: one with 1000 distinct cost strings, each parsed, and one with a
-single cost string repeated, parsed once. Neither is gated.
+single cost string repeated, parsed once. Neither is gated. So is the
+decision on majority at n = 80 with every cost 0 and the prior
+q = 1/10^3999, whose numerators run to about 316,000 digits at the root: with
+no positive floor it rolls none of them (about 2.9 s when it did).
 Run it under a time limit, from any directory, on any interpreter: it puts the
 checkout's `src` first on the path and imports no pytest, so it needs no
 install:
@@ -105,8 +111,12 @@ def main() -> None:
         verdict = exists_appropriate(instance)
         elapsed = time.perf_counter() - start
         print(f"{fn.name} n={N}, {zeros} zero costs, lattice prebuilt: {verdict.reason} in {elapsed * 1000:.2f} ms")
+    costs = [Fraction(0)] * (PARITY_N - 1) + [Fraction(1, 10)]
+    one_cost = ProblemInstance.create(Fraction(3, 5), costs, parity(PARITY_N))
+    _timed(f"parity q=3/5 n={PARITY_N}, one cost 1/10, numerators rolled", one_cost, None)
+    del one_cost
     zero_costs = ProblemInstance.create(Fraction(3, 5), [Fraction(0)] * PARITY_N, parity(PARITY_N))
-    _timed(f"parity q=3/5 n={PARITY_N}, zero costs", zero_costs, None)
+    _timed(f"parity q=3/5 n={PARITY_N}, zero costs, no numerators needed", zero_costs, None)
     for label, seed in (("hcf run", 1), ("warm hcf run", 2)):
         secrets = draw_secrets(zero_costs, seed)
         start = time.perf_counter()
@@ -153,6 +163,11 @@ def main() -> None:
         elapsed = time.perf_counter() - start
         assert ingested.n == PARITY_N and len(set(ingested.costs)) == len(set(costs)), label
         print(f"ingest n={PARITY_N}, {label}: {elapsed * 1000:.2f} ms")
+    big_prior = ProblemInstance.create(Fraction(1, 10**3999), [Fraction(0)] * 80, majority(80))
+    start = time.perf_counter()
+    verdict = exists_appropriate(big_prior)
+    elapsed = time.perf_counter() - start
+    print(f"majority q=1/10^3999 n=80, zero costs, no numerators needed: {verdict.reason} in {elapsed * 1000:.2f} ms")
     audited = ProblemInstance.create(Fraction(3, 5), [Fraction(0)] * AUDIT_CAP, parity(AUDIT_CAP))
     start = time.perf_counter()
     report = audit_full_tree(audited, HcfPolicy(audited))

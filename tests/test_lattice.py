@@ -20,8 +20,17 @@ from seqelicit import pivotal
 from seqelicit.cli import _cmd_graph, _cmd_hcf, _label_json, _labels
 from seqelicit.errors import CapExceeded, PolicyFailed
 from seqelicit.mechanism import FixedOrderPolicy, HcfPolicy, audit_full_tree, deviation_profile, draw_secrets, run
-from seqelicit.model import AnonymousFunctionSpec, InfoState, ProblemInstance, majority, parity, rational_text
-from seqelicit.oracle import closed_form_pivotal, determine, full_lattice
+from seqelicit.model import (
+    _SHORTCUT_BUILDERS,
+    AnonymousFunctionSpec,
+    InfoState,
+    ProblemInstance,
+    from_ones_counts,
+    majority,
+    parity,
+    rational_text,
+)
+from seqelicit.oracle import closed_form_pivotal, determine, full_lattice, per_bound_verdict
 from seqelicit.pivotal import c_of, edges, nodes, pivotal_prob, threshold
 from seqelicit.verify import REASON_PIGEONHOLE, Verdict, Witness, exists_appropriate
 
@@ -137,6 +146,63 @@ def test_rolling_rows_match_the_full_build(n):
                 assert lattice.rank == full_lattice(inst)[1]
                 assert "num" not in vars(lattice)
                 assert lattice.num == num
+
+
+def _unfloored_draws(seed: int):
+    """Instances with no positive floor among the kept costs: every cost is 0
+    or above min(q, 1-q). Per n = 1..60, every shortcut and two random
+    ones-count tables, at priors on either side of 1/2, with every cost 0,
+    with no cost 0 (the root is then c-undefined unless determined), or a mix."""
+    rng = random.Random(seed)
+    for n in range(1, 61):
+        fns = [builder(n) for builder in _SHORTCUT_BUILDERS.values()]
+        fns += [from_ones_counts(n, rng.sample(range(n + 1), rng.randrange(n + 2))) for _ in range(2)]
+        for fn in fns:
+            q = rng.choice((Fraction(1, 10), Fraction(2, 7), Fraction(1, 2), Fraction(3, 5), Fraction(9, 10)))
+            m = min(q, 1 - q)
+            dear = [m + (1 - m) * Fraction(rng.randrange(1, 64), 64) for _ in range(n)]
+            zeros = rng.randrange(n + 1)
+            costs = rng.choice(([Fraction(0)] * n, dear, [Fraction(0)] * zeros + dear[zeros:]))
+            yield ProblemInstance.create(q, rng.sample(costs, n), fn)
+
+
+def test_a_build_with_no_positive_floor_matches_the_full_build():
+    kinds = set()
+    rng = random.Random(8960)
+    for inst in _unfloored_draws(8950):
+        lattice = pivotal.StateLattice(inst)
+        num, rank = full_lattice(inst)
+        assert lattice.rank == rank
+        assert "num" not in vars(lattice)
+        ones = list(accumulate((rng.randrange(2) for _ in range(inst.n - 1)), initial=0))
+        assert lattice.path_thresholds(ones) == [lattice.threshold(i, num[i][k]) for i, k in enumerate(ones)]
+        assert lattice.num == num
+        verdict = exists_appropriate(inst)
+        assert verdict == per_bound_verdict(inst)
+        kinds.add(verdict.reason)
+    assert kinds == {None, "trivial", "c_undefined_at", REASON_PIGEONHOLE}
+
+
+def test_a_build_with_no_positive_floor_rolls_no_numerator(monkeypatch):
+    # With `_rows` refusing, the verdict and a game still answer, and only a
+    # read of a numerator meets the refusal.
+    def refuse(self):
+        raise AssertionError("a numerator row was rolled")
+
+    monkeypatch.setattr(pivotal.StateLattice, "_rows", refuse)
+    zero = ProblemInstance.create(Fraction(3, 5), [0] * 40, majority(40))
+    assert exists_appropriate(zero) == Verdict(True, None)
+    secrets = draw_secrets(zero, 0)
+    for policy in (HcfPolicy(zero), FixedOrderPolicy(zero)):
+        assert run(zero, policy, secrets).output == zero.fn_spec.value_at(sum(secrets))
+    # Three agents at cost 0 and the rest above min(q, 1-q) = 2/5.
+    few = ProblemInstance.create(Fraction(3, 5), [0] * 3 + [Fraction(1, 2)] * 37, majority(40))
+    assert exists_appropriate(few).reason == REASON_PIGEONHOLE
+    dear = ProblemInstance.create(Fraction(3, 5), [Fraction(1, 2)] * 40, parity(40))
+    assert exists_appropriate(dear).undefined_at == InfoState(0, 0)
+    for inst in (zero, few, dear):
+        with pytest.raises(AssertionError, match="numerator row"):
+            pivotal_prob(InfoState(0, 0), inst)
 
 
 def test_graph_labels_match_closed_form(corpus_pivotal):

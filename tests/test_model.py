@@ -707,3 +707,39 @@ def test_kept_cost_pairs_and_rank_rows_match_their_references(corpus_name, reque
             assert built == inst and "_cost_pairs" in vars(built)
             assert built._cost_pairs == tuple(map(Fraction.as_integer_ratio, built.costs))
             assert built.lattice.rank == full_lattice(built)[1]
+
+
+def test_costs_are_made_from_the_pairs_on_first_read():
+    spelled = ["1/4", "0", "2/8", "0.25", 0, "1/3", "3/9", "0/7"]
+    doc = {"n": len(spelled), "q": "3/5", "costs": spelled, "function": "majority"}
+    inst = ingest(json.dumps(doc))
+    assert exists_appropriate(inst).exists is not None
+    assert "costs" not in vars(inst)
+    expected = ProblemInstance.create(Fraction(3, 5), [Fraction(c) for c in spelled], majority(len(spelled)))
+    direct = ProblemInstance(*expected._key)
+    # Equality, hashing and the repr read the costs; the first read makes them.
+    assert inst == direct and hash(inst) == hash(direct) and repr(inst) == repr(direct)
+    assert "costs" in vars(inst) and inst.costs is inst.costs
+    assert inst.costs == expected.costs and all(type(c) is Fraction for c in inst.costs)
+    assert len(set(map(id, inst.costs))) == len(set(inst.costs)) == 3
+    assert emit(inst) == emit(direct) and ingest(emit(inst)) == inst
+    # A direct construction keeps the very tuple it was given.
+    assert vars(direct)["costs"] is expected.costs
+
+
+def test_values_fold_on_integer_pairs_as_by_division():
+    # A negative cost and a cost at or past its value leave [0, 1) after the
+    # fold, and are reported as a direct construction reports them.
+    rng = random.Random(8990)
+    spellings = ["0", "1/3", "2/9", "0.125", "-1/4", "3/5", 1, 2]
+    built = set()
+    for _ in range(200):
+        n = rng.randrange(1, 9)
+        costs = [rng.choice(spellings) for _ in range(n)]
+        values = [rng.choice(["1", "3/2", "0.5", 3, "7/4", "2/6"]) for _ in range(n)]
+        doc = {"n": n, "q": "1/2", "costs": costs, "values": values, "function": "parity"}
+        folded = [Fraction(c) / Fraction(v) for c, v in zip(costs, values)]
+        got = _result(ingest, doc)
+        assert got == _result(ProblemInstance.create, Fraction(1, 2), folded, parity(n))
+        built.add(isinstance(got, ProblemInstance))
+    assert built == {True, False}
