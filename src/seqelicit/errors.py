@@ -29,8 +29,9 @@ class CapExceeded(ElicitError):
     """Instance past a documented size limit: a brute-force oracle's n cap,
     the audit's or the deviation profile's n cap, the state lattice's
     budget of numerator bits (`pivotal.LATTICE_BUDGET_BITS`), or the
-    4300-digit bound (`model._MAX_DIGITS`) on the integers of a printed
-    rational and on the costs' common denominator."""
+    4300-digit bound (`model._MAX_DIGITS`) on the integers of an instance's
+    prior and costs, of a printed rational and of the costs' common
+    denominator."""
 
 
 class PolicyFailed(ElicitError):

@@ -111,11 +111,6 @@ def _as_pair(value, where: str) -> tuple[int, int]:
         raise MalformedDocument(f"{where}: {exc}") from None
 
 
-def _as_rational(value, where: str) -> Fraction:
-    """`_as_pair` as a Fraction."""
-    return Fraction(*_as_pair(value, where))
-
-
 def _pairs(document: Mapping, key: str, n: int) -> list[tuple[int, int]]:
     """The list `document[key]` of n rationals as `_rational_pair`s, each
     distinct string parsed once: a repeated cost costs one dict lookup, not a
@@ -316,7 +311,9 @@ class ProblemInstance:
 
     Costs are stored ascending; ``original_index[r-1]`` is the 1-based input
     position of the agent holding sorted rank r. Display names live in
-    ``agent_ids`` (input order). The prior q is any rational in (0, 1).
+    ``agent_ids`` (input order). The prior q is any rational in (0, 1); its
+    denominator and every cost's (so their numerators too) stay below
+    ``_TOO_LONG``, so that each prints: CapExceeded otherwise.
     Equality, hashing and the repr read these six fields alone, and none of
     them can be assigned after construction. Each table derived from them,
     such as ``_cost_pairs``, the sorted costs as reduced (numerator,
@@ -344,6 +341,8 @@ class ProblemInstance:
             raise MalformedDocument(f"agent count must be an integer >= 1, got {_clip(self.n)}")
         if not isinstance(self.q, Fraction) or not 0 < self.q.numerator < self.q.denominator:
             raise QOutOfRange(f"prior must lie strictly between 0 and 1, got {_clip(self.q)}")
+        if self.q.denominator >= _TOO_LONG:
+            raise CapExceeded(f"prior capped at {_MAX_DIGITS} digits per integer, its denominator has more")
         _check_tuple(self.costs, "costs")
         if len(self.costs) != self.n:
             raise MalformedDocument(f"{len(self.costs)} costs for {self.n} agents")
@@ -351,6 +350,8 @@ class ProblemInstance:
         for c in self.costs:
             if not isinstance(c, Fraction) or not 0 <= c.numerator < c.denominator:
                 raise CostOutOfRange(f"normalized cost {_clip(c)} outside [0, 1)")
+            if c.denominator >= _TOO_LONG:
+                raise CapExceeded(f"costs capped at {_MAX_DIGITS} digits per integer, a denominator has more")
         # A descent is a/b > c/d, that is a*d > c*b, for neighbouring costs a/b, c/d.
         vars(self)["_cost_pairs"] = pairs = tuple(map(Fraction.as_integer_ratio, self.costs))
         tops, dens = zip(*pairs)
@@ -409,7 +410,7 @@ class ProblemInstance:
         costs = tuple(_iterate(costs, "costs"))
         if isinstance(q, (bool, float)):
             raise QOutOfRange(f"prior must be an exact rational, not a {type(q).__name__}")
-        q = q if isinstance(q, Fraction) else _as_rational(q, "q")
+        q = q if isinstance(q, Fraction) else Fraction(*_as_pair(q, "q"))
         if any(map(isinstance, costs, repeat((bool, float)))):
             raise CostOutOfRange("costs must be exact rationals, not floats or booleans")
         pairs = [
@@ -426,21 +427,24 @@ class ProblemInstance:
         exact costs in input order, for `create` and `ingest`: one stable sort
         on the costs' integer keys (see `create`), which orders the costs
         exactly and numbers the agents, then only the checks the sort leaves
-        open: n >= 1, q's range, the function spec's class and n, the least
-        and the greatest sorted cost in [0, 1), and the agent ids (the default
+        open: n >= 1, q's range, q's and the largest cost denominator below
+        ``_TOO_LONG``, the function spec's class and n, the least and the
+        greatest sorted cost in [0, 1), and the agent ids (the default
         ids "1".."n" need none). If one fails, `ProblemInstance(...)` runs on
         the same sorted fields, the costs as Fractions, and raises what it
         raises. Otherwise the sorted pairs stay as `_cost_pairs`, and `costs`
         is made from them on first read."""
         n = len(pairs)
-        shift = 2 * max(map(itemgetter(1), pairs), default=1).bit_length()
+        top_den = max(map(itemgetter(1), pairs), default=1)
+        shift = 2 * top_den.bit_length()
         order = sorted(range(n), key=[(num << shift) // den for num, den in pairs].__getitem__)
         pairs = tuple(map(pairs.__getitem__, order))
         ids = tuple(map(str, range(1, n + 1))) if agent_ids is None else agent_ids
         index = tuple(map(range(1, n + 1).__getitem__, order))
         fields = {"n": n, "q": q, "original_index": index, "fn_spec": fn_spec, "agent_ids": ids}
         if not (
-            n and 0 < q.numerator < q.denominator and pairs[0][0] >= 0 and pairs[-1][0] < pairs[-1][1]
+            n and 0 < q.numerator < q.denominator < _TOO_LONG and top_den < _TOO_LONG
+            and pairs[0][0] >= 0 and pairs[-1][0] < pairs[-1][1]
             and isinstance(fn_spec, AnonymousFunctionSpec) and fn_spec.n == n
             and (agent_ids is None or _distinct_ids(agent_ids, n))
         ):
@@ -508,9 +512,6 @@ class ProblemInstance:
         one pointer per step."""
         return tuple(((rank, 0), (rank, 1)) for rank in range(self.n + 1))
 
-    def cost_of_rank(self, rank: int) -> Fraction:
-        return self.costs[rank - 1]
-
     def agent_id_of_rank(self, rank: int) -> str:
         return self.agent_ids[self.original_index[rank - 1] - 1]
 
@@ -560,8 +561,9 @@ def ingest(document) -> ProblemInstance:
     is accepted as given, below 1/2 too. Of several faults, the first entry
     that does not parse is reported, in input order (q, costs, values); once
     all parse, the instance is built as `ProblemInstance.create` builds it,
-    and a fault left is reported as `ProblemInstance` reports it: q's range,
-    then the costs in sorted order, so the least cost outside [0, 1).
+    and a fault left is reported as `ProblemInstance` reports it: q's range
+    and digit bound, then the costs in sorted order, so the least cost
+    outside [0, 1) or past the bound.
     """
     if isinstance(document, bytes):
         # Strict UTF-8, as the CLI reads its files: no other encoding is
@@ -593,7 +595,7 @@ def ingest(document) -> ProblemInstance:
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise MalformedDocument("n must be an integer >= 1")
 
-    q = _as_rational(document["q"], "q")
+    q = Fraction(*_as_pair(document["q"], "q"))
     costs = _pairs(document, "costs", n)
     if "values" in document:
         values = _pairs(document, "values", n)

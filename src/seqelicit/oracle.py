@@ -1,31 +1,30 @@
-"""Reference baselines for validating the analytic engine.
+"""Reference baselines for validating the analytic engine, each sharing as
+little with the engine as its check allows:
 
-The pivotal checks either sum the closed-form binomial weights or enumerate
-secret completions one vector at a time, and the existence checks either
-enumerate every adaptive mechanism outright or expand the highest-cost-first
-policy's full reply tree; none of them reuses the state lattice's recurrence
-or the path criterion. The incentive checks walk every reply path, and play
-every secret vector, without the (state, remaining) sharing of `mechanism`;
-as there, a policy failure in the deviation check fails every rank at once.
-
-One reference keeps the lattice's recurrence: `full_lattice`, the whole
-numerator table with every layer's floors stepped down from the root. It
-checks the rolling rows and the floors each 64-layer block starts from, not
-the recurrence, which the binomial sums cover.
-
-One reference does run the path criterion on the lattice: `per_bound_verdict`,
-one list DP per rank bound with one Python step per state. It checks only the
-packed-lane arithmetic of `verify`, not the lattice's ranks or the criterion
-itself, which the closed-form and enumeration routes cover.
+- `closed_form_pivotal` and `brute_pivotal` sum binomial weights or
+  enumerate secret completions, with no lattice.
+- `full_lattice` keeps the whole numerator table, every layer's floors
+  stepped down from the root: the reference for the rolling rows and the
+  floors atop each 64-layer block (the binomial sums cover the recurrence).
+- `exhaustive_existence` enumerates every adaptive mechanism, reading each
+  state's willing rank through `pivotal.c_of`; `hcf_tree_existence` runs the
+  production `audit_full_tree`, the memoised (state, remaining) walk, on the
+  highest-cost-first policy. Both check `verify`, not the lattice's ranks or
+  the audit.
+- `brute_audit` walks every reply path, reading `c_of` and
+  `pivotal.threshold`, and `brute_deviation_profiles` plays every secret
+  vector with no lattice; neither shares states as `mechanism`'s walks do.
+  As there, a policy failure in the deviation check fails every rank.
+- `per_bound_verdict` runs one list DP per rank bound on the lattice's
+  numerators and ranks, checking only `verify`'s packed-lane arithmetic.
 
 Every reference that plays or walks a game stops where `determine`'s window
-scan finds the output forced (the audit and deviation references scan each
-state once per call, into a local table), while the executors in `mechanism`
-stop where the lattice marks the state determined in its rank row, so each
-comparison checks one stop test against the other; the list DP below tests
-the numerators for 0 instead of the mark. `mirror` relabels every secret
-0 <-> 1, the same game seen from q -> 1-q: the lattice answers any q in
-(0, 1) natively, so the mirror is the reference its low-prior answers are
+scan, read from one `_forced` table per call, finds the output forced, while
+the executors in `mechanism` stop where the lattice's rank row marks the
+state determined, so each comparison checks one stop test against the other;
+the list DP tests the numerators for 0 instead. `mirror` relabels every
+secret 0 <-> 1, the same game seen from q -> 1-q: the lattice answers any q
+in (0, 1) natively, so the mirror is the reference its low-prior answers are
 checked against.
 """
 
@@ -177,17 +176,13 @@ def brute_pivotal(state: InfoState, instance: ProblemInstance) -> Fraction:
     return total
 
 
-def _trees(instance, state, remaining):
-    # Depth-first enumeration, candidate ranks ascending.
-    fn = instance.fn_spec
-    child0 = InfoState(state.approached + 1, state.ones)
-    child1 = InfoState(state.approached + 1, state.ones + 1)
-    open0 = determine(child0, fn) is None
-    open1 = determine(child1, fn) is None
+def _trees(forced, i, k, remaining):
+    # Depth-first enumeration from the open state (i, k), candidate ranks ascending.
+    open0, open1 = not forced[i + 1][k], not forced[i + 1][k + 1]
     for rank in sorted(remaining):
         rest = remaining - {rank}
-        for left in _trees(instance, child0, rest) if open0 else (None,):
-            for right in _trees(instance, child1, rest) if open1 else (None,):
+        for left in _trees(forced, i + 1, k, rest) if open0 else (None,):
+            for right in _trees(forced, i + 1, k + 1, rest) if open1 else (None,):
                 yield DecisionTree(rank, left, right)
 
 
@@ -212,13 +207,13 @@ def exhaustive_existence(instance: ProblemInstance) -> OracleVerdict:
     """
     if instance.n > EXHAUSTIVE_CAP:
         raise CapExceeded(f"mechanism enumeration capped at n={EXHAUSTIVE_CAP}, instance has n={instance.n}")
-    root = InfoState(0, 0)
-    if determine(root, instance.fn_spec) is not None:
+    forced = _forced(instance.fn_spec)
+    if forced[0][0]:
         return OracleVerdict(True, None, 1)
     checked = 0
-    for tree in _trees(instance, root, frozenset(instance.ranks)):
+    for tree in _trees(forced, 0, 0, frozenset(instance.ranks)):
         checked += 1
-        if _tree_willing(instance, tree, root):
+        if _tree_willing(instance, tree, InfoState(0, 0)):
             return OracleVerdict(True, tree, checked)
     return OracleVerdict(False, None, checked)
 
@@ -249,7 +244,7 @@ def brute_audit(instance: ProblemInstance, policy) -> AuditReport:
         if key not in seen:
             seen.add(key)
             records.append(
-                AuditRecord(state, rank, instance.cost_of_rank(rank), threshold(state, instance), eligible)
+                AuditRecord(state, rank, instance.costs[rank - 1], threshold(state, instance), eligible)
             )
         if not eligible:
             raise PolicyFailed(state, FAIL_CHOSEN_INELIGIBLE)
@@ -320,7 +315,7 @@ def brute_deviation_profiles(instance: ProblemInstance, policy) -> dict[int, dic
         if not approached[rank]:
             profiles[rank] = dict.fromkeys(ALL_ACTIONS, Fraction(truthful_right, b**n))
         else:
-            cost = instance.cost_of_rank(rank)
+            cost = instance.costs[rank - 1]
             profiles[rank] = {
                 action: Fraction(right, approached[rank]) - (cost if action.compute else 0)
                 for action, right in zip(ALL_ACTIONS, correct[rank])

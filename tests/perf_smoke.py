@@ -90,7 +90,7 @@ PARITY_N = 1000
 
 def _check_total(instance: ProblemInstance, result) -> None:
     """A game's total cost is the sum of its approached ranks' costs."""
-    total = sum((instance.cost_of_rank(rank) for rank, _ in result.transcript.entries), Fraction(0))
+    total = sum((instance.costs[rank - 1] for rank, _ in result.transcript.entries), Fraction(0))
     assert result.total_cost_incurred == total, (result.total_cost_incurred, total)
 
 

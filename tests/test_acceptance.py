@@ -159,7 +159,7 @@ def test_criterion_8_best_response(corpus_br):
             for rank in sorted({rec.rank for rec in report.records}):
                 profile = deviation_profile(inst, policy, rank)
                 truthful = profile[TRUTHFUL_COMPUTE]
-                assert truthful == 1 - inst.cost_of_rank(rank)
+                assert truthful == 1 - inst.costs[rank - 1]
                 for action in ALL_ACTIONS:
                     assert profile[action] <= truthful
         assert audited >= 25

@@ -408,7 +408,7 @@ _DIGITS = "9" * 4000
 @pytest.mark.parametrize(
     "fields",
     [
-        # Past the interpreter's int-string limit: echoed by _as_rational.
+        # Past the interpreter's int-string limit: echoed by _as_pair.
         {"costs": ["0", "1" * 5000]},
         # Parses, but lies outside [0, 1): echoed by CostOutOfRange.
         {"costs": ["0", _DIGITS + "/1"]},

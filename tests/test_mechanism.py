@@ -250,7 +250,7 @@ def test_run_matches_the_reference_loop(corpus_main, policy_type):
             result = run(inst, policy, secrets)
             assert (result.transcript.entries, result.output, result.halted_at) == (entries, output, state)
             assert result.approached_count == len(entries)
-            assert result.total_cost_incurred == sum((inst.cost_of_rank(r) for r, _ in entries), Fraction(0))
+            assert result.total_cost_incurred == sum((inst.costs[r - 1] for r, _ in entries), Fraction(0))
             ran += 1
     assert ran and (failed > 0) == (policy_type is HcfPolicy)
 
@@ -288,7 +288,7 @@ def test_run_totals_the_cost_of_its_transcript():
                 game = _game(inst, policy, tuple(rng.randrange(2) for _ in range(inst.n)))
                 if type(game) is not RunResult or not game.approached_count:
                     continue
-                total = sum((inst.cost_of_rank(r) for r, _ in game.transcript.entries), Fraction(0))
+                total = sum((inst.costs[r - 1] for r, _ in game.transcript.entries), Fraction(0))
                 assert game.total_cost_incurred == total, (inst, game)
                 if type(policy) is HcfPolicy:
                     top = _top_rank_steps(inst, game)
@@ -317,7 +317,7 @@ def test_the_top_cost_sums_are_suffix_sums_built_only_by_run():
         tops, den = vars(inst)["scaled_costs"][2], inst.scaled_costs[0]
         assert len(tops) == n + 1 and inst.scaled_costs[2] is tops
         for length in range(n + 1):
-            assert Fraction(tops[length], den) == sum(map(inst.cost_of_rank, range(n - length + 1, n + 1)), Fraction(0))
+            assert Fraction(tops[length], den) == sum(inst.costs[n - length :], Fraction(0))
         assert inst == twin and hash(inst) == hash(twin) and repr(inst) == repr(twin)
 
 
@@ -493,7 +493,7 @@ def test_best_response_on_examples():
         for rank in sorted({rec.rank for rec in report.records}):
             profile = deviation_profile(inst, policy, rank)
             truthful = profile[TRUTHFUL_COMPUTE]
-            assert truthful == 1 - inst.cost_of_rank(rank)
+            assert truthful == 1 - inst.costs[rank - 1]
             for action in ALL_ACTIONS:
                 assert profile[action] <= truthful
 
@@ -1404,7 +1404,7 @@ def test_truthful_is_every_approached_ranks_best_response_at_n_32_to_64(monkeypa
         assert report.passed
         for rank in sorted({rec.rank for rec in report.records}):
             profile = deviation_profile(inst, policy, rank)
-            assert profile[TRUTHFUL_COMPUTE] == 1 - inst.cost_of_rank(rank)
+            assert profile[TRUTHFUL_COMPUTE] == 1 - inst.costs[rank - 1]
             assert all(profile[action] <= profile[TRUTHFUL_COMPUTE] for action in ALL_ACTIONS)
             checked += 1
     assert (passing, checked) == (40, 1829)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import re
@@ -13,12 +14,13 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_instance, random_instance
 from seqelicit.errors import (
     BadFunctionTable,
+    CapExceeded,
     CostOutOfRange,
     MalformedDocument,
     QOutOfRange,
 )
 from seqelicit.model import (
-    _as_rational,
+    _as_pair,
     _clip,
     ACTION_NAMES,
     ALL_ACTIONS,
@@ -198,12 +200,111 @@ def test_rational_strings_are_bounded_at_4300_digits(digits):
 
 @pytest.mark.parametrize("digits", [4300, 4301])
 def test_json_integer_literals_are_bounded_at_4300_digits(digits):
-    text = '{"n": 1, "q": "1/2", "costs": ["1/2"], "values": [' + "9" * digits + '], "function": "unanimity"}'
+    # Cost 1 over the value keeps the fold's denominator at the literal's
+    # digits; "1/2" would double it past the bound (see the fold tests below).
+    text = '{"n": 1, "q": "1/2", "costs": ["1"], "values": [' + "9" * digits + '], "function": "unanimity"}'
     if digits > 4300:
         with pytest.raises(MalformedDocument, match=r"^integer literal 9{32}\.\.\.\(4301 chars\) has more than 4300"):
             ingest(text)
     else:
-        assert ingest(text).costs == (Fraction(1, 2 * (10**digits - 1)),)
+        assert ingest(text).costs == (Fraction(1, 10**digits - 1),)
+
+
+def _round_trips(inst) -> None:
+    """`inst` prints, and its canonical document reads back as `inst`."""
+    assert repr(inst).startswith("ProblemInstance(")
+    assert ingest(json.dumps(emit(inst))) == inst
+
+
+def _decimal(places: int) -> str:
+    return "0." + "0" * (places - 1) + "1"
+
+
+def test_an_instance_keeps_no_decimal_past_the_digit_bound():
+    # Each digit run of a 4300-place decimal passes the grammar, but its
+    # denominator, 10**4300, has 4301 digits: kept, it would not print.
+    for field, places in itertools.product(("q", "costs"), (4299, 4300)):
+        doc = {"n": 2, "q": "1/2", "costs": ["0", "1/3"], "function": "parity"}
+        if field == "q":
+            doc["q"] = _decimal(places)
+        else:
+            doc["costs"][1] = _decimal(places)
+        if places > 4299:
+            with pytest.raises(CapExceeded, match="^(prior|costs) capped at 4300 digits per integer"):
+                ingest(doc)
+        else:
+            _round_trips(ingest(doc))
+
+
+def test_a_values_fold_is_refused_just_past_the_digit_bound():
+    # cost 1/2 over value V: denominator 2V, which is 10**4300 - 2 for
+    # V = 49...9 and 10**4300 for V = 50...0, each V 4300 digits.
+    doc = {"n": 2, "q": "1/2", "costs": ["0", "1/2"], "values": ["1", "4" + "9" * 4299], "function": "majority"}
+    inst = ingest(doc)
+    assert inst.costs[1] == Fraction(1, 10**4300 - 2)
+    _round_trips(inst)
+    doc["values"][1] = "5" + "0" * 4299
+    with pytest.raises(CapExceeded, match="^costs capped at 4300 digits per integer"):
+        ingest(doc)
+
+
+def test_create_and_a_direct_construction_refuse_a_denominator_past_the_bound():
+    long = Fraction(1, 10**4300)
+    fields = {"n": 2, "q": Fraction(1, 2), "costs": (Fraction(0), Fraction(1, 3)), "original_index": (1, 2),
+              "fn_spec": parity(2), "agent_ids": ("1", "2")}
+    for change in ({"q": long}, {"costs": (Fraction(0), long)}):
+        with pytest.raises(CapExceeded, match="capped at 4300 digits per integer"):
+            ProblemInstance(**{**fields, **change})
+    for q, costs in ((long, ["0", "1/3"]), (_decimal(4300), ["0", "1/3"]), ("1/2", [long, "0"]), ("1/2", ["0", _decimal(4300)])):
+        with pytest.raises(CapExceeded, match="capped at 4300 digits per integer"):
+            ProblemInstance.create(q, costs, parity(2))
+    inst = ProblemInstance.create(Fraction(1, 10**4300 - 1), [Fraction(1, 10**4300 - 1), "0"], parity(2))
+    _round_trips(inst)
+
+
+def test_near_bound_documents_are_refused_or_round_trip():
+    # Seeded documents whose integers sit near the 4300-digit bound: 4296 to
+    # 4300 decimal places, folds whose cost and value denominators together
+    # run to about 4300 digits, and "1/D" with D of 20 to 4300 digits. Each
+    # is refused with the package's CapExceeded exactly when a kept
+    # denominator would reach 10**4300; the rest print and read back.
+    rng = random.Random(52)
+    outcomes = set()
+
+    def digits(count: int) -> int:
+        return rng.randrange(10 ** (count - 1), 10**count)
+
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        kind = rng.choice(("decimal", "fold", "integer"))
+        q_den = digits(rng.randint(20, 4300))
+        q_text, q = f"1/{q_den}", Fraction(1, q_den)
+        if kind == "decimal":
+            # A last digit of 2 or 5 takes one digit off the reduced denominator.
+            places = rng.randint(4296, 4300)
+            tail = digits(rng.randint(1, places - 1)) * 10 + rng.choice((1, 2, 5, 7))
+            text = f"0.{tail:0{places}d}"
+            costs_text, costs = [text] * n, [Fraction(tail, 10**places)] * n
+            q_text, q = text, costs[0]
+        else:
+            dens = [digits(rng.randint(20, 4300)) for _ in range(n)]
+            costs_text, costs = [f"1/{d}" for d in dens], [Fraction(1, d) for d in dens]
+        doc = {"n": n, "q": q_text, "costs": costs_text, "function": rng.choice(("majority", "parity"))}
+        if kind == "fold":
+            values = [digits(max(1, 4300 - len(str(d)) + rng.randint(-1, 2))) for d in dens]
+            doc["values"] = list(map(str, values))
+            costs = [c / v for c, v in zip(costs, values)]
+        refused = any(f.denominator >= 10**4300 for f in (q, *costs))
+        outcomes.add((kind, refused))
+        try:
+            inst = ingest(doc)
+        except CapExceeded:
+            assert refused, kind
+            continue
+        assert not refused, kind
+        assert inst.q == q and sorted(inst.costs) == sorted(costs)
+        _round_trips(inst)
+    assert outcomes == {("decimal", False), ("decimal", True), ("fold", False), ("fold", True), ("integer", False)}
 
 
 def test_bad_function_table():
@@ -343,7 +444,7 @@ def test_rational_forms_read_alike_on_every_python():
 def _reading(text: str):
     """What ingestion makes of `text`: a Fraction, or the error's message."""
     try:
-        return _as_rational(text, "x")
+        return Fraction(*_as_pair(text, "x"))
     except MalformedDocument as exc:
         return str(exc)
 
@@ -571,8 +672,8 @@ def _ingest_by_definition(document):
     n = document["n"]
     if n < 1:
         raise MalformedDocument("n must be an integer >= 1")
-    q = _as_rational(document["q"], "q")
-    costs = [_as_rational(c, f"costs[{p}]") for p, c in enumerate(document["costs"])]
+    q = Fraction(*_as_pair(document["q"], "q"))
+    costs = [Fraction(*_as_pair(c, f"costs[{p}]")) for p, c in enumerate(document["costs"])]
     agent_ids = document.get("agent_ids")
     if isinstance(agent_ids, str):
         raise MalformedDocument("agent_ids must be n distinct nonempty strings")
@@ -581,10 +682,10 @@ def _ingest_by_definition(document):
 
 
 def _create_by_definition(q, costs, fn_spec, agent_ids=None):
-    q = q if isinstance(q, Fraction) else _as_rational(q, "q")
+    q = q if isinstance(q, Fraction) else Fraction(*_as_pair(q, "q"))
     if any(isinstance(c, (bool, float)) for c in costs):
         raise CostOutOfRange("costs must be exact rationals, not floats or booleans")
-    costs = [c if isinstance(c, Fraction) else _as_rational(c, f"costs[{p}]") for p, c in enumerate(costs)]
+    costs = [c if isinstance(c, Fraction) else Fraction(*_as_pair(c, f"costs[{p}]")) for p, c in enumerate(costs)]
     if isinstance(agent_ids, str):
         raise MalformedDocument("agent_ids must be n distinct nonempty strings")
     return _by_definition(q, costs, fn_spec, agent_ids)

@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import example1_instance, example2_instance, example3_instance, make_instance
+from seqelicit import oracle
 from seqelicit.errors import CapExceeded
 from seqelicit.mechanism import AUDIT_CAP, DEVIATION_CAP, FixedOrderPolicy, deviation_profile
-from seqelicit.model import InfoState, consensus, majority
+from seqelicit.model import InfoState, consensus, majority, parity, unanimity
 from seqelicit.oracle import (
     BRUTE_PIVOTAL_CAP,
     brute_audit,
@@ -147,6 +148,26 @@ def test_certificates_pass_audit_on_small_corpus(corpus_small):
         assert_certificate_appropriate(inst, verdict.certificate)
         checked += 1
     assert checked >= 10
+
+
+def test_exhaustive_existence_scans_each_state_once(monkeypatch, corpus_small):
+    # The enumeration reads one table of forced states, so a call scans each
+    # of the (n+1)(n+2)/2 states once, however many mechanisms it lists.
+    calls = []
+    scan = oracle.determine
+
+    def counted(state, fn):
+        calls.append(state)
+        return scan(state, fn)
+
+    monkeypatch.setattr(oracle, "determine", counted)
+    # The costs of instances/overpacked_path.json and no_mechanism.json.
+    costs = (["0", "3/8", "2/5", "2/5"], ["2/5"] * 4)
+    shortcuts = [make_instance("1/2", c, f(4).ones_to_one) for f in (majority, consensus, parity, unanimity) for c in costs]
+    for inst in (*shortcuts, *corpus_small):
+        calls.clear()
+        exhaustive_existence(inst)
+        assert len(calls) <= (inst.n + 1) * (inst.n + 2) // 2
 
 
 def test_all_three_routes_agree_on_examples():
