@@ -15,16 +15,17 @@ asks the most expensive agent that is still willing to compute, and its
 full-reply-tree audit certifies that everybody computing truthfully is an
 equilibrium.
 
-Every executor calls a policy through `_next_rank`, which checks each answer
-once. Only `run` under the built-in `HcfPolicy` over its own instance skips
-it, in the game's top-rank prefix (see `run`).
+Every executor asks a policy through `_asker`: the built-in policies over
+its own instance through their `next`, and any other through `_next_rank`,
+which checks each answer once. `run` under `HcfPolicy` over its own instance
+also walks the game's top-rank prefix without asking (see `run`).
 
 Since a policy sees only (i, k, remaining), the incentive checks visit each
 reachable such pair once, in two separate walks, each holding only the pairs
 at undetermined states. The audit goes depth first, skips a pair it has
 already walked and reads each record's threshold from the lattice's
-`thresholds` table, filling a state's slot from its numerator on first use, so
-the audits of one instance share one threshold per state. The deviation
+`thresholds` table, filling a state's slot on first use, so the audits of one
+instance share one threshold object per distinct value. The deviation
 profile is a forward reach, layer by layer, that carries path weights through
 every pair and averages the lattice's pivotality over the deviating agent's
 approaches, from which every deviation's utility follows in integers. The
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -152,6 +154,16 @@ def _next_rank(policy, i: int, k: int, remaining: int) -> int:
     return rank
 
 
+def _asker(instance: ProblemInstance, policy):
+    """f(i, k, remaining) -> rank: `policy.next` itself for `HcfPolicy` or
+    `FixedOrderPolicy` (not a subclass, which may override `next`) over
+    `instance`, which at an undetermined state answers only a remaining rank,
+    else `_next_rank` bound to the policy."""
+    if type(policy) in (HcfPolicy, FixedOrderPolicy) and policy.instance is instance:
+        return policy.next
+    return partial(_next_rank, policy)
+
+
 def run(instance: ProblemInstance, policy, secrets) -> RunResult:
     """Play one game from the root as `policy` directs, with truthful replies
     drawn from `secrets` (rank order): n elements that `bytes()` takes, each
@@ -166,8 +178,8 @@ def run(instance: ProblemInstance, policy, secrets) -> RunResult:
     instance's lattice under any policy, so past `pivotal.LATTICE_BUDGET_BITS`
     this raises CapExceeded, as it does when the costs' common denominator
     has more than 4300 digits (`ProblemInstance.scaled_costs`). Each step is
-    one lattice lookup, one `_next_rank` call and one xor, so each rank is
-    new and in 1..n and the transcript skips the checks of `Transcript(...)`.
+    one lattice lookup, one `_asker` answer and one xor, so each rank is new
+    and in 1..n and the transcript skips the checks of `Transcript(...)`.
     Its entries are the instance's shared (rank, reply) pairs from
     `_step_pairs`, indexed by rank and then reply, plain ints whatever types
     the policy and the secrets use, so a step allocates nothing.
@@ -212,14 +224,17 @@ def run(instance: ProblemInstance, policy, secrets) -> RunResult:
             k += reply
     top = i
     remaining = (2 << (n - i)) - 2
-    # Every state after the last approach is determined, so the loop ends.
-    while i < n and willing[i][k] >= 0:
-        rank = _next_rank(policy, i, k, remaining)
-        reply = bits[rank - 1]
-        entries.append(pairs[rank][reply])
-        i += 1
-        k += reply
-        remaining ^= 1 << rank
+    # Only a game that goes on past the prefix asks the policy.
+    if i < n and willing[i][k] >= 0:
+        ask = _asker(instance, policy)
+        # Every state after the last approach is determined, so the loop ends.
+        while i < n and willing[i][k] >= 0:
+            rank = ask(i, k, remaining)
+            reply = bits[rank - 1]
+            entries.append(pairs[rank][reply])
+            i += 1
+            k += reply
+            remaining ^= 1 << rank
     den, scaled, tops = instance.scaled_costs
     return RunResult(
         transcript=tuple.__new__(Transcript, (tuple(entries),)),  # each rank new and in 1..n: no check
@@ -253,14 +268,26 @@ def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
     pushed: the root when it is undetermined, and a child when it lies above
     layer n and its rank row is nonnegative.
 
-    A threshold is made from the state's numerator on its first record and
-    kept in the lattice's `thresholds` table, so every record at one state,
-    in this audit or another of the instance, holds the same `Fraction`.
+    A record's threshold is read from the lattice's `thresholds` table, and
+    written there on the state's first record. The threshold m num / b^(n-i)
+    is keyed by num b^i, and a `Fraction` is made only for a key that neither
+    this audit nor the table holds yet, so the audits of an instance share
+    one object per distinct threshold.
     """
     if instance.n > AUDIT_CAP:
         raise CapExceeded(f"full tree audit capped at n={AUDIT_CAP}, instance has n={instance.n}")
     n, costs, lattice = instance.n, instance.costs, instance.lattice
-    willing, num, table, m, b = lattice.rank, lattice.num, lattice.thresholds, lattice._m, lattice._b
+    willing, num, m, b = lattice.rank, lattice.num, lattice._m, lattice._b
+    ask = _asker(instance, policy)
+    # num b^i -> its threshold, equal keys for equal thresholds in any layer,
+    # seeded with the slots an earlier audit filled.
+    shared = {
+        nums[k] * b ** i: tau
+        for i, (taus, nums) in enumerate(zip(vars(lattice).get("thresholds", ()), num))
+        for k, tau in enumerate(taus)
+        if tau is not None
+    }
+    table = lattice.thresholds
     # Layer n, after the last approach, is determined throughout.
     below = [*willing[1:], [-1] * (n + 1)]
     # Keyed by ints: (i, k, rank) for the records, (i, k, remaining) for the walk.
@@ -274,13 +301,17 @@ def audit_full_tree(instance: ProblemInstance, policy) -> AuditReport:
                 continue
             walked.add(key)
             i, k, remaining = key
-            rank = _next_rank(policy, i, k, remaining)
+            rank = ask(i, k, remaining)
             eligible = rank <= willing[i][k]
             if (i, k, rank) not in records:
                 tau = table[i][k]
                 if tau is None:
-                    # `StateLattice.threshold`, inline: the call is slower.
-                    tau = table[i][k] = Fraction(m * num[i][k], b ** (n - i))
+                    scaled = num[i][k] * b ** i
+                    tau = shared.get(scaled)
+                    if tau is None:
+                        # `StateLattice.threshold`, inline: the call is slower.
+                        tau = shared[scaled] = Fraction(m * num[i][k], b ** (n - i))
+                    table[i][k] = tau
                 state = tuple.__new__(InfoState, (i, k))  # a lattice state: no check
                 records[i, k, rank] = tuple.__new__(AuditRecord, (state, rank, costs[rank - 1], tau, eligible))
             if not eligible:
@@ -312,6 +343,7 @@ def _reach(instance: ProblemInstance, policy) -> tuple[list[int], list[int]]:
     # Layer n, after the last approach, is determined throughout.
     below = [*willing[1:], [-1] * (n + 1)]
     total, pivotal = [0] * (n + 1), [0] * (n + 1)
+    ask = _asker(instance, policy)
     # (ones, remaining) -> weight of the paths reaching it at this depth,
     # scaled by b^depth.
     layer = {(0, _all_remaining(instance)): 1} if willing[0][0] >= 0 else {}
@@ -319,7 +351,7 @@ def _reach(instance: ProblemInstance, policy) -> tuple[list[int], list[int]]:
         reached: dict = {}
         scale, row, live = b ** (n - i), num[i], below[i]
         for (k, remaining), weight in layer.items():
-            chosen = _next_rank(policy, i, k, remaining)
+            chosen = ask(i, k, remaining)
             total[chosen] += weight * scale
             pivotal[chosen] += weight * row[k] * b
             rest = remaining ^ (1 << chosen)

@@ -20,7 +20,6 @@ willing ranks.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
@@ -94,13 +93,15 @@ class StateLattice:
         self._leaves = [int(table[k] != table[k + 1]) for k in range(n)]
         # Floors only for the distinct costs, ascending since the costs are
         # sorted; `below[d]` counts the ranks among the d cheapest of them.
-        counts = Counter(instance._cost_pairs)
+        counts: dict[tuple[int, int], int] = {}
+        for pair in instance._cost_pairs:
+            counts[pair] = counts.get(pair, 0) + 1
         below = [0, *accumulate(counts.values())]
         m = min(a, b - a)
         self._a, self._m, self._b = a, m, b
         # A cost above m/b is willing nowhere (P <= 1); the rest are a prefix.
         costs = [(top, den * m) for top, den in counts if top * b <= den * m]
-        determined = ~counts[0, 1]  # the number of zero-cost agents, the only ones willing at threshold 0
+        determined = ~counts.get((0, 1), 0)  # the number of zero-cost agents, the only ones willing at threshold 0
         rank = []
         if costs and costs[-1][0]:  # the dearest kept cost is positive
             rows = self._rows()
@@ -151,8 +152,9 @@ class StateLattice:
     def thresholds(self) -> list[list[Fraction | None]]:
         """One slot per state, root row first, each None until an audit
         writes the state's threshold there, so both audits of an instance
-        share one `Fraction` per state. Only `audit_full_tree` builds and
-        fills it; `threshold` and `path_thresholds` make theirs afresh."""
+        share one `Fraction` per distinct threshold. Only `audit_full_tree`
+        builds and fills it; `threshold` and `path_thresholds` make theirs
+        afresh."""
         return [[None] * (i + 1) for i in range(len(self.rank))]
 
     @cached_property

@@ -121,6 +121,10 @@ def _arms(code: CodeType) -> set[tuple[int, int]]:
 
 
 def main(args: list[str]) -> int:
+    # Read and compiled before the tests run, as the tests import them, so an
+    # edit made to a source during the run cannot shift its line numbers.
+    sources = {path: path.read_text().splitlines() for path in sorted(PACKAGE.glob("*.py"))}
+    codes = {path: compile("\n".join(source), str(path), "exec") for path, source in sources.items()}
     reached: dict[str, set[int]] = {}
     steps: dict[str, set[tuple[int | None, int]]] = {}
     trace = _tracer(reached, steps)
@@ -132,9 +136,8 @@ def main(args: list[str]) -> int:
         sys.settrace(None)
         threading.settrace(None)
     missed, untaken = [], []
-    for path in sorted(PACKAGE.glob("*.py")):
-        source = path.read_text().splitlines()
-        code = compile("\n".join(source), str(path), "exec")
+    for path, source in sources.items():
+        code = codes[path]
         lines = _executable(code) - reached.get(path.name, set())
         missed += [f"{path.name}:{n}: {source[n - 1].strip()}" for n in sorted(lines)
                    if (path.name, source[n - 1].strip()) not in ALLOWED]

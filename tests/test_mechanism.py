@@ -7,6 +7,7 @@ import random
 import tracemalloc
 from array import array
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from conftest import (
     random_instance,
     threshold_cost_instance,
 )
+from seqelicit import mechanism
 from seqelicit.errors import CapExceeded, PolicyFailed, StateExhausted
 from seqelicit.mechanism import (
     AUDIT_CAP,
@@ -1082,6 +1084,146 @@ def test_the_audits_of_one_instance_share_one_threshold_per_state():
                 assert rec.threshold == Fraction(m * num[i][k], b ** (n - i))
         shared += len(states[0] & states[1])
     assert shared >= 200
+
+
+def test_records_with_equal_thresholds_hold_one_object():
+    # Across both audits of an instance, equal thresholds, at any states and
+    # layers, are one `Fraction`, equal to the formula on `oracle.full_lattice`'s
+    # numerators.
+    rng = random.Random(9450)
+    repeated = 0
+    for _ in range(60):
+        q = rng.choice((Fraction(1, 3), Fraction(1, 2), Fraction(3, 5), Fraction(3, 4)))
+        inst = random_instance(rng, rng.randrange(1, 11), q=q, max_cost_k=16)
+        n, m, b = inst.n, min(q.numerator, q.denominator - q.numerator), q.denominator
+        num, _ = full_lattice(inst)
+        records = [
+            rec for policy_type in (HcfPolicy, FixedOrderPolicy) for rec in audit_full_tree(inst, policy_type(inst)).records
+        ]
+        objects: dict[Fraction, Fraction] = {}
+        for rec in records:
+            i, k = rec.state
+            assert rec.threshold == Fraction(m * num[i][k], b ** (n - i))
+            assert objects.setdefault(rec.threshold, rec.threshold) is rec.threshold
+        repeated += len({tuple(rec.state) for rec in records}) - len(objects)
+    assert repeated >= 100
+
+
+@pytest.mark.parametrize("policy_type", [HcfPolicy, FixedOrderPolicy])
+def test_a_parity_audit_at_one_half_holds_one_threshold_object(policy_type):
+    # At q = 1/2 every live parity state has P = 1, so all n(n+1)/2 records
+    # hold one threshold, 1/2, and one object.
+    for n in (1, 5, 12):
+        inst = make_instance("1/2", ["0"] * n, parity(n).ones_to_one)
+        report = audit_full_tree(inst, policy_type(inst))
+        assert report.passed and len(report.records) == n * (n + 1) // 2
+        assert len({id(rec.threshold) for rec in report.records}) == 1
+        assert report.records[0].threshold == Fraction(1, 2)
+
+
+class _HcfSubclass(HcfPolicy):
+    """HCF's rule under another class, so executors check its answers."""
+
+
+class _FixedSubclass(FixedOrderPolicy):
+    """The fixed order under another class, so executors check its answers."""
+
+
+def _executors(inst, policy):
+    """Three games of `run`, `audit_full_tree` and every rank's
+    `deviation_profile` under `policy`: each answer, or the (state, reason) of
+    its PolicyFailed."""
+
+    def outcome(check, *args):
+        try:
+            return check(*args)
+        except PolicyFailed as exc:
+            return exc.state, exc.reason
+
+    return (
+        [outcome(run, inst, policy, draw_secrets(inst, seed)) for seed in range(3)],
+        outcome(audit_full_tree, inst, policy),
+        [outcome(deviation_profile, inst, policy, rank) for rank in inst.ranks],
+    )
+
+
+def test_built_in_policies_over_their_instance_skip_the_answer_check(monkeypatch):
+    # `HcfPolicy` and `FixedOrderPolicy` themselves over the executor's
+    # instance answer only remaining ranks, so every executor asks their
+    # `next` directly, which reaches a wrapper patched onto the class.
+    asked = {HcfPolicy: 0, FixedOrderPolicy: 0}
+
+    def counting(policy_type):
+        original = policy_type.next
+
+        def next(self, i, k, remaining):
+            asked[policy_type] += 1
+            return original(self, i, k, remaining)
+
+        return next
+
+    def refuse(*args):
+        raise AssertionError("a built-in policy's answer was checked")
+
+    rng = random.Random(9660)
+    insts = [example2_instance(), example3_instance(), *(random_instance(rng, n, max_cost_k=16) for n in (3, 5, 7))]
+    expected = [[_executors(inst, make(inst)) for make in (_HcfSubclass, _FixedSubclass)] for inst in insts]
+    for policy_type in asked:
+        monkeypatch.setattr(policy_type, "next", counting(policy_type))
+    monkeypatch.setattr(mechanism, "_next_rank", refuse)
+    for inst, outcomes in zip(insts, expected):
+        for policy_type, outcome in zip((HcfPolicy, FixedOrderPolicy), outcomes):
+            before = asked[policy_type]
+            assert _executors(inst, policy_type(inst)) == outcome
+            assert asked[policy_type] > before
+
+
+def test_other_policies_are_asked_through_the_answer_check(monkeypatch):
+    # Subclasses, which may override `next`, and built-in policies over an
+    # equal but distinct instance go through `_next_rank` on every answer.
+    checked = 0
+    next_rank = mechanism._next_rank
+
+    def counting(policy, i, k, remaining):
+        nonlocal checked
+        checked += 1
+        return next_rank(policy, i, k, remaining)
+
+    monkeypatch.setattr(mechanism, "_next_rank", counting)
+    majority4 = partial(make_instance, "1/3", ["1/9", "0", "1/5", "1/7"], majority(4).ones_to_one)
+    for make in (example2_instance, example3_instance, majority4):
+        inst, twin = make(), make()
+        assert twin == inst and twin is not inst
+        for policy_type, subclass in ((HcfPolicy, _HcfSubclass), (FixedOrderPolicy, _FixedSubclass)):
+            expected = _executors(inst, policy_type(inst))
+            for policy in (policy_type(twin), subclass(inst)):
+                checked = 0
+                assert _executors(inst, policy) == expected
+                assert checked > 0
+
+
+def test_trusted_and_checked_asking_agree_with_the_oracles():
+    # On seeded draws, with q either side of 1/2, the built-in policies asked
+    # directly, their subclasses asked through `_next_rank`, and the 2^n
+    # references give equal games, audit reports and profiles, passing or
+    # failing for either reason.
+    rng = random.Random(9680)
+    seen = set()
+    for _ in range(80):
+        q = rng.choice((Fraction(1, 10), Fraction(1, 3), Fraction(3, 5), Fraction(9, 10)))
+        inst = random_instance(rng, rng.randrange(1, 8), q=q, max_cost_k=16)
+        for policy_type, subclass in ((HcfPolicy, _HcfSubclass), (FixedOrderPolicy, _FixedSubclass)):
+            games, report, profiles = _executors(inst, policy_type(inst))
+            assert (games, report, profiles) == _executors(inst, subclass(inst))
+            assert report == brute_audit(inst, policy_type(inst))
+            # The reach and the reference may meet different failures first.
+            brute = _outcome(brute_deviation_profiles, inst, policy_type(inst))
+            if brute is PolicyFailed:
+                assert len(set(profiles)) == 1 and type(profiles[0]) is tuple
+            else:
+                assert profiles == [brute[rank] for rank in inst.ranks]
+            seen.add((q < Fraction(1, 2), report.failure[1] if report.failure else "passed"))
+    assert seen == {(low, kind) for low in (False, True) for kind in ("passed", "no_eligible_agent", "chosen_ineligible")}
 
 
 def test_only_the_audits_build_the_threshold_table():
